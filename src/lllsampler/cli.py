@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import click
 
-from .core import AtomicCsp, compute_measures, preprocess
+from .core import AtomicCsp, preprocess
 from .errors import (BudgetError, ConstructionFailedError,
                      InvalidInstanceError, InvariantError, ParseError,
                      RegimeError, SamplerError, UnsatisfiableInstanceError)
@@ -125,7 +125,7 @@ def prepare_pipeline(csp_or_h, cfg: PipelineConfig) -> PreparedPipeline:
         return PreparedPipeline(original, csp, m, kept, None,
                                 cfg.budget_terms, cfg.max_horizon)
     if cfg.pipeline == "general":
-        meas = compute_measures(csp)
+        meas = csp.measures
         kappa_t = max(meas.kappa, 2.0)
         gamma, _, _ = binary_gamma(kappa_t, cfg.zeta)
         in_regime = (not csp.constraints
@@ -148,7 +148,7 @@ def prepare_pipeline(csp_or_h, cfg: PipelineConfig) -> PreparedPipeline:
         return PreparedPipeline(original, tens.base, m, kept, tens,
                                 cfg.budget_terms, cfg.max_horizon)
     if cfg.pipeline == "uniform":
-        meas = compute_measures(csp)
+        meas = csp.measures
         if meas.q <= 2:
             try:
                 m = construct_marking_uniform_binary(csp, mseed)
@@ -199,36 +199,12 @@ def _prepare_coloring(h: HypergraphInstance, cfg: PipelineConfig):
 
 # --- spec-level pipeline entry points ---------------------------------------
 
-def _draw_all(prepared: PreparedPipeline, seed: int, num: int):
-    return [prepared.draw(seed, i) for i in range(num)]
-
-
 def pipeline_binary(csp: AtomicCsp, zeta: float = 1e-5, seed: int = 0,
                     num: int = 1, force: bool = False):
     cfg = PipelineConfig("-", "csp", "binary", zeta=zeta, seed=seed, num=num,
                          force=force)
-    return _draw_all(prepare_pipeline(csp, cfg), seed, num)
-
-
-def pipeline_general(csp: AtomicCsp, zeta: float = 1e-5, seed: int = 0,
-                     num: int = 1, force: bool = False):
-    cfg = PipelineConfig("-", "csp", "general", zeta=zeta, seed=seed, num=num,
-                         force=force)
-    return _draw_all(prepare_pipeline(csp, cfg), seed, num)
-
-
-def pipeline_uniform(csp: AtomicCsp, seed: int = 0, num: int = 1,
-                     force: bool = False):
-    cfg = PipelineConfig("-", "csp", "uniform", seed=seed, num=num,
-                         force=force)
-    return _draw_all(prepare_pipeline(csp, cfg), seed, num)
-
-
-def pipeline_coloring(h: HypergraphInstance, q_colors: int, seed: int = 0,
-                      num: int = 1, force: bool = False):
-    cfg = PipelineConfig("-", "hypergraph", "coloring", colors=q_colors,
-                         seed=seed, num=num, force=force)
-    return _draw_all(prepare_pipeline(h, cfg), seed, num)
+    prepared = prepare_pipeline(csp, cfg)
+    return [prepared.draw(seed, i) for i in range(num)]
 
 
 # --- input/output plumbing --------------------------------------------------
@@ -366,7 +342,7 @@ def cmd_check(**kw):
     else:
         csp = loaded
     run_csp = csp
-    meas = compute_measures(csp)
+    meas = csp.measures
     report = {
         "num_vars": csp.num_vars,
         "num_constraints": len(csp.constraints),

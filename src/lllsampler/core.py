@@ -8,6 +8,7 @@ partial assignment when every coordinate is either the forbidden value or STAR.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ class VariableSpec:
         if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInstanceError("weights must sum to 1")
 
-    @property
+    @functools.cached_property
     def log_weights(self) -> tuple[float, ...]:
         return tuple(math.log(w) for w in self.weights)
 
@@ -63,7 +64,8 @@ class AtomicConstraint:
 
 
 class AtomicCsp:
-    """An atomic CSP.  Immutable after construction; safe to share."""
+    """An atomic CSP.  Immutable after construction; safe to share, and its
+    derived quantities (``measures``) are computed once, on first use."""
 
     def __init__(self, vars: list[VariableSpec], constraints: list[AtomicConstraint]):
         self.vars = tuple(vars)
@@ -86,6 +88,10 @@ class AtomicCsp:
     @property
     def num_vars(self) -> int:
         return len(self.vars)
+
+    @functools.cached_property
+    def measures(self) -> Measures:
+        return compute_measures(self)
 
     def satisfies(self, values: list[int]) -> bool:
         """True iff the full assignment violates no constraint."""
@@ -127,12 +133,6 @@ class PartialAssignment:
 
     def copy(self) -> "PartialAssignment":
         return PartialAssignment(list(self.values))
-
-    def is_star(self, v: int) -> bool:
-        return self.values[v] is STAR
-
-    def star_count(self) -> int:
-        return sum(1 for x in self.values if x is STAR)
 
     def contained_in(self, other: "PartialAssignment") -> bool:
         """self is a refinement of other: other(v) in {self(v), STAR}."""

@@ -101,7 +101,7 @@ def parse_dimacs(text: str) -> AtomicCsp:
         raise ParseError("missing problem line")
     if num_clauses is not None and len(constraints) > num_clauses:
         raise ParseError("more clauses than the header declares")
-    vars = [VariableSpec.uniform(2) for _ in range(num_vars)]
+    vars = [VariableSpec.uniform(2)] * num_vars
     return AtomicCsp(vars, constraints)
 
 
@@ -190,7 +190,7 @@ def build_coloring(h: HypergraphInstance, q_colors: int) -> AtomicCsp:
     edge being monochromatic in that color."""
     if q_colors < 2:
         raise InvalidInstanceError("coloring needs at least 2 colors")
-    vars = [VariableSpec.uniform(q_colors) for _ in range(h.num_vertices)]
+    vars = [VariableSpec.uniform(q_colors)] * h.num_vertices
     constraints = [AtomicConstraint(tuple(sorted(e)), (i,) * len(e))
                    for e in h.edges for i in range(q_colors)]
     return AtomicCsp(vars, constraints)

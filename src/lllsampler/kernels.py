@@ -127,11 +127,6 @@ class TapeStream:
         return min(i, len(cum_weights) - 1)
 
 
-def draw_uniform(tape: RandomnessTape, t: int, label: int, counter: int = 0) -> float:
-    """Functional form of :meth:`RandomnessTape.uniform`."""
-    return tape.uniform(t, label, counter)
-
-
 @dataclass(frozen=True)
 class ComponentResult:
     """The falsifiable neighborhood grown from a focal variable.
@@ -378,8 +373,8 @@ class UpdateContext:
                     self.safe_total[v] = 1.0 - sp.star
 
 
-def _update_in_place(ctx: UpdateContext, values: list, t: int, u0: float,
-                     stats=None) -> None:
+def _update_in_place(ctx: UpdateContext, values: list, t: int,
+                     u0: float) -> None:
     """One bounding-chain / scan step at time t on a mutable value list."""
     v = t % ctx.n
     if not ctx.marked[v]:
@@ -392,8 +387,6 @@ def _update_in_place(ctx: UpdateContext, values: list, t: int, u0: float,
         values[v] = min(bisect_right(cum, u0), len(cum) - 1)
         return
     comp = component(ctx.csp, ctx.marked, PartialAssignment(values), v)
-    if stats is not None:
-        stats.append(len(comp.component_vars))
     if not comp.token:
         values[v] = STAR
         return

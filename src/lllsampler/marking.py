@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AtomicCsp, compute_measures
+from .core import AtomicCsp
 from .errors import (ConditionsError, ConstructionFailedError, RegimeError,
                      SamplerError)
 from .kernels import LABEL_MARKING, RandomnessTape, derive_seed
@@ -77,7 +77,7 @@ def compute_constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
     """
     if len(m.marked) != csp.num_vars:
         raise SamplerError("marking length does not match variable count")
-    meas = compute_measures(csp)
+    meas = csp.measures
     la_per = []
     for c in csp.constraints:
         la_per.append(sum(csp.vars[v].log_weights[q]
@@ -138,7 +138,7 @@ def check_theorem_conditions(csp: AtomicCsp, m: Marking) -> ConditionReport:
     """e*alpha*Delta <= 1, e*Delta^2*rho <= 1/32, Delta^2*lambda <= 1/16,
     compared on the ln scale with zero tolerance.  Failures are data."""
     consts = compute_constants(csp, m)
-    meas = compute_measures(csp)
+    meas = csp.measures
     if meas.delta == 0:
         return ConditionReport(True, -math.inf, True, -math.inf, True,
                                -math.inf, True)
@@ -205,14 +205,6 @@ def binary_gamma(kappa: float, zeta: float) -> tuple[float, float, float]:
     return gamma, eta, tau
 
 
-def _verify_or_none(csp, marking):
-    consts = compute_constants(csp, marking)
-    if consts.log_beta is None:
-        return None
-    report = check_theorem_conditions(csp, marking)
-    return marking if report.passed else None
-
-
 def _binary_events(csp, eta, tau):
     """Deviation events of the binary construction, in nats.
 
@@ -240,7 +232,7 @@ def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
     """Marking for all-binary domains: i.i.d. Bernoulli(eta) marks resampled
     until no constraint's deviation event holds, then the chain conditions are
     re-verified; retries with a fresh sub-seed on failure."""
-    meas = compute_measures(csp)
+    meas = csp.measures
     if meas.q > 2:
         raise RegimeError("binary marking construction needs binary domains")
     gamma, eta, tau = binary_gamma(meas.kappa, zeta)
@@ -258,9 +250,9 @@ def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
         tape = RandomnessTape(derive_seed(seed, "marking-binary", attempt))
         stream = tape.stream(0, LABEL_MARKING)
         marks = moser_tardos(csp.num_vars, sample_mark, events, stream)
-        result = _verify_or_none(csp, Marking(tuple(marks)))
-        if result is not None:
-            return result
+        marking = Marking(tuple(marks))
+        if check_theorem_conditions(csp, marking).passed:
+            return marking
     raise ConstructionFailedError(
         f"binary marking construction failed after {retry_cap} attempts")
 
@@ -289,7 +281,7 @@ def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0,
                                      check_regime: bool = True) -> Marking:
     """Marking for uniform binary domains with the fixed constants
     eta=0.595, tau1=0.23, tau2=0.245-3e-5."""
-    meas = compute_measures(csp)
+    meas = csp.measures
     if meas.q > 2 or meas.kappa != 1.0:
         raise RegimeError(
             "uniform binary marking construction needs uniform binary domains")
@@ -307,8 +299,8 @@ def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0,
         tape = RandomnessTape(derive_seed(seed, "marking-uniform", attempt))
         stream = tape.stream(0, LABEL_MARKING)
         marks = moser_tardos(csp.num_vars, sample_mark, events, stream)
-        result = _verify_or_none(csp, Marking(tuple(marks)))
-        if result is not None:
-            return result
+        marking = Marking(tuple(marks))
+        if check_theorem_conditions(csp, marking).passed:
+            return marking
     raise ConstructionFailedError(
         f"uniform binary marking construction failed after {retry_cap} attempts")

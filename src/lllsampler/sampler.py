@@ -12,7 +12,7 @@ the unmarked variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (STAR, AtomicCsp, PartialAssignment, ProjectedCsp)
 from .errors import BudgetError, InvariantError
@@ -31,7 +31,6 @@ class ChainRun:
     horizon: int
     final_state: PartialAssignment
     coalesced: bool
-    step_stats: list = field(default_factory=list)
 
 
 @dataclass
@@ -44,8 +43,7 @@ class SampleRecord:
 
 
 def bounding_chain(csp: AtomicCsp, m: Marking, T: int, master_seed: int,
-                   ctx: UpdateContext = None,
-                   collect_stats: bool = False) -> ChainRun:
+                   ctx: UpdateContext = None) -> ChainRun:
     """Run the bounding chain from all-STAR at time -T to time 0.
 
     Deterministic given (csp, m, T, seed); a run at horizon 2T replays the
@@ -55,18 +53,16 @@ def bounding_chain(csp: AtomicCsp, m: Marking, T: int, master_seed: int,
         ctx = UpdateContext(csp, m.marked)
     tape = RandomnessTape(master_seed)
     values = [STAR] * csp.num_vars
-    stats = [] if collect_stats else None
     marked = m.marked
     chunk = 1 << 16
     for start in range(-T, 0, chunk):
         stop = min(start + chunk, 0)
         u0s = tape.layered_block(start, stop)
         for i, t in enumerate(range(start, stop)):
-            _update_in_place(ctx, values, t, float(u0s[i]), stats)
+            _update_in_place(ctx, values, t, float(u0s[i]))
     coalesced = not any(values[v] is STAR
                         for v in range(csp.num_vars) if marked[v])
-    return ChainRun(T, PartialAssignment(values), coalesced,
-                    stats if collect_stats else [])
+    return ChainRun(T, PartialAssignment(values), coalesced)
 
 
 def final_sampling(csp: AtomicCsp, m: Marking, sigma_marked: PartialAssignment,

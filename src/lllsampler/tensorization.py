@@ -16,7 +16,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .core import (AtomicConstraint, AtomicCsp, VariableSpec, compute_measures)
+from .core import AtomicConstraint, AtomicCsp, VariableSpec
 from .errors import (ConstructionFailedError, InvalidInstanceError,
                      InvariantError, RegimeError)
 from .kernels import LABEL_TENSOR, RandomnessTape, TapeStream, derive_seed
@@ -75,24 +75,22 @@ class TensorTree:
     def internal_nodes(self) -> tuple[int, ...]:
         return tuple(z for z, ch in enumerate(self.children) if ch)
 
-    def parent_map(self) -> dict[int, int]:
-        par = {}
-        for z, ch in enumerate(self.children):
-            for c in ch:
-                par[c] = z
-        return par
+    @functools.cached_property
+    def _paths(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Every value's root-to-leaf path, from one depth-first walk."""
+        paths = [()] * self.num_values
+        stack = [(0, ())]
+        while stack:
+            z, steps = stack.pop()
+            if not self.children[z]:
+                paths[self.leaf_value[z]] = steps
+            for ci, c in enumerate(self.children[z]):
+                stack.append((c, steps + ((z, ci),)))
+        return tuple(paths)
 
     def path(self, q: int) -> tuple[tuple[int, int], ...]:
         """(internal node, chosen child index) pairs from root to value q."""
-        leaf = next(z for z, v in self.leaf_value.items() if v == q)
-        par = self.parent_map()
-        steps = []
-        z = leaf
-        while z != 0:
-            p = par[z]
-            steps.append((p, self.children[p].index(z)))
-            z = p
-        return tuple(reversed(steps))
+        return self._paths[q]
 
     def leaf_product(self, q: int) -> float:
         prod = 1.0
@@ -273,17 +271,18 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
     node_of = []
     var_of = []
     zvars = []
+    spec_of = {}  # one shared spec per distinct node pmf
     for v, tree in enumerate(trees):
         local = {}
         for z in tree.internal_nodes():
             local[z] = len(zvars)
             var_of.append((v, z))
             ws = [tree.weight[c] for c in tree.children[z]]
-            if len(ws) == 1:  # degenerate one-value domain
-                zvars.append(VariableSpec(1, (1.0,)))
-            else:
-                s = sum(ws)
-                zvars.append(VariableSpec(len(ws), tuple(w / s for w in ws)))
+            s = sum(ws)
+            pmf = tuple(w / s for w in ws)
+            if pmf not in spec_of:
+                spec_of[pmf] = VariableSpec(len(pmf), pmf)
+            zvars.append(spec_of[pmf])
         node_of.append(local)
     cons = []
     for c in csp.constraints:
@@ -305,8 +304,8 @@ def _check_preservation(t: TensorizedCsp) -> None:
     are invariant under tensorization; node count is at most Q*|V|."""
     if len(t.base.constraints) != len(t.original.constraints):
         raise InvariantError("tensorization changed the constraint count")
-    mo = compute_measures(t.original)
-    mt = compute_measures(t.base)
+    mo = t.original.measures
+    mt = t.base.measures
     if (mt.d, mt.delta) != (mo.d, mo.delta):
         raise InvariantError("tensorization changed d or Delta")
     if t.base.num_vars > mo.q * t.original.num_vars:
@@ -568,7 +567,7 @@ def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0,
         if any(abs(w - 1.0 / spec.domain_size) > _WEIGHT_TOL
                for w in spec.weights):
             raise RegimeError("uniform tensorization needs uniform domains")
-    meas = compute_measures(csp)
+    meas = csp.measures
     if check_regime and csp.constraints and (
             UNIFORM_GAMMA * meas.log_p
             + math.log(max(meas.delta, 1)) > math.log(1e-7)):

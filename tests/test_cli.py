@@ -85,7 +85,12 @@ def test_exit_codes(cnf_file, tmp_path, capsys):
     assert run(sample_args(cnf_file, "--format", "dimacs",
                            "--pipeline", "coloring")) == 1
     assert run(["sample", "--pipeline", "nope", "--input", cnf_file]) == 1
-    capsys.readouterr()
+    # in regime, but the horizon cap stops the chain before coalescence
+    regime = tmp_path / "regime.json"
+    regime.write_text(emit_csp(binary_regime_instance(1.0)))
+    assert run(sample_args(str(regime), "--pipeline", "binary",
+                           "--max-horizon", "1")) == 4
+    assert "no coalescence by horizon 1" in capsys.readouterr().err
 
 
 def test_check_reports(csp_file, capsys):

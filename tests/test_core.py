@@ -40,6 +40,14 @@ def test_measures_mixed():
     assert m.log_p == pytest.approx(math.log(1 / 3))
 
 
+def test_derived_quantities_cached():
+    csp = mixed_csp()
+    assert csp.measures is csp.measures
+    assert csp.measures == compute_measures(csp)
+    spec = csp.vars[1]
+    assert spec.log_weights is spec.log_weights
+
+
 def test_measures_constraint_free():
     csp = AtomicCsp([VariableSpec.uniform(3)], [])
     m = compute_measures(csp)

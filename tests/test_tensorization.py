@@ -71,6 +71,18 @@ def test_tensorize_preserves_law():
     assert tv_distance(pushed, law_o.as_dict()) < 1e-12
 
 
+def test_tensorize_shares_equal_node_specs():
+    csp = AtomicCsp([VariableSpec.uniform(4), VariableSpec(2, (0.3, 0.7)),
+                     VariableSpec(3, (0.5, 0.25, 0.25))],
+                    [AtomicConstraint((0, 1, 2), (0, 0, 0))])
+    tz = tensorize(csp, [huffman_tensorize(s.weights) for s in csp.vars])
+    specs = tz.base.vars
+    assert len(specs) == 6
+    # every node splits evenly except the (0.3, 0.7) one
+    assert len({id(s) for s in specs}) == 2
+    assert all((a == b) == (a is b) for a in specs for b in specs)
+
+
 def test_trans_on_trivial_binary_trees():
     csp = AtomicCsp([VariableSpec(2, (0.3, 0.7)) for _ in range(3)],
                     [AtomicConstraint((0, 1, 2), (0, 0, 0))])
@@ -86,6 +98,30 @@ def test_tensorize_rejects_wrong_tree():
              huffman_tensorize(csp.vars[1].weights)]
     with pytest.raises(InvalidInstanceError):
         tensorize(csp, trees)
+
+
+def parent_walk_path(tree, q):
+    """Reference for TensorTree.path: walk from q's leaf up to the root."""
+    parent = {c: z for z, ch in enumerate(tree.children) for c in ch}
+    node = next(z for z, v in tree.leaf_value.items() if v == q)
+    steps = []
+    while node != 0:
+        z = parent[node]
+        steps.append((z, tree.children[z].index(node)))
+        node = z
+    return tuple(reversed(steps))
+
+
+def test_path_matches_parent_walk():
+    trees = [huffman_tensorize(pmf) for pmf in (
+        (1.0,), (0.3, 0.7), (1 / 6, 1 / 6, 1 / 6, 1 / 10, 1 / 10, 3 / 10),
+        (0.5, 0.25, 0.125, 0.0625, 0.0625))]
+    tape = RandomnessTape(5)
+    trees += [uniform_randomized_tensorization(
+        n, tape.stream(n, LABEL_TENSOR))[0] for n in range(2, 18)]
+    for tree in trees:
+        for q in range(tree.num_values):
+            assert tree.path(q) == parent_walk_path(tree, q)
 
 
 def test_complete_binary_q8():
