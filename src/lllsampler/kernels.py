@@ -32,9 +32,6 @@ LABEL_REJECTION = 1    # rejection sampling attempts
 LABEL_MARKING = 2      # marking construction randomness
 LABEL_TENSOR = 3       # tensorization randomness
 
-#: Sentinel time base used to key FinalSampling streams by variable id.
-FINAL_TIME_BASE = 1 << 40
-
 _TIME_OFFSET = 1 << 62
 
 DEFAULT_REJECTION_CAP = 10**7
@@ -57,14 +54,18 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 class RandomnessTape:
-    """Deterministic, replayable uniform deviates addressed by
-    (master_seed, time, label, counter).
+    """Deterministic, replayable uniform deviates of one master seed.
 
-    Identical addresses give identical values across runs and platforms;
-    distinct addresses are computationally independent (Philox in counter
-    mode).  Chain steps (label 0) sit at consecutive counter positions so a
-    whole horizon's deviates can be drawn in one vectorized call and stay
-    identical when the horizon doubles.
+    The tape has two layouts, one per purpose.  Identical addresses give
+    identical values across runs and platforms; distinct labels are
+    independent Philox keys.
+
+    - Chain deviates (label 0) are keyed by absolute time: the deviate of
+      time t sits at counter position t, so a whole horizon's deviates come
+      from one vectorized call and doubling the horizon replays the shared
+      suffix exactly.
+    - Every other draw comes from a ``TapeStream``: one generator at address
+      (t, label), read in order.
     """
 
     def __init__(self, master_seed: int):
@@ -75,20 +76,15 @@ class RandomnessTape:
         bg.advance(position)
         return Generator(bg)
 
-    def uniform(self, t: int, label: int, counter: int = 0) -> float:
-        """One deviate in [0, 1) at the given address."""
-        if label == LABEL_LAYERED:
-            pos = t + _TIME_OFFSET
-        else:
-            pos = ((t + _TIME_OFFSET) << 80) + counter
-        return float(self._generator(label, pos).random())
+    def uniform(self, t: int) -> float:
+        """The chain deviate of time t."""
+        return float(self.layered_block(t, t + 1)[0])
 
     def layered_block(self, t_start: int, t_stop: int) -> np.ndarray:
-        """The label-0 deviates for t in [t_start, t_stop), batched.
+        """The chain deviates for t in [t_start, t_stop), batched.
 
         One counter position yields four 64-bit outputs, so the per-time
-        deviate is every fourth draw; this keeps the batch identical to
-        pointwise ``uniform(t, 0)`` calls.
+        deviate is every fourth draw.
         """
         g = self._generator(LABEL_LAYERED, t_start + _TIME_OFFSET)
         return g.random(4 * (t_stop - t_start))[::4].copy()
@@ -98,25 +94,22 @@ class RandomnessTape:
 
 
 class TapeStream:
-    """Sequential draws at one (t, label) address, counter auto-incremented."""
+    """Deviates read in order from one generator at address (t, label).
+
+    The values do not depend on the buffer size: the buffer only batches
+    reads of the same sequence.
+    """
 
     def __init__(self, tape: RandomnessTape, t: int, label: int):
-        self._tape = tape
-        self._t = t
-        self._label = label
-        self.counter = 0
-        self._buf = None
+        self._gen = tape._generator(label, (t + _TIME_OFFSET) << 80)
+        self._buf: list[float] = []
         self._buf_pos = 0
 
     def next_uniform(self) -> float:
-        # Buffer draws in blocks; positions stay the absolute counter values.
-        if self._buf is None or self._buf_pos >= len(self._buf):
-            pos = ((self._t + _TIME_OFFSET) << 80) + self.counter
-            g = self._tape._generator(self._label, pos)
-            self._buf = g.random(64)
+        if self._buf_pos >= len(self._buf):
+            self._buf = self._gen.random(64).tolist()
             self._buf_pos = 0
-            self.counter += 64
-        u = float(self._buf[self._buf_pos])
+        u = self._buf[self._buf_pos]
         self._buf_pos += 1
         return u
 
@@ -217,12 +210,9 @@ class SafePmf:
     star: float
 
 
-def safe_pmf(csp: AtomicCsp, marked, u: int, log_beta: float = None) -> SafePmf:
-    """The safe distribution of a marked variable.  ``log_beta`` may be
-    passed to avoid recomputing the marking constants."""
-    if log_beta is None:
-        from .marking import Marking, compute_constants
-        log_beta = compute_constants(csp, Marking(tuple(marked))).log_beta
+def safe_pmf(csp: AtomicCsp, u: int, log_beta: float) -> SafePmf:
+    """The safe distribution of a marked variable, given the marking's
+    ln(beta)."""
     beta = math.exp(log_beta)
     probs = tuple(max(0.0, 1.0 - beta * (1.0 - w)) for w in csp.vars[u].weights)
     star = 1.0 - sum(probs)
@@ -367,7 +357,7 @@ class UpdateContext:
                     "e*alpha > 1: beta undefined, chain cannot run")
             for v in range(self.n):
                 if self.marked[v]:
-                    sp = safe_pmf(csp, self.marked, v, consts.log_beta)
+                    sp = safe_pmf(csp, v, consts.log_beta)
                     self.safe_probs[v] = sp.probs
                     self.safe_cum[v] = list(itertools.accumulate(sp.probs))
                     self.safe_total[v] = 1.0 - sp.star
@@ -416,12 +406,11 @@ def coupled_update(csp: AtomicCsp, marked, state: PartialAssignment, t: int,
     """One monotone coupled step: returns the updated partial assignment.
 
     Unmarked time slots are no-ops.  The randomness consumed is exactly the
-    one layered deviate at address (t, label 0, 0), so runs over the same tape
-    couple pointwise.
+    chain deviate of time t, so runs over the same tape couple pointwise.
     """
     if ctx is None:
         ctx = UpdateContext(csp, marked)
     out = state.copy()
-    u0 = tape.uniform(t, LABEL_LAYERED, 0)
+    u0 = tape.uniform(t)
     _update_in_place(ctx, out.values, t, u0)
     return out

@@ -227,7 +227,6 @@ def _binary_events(csp, eta, tau):
 
 def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
                              seed: int = 0,
-                             retry_cap: int = DEFAULT_RETRY_CAP,
                              check_regime: bool = True) -> Marking:
     """Marking for all-binary domains: i.i.d. Bernoulli(eta) marks resampled
     until no constraint's deviation event holds, then the chain conditions are
@@ -246,7 +245,7 @@ def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
     def sample_mark(i, stream):
         return stream.next_uniform() < eta
 
-    for attempt in range(retry_cap):
+    for attempt in range(DEFAULT_RETRY_CAP):
         tape = RandomnessTape(derive_seed(seed, "marking-binary", attempt))
         stream = tape.stream(0, LABEL_MARKING)
         marks = moser_tardos(csp.num_vars, sample_mark, events, stream)
@@ -254,7 +253,8 @@ def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
         if check_theorem_conditions(csp, marking).passed:
             return marking
     raise ConstructionFailedError(
-        f"binary marking construction failed after {retry_cap} attempts")
+        f"binary marking construction failed after {DEFAULT_RETRY_CAP} "
+        "attempts")
 
 
 def _uniform_binary_events(csp):
@@ -277,7 +277,6 @@ def _uniform_binary_events(csp):
 
 
 def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0,
-                                     retry_cap: int = DEFAULT_RETRY_CAP,
                                      check_regime: bool = True) -> Marking:
     """Marking for uniform binary domains with the fixed constants
     eta=0.595, tau1=0.23, tau2=0.245-3e-5."""
@@ -295,7 +294,7 @@ def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0,
     def sample_mark(i, stream):
         return stream.next_uniform() < UNIFORM_ETA
 
-    for attempt in range(retry_cap):
+    for attempt in range(DEFAULT_RETRY_CAP):
         tape = RandomnessTape(derive_seed(seed, "marking-uniform", attempt))
         stream = tape.stream(0, LABEL_MARKING)
         marks = moser_tardos(csp.num_vars, sample_mark, events, stream)
@@ -303,4 +302,5 @@ def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0,
         if check_theorem_conditions(csp, marking).passed:
             return marking
     raise ConstructionFailedError(
-        f"uniform binary marking construction failed after {retry_cap} attempts")
+        "uniform binary marking construction failed after "
+        f"{DEFAULT_RETRY_CAP} attempts")

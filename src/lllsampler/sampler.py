@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 from .core import (STAR, AtomicCsp, PartialAssignment, ProjectedCsp)
 from .errors import BudgetError, InvariantError
-from .kernels import (FINAL_TIME_BASE, LABEL_REJECTION, RandomnessTape,
-                      UpdateContext, _update_in_place, component,
-                      rejection_sampling)
+from .kernels import (LABEL_REJECTION, RandomnessTape, UpdateContext,
+                      _update_in_place, component, rejection_sampling)
 from .marking import Marking, check_theorem_conditions
 
 DEFAULT_HORIZON_CAP = 2**30
@@ -66,20 +65,21 @@ def bounding_chain(csp: AtomicCsp, m: Marking, T: int, master_seed: int,
 
 
 def final_sampling(csp: AtomicCsp, m: Marking, sigma_marked: PartialAssignment,
-                   seed: int = None, tape: RandomnessTape = None,
-                   rejection_cap: int = None) -> tuple[list[int], int]:
+                   seed: int) -> tuple[list[int], int]:
     """Extend a STAR-free marked state to a full solution.
 
     Decomposes the projection into components (all Token=True once no marked
-    STAR remains) and rejection-samples each with its own per-variable tape
-    stream.  Returns (assignment, total rejection attempts).
+    STAR remains) and rejection-samples them in turn, ascending by smallest
+    variable, from one rejection stream of the seed's tape.  The components
+    are disjoint and each rejection loop stops at a stopping time of the
+    stream's i.i.d. deviates, so the components stay independent and each is
+    exact.  Returns (assignment, total rejection attempts).
     """
-    if tape is None:
-        tape = RandomnessTape(seed)
     values = list(sigma_marked.values)
     for v in range(csp.num_vars):
         if m.marked[v] and values[v] is STAR:
             raise InvariantError("final sampling requires a coalesced state")
+    stream = RandomnessTape(seed).stream(0, LABEL_REJECTION)
     attempts = 0
     for v in range(csp.num_vars):
         if values[v] is not STAR:
@@ -90,9 +90,7 @@ def final_sampling(csp: AtomicCsp, m: Marking, sigma_marked: PartialAssignment,
                 "component with Token=False after coalescence")
         projected = ProjectedCsp(parent=csp, free_vars=comp.component_vars,
                                  constraints=comp.projected)
-        stream = tape.stream(FINAL_TIME_BASE + v, LABEL_REJECTION)
-        kwargs = {} if rejection_cap is None else {"cap": rejection_cap}
-        draw, n = rejection_sampling(projected, stream, **kwargs)
+        draw, n = rejection_sampling(projected, stream)
         attempts += n
         for w, q in draw.items():
             values[w] = q
@@ -122,8 +120,7 @@ def sample(csp: AtomicCsp, m: Marking, master_seed: int,
         if T >= horizon_cap:
             raise BudgetError(f"no coalescence by horizon {horizon_cap}")
         T *= 2
-    tape = RandomnessTape(master_seed)
-    values, _ = final_sampling(csp, m, run.final_state, tape=tape)
+    values, _ = final_sampling(csp, m, run.final_state, master_seed)
     if not csp.satisfies(values):
         raise InvariantError("emitted assignment violates a constraint")
     return SampleRecord(values, T, wall)

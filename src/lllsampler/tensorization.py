@@ -551,7 +551,6 @@ def uniform_randomized_tensorization(n: int, stream: TapeStream):
 
 
 def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0,
-                                   retry_cap: int = DEFAULT_RETRY_CAP,
                                    check_regime: bool = True):
     """End-to-end randomized construction for uniform domains.
 
@@ -589,7 +588,7 @@ def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0,
 
         events.append((c.vbl, pred))
 
-    for attempt in range(retry_cap):
+    for attempt in range(DEFAULT_RETRY_CAP):
         tape = RandomnessTape(derive_seed(seed, "tensor-uniform", attempt))
         streams = [tape.stream(v, LABEL_TENSOR) for v in range(csp.num_vars)]
 
@@ -606,7 +605,7 @@ def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0,
         if check_theorem_conditions(tensorized.base, marking).passed:
             return tensorized, marking
     raise ConstructionFailedError(
-        f"uniform tensorization failed after {retry_cap} attempts")
+        f"uniform tensorization failed after {DEFAULT_RETRY_CAP} attempts")
 
 
 def verify_numeric_facts(eta: float = UNIFORM_ETA, tau1: float = UNIFORM_TAU1,

@@ -3,7 +3,8 @@ first 20 draws on a small fixed instance.
 
 A change that keeps the draw stream keeps these digests.  A change that alters
 the stream on purpose updates them, names the change, and re-certifies the law
-with acceptance criterion 1.
+with acceptance criterion 1.  ``python tests/test_golden.py`` prints each
+case's current digest.
 """
 
 import hashlib
@@ -41,22 +42,22 @@ CASES = {
     "binary": (
         binary_regime_instance(1.0),
         PipelineConfig("-", "csp", "binary", seed=SEED), False,
-        "6eb48ae4b8fe470c7a80f12c3f098d2fff6669573927b6dcb1aabce252c92188"),
+        "cd3c4de48b0589e28b588bc917e55a808644cb6fd032bd570deb4f9aa8b87272"),
     "general": (
         weighted_ternary(),
         PipelineConfig("-", "csp", "general", seed=SEED), False,
-        "f527de748baa74885ef4a9c92f9d9b5eb564dafae8a6f85fcdb93c969a1dcf47"),
+        "3a3e80229a86ef2deff7155f7f03db79c1d05f76a6458539e108150185548b4c"),
     "uniform": (
         uniform_octal(),
         PipelineConfig("-", "csp", "uniform", seed=SEED), False,
-        "d393e805a92f6b3a8b86eeb9ab09fa3022493057c64478382d1c056aac00f929"),
+        "0b5c224c9c6c1c2d90db09ebc2a1b42c900925bc175739bad55ab6a7ad8841c4"),
     # In-regime coloring needs thousands of chain variables; the forced
     # small instance still runs tensorization and the back-map.
     "coloring": (
         HypergraphInstance(3, ((0, 1, 2),)),
         PipelineConfig("-", "hypergraph", "coloring", colors=5, seed=SEED,
                        force=True), True,
-        "45f14880557877f34e0fe26457aefc9e695d88dcc788ee0fc1767767e416418a"),
+        "3ccb83adaa1583fd5778039544765ac7c0cfc2001d0c29ce03fabb1c866be372"),
 }
 
 
@@ -74,3 +75,10 @@ def test_golden_draw_digest(pipeline):
     assert prepared.forced_empty == forced_empty
     assert any(prepared.marking.marked) != forced_empty
     assert draw_digest(prepared) == expected
+
+
+if __name__ == "__main__":
+    # Print each case's current digest, to paste into CASES after a change
+    # that alters the draw stream on purpose.
+    for name, (instance, cfg, _, _) in sorted(CASES.items()):
+        print(name, draw_digest(prepare_pipeline(instance, cfg)))

@@ -4,13 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from lllsampler import (AtomicConstraint, AtomicCsp, InvariantError, Marking,
                         PartialAssignment, ProjectedCsp, RandomnessTape, STAR,
-                        VariableSpec, component, coupled_update, derive_seed,
-                        exact_component_marginal, rejection_sampling, safe_pmf)
-from lllsampler.kernels import (LABEL_LAYERED, LABEL_REJECTION, UpdateContext,
-                                _enum_marginal, _ie_marginal)
+                        VariableSpec, component, compute_constants,
+                        coupled_update, derive_seed, exact_component_marginal,
+                        rejection_sampling, safe_pmf)
+from lllsampler.kernels import (LABEL_REJECTION, UpdateContext, _enum_marginal,
+                                _ie_marginal)
 
 from conftest import weighted8
 
@@ -25,18 +27,18 @@ def test_derive_seed_stable_and_distinct():
 
 def test_tape_addressing():
     tape = RandomnessTape(123)
-    u = tape.uniform(-5, LABEL_LAYERED)
-    assert u == tape.uniform(-5, LABEL_LAYERED)
-    assert u != tape.uniform(-4, LABEL_LAYERED)
-    assert u != tape.uniform(-5, LABEL_REJECTION)
-    assert u != RandomnessTape(124).uniform(-5, LABEL_LAYERED)
+    u = tape.uniform(-5)
+    assert u == tape.uniform(-5)
+    assert u != tape.uniform(-4)
+    assert u != tape.stream(-5, LABEL_REJECTION).next_uniform()
+    assert u != RandomnessTape(124).uniform(-5)
 
 
 def test_layered_block_matches_pointwise():
     tape = RandomnessTape(5)
     block = tape.layered_block(-10, 0)
     for i, t in enumerate(range(-10, 0)):
-        assert float(block[i]) == tape.uniform(t, LABEL_LAYERED)
+        assert float(block[i]) == tape.uniform(t)
     # doubled horizon shares the suffix exactly
     block2 = tape.layered_block(-20, 0)
     assert np.array_equal(block2[10:], block)
@@ -45,10 +47,14 @@ def test_layered_block_matches_pointwise():
 def test_stream_is_prefix_stable():
     tape = RandomnessTape(9)
     s1 = tape.stream(3, LABEL_REJECTION)
-    first = [s1.next_uniform() for _ in range(100)]
+    first = [s1.next_uniform() for _ in range(200)]
     s2 = tape.stream(3, LABEL_REJECTION)
-    assert [s2.next_uniform() for _ in range(100)] == first
+    assert [s2.next_uniform() for _ in range(200)] == first
     assert tape.stream(4, LABEL_REJECTION).next_uniform() != first[0]
+    # one generator at the stream's address, read in order across refills
+    bg = Philox(key=np.array([9, LABEL_REJECTION], dtype=np.uint64))
+    bg.advance((3 + (1 << 62)) << 80)
+    assert Generator(bg).random(200).tolist() == first
 
 
 def random_csp(rng, n=5, m=4, qmax=3):
@@ -93,7 +99,7 @@ def test_component_requires_star_focal():
 
 def test_safe_pmf_shape():
     csp, m = weighted8()
-    sp = safe_pmf(csp, m.marked, 0)
+    sp = safe_pmf(csp, 0, compute_constants(csp, m).log_beta)
     assert sp.star == pytest.approx(1.0 - sum(sp.probs))
     assert all(p >= 0.0 for p in sp.probs)
     # beta > 1 shrinks each weight: D*(q) <= D(q)

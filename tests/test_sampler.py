@@ -5,6 +5,7 @@ import pytest
 from lllsampler import (BudgetError, InvariantError, Marking,
                         PartialAssignment, STAR, bounding_chain,
                         derive_seed, final_sampling, sample, systematic_scan)
+from lllsampler.kernels import TapeStream
 from lllsampler.verify import enumerate_law, law_of_projection, tv_distance
 
 from conftest import free8, overlap18, uniform20, weighted8
@@ -74,6 +75,22 @@ def test_final_sampling_requires_coalesced_state():
     csp, m = weighted8()
     with pytest.raises(InvariantError):
         final_sampling(csp, m, PartialAssignment.all_star(8), seed=0)
+
+
+def test_sample_opens_one_stream(monkeypatch):
+    # the unmarked variables of uniform20 form several components; final
+    # sampling reads them all, in turn, from one stream
+    csp, m = uniform20()
+    built = []
+    init = TapeStream.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(TapeStream, "__init__", counting_init)
+    sample(csp, m, 4)
+    assert len(built) == 1
 
 
 def test_scan_validates_input_shape():

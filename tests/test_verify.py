@@ -88,7 +88,7 @@ def test_certify_detects_a_broken_sampler(monkeypatch):
     # certification must flag the wrong law
     import lllsampler.verify as verify_mod
 
-    def broken(csp, m, sigma_marked, seed=None, tape=None, rejection_cap=None):
+    def broken(csp, m, sigma_marked, seed):
         return ([0 if q is STAR else q for q in sigma_marked.values], 0)
 
     monkeypatch.setattr("lllsampler.sampler.final_sampling", broken)
