@@ -24,7 +24,7 @@ from .frontends import (HypergraphInstance, build_coloring, parse_csp,
                         parse_dimacs, parse_hypergraph)
 from .kernels import DEFAULT_TERM_BUDGET, UpdateContext, derive_seed
 from .marking import (Marking, binary_gamma, check_theorem_conditions,
-                      compute_constants, construct_marking_binary,
+                      constants, construct_marking_binary,
                       construct_marking_uniform_binary)
 from .sampler import DEFAULT_HORIZON_CAP, sample
 from .tensorization import (complete_binary_tensorize_with_marking,
@@ -361,7 +361,7 @@ def cmd_check(**kw):
         run_csp = prepared.run_csp
         report["marked_count"] = sum(prepared.marking.marked)
         report["forced_empty_marking"] = prepared.forced_empty
-        consts = compute_constants(run_csp, prepared.marking)
+        consts = constants(run_csp, prepared.marking)
         report["constants"] = {
             "log_alpha": consts.log_alpha,
             "log_beta": consts.log_beta,

@@ -13,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidInstanceError, UnsatisfiableInstanceError
 
 #: Wildcard marker used in partial assignments.
@@ -65,7 +67,8 @@ class AtomicConstraint:
 
 class AtomicCsp:
     """An atomic CSP.  Immutable after construction; safe to share, and its
-    derived quantities (``measures``) are computed once, on first use."""
+    derived quantities (``measures``, ``flat``) are computed once, on first
+    use."""
 
     def __init__(self, vars: list[VariableSpec], constraints: list[AtomicConstraint]):
         self.vars = tuple(vars)
@@ -84,6 +87,8 @@ class AtomicCsp:
                 occ[v].append(ci)
         self.var_constraints: tuple[tuple[int, ...], ...] = tuple(
             tuple(x) for x in occ)
+        # Marking -> marking.MarkingConstants, filled by marking.constants
+        self.constants_memo: dict = {}
 
     @property
     def num_vars(self) -> int:
@@ -93,12 +98,21 @@ class AtomicCsp:
     def measures(self) -> Measures:
         return compute_measures(self)
 
+    @functools.cached_property
+    def flat(self) -> FlatCsp:
+        return flatten(self)
+
+    @functools.cached_property
+    def free_components(self) -> tuple[ProjectedCsp, ...]:
+        """The components of the instance with no variable fixed."""
+        return split_components(
+            self, np.ones(len(self.flat.cons_vars), dtype=bool))
+
     def satisfies(self, values: list[int]) -> bool:
         """True iff the full assignment violates no constraint."""
-        for c in self.constraints:
-            if all(values[v] == q for v, q in zip(c.vbl, c.falsifying)):
-                return False
-        return True
+        f = self.flat
+        hit = np.asarray(values)[f.cons_vars] == f.cons_fals
+        return not np.logical_and.reduceat(hit, f.starts).any()
 
     def __eq__(self, other):
         return (isinstance(other, AtomicCsp)
@@ -123,6 +137,51 @@ class Measures:
     def __post_init__(self):
         if self.kappa < 1.0:
             raise InvalidInstanceError("kappa must be >= 1")
+
+
+@dataclass(frozen=True, eq=False)
+class FlatCsp:
+    """An instance as flat arrays: the constraints' variables and falsifying
+    values concatenated in constraint order, and one row of cumulative
+    weights per distinct ``VariableSpec``.
+
+    Row g of ``cum_table`` holds spec g's running sums of weights but the
+    last, padded with +inf to the widest domain less one.  A deviate x draws
+    the value "how many entries of the row are <= x", which is the first
+    value whose running sum exceeds x, with the top value taking the rest.
+    """
+
+    cons_vars: np.ndarray    # variable of each constraint entry
+    cons_fals: np.ndarray    # falsifying value of each entry
+    starts: np.ndarray       # offset of each constraint's first entry
+    entry_cons: np.ndarray   # constraint of each entry
+    spec_of: np.ndarray      # per variable, its row of ``cum_table``
+    cum_table: np.ndarray
+
+
+def flatten(csp: AtomicCsp) -> FlatCsp:
+    arity = np.fromiter((len(c.vbl) for c in csp.constraints), np.int64,
+                        len(csp.constraints))
+    total = int(arity.sum())
+    cons_vars = np.fromiter(
+        itertools.chain.from_iterable(c.vbl for c in csp.constraints),
+        np.int64, total)
+    cons_fals = np.fromiter(
+        itertools.chain.from_iterable(c.falsifying for c in csp.constraints),
+        np.int64, total)
+    starts = np.cumsum(arity) - arity
+    entry_cons = np.repeat(np.arange(len(arity)), arity)
+    index: dict[VariableSpec, int] = {}
+    spec_of = np.fromiter((index.setdefault(s, len(index)) for s in csp.vars),
+                          np.int64, csp.num_vars)
+    width = max((s.domain_size for s in index), default=1) - 1
+    cum_table = np.full((len(index), width), np.inf)
+    for g, s in enumerate(index):
+        # summed left to right, one weight at a time
+        cum_table[g, :s.domain_size - 1] = list(
+            itertools.accumulate(s.weights))[:-1]
+    return FlatCsp(cons_vars, cons_fals, starts, entry_cons, spec_of,
+                   cum_table)
 
 
 @dataclass
@@ -156,6 +215,20 @@ class ProjectedCsp:
     free_vars: tuple[int, ...]
     constraints: tuple[AtomicConstraint, ...]
 
+    @functools.cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """(free variables, each constraint entry's position in
+        ``free_vars``, its falsifying value, each constraint's first
+        entry), the constraints' entries concatenated."""
+        index = {v: i for i, v in enumerate(self.free_vars)}
+        entries = np.array([(index[v], q) for c in self.constraints
+                            for v, q in zip(c.vbl, c.falsifying)],
+                           dtype=np.int64).reshape(-1, 2)
+        starts = list(itertools.accumulate(
+            [0] + [len(c.vbl) for c in self.constraints[:-1]]))
+        return (np.array(self.free_vars, dtype=np.int64), entries[:, 0],
+                entries[:, 1], starts)
+
     def to_atomic_csp(self) -> AtomicCsp:
         """Reindex onto 0..len(free_vars)-1 for measure/enumeration checks."""
         index = {v: i for i, v in enumerate(self.free_vars)}
@@ -163,6 +236,41 @@ class ProjectedCsp:
         cons = [AtomicConstraint(tuple(index[v] for v in c.vbl), c.falsifying)
                 for c in self.constraints]
         return AtomicCsp(vars, cons)
+
+
+def split_components(csp: AtomicCsp,
+                     live: np.ndarray) -> tuple[ProjectedCsp, ...]:
+    """The components of the falsifiable constraints' STAR entries
+    (``live``, a mask over ``csp.flat``), ascending by smallest variable: for
+    each, its variables ascending and its constraints projected onto them.
+    The components come from a union-find over the live constraints."""
+    flat = csp.flat
+    ent_vars = flat.cons_vars[live].tolist()
+    ent_fals = flat.cons_fals[live].tolist()
+    sizes = np.add.reduceat(live, flat.starts, dtype=np.int64)
+    bounds = list(itertools.accumulate(sizes[sizes > 0].tolist(), initial=0))
+    projected = [(ent_vars[a:b], ent_fals[a:b])
+                 for a, b in zip(bounds, bounds[1:])]
+    root = {v: v for v in ent_vars}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for vbl, _ in projected:
+        r = find(vbl[0])
+        for w in vbl[1:]:
+            root[find(w)] = r = find(r)
+    comp_vars: dict[int, list[int]] = {}
+    for v in sorted(root):
+        comp_vars.setdefault(find(v), []).append(v)
+    comp_cons: dict[int, list[AtomicConstraint]] = {}
+    for vbl, fals in projected:
+        comp_cons.setdefault(find(vbl[0]), []).append(
+            AtomicConstraint(tuple(vbl), tuple(fals)))
+    return tuple(ProjectedCsp(csp, tuple(free), tuple(comp_cons[r]))
+                 for r, free in comp_vars.items())
 
 
 def compute_measures(csp: AtomicCsp) -> Measures:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import (STAR, AtomicConstraint, AtomicCsp, PartialAssignment,
-                   ProjectedCsp, falsifiable_under)
+from .core import (STAR, AtomicConstraint, AtomicCsp, FlatCsp,
+                   PartialAssignment, ProjectedCsp, falsifiable_under)
 from .errors import BudgetError, ConditionsError, InvariantError
 
 # Stream labels.
@@ -35,6 +35,10 @@ LABEL_TENSOR = 3       # tensorization randomness
 _TIME_OFFSET = 1 << 62
 
 DEFAULT_REJECTION_CAP = 10**7
+# Rejection attempts per batch: the first batch, and the most deviates one
+# batch may read.
+_FIRST_BATCH = 16
+_BATCH_DEVIATES = 1 << 16
 DEFAULT_TERM_BUDGET = 2**24
 
 #: Slack for floating point comparisons of probabilities.
@@ -113,11 +117,20 @@ class TapeStream:
         self._buf_pos += 1
         return u
 
-    def choice(self, cum_weights) -> int:
-        """Index drawn according to a cumulative weight list ending at ~1."""
-        u = self.next_uniform()
-        i = bisect_right(cum_weights, u)
-        return min(i, len(cum_weights) - 1)
+    def uniforms(self, k: int) -> np.ndarray:
+        """The next k deviates, as one array."""
+        pos = self._buf_pos
+        head = self._buf[pos:pos + k]
+        self._buf_pos = pos + len(head)
+        if len(head) == k:
+            return np.array(head, dtype=np.float64)
+        return np.concatenate((head, self._gen.random(k - len(head))))
+
+    def put_back(self, u: np.ndarray) -> None:
+        """Return the last ``len(u)`` deviates read, unused: the next reads
+        give them again, in order."""
+        self._buf = u.tolist() + self._buf[self._buf_pos:]
+        self._buf_pos = 0
 
 
 @dataclass(frozen=True)
@@ -175,27 +188,51 @@ def component(csp: AtomicCsp, marked, sigma: PartialAssignment,
                            tuple(projected))
 
 
+def product_draw(flat: FlatCsp, free: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Values of the variables ``free`` from their product law, one deviate
+    each: a deviate x gives the first value whose cumulative weight exceeds
+    x (the top value when none does).  ``u`` holds one row of ``len(free)``
+    deviates per draw.  One pass per column of ``flat.cum_table``: one for
+    binary domains."""
+    spec = flat.spec_of[free]
+    out = np.zeros(u.shape, dtype=np.int64)
+    for column in flat.cum_table.T:
+        out += column[spec] <= u
+    return out
+
+
 def rejection_sampling(projected: ProjectedCsp, stream: TapeStream,
                        cap: int = DEFAULT_REJECTION_CAP):
     """Repeatedly draw the free variables from their product law until the
     draw satisfies every projected constraint.
 
+    Attempts are drawn in batches, one row per attempt with the free
+    variables ascending, and the deviates after the accepted attempt go back
+    to the stream: it is read exactly as by one attempt at a time.
+
     Returns (values_by_free_var: dict, attempts).
     """
-    specs = [projected.parent.vars[v] for v in projected.free_vars]
-    cums = [list(itertools.accumulate(s.weights)) for s in specs]
-    index = {v: i for i, v in enumerate(projected.free_vars)}
-    cons = [(tuple(index[v] for v in c.vbl), c.falsifying)
-            for c in projected.constraints]
-    for attempt in range(1, cap + 1):
-        draw = [stream.choice(cw) for cw in cums]
-        ok = True
-        for vbl, fals in cons:
-            if all(draw[i] == q for i, q in zip(vbl, fals)):
-                ok = False
-                break
-        if ok:
-            return ({v: draw[index[v]] for v in projected.free_vars}, attempt)
+    free, cols, fals, starts = projected.arrays
+    flat = projected.parent.flat
+    size = len(free)
+    rows = _FIRST_BATCH
+    done = 0
+    while done < cap:
+        rows = min(rows, cap - done)
+        u = stream.uniforms(rows * size).reshape(rows, size)
+        draw = product_draw(flat, free, u)
+        r = 0
+        if projected.constraints:
+            bad = np.logical_and.reduceat(draw[:, cols] == fals, starts,
+                                          axis=1).any(axis=1)
+            r = int(bad.argmin())
+            if bad[r]:
+                done += rows
+                rows = min(2 * rows, max(1, _BATCH_DEVIATES // size))
+                continue
+        stream.put_back(u[r + 1:].ravel())
+        return dict(zip(projected.free_vars, draw[r].tolist())), done + r + 1
     raise BudgetError(
         f"rejection sampling exceeded {cap} attempts; instance is likely "
         "outside the sampler's regime")
@@ -342,7 +379,7 @@ class UpdateContext:
     """
 
     def __init__(self, csp: AtomicCsp, marked, budget: int = DEFAULT_TERM_BUDGET):
-        from .marking import Marking, compute_constants
+        from .marking import Marking, constants
         self.csp = csp
         self.marked = tuple(bool(x) for x in marked)
         self.n = csp.num_vars
@@ -351,7 +388,7 @@ class UpdateContext:
         self.safe_probs: list = [None] * self.n
         self.safe_total: list = [None] * self.n
         if any(self.marked):
-            consts = compute_constants(csp, Marking(self.marked))
+            consts = constants(csp, Marking(self.marked))
             if consts.log_beta is None:
                 raise ConditionsError(
                     "e*alpha > 1: beta undefined, chain cannot run")

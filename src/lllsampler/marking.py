@@ -109,6 +109,15 @@ def compute_constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
                             tuple(lr_per), log_lambda, tuple(ll_per))
 
 
+def constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
+    """``compute_constants(csp, m)``, computed once per marking and kept on
+    the instance."""
+    consts = csp.constants_memo.get(m)
+    if consts is None:
+        consts = csp.constants_memo[m] = compute_constants(csp, m)
+    return consts
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """The three chain conditions with their ln-scale slack (negative slack
@@ -137,7 +146,7 @@ class ConditionReport:
 def check_theorem_conditions(csp: AtomicCsp, m: Marking) -> ConditionReport:
     """e*alpha*Delta <= 1, e*Delta^2*rho <= 1/32, Delta^2*lambda <= 1/16,
     compared on the ln scale with zero tolerance.  Failures are data."""
-    consts = compute_constants(csp, m)
+    consts = constants(csp, m)
     meas = csp.measures
     if meas.delta == 0:
         return ConditionReport(True, -math.inf, True, -math.inf, True,

@@ -12,12 +12,15 @@ the unmarked variables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import (STAR, AtomicCsp, PartialAssignment, ProjectedCsp)
+import numpy as np
+
+from .core import STAR, AtomicCsp, PartialAssignment, split_components
 from .errors import BudgetError, InvariantError
 from .kernels import (LABEL_REJECTION, RandomnessTape, UpdateContext,
-                      _update_in_place, component, rejection_sampling)
+                      _update_in_place, product_draw, rejection_sampling)
 from .marking import Marking, check_theorem_conditions
 
 DEFAULT_HORIZON_CAP = 2**30
@@ -68,40 +71,80 @@ def final_sampling(csp: AtomicCsp, m: Marking, sigma_marked: PartialAssignment,
                    seed: int) -> tuple[list[int], int]:
     """Extend a STAR-free marked state to a full solution.
 
-    Decomposes the projection into components (all Token=True once no marked
-    STAR remains) and rejection-samples them in turn, ascending by smallest
-    variable, from one rejection stream of the seed's tape.  The components
-    are disjoint and each rejection loop stops at a stopping time of the
-    stream's i.i.d. deviates, so the components stay independent and each is
-    exact.  Returns (assignment, total rejection attempts).
+    With no marked STAR left, the constraints that are still falsifiable tie
+    unmarked STAR variables only, and split the projection into components.
+    They are rejection-sampled in turn, ascending by smallest variable, from
+    one rejection stream of the seed's tape.  A variable in no falsifiable
+    constraint is a component on its own, accepted at its first attempt, so
+    each run of such variables is drawn from one read of the stream.  The
+    components are disjoint and each rejection loop stops at a stopping time
+    of the stream's i.i.d. deviates, so the components stay independent and
+    each is exact.  Returns (assignment, total rejection attempts).
     """
-    values = list(sigma_marked.values)
-    for v in range(csp.num_vars):
-        if m.marked[v] and values[v] is STAR:
-            raise InvariantError("final sampling requires a coalesced state")
+    values = np.array([-1 if x is STAR else x for x in sigma_marked.values],
+                      dtype=np.int64)
+    star = values < 0
+    if (star & np.array(m.marked, dtype=bool)).any():
+        raise InvariantError("final sampling requires a coalesced state")
     stream = RandomnessTape(seed).stream(0, LABEL_REJECTION)
+    flat = csp.flat
+    # the STAR entries of the constraints still falsifiable
+    on_star = star[flat.cons_vars]
+    falsifiable = np.logical_and.reduceat(
+        on_star | (values[flat.cons_vars] == flat.cons_fals), flat.starts)
+    live = on_star & falsifiable[flat.entry_cons]
+    loose = np.flatnonzero(star)
+    pos = 0
     attempts = 0
-    for v in range(csp.num_vars):
-        if values[v] is not STAR:
-            continue
-        comp = component(csp, m.marked, PartialAssignment(values), v)
-        if not comp.token:
-            raise InvariantError(
-                "component with Token=False after coalescence")
-        projected = ProjectedCsp(parent=csp, free_vars=comp.component_vars,
-                                 constraints=comp.projected)
-        draw, n = rejection_sampling(projected, stream)
-        attempts += n
-        for w, q in draw.items():
-            values[w] = q
-    return values, attempts
+
+    def draw_loose(stop):
+        nonlocal pos, attempts
+        if stop > pos:
+            run = loose[pos:stop]
+            values[run] = product_draw(flat, run, stream.uniforms(len(run)))
+            attempts += stop - pos
+            pos = stop
+
+    if live.any():
+        tied = np.zeros_like(star)
+        tied[flat.cons_vars[live]] = True
+        loose = loose[~tied[loose]]
+        loose_list = loose.tolist()
+        # with nothing fixed, the components are the instance's own
+        comps = (csp.free_components if star.all()
+                 else split_components(csp, live))
+        for projected in comps:
+            draw_loose(bisect_left(loose_list, projected.free_vars[0]))
+            draw, k = rejection_sampling(projected, stream)
+            attempts += k
+            values[list(draw)] = list(draw.values())
+    draw_loose(len(loose))
+    return values.tolist(), attempts
+
+
+def start_horizon(m: Marking) -> int:
+    """The smallest horizon of the doubling that can coalesce.
+
+    A marked variable stays STAR until it is updated, and the lowest marked
+    index v is updated inside [-T, 0) only when T >= n - v; so no power of
+    two below n - v coalesces.  1 when nothing is marked.
+    """
+    if not any(m.marked):
+        return 1
+    return 1 << (len(m.marked) - m.marked.index(True) - 1).bit_length()
 
 
 def sample(csp: AtomicCsp, m: Marking, master_seed: int,
            ctx: UpdateContext = None, check_conditions: bool = True,
            horizon_cap: int = DEFAULT_HORIZON_CAP) -> SampleRecord:
     """Draw one exact solution by coupling from the past with horizon
-    doubling, then extend to the unmarked variables."""
+    doubling, then extend to the unmarked variables.
+
+    The doubling starts at ``start_horizon(m)``; every smaller horizon would
+    fail, so the draw and the horizon are those of a doubling from 1, and
+    the cap stops it where that doubling would stop: after the first failed
+    horizon at or above ``horizon_cap``.
+    """
     if check_conditions and any(m.marked):
         report = check_theorem_conditions(csp, m)
         if not report.passed:
@@ -111,7 +154,9 @@ def sample(csp: AtomicCsp, m: Marking, master_seed: int,
     if ctx is None:
         ctx = UpdateContext(csp, m.marked)
     wall = 0
-    T = 1
+    T = start_horizon(m)
+    if T > 1 and T // 2 >= horizon_cap:
+        raise BudgetError(f"no coalescence by horizon {horizon_cap}")
     while True:
         run = bounding_chain(csp, m, T, master_seed, ctx)
         wall += T

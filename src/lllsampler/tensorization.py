@@ -260,8 +260,12 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
     trees = tuple(trees)
     if len(trees) != csp.num_vars:
         raise InvalidInstanceError("need one tree per variable")
+    checked = set()  # (tree, spec) pairs already checked
     for v, tree in enumerate(trees):
         spec = csp.vars[v]
+        if (id(tree), spec) in checked:
+            continue
+        checked.add((id(tree), spec))
         if tree.num_values != spec.domain_size:
             raise InvalidInstanceError(f"tree {v} has the wrong leaf count")
         for q in range(spec.domain_size):

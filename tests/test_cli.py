@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from lllsampler import emit_csp
-from lllsampler.cli import pipeline_binary, run
+import lllsampler.marking
+from lllsampler import HypergraphInstance, emit_csp
+from lllsampler.cli import (PipelineConfig, pipeline_binary, prepare_pipeline,
+                           run)
 
 from conftest import weighted8
 from test_marking import binary_regime_instance
@@ -153,3 +155,27 @@ def test_pipeline_api_binary():
     assert len(draws) == 3
     for values in draws:
         assert csp.satisfies(values)
+
+
+@pytest.mark.parametrize("pipeline", ["binary", "coloring"])
+def test_prepare_computes_marking_constants_once(pipeline, monkeypatch):
+    # the theorem check and the chain's update context share one result
+    calls = []
+    compute = lllsampler.marking.compute_constants
+
+    def counting(csp, m):
+        calls.append(m)
+        return compute(csp, m)
+
+    monkeypatch.setattr(lllsampler.marking, "compute_constants", counting)
+    if pipeline == "binary":
+        instance = binary_regime_instance(1.0)
+        cfg = PipelineConfig("-", "csp", "binary", seed=3)
+    else:
+        # the smallest in-regime Q=256 coloring: one 32-vertex edge
+        instance = HypergraphInstance(32, (tuple(range(32)),))
+        cfg = PipelineConfig("-", "hypergraph", "coloring", colors=256,
+                             seed=3)
+    prepared = prepare_pipeline(instance, cfg)
+    assert not prepared.forced_empty
+    assert calls == [prepared.marking]

@@ -8,7 +8,7 @@ from lllsampler import (AtomicConstraint, AtomicCsp, InvalidInstanceError,
                         VariableSpec, compute_measures, falsifiable_under,
                         preprocess, project)
 
-from conftest import mixed_csp
+from conftest import mixed_csp, overlap18
 
 
 def test_variable_spec_validation():
@@ -120,3 +120,43 @@ def test_weights_normalize_and_roundtrip(raw):
     spec = VariableSpec(len(raw), tuple(w / total for w in raw))
     assert abs(sum(spec.weights) - 1.0) <= 1e-12
     assert all(math.isfinite(x) for x in spec.log_weights)
+
+
+@st.composite
+def csp_and_assignment(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    n = len(sizes)
+    cons = []
+    for _ in range(draw(st.integers(0, 6))):
+        vbl = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                            unique=True))
+        cons.append(AtomicConstraint(
+            tuple(vbl),
+            tuple(draw(st.integers(0, sizes[v] - 1)) for v in vbl)))
+    values = [draw(st.integers(0, q - 1)) for q in sizes]
+    return AtomicCsp([VariableSpec.uniform(q) for q in sizes], cons), values
+
+
+@given(csp_and_assignment())
+def test_satisfies_matches_constraint_scan(case):
+    csp, values = case
+    expect = not any(all(values[v] == q for v, q in zip(c.vbl, c.falsifying))
+                     for c in csp.constraints)
+    assert csp.satisfies(values) == expect
+
+
+def test_flat_view():
+    csp, _ = overlap18()
+    f = csp.flat
+    assert f is csp.flat
+    assert f.cons_vars.tolist() == list(range(10)) + list(range(8, 18))
+    assert f.cons_fals.tolist() == [0] * 20
+    assert f.starts.tolist() == [0, 10]
+    assert f.entry_cons.tolist() == [0] * 10 + [1] * 10
+    assert f.spec_of.tolist() == [0] * 18
+    assert f.cum_table.tolist() == [[0.2]]
+    mixed = mixed_csp().flat
+    assert mixed.spec_of.tolist() == [0, 1]
+    assert mixed.cum_table[0, :2].tolist() == [1 / 3, 2 / 3]
+    assert mixed.cum_table[0, 2] == math.inf
+    assert mixed.cum_table[1].tolist() == [0.25, 0.5, 0.25 + 0.25 + 1 / 3]

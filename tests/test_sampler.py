@@ -1,11 +1,16 @@
+import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 
-from lllsampler import (BudgetError, InvariantError, Marking,
-                        PartialAssignment, STAR, bounding_chain,
-                        derive_seed, final_sampling, sample, systematic_scan)
-from lllsampler.kernels import TapeStream
+from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError,
+                        InvariantError, Marking, PartialAssignment,
+                        ProjectedCsp, RandomnessTape, STAR, VariableSpec,
+                        bounding_chain, component, derive_seed,
+                        final_sampling, rejection_sampling, sample,
+                        systematic_scan)
+from lllsampler.kernels import LABEL_REJECTION, TapeStream
 from lllsampler.verify import enumerate_law, law_of_projection, tv_distance
 
 from conftest import free8, overlap18, uniform20, weighted8
@@ -134,3 +139,157 @@ def test_scan_preserves_stationary_law():
         counts[key] = counts.get(key, 0) + 1
     empirical = {k: c / trials for k, c in counts.items()}
     assert tv_distance(empirical, law.as_dict()) < 0.08
+
+
+# --- reference final sampling: one BFS component per STAR variable, and a
+# rejection loop that draws one attempt, one variable at a time -------------
+
+def reference_rejection(projected, stream, cap=10**7):
+    specs = [projected.parent.vars[v] for v in projected.free_vars]
+    cums = [list(itertools.accumulate(s.weights)) for s in specs]
+    index = {v: i for i, v in enumerate(projected.free_vars)}
+    cons = [(tuple(index[v] for v in c.vbl), c.falsifying)
+            for c in projected.constraints]
+    for attempt in range(1, cap + 1):
+        draw = [min(bisect_right(cw, stream.next_uniform()), len(cw) - 1)
+                for cw in cums]
+        if not any(all(draw[i] == q for i, q in zip(vbl, fals))
+                   for vbl, fals in cons):
+            return ({v: draw[index[v]] for v in projected.free_vars},
+                    attempt)
+    raise BudgetError("reference rejection exceeded its cap")
+
+
+def reference_final_sampling(csp, m, sigma_marked, seed):
+    values = list(sigma_marked.values)
+    for v in range(csp.num_vars):
+        if m.marked[v] and values[v] is STAR:
+            raise InvariantError("final sampling requires a coalesced state")
+    stream = RandomnessTape(seed).stream(0, LABEL_REJECTION)
+    attempts = 0
+    for v in range(csp.num_vars):
+        if values[v] is not STAR:
+            continue
+        comp = component(csp, m.marked, PartialAssignment(values), v)
+        assert comp.token
+        projected = ProjectedCsp(parent=csp, free_vars=comp.component_vars,
+                                 constraints=comp.projected)
+        draw, n = reference_rejection(projected, stream)
+        attempts += n
+        for w, q in draw.items():
+            values[w] = q
+    return values, attempts
+
+
+def interleaved_3cnf(seed, blocks=4, size=6, clauses=5):
+    """Planted 3-CNF blocks whose variables interleave: with
+    s = blocks + 1, block b holds b, b + s, b + 2s, ..., and the variables
+    congruent to blocks mod s are ternary and in no clause.  Run with the
+    empty marking, so final sampling draws everything."""
+    rng = random.Random(seed)
+    s = blocks + 1
+    n = s * size
+    hidden = [rng.randrange(2) for _ in range(n)]
+    cons = []
+    for b in range(blocks):
+        for _ in range(clauses):
+            vs = tuple(sorted(b + s * i for i in rng.sample(range(size), 3)))
+            while True:
+                fals = tuple(rng.randrange(2) for _ in vs)
+                if any(f != hidden[v] for v, f in zip(vs, fals)):
+                    break
+            cons.append(AtomicConstraint(vs, fals))
+    specs = [VariableSpec(3, (0.2, 0.3, 0.5)) if v % s == blocks
+             else VariableSpec(2, (0.3, 0.7)) for v in range(n)]
+    return AtomicCsp(specs, cons), Marking.empty(n)
+
+
+def test_final_sampling_matches_per_variable_reference():
+    # singleton variables mixed with multi-variable components, in every
+    # interleaving order; the draws and the attempt totals must agree
+    rng = random.Random(8)
+    cases = [weighted8(), overlap18(), uniform20()]
+    cases += [interleaved_3cnf(s) for s in range(6)]
+    rejected = 0
+    for csp, m in cases:
+        for seed in range(60):
+            # falsifying (0) marked values keep the constraints live
+            state = PartialAssignment([
+                (0 if rng.random() < 0.8 else 1) if m.marked[v] else STAR
+                for v in range(csp.num_vars)])
+            got = final_sampling(csp, m, state, seed)
+            assert got == reference_final_sampling(csp, m, state, seed)
+            assert all(type(q) is int for q in got[0])
+            comps = {component(csp, m.marked, state, v).component_vars
+                     for v in range(csp.num_vars) if state.values[v] is STAR}
+            rejected += got[1] > len(comps)
+    assert rejected > 50  # many draws rejected some attempt
+
+
+def doubling_from_one(csp, m, seed, cap):
+    """``sample`` as a doubling from T = 1: (assignment, horizon) or None
+    on a budget error."""
+    T = 1
+    while True:
+        run = bounding_chain(csp, m, T, seed)
+        if run.coalesced:
+            values, _ = final_sampling(csp, m, run.final_state, seed)
+            return values, T
+        if T >= cap:
+            return None
+        T *= 2
+
+
+def test_start_horizon_matches_doubling_from_one():
+    for csp, m in (weighted8(), overlap18(), uniform20()):
+        n = csp.num_vars
+        for seed in range(30):
+            for cap in range(1, 2 * n + 1):
+                expect = doubling_from_one(csp, m, seed, cap)
+                try:
+                    rec = sample(csp, m, seed, horizon_cap=cap)
+                    got = rec.assignment, rec.horizon_used
+                except BudgetError:
+                    got = None
+                assert got == expect, (n, seed, cap)
+
+
+def test_stream_batched_read_and_put_back():
+    tape = RandomnessTape(21)
+    contiguous = tape.stream(2, LABEL_REJECTION).uniforms(500).tolist()
+    s = tape.stream(2, LABEL_REJECTION)
+    got = [s.next_uniform() for _ in range(5)]
+    for k in (0, 3, 70, 1, 130):
+        u = s.uniforms(k)
+        s.put_back(u[k // 3:])
+        got += u[:k // 3].tolist()
+        got.append(s.next_uniform())
+    got += s.uniforms(500 - len(got)).tolist()
+    assert got == contiguous
+
+
+def test_rejection_cap_is_exact():
+    # three variables, of which only 1 1 _ is allowed: 1/4 of the attempts
+    # succeed
+    csp = AtomicCsp([VariableSpec.uniform(2)] * 2 + [VariableSpec.uniform(3)],
+                    [AtomicConstraint((0, 1), (0, 0)),
+                     AtomicConstraint((0, 1), (0, 1)),
+                     AtomicConstraint((1, 0), (0, 1))])
+    projected = ProjectedCsp(parent=csp, free_vars=(0, 1, 2),
+                             constraints=csp.constraints)
+    tape = RandomnessTape(5)
+    seen = set()
+    for t in range(100):
+        draw, need = rejection_sampling(projected,
+                                        tape.stream(t, LABEL_REJECTION))
+        assert (draw, need) == reference_rejection(
+            projected, tape.stream(t, LABEL_REJECTION))
+        if need > 1 and need not in seen:
+            seen.add(need)
+            assert rejection_sampling(
+                projected, tape.stream(t, LABEL_REJECTION), cap=need) == (
+                    draw, need)
+            with pytest.raises(BudgetError):
+                rejection_sampling(projected, tape.stream(t, LABEL_REJECTION),
+                                   cap=need - 1)
+    assert len(seen) >= 5

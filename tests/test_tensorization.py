@@ -100,6 +100,26 @@ def test_tensorize_rejects_wrong_tree():
         tensorize(csp, trees)
 
 
+def test_tensorize_checks_each_tree_and_spec_once(monkeypatch):
+    calls = []
+    leaf_product = TensorTree.leaf_product
+
+    def counting(self, q):
+        calls.append(q)
+        return leaf_product(self, q)
+
+    monkeypatch.setattr(TensorTree, "leaf_product", counting)
+    q5 = VariableSpec.uniform(5)
+    csp = AtomicCsp([q5] * 6, [AtomicConstraint((0, 3), (1, 1))])
+    tree = huffman_tensorize(q5.weights)
+    tensorize(csp, [tree] * 6)
+    assert sorted(calls) == list(range(5))
+    # the same tree under a different spec is checked again, and rejected
+    skewed = AtomicCsp([q5, VariableSpec(5, (0.2, 0.2, 0.2, 0.3, 0.1))], [])
+    with pytest.raises(InvalidInstanceError):
+        tensorize(skewed, [tree, tree])
+
+
 def parent_walk_path(tree, q):
     """Reference for TensorTree.path: walk from q's leaf up to the root."""
     parent = {c: z for z, ch in enumerate(tree.children) for c in ch}
