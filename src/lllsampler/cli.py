@@ -22,7 +22,7 @@ from .errors import (BudgetError, ConstructionFailedError,
                      RegimeError, SamplerError, UnsatisfiableInstanceError)
 from .frontends import (HypergraphInstance, build_coloring, parse_csp,
                         parse_dimacs, parse_hypergraph)
-from .kernels import DEFAULT_TERM_BUDGET, UpdateContext, derive_seed
+from .kernels import DEFAULT_TERM_BUDGET, derive_seed, update_context
 from .marking import (Marking, binary_gamma, check_theorem_conditions,
                       constants, construct_marking_binary,
                       construct_marking_uniform_binary)
@@ -75,7 +75,7 @@ class PreparedPipeline:
         self.tensorized = tensorized
         self.max_horizon = max_horizon
         self.forced_empty = forced_empty
-        self.ctx = (UpdateContext(run_csp, marking.marked, budget)
+        self.ctx = (update_context(run_csp, marking, budget)
                     if run_csp.num_vars else None)
 
     def draw(self, master_seed: int, i: int) -> list[int]:
@@ -402,10 +402,12 @@ def cmd_verify(**kw):
         "tv_threshold": max(threshold, 0.03),
         "containment_violations": inv["containment_violations"],
         "equality_failures": inv["equality_failures"],
+        "sweep_mismatches": inv["sweep_mismatches"],
     }
     passed = (tv <= report["tv_threshold"]
               and inv["containment_violations"] == 0
-              and inv["equality_failures"] == 0)
+              and inv["equality_failures"] == 0
+              and inv["sweep_mismatches"] == 0)
     report["passed"] = passed
     _emit([json.dumps(report, indent=1)], cfg)
     if not passed:

@@ -89,6 +89,9 @@ class AtomicCsp:
             tuple(x) for x in occ)
         # Marking -> marking.MarkingConstants, filled by marking.constants
         self.constants_memo: dict = {}
+        # (Marking, budget) -> kernels.UpdateContext, filled by
+        # kernels.update_context
+        self.context_memo: dict = {}
 
     @property
     def num_vars(self) -> int:
@@ -193,6 +196,16 @@ class PartialAssignment:
     def copy(self) -> "PartialAssignment":
         return PartialAssignment(list(self.values))
 
+    def to_array(self) -> np.ndarray:
+        """The state as an int64 array, -1 for STAR."""
+        return np.array([-1 if x is STAR else x for x in self.values],
+                        dtype=np.int64)
+
+    @staticmethod
+    def from_array(state: np.ndarray) -> "PartialAssignment":
+        return PartialAssignment([STAR if x < 0 else x
+                                  for x in state.tolist()])
+
     def contained_in(self, other: "PartialAssignment") -> bool:
         """self is a refinement of other: other(v) in {self(v), STAR}."""
         return all(b is STAR or b == a
@@ -201,6 +214,24 @@ class PartialAssignment:
     @staticmethod
     def all_star(n: int) -> "PartialAssignment":
         return PartialAssignment([STAR] * n)
+
+
+class StarView:
+    """A state array (-1 = STAR) read and written as a value list with STAR:
+    one element per access, so a component search through it costs the
+    component, not the instance."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def __getitem__(self, v):
+        x = self.state[v]
+        return STAR if x < 0 else int(x)
+
+    def __setitem__(self, v, x):
+        self.state[v] = -1 if x is STAR else x
 
 
 @dataclass(frozen=True)

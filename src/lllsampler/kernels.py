@@ -1,6 +1,6 @@
 """Per-step machinery: randomness tapes, component decomposition, rejection
 sampling, the safe distribution, the exact component marginal, and the single
-monotone coupled update.
+monotone coupled update, applied one step at a time or one sweep at a time.
 
 The update is a coupling: one shared uniform deviate per step selects either a
 value from the safe lower envelope (same value for every bounded chain) or a
@@ -23,7 +23,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .core import (STAR, AtomicConstraint, AtomicCsp, FlatCsp,
-                   PartialAssignment, ProjectedCsp, falsifiable_under)
+                   PartialAssignment, ProjectedCsp, StarView,
+                   falsifiable_under)
 from .errors import BudgetError, ConditionsError, InvariantError
 
 # Stream labels.
@@ -375,7 +376,11 @@ class UpdateContext:
     """Precomputed per-variable data for the coupled update.
 
     Building one of these requires beta to be defined whenever any variable is
-    marked (e*alpha <= 1).
+    marked (e*alpha <= 1).  The safe layer is also kept as arrays over the
+    marked variables, ascending (``marked_idx``): each one's safe total, and
+    one row of its safe cumulative sums but the last, padded with +inf.  A
+    safe deviate u0 then gives the value "how many entries of the row are
+    <= u0", which is ``min(bisect_right(cum, u0), len(cum) - 1)``.
     """
 
     def __init__(self, csp: AtomicCsp, marked, budget: int = DEFAULT_TERM_BUDGET):
@@ -392,17 +397,44 @@ class UpdateContext:
             if consts.log_beta is None:
                 raise ConditionsError(
                     "e*alpha > 1: beta undefined, chain cannot run")
+            # variables of one spec share one safe pmf
+            by_spec: dict = {}
             for v in range(self.n):
                 if self.marked[v]:
-                    sp = safe_pmf(csp, v, consts.log_beta)
-                    self.safe_probs[v] = sp.probs
-                    self.safe_cum[v] = list(itertools.accumulate(sp.probs))
-                    self.safe_total[v] = 1.0 - sp.star
+                    spec = csp.vars[v]
+                    if spec not in by_spec:
+                        sp = safe_pmf(csp, v, consts.log_beta)
+                        by_spec[spec] = (sp.probs,
+                                         list(itertools.accumulate(sp.probs)),
+                                         1.0 - sp.star)
+                    (self.safe_probs[v], self.safe_cum[v],
+                     self.safe_total[v]) = by_spec[spec]
+        self.marked_idx = np.flatnonzero(
+            np.fromiter(self.marked, dtype=bool, count=self.n))
+        idx = self.marked_idx.tolist()
+        self.marked_total = np.array([self.safe_total[v] for v in idx],
+                                     dtype=np.float64)
+        cums = [self.safe_cum[v] for v in idx]
+        width = max(map(len, cums), default=1) - 1
+        self.marked_cum = np.array(
+            [c[:-1] + [np.inf] * (width + 1 - len(c)) for c in cums],
+            dtype=np.float64).reshape(len(idx), width)
 
 
-def _update_in_place(ctx: UpdateContext, values: list, t: int,
-                     u0: float) -> None:
-    """One bounding-chain / scan step at time t on a mutable value list."""
+def update_context(csp: AtomicCsp, m,
+                   budget: int = DEFAULT_TERM_BUDGET) -> UpdateContext:
+    """``UpdateContext(csp, m.marked, budget)`` for a ``Marking`` m, built
+    once per (marking, budget) and kept on the instance."""
+    key = (m, budget)
+    ctx = csp.context_memo.get(key)
+    if ctx is None:
+        ctx = csp.context_memo[key] = UpdateContext(csp, m.marked, budget)
+    return ctx
+
+
+def _update_in_place(ctx: UpdateContext, values, t: int, u0: float) -> None:
+    """One bounding-chain / scan step at time t on a mutable value list (or
+    a ``StarView`` of a state array)."""
     v = t % ctx.n
     if not ctx.marked[v]:
         return
@@ -437,6 +469,43 @@ def _update_in_place(ctx: UpdateContext, values: list, t: int,
     values[v] = q
 
 
+def chain_steps(ctx: UpdateContext, state: np.ndarray, t0: int,
+                u0s: np.ndarray) -> None:
+    """The chain steps at times t0, t0 + 1, ..., the step at t0 + i with
+    deviate ``u0s[i]``, applied in place to a state array (-1 = STAR).
+
+    The times are cut at multiples of n into sweeps, and a sweep updates
+    each variable at most once.  So the safe values of all its marked slots
+    come from one comparison with ``ctx.marked_cum`` and go in with one
+    scatter, without collisions.  A slot whose deviate lands in the
+    residual layer (u0 >= its safe total) goes through ``_update_in_place``
+    in time order, after the safe writes before it in its sweep.
+    Unmarked slots do nothing.
+    """
+    idx, total, cum = ctx.marked_idx, ctx.marked_total, ctx.marked_cum
+    n = ctx.n
+    view = StarView(state)
+    stop = t0 + len(u0s)
+    a = t0
+    while a < stop:
+        base = a - a % n
+        b = min(stop, base + n)
+        if b - a == n:
+            i0, i1 = 0, len(idx)
+        else:
+            i0, i1 = np.searchsorted(idx, (a - base, b - base)).tolist()
+        vs = idx[i0:i1]
+        u = u0s[vs + (base - t0)]
+        safe = (cum[i0:i1] <= u[:, None]).sum(axis=1)
+        done = 0
+        for j in np.flatnonzero(u >= total[i0:i1]).tolist():
+            state[vs[done:j]] = safe[done:j]
+            _update_in_place(ctx, view, base + int(vs[j]), float(u[j]))
+            done = j + 1
+        state[vs[done:]] = safe[done:]
+        a = b
+
+
 def coupled_update(csp: AtomicCsp, marked, state: PartialAssignment, t: int,
                    tape: RandomnessTape,
                    ctx: UpdateContext = None) -> PartialAssignment:
@@ -446,7 +515,8 @@ def coupled_update(csp: AtomicCsp, marked, state: PartialAssignment, t: int,
     chain deviate of time t, so runs over the same tape couple pointwise.
     """
     if ctx is None:
-        ctx = UpdateContext(csp, marked)
+        from .marking import Marking
+        ctx = update_context(csp, Marking(marked))
     out = state.copy()
     u0 = tape.uniform(t)
     _update_in_place(ctx, out.values, t, u0)

@@ -10,8 +10,11 @@ verification failure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import AtomicCsp
 from .errors import (ConditionsError, ConstructionFailedError, RegimeError,
@@ -41,6 +44,13 @@ class Marking:
 
     def indices(self) -> tuple[int, ...]:
         return tuple(v for v, m in enumerate(self.marked) if m)
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        """``marked`` as a read-only bool array."""
+        mask = np.fromiter(self.marked, dtype=bool, count=len(self.marked))
+        mask.flags.writeable = False
+        return mask
 
     @staticmethod
     def empty(n: int) -> "Marking":

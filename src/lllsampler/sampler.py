@@ -2,12 +2,17 @@
 horizon, coalescence detection, extension to unmarked variables, and the
 systematic-scan reference chain.
 
-The chain starts all-STAR at time -T and scans variables cyclically
-(i_t = t mod n, including unmarked no-op slots).  Randomness is keyed by
-absolute time, so doubling the horizon replays the shared suffix exactly;
-once no marked variable holds STAR at time 0, the marked state is an exact
-draw from the projected stationary law and rejection sampling extends it to
-the unmarked variables.
+The chain starts all-STAR at time -T; the step at time t updates variable
+t mod n, and does nothing when that variable is unmarked.  The state is an
+int64 array, -1 for STAR, from the chain to the emitted draw.  The chain
+runs one sweep (n consecutive times, cut at multiples of n) at a time: the
+safe-layer values of a sweep's marked slots are one numpy pass, and only the
+slots whose deviate lands in the residual layer are stepped one by one
+(``kernels.chain_steps``).  Randomness is keyed by absolute time, so
+doubling the horizon replays the shared suffix exactly; once no marked
+variable holds STAR at time 0, the marked state is an exact draw from the
+projected stationary law and rejection sampling extends it to the unmarked
+variables.
 """
 
 from __future__ import annotations
@@ -17,13 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STAR, AtomicCsp, PartialAssignment, split_components
+from .core import AtomicCsp, PartialAssignment, split_components
 from .errors import BudgetError, InvariantError
 from .kernels import (LABEL_REJECTION, RandomnessTape, UpdateContext,
-                      _update_in_place, product_draw, rejection_sampling)
+                      chain_steps, product_draw, rejection_sampling,
+                      update_context)
 from .marking import Marking, check_theorem_conditions
 
 DEFAULT_HORIZON_CAP = 2**30
+#: Chain deviates drawn per ``layered_block`` call.
+_CHUNK = 1 << 16
 
 
 @dataclass
@@ -31,8 +39,12 @@ class ChainRun:
     """Outcome of one bounding-chain run from horizon -T."""
 
     horizon: int
-    final_state: PartialAssignment
+    state: np.ndarray    # int64, -1 for STAR
     coalesced: bool
+
+    @property
+    def final_state(self) -> PartialAssignment:
+        return PartialAssignment.from_array(self.state)
 
 
 @dataclass
@@ -44,6 +56,17 @@ class SampleRecord:
     wall_steps: int
 
 
+def _run_chain(ctx: UpdateContext, state: np.ndarray, tape: RandomnessTape,
+               start: int, stop: int) -> None:
+    """Apply the chain steps at times start..stop-1 to ``state`` in place,
+    with the tape's chain deviates; nothing to do when nothing is marked."""
+    if not len(ctx.marked_idx):
+        return
+    for a in range(start, stop, _CHUNK):
+        b = min(a + _CHUNK, stop)
+        chain_steps(ctx, state, a, tape.layered_block(a, b))
+
+
 def bounding_chain(csp: AtomicCsp, m: Marking, T: int, master_seed: int,
                    ctx: UpdateContext = None) -> ChainRun:
     """Run the bounding chain from all-STAR at time -T to time 0.
@@ -52,24 +75,16 @@ def bounding_chain(csp: AtomicCsp, m: Marking, T: int, master_seed: int,
     same per-time randomness on the shared suffix.
     """
     if ctx is None:
-        ctx = UpdateContext(csp, m.marked)
-    tape = RandomnessTape(master_seed)
-    values = [STAR] * csp.num_vars
-    marked = m.marked
-    chunk = 1 << 16
-    for start in range(-T, 0, chunk):
-        stop = min(start + chunk, 0)
-        u0s = tape.layered_block(start, stop)
-        for i, t in enumerate(range(start, stop)):
-            _update_in_place(ctx, values, t, float(u0s[i]))
-    coalesced = not any(values[v] is STAR
-                        for v in range(csp.num_vars) if marked[v])
-    return ChainRun(T, PartialAssignment(values), coalesced)
+        ctx = update_context(csp, m)
+    state = np.full(csp.num_vars, -1, dtype=np.int64)
+    _run_chain(ctx, state, RandomnessTape(master_seed), -T, 0)
+    return ChainRun(T, state, bool((state[ctx.marked_idx] >= 0).all()))
 
 
-def final_sampling(csp: AtomicCsp, m: Marking, sigma_marked: PartialAssignment,
-                   seed: int) -> tuple[list[int], int]:
-    """Extend a STAR-free marked state to a full solution.
+def final_sampling(csp: AtomicCsp, m: Marking, state: np.ndarray,
+                   seed: int) -> tuple[np.ndarray, int]:
+    """Extend a state array (-1 = STAR) that is STAR-free on the marking to
+    a full solution.
 
     With no marked STAR left, the constraints that are still falsifiable tie
     unmarked STAR variables only, and split the projection into components.
@@ -79,12 +94,11 @@ def final_sampling(csp: AtomicCsp, m: Marking, sigma_marked: PartialAssignment,
     each run of such variables is drawn from one read of the stream.  The
     components are disjoint and each rejection loop stops at a stopping time
     of the stream's i.i.d. deviates, so the components stay independent and
-    each is exact.  Returns (assignment, total rejection attempts).
+    each is exact.  Returns (assignment array, total rejection attempts).
     """
-    values = np.array([-1 if x is STAR else x for x in sigma_marked.values],
-                      dtype=np.int64)
+    values = state.copy()
     star = values < 0
-    if (star & np.array(m.marked, dtype=bool)).any():
+    if (star & m.mask).any():
         raise InvariantError("final sampling requires a coalesced state")
     stream = RandomnessTape(seed).stream(0, LABEL_REJECTION)
     flat = csp.flat
@@ -119,7 +133,7 @@ def final_sampling(csp: AtomicCsp, m: Marking, sigma_marked: PartialAssignment,
             attempts += k
             values[list(draw)] = list(draw.values())
     draw_loose(len(loose))
-    return values.tolist(), attempts
+    return values, attempts
 
 
 def start_horizon(m: Marking) -> int:
@@ -152,7 +166,7 @@ def sample(csp: AtomicCsp, m: Marking, master_seed: int,
                 "chain conditions do not hold; pass check_conditions=False "
                 "to run anyway")
     if ctx is None:
-        ctx = UpdateContext(csp, m.marked)
+        ctx = update_context(csp, m)
     wall = 0
     T = start_horizon(m)
     if T > 1 and T // 2 >= horizon_cap:
@@ -165,10 +179,10 @@ def sample(csp: AtomicCsp, m: Marking, master_seed: int,
         if T >= horizon_cap:
             raise BudgetError(f"no coalescence by horizon {horizon_cap}")
         T *= 2
-    values, _ = final_sampling(csp, m, run.final_state, master_seed)
+    values, _ = final_sampling(csp, m, run.state, master_seed)
     if not csp.satisfies(values):
         raise InvariantError("emitted assignment violates a constraint")
-    return SampleRecord(values, T, wall)
+    return SampleRecord(values.tolist(), T, wall)
 
 
 def systematic_scan(csp: AtomicCsp, m: Marking, sigma_in: PartialAssignment,
@@ -176,18 +190,13 @@ def systematic_scan(csp: AtomicCsp, m: Marking, sigma_in: PartialAssignment,
                     ctx: UpdateContext = None) -> PartialAssignment:
     """Forward chain on a STAR-free marked state: ``steps`` coupled updates
     at times 0..steps-1.  Used as the convergence oracle."""
-    for v in range(csp.num_vars):
-        star = sigma_in.values[v] is STAR
-        if m.marked[v] and star:
-            raise InvariantError("scan input must be STAR-free on the marking")
-        if not m.marked[v] and not star:
-            raise InvariantError("scan input must be STAR off the marking")
+    state = sigma_in.to_array()
+    star = state < 0
+    if (star & m.mask).any():
+        raise InvariantError("scan input must be STAR-free on the marking")
+    if (~star & ~m.mask).any():
+        raise InvariantError("scan input must be STAR off the marking")
     if ctx is None:
-        ctx = UpdateContext(csp, m.marked)
-    tape = RandomnessTape(seed)
-    values = list(sigma_in.values)
-    if steps > 0:
-        u0s = tape.layered_block(0, steps)
-        for t in range(steps):
-            _update_in_place(ctx, values, t, float(u0s[t]))
-    return PartialAssignment(values)
+        ctx = update_context(csp, m)
+    _run_chain(ctx, state, RandomnessTape(seed), 0, steps)
+    return PartialAssignment.from_array(state)

@@ -13,7 +13,8 @@ from scipy import stats
 
 from .core import (STAR, AtomicCsp, PartialAssignment, all_assignments)
 from .errors import BudgetError, UnsatisfiableInstanceError
-from .kernels import RandomnessTape, UpdateContext, _update_in_place, derive_seed
+from .kernels import (RandomnessTape, _update_in_place, derive_seed,
+                      update_context)
 from .marking import Marking
 from .sampler import bounding_chain, sample
 
@@ -119,7 +120,7 @@ def certify_sampler(csp: AtomicCsp, m: Marking, num_samples: int, seed: int,
     marginal gap."""
     if law is None:
         law = enumerate_law(csp)
-    ctx = UpdateContext(csp, m.marked)
+    ctx = update_context(csp, m)
     counts: dict = {}
     for i in range(num_samples):
         rec = sample(csp, m, derive_seed(seed, "certify", i), ctx=ctx,
@@ -158,7 +159,7 @@ def coalescence_experiment(csp: AtomicCsp, m: Marking, horizons, trials: int,
     """Per horizon T: the fraction of independent chains with a surviving
     STAR on the marked set, against the 4|V|*2^(-T/|V|) tail bound."""
     n = csp.num_vars
-    ctx = UpdateContext(csp, m.marked)
+    ctx = update_context(csp, m)
     rows = []
     for horizon in horizons:
         failures = 0
@@ -182,14 +183,19 @@ def check_bounding_invariant(csp: AtomicCsp, m: Marking, T: int, trials: int,
                              seed: int, law: ExactLaw = None) -> dict:
     """Run the real chain (started from a random exact solution's marked
     projection) and the bounding chain (all-STAR) over the same tape and
-    horizon; the real state must refine the bounding state at every step, and
-    the marked states must agree whenever the bounding chain coalesces."""
+    horizon, one ``_update_in_place`` step at a time; the real state must
+    refine the bounding state at every step, and the marked states must agree
+    whenever the bounding chain coalesces.  ``sweep_mismatches`` counts the
+    trials where ``bounding_chain`` (the sampler's sweep chain) ends in a
+    different marked state than this step-by-step bounding chain."""
     if law is None:
         law = enumerate_law(csp)
     n = csp.num_vars
-    ctx = UpdateContext(csp, m.marked)
+    ctx = update_context(csp, m)
+    marked = m.indices()
     containment_violations = 0
     equality_failures = 0
+    sweep_mismatches = 0
     coalesced_count = 0
     rng = random.Random(derive_seed(seed, "start-states"))
     starts = rng.choices(law.support, weights=law.pmf, k=trials)
@@ -197,8 +203,8 @@ def check_bounding_invariant(csp: AtomicCsp, m: Marking, T: int, trials: int,
         solution = starts[trial]
         real = [solution[v] if m.marked[v] else STAR for v in range(n)]
         bound = [STAR] * n
-        tape = RandomnessTape(derive_seed(seed, "invariant", trial))
-        u0s = tape.layered_block(-T, 0)
+        trial_seed = derive_seed(seed, "invariant", trial)
+        u0s = RandomnessTape(trial_seed).layered_block(-T, 0)
         ok = True
         for i in range(T):
             t = i - T
@@ -212,9 +218,12 @@ def check_bounding_invariant(csp: AtomicCsp, m: Marking, T: int, trials: int,
                 ok = False  # the real chain must stay STAR-free on the marking
         if not ok:
             containment_violations += 1
-        if all(bound[v] is not STAR for v in range(n) if m.marked[v]):
+        swept = bounding_chain(csp, m, T, trial_seed, ctx).final_state.values
+        if any(swept[v] != bound[v] for v in marked):
+            sweep_mismatches += 1
+        if all(bound[v] is not STAR for v in marked):
             coalesced_count += 1
-            if any(bound[v] != real[v] for v in range(n) if m.marked[v]):
+            if any(bound[v] != real[v] for v in marked):
                 equality_failures += 1
     return {
         "trials": trials,
@@ -222,6 +231,7 @@ def check_bounding_invariant(csp: AtomicCsp, m: Marking, T: int, trials: int,
         "containment_violations": containment_violations,
         "coalesced": coalesced_count,
         "equality_failures": equality_failures,
+        "sweep_mismatches": sweep_mismatches,
     }
 
 

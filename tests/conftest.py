@@ -31,6 +31,17 @@ def overlap18():
     return csp, Marking.from_indices(18, list(range(6)) + list(range(12, 18)))
 
 
+def ternary9():
+    """9 ternary variables with weights (0.5, 0.3, 0.2) and two arity-5
+    constraints sharing variable 7; the first 6 marked.  Each marked
+    variable's safe mass is about 0.49, so about half the marked slots of a
+    sweep enter the residual layer."""
+    spec = VariableSpec(3, (0.5, 0.3, 0.2))
+    cons = [AtomicConstraint((0, 1, 2, 6, 7), (0, 1, 0, 2, 2)),
+            AtomicConstraint((3, 4, 5, 7, 8), (1, 0, 0, 2, 2))]
+    return AtomicCsp([spec] * 9, cons), Marking.from_indices(9, range(6))
+
+
 def free8():
     """Constraint-free uniform binary instance, everything marked."""
     csp = AtomicCsp([VariableSpec.uniform(2) for _ in range(8)], [])

@@ -9,6 +9,7 @@ import math
 import random
 import time
 
+import pytest
 from scipy import stats
 
 from lllsampler import (AtomicConstraint, AtomicCsp, HypergraphInstance,
@@ -74,6 +75,7 @@ def _cfg(pipeline, colors=0):
                           force=True)
 
 
+@pytest.mark.slow
 def test_criterion_1_perfect_distribution():
     # >= 5 fixed instances; 2e5 samples each; TV <= 0.03; binned chi-square
     # p >= 1e-3; no samples outside the enumerated support; <= 10 min total
@@ -130,7 +132,8 @@ def uniform12():
 
 def test_criterion_2_monotone_coupling_invariant():
     # zero containment violations over 1e3 trials x 4 instances; marked-state
-    # equality at every coalescence; <= 5 min
+    # equality at every coalescence; the sweep chain ends in the step-by-step
+    # bounding state in every trial; <= 5 min
     t0 = time.time()
     ok = True
     details = []
@@ -142,8 +145,10 @@ def test_criterion_2_monotone_coupling_invariant():
                                        trials=1000, seed=13)
         details.append(f"{name} viol={out['containment_violations']} "
                        f"eq_fail={out['equality_failures']} "
+                       f"sweep_mismatch={out['sweep_mismatches']} "
                        f"coalesced={out['coalesced']}")
-        if out["containment_violations"] or out["equality_failures"]:
+        if (out["containment_violations"] or out["equality_failures"]
+                or out["sweep_mismatches"]):
             ok = False
     elapsed = time.time() - t0
     ok = ok and elapsed <= 300.0

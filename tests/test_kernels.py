@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from lllsampler import (AtomicConstraint, AtomicCsp, InvariantError, Marking,
 from lllsampler.kernels import (LABEL_REJECTION, UpdateContext, _enum_marginal,
                                 _ie_marginal)
 
-from conftest import weighted8
+from conftest import ternary9, weighted8
 
 
 def test_derive_seed_stable_and_distinct():
@@ -209,3 +210,26 @@ def test_update_monotone_on_random_pairs():
                             tape, ctx)
         for a, b in zip(s1.values, s2.values):
             assert b is STAR or a == b
+
+
+def test_safe_table_matches_clamped_bisect():
+    # mixed domain sizes pad the rows with +inf; the deviates sit on, just
+    # below and just above every cumulative sum, and at both ends of [0, 1)
+    specs = [VariableSpec(2, (0.3, 0.7)), VariableSpec(3, (0.2, 0.3, 0.5)),
+             VariableSpec(4, (0.1, 0.2, 0.3, 0.4))]
+    mixed = AtomicCsp(specs * 3, [AtomicConstraint(tuple(range(9)),
+                                                   (0,) * 9)])
+    cases = [weighted8(), ternary9(),
+             (mixed, Marking.from_indices(9, range(6)))]
+    for csp, m in cases:
+        ctx = UpdateContext(csp, m.marked)
+        assert ctx.marked_idx.tolist() == list(m.indices())
+        for i, v in enumerate(m.indices()):
+            cum = ctx.safe_cum[v]
+            assert ctx.marked_total[i] == ctx.safe_total[v]
+            grid = {0.0, math.nextafter(1.0, 0.0), ctx.safe_total[v]}
+            for c in cum:
+                grid |= {c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)}
+            for u0 in grid:
+                assert int((ctx.marked_cum[i] <= u0).sum()) == min(
+                    bisect_right(cum, u0), len(cum) - 1), (v, u0)

@@ -2,6 +2,7 @@ import itertools
 import random
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError,
@@ -10,10 +11,13 @@ from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError,
                         bounding_chain, component, derive_seed,
                         final_sampling, rejection_sampling, sample,
                         systematic_scan)
-from lllsampler.kernels import LABEL_REJECTION, TapeStream
-from lllsampler.verify import enumerate_law, law_of_projection, tv_distance
+from lllsampler.kernels import (LABEL_REJECTION, TapeStream, UpdateContext,
+                                _update_in_place, coupled_update)
+from lllsampler.verify import (check_bounding_invariant,
+                               coalescence_experiment, enumerate_law,
+                               law_of_projection, tv_distance)
 
-from conftest import free8, overlap18, uniform20, weighted8
+from conftest import free8, overlap18, ternary9, uniform20, weighted8
 
 
 def test_sample_deterministic_in_seed():
@@ -30,7 +34,7 @@ def test_sample_satisfies_and_is_concrete():
     csp, m = overlap18()
     for seed in range(20):
         rec = sample(csp, m, seed)
-        assert all(q is not STAR for q in rec.assignment)
+        assert all(type(q) is int for q in rec.assignment)
         assert csp.satisfies(rec.assignment)
 
 
@@ -71,15 +75,16 @@ def test_sample_checks_conditions():
 def test_final_sampling_identity_when_all_marked():
     csp, m = free8()
     state = PartialAssignment([0, 1, 0, 1, 0, 1, 0, 1])
-    values, attempts = final_sampling(csp, m, state, seed=0)
-    assert values == list(state.values)
+    values, attempts = final_sampling(csp, m, state.to_array(), seed=0)
+    assert values.tolist() == list(state.values)
     assert attempts == 0
 
 
 def test_final_sampling_requires_coalesced_state():
     csp, m = weighted8()
     with pytest.raises(InvariantError):
-        final_sampling(csp, m, PartialAssignment.all_star(8), seed=0)
+        final_sampling(csp, m, PartialAssignment.all_star(8).to_array(),
+                       seed=0)
 
 
 def test_sample_opens_one_stream(monkeypatch):
@@ -217,9 +222,10 @@ def test_final_sampling_matches_per_variable_reference():
             state = PartialAssignment([
                 (0 if rng.random() < 0.8 else 1) if m.marked[v] else STAR
                 for v in range(csp.num_vars)])
-            got = final_sampling(csp, m, state, seed)
+            values, attempts = final_sampling(csp, m, state.to_array(), seed)
+            got = values.tolist(), attempts
             assert got == reference_final_sampling(csp, m, state, seed)
-            assert all(type(q) is int for q in got[0])
+            assert values.dtype == np.int64
             comps = {component(csp, m.marked, state, v).component_vars
                      for v in range(csp.num_vars) if state.values[v] is STAR}
             rejected += got[1] > len(comps)
@@ -233,8 +239,8 @@ def doubling_from_one(csp, m, seed, cap):
     while True:
         run = bounding_chain(csp, m, T, seed)
         if run.coalesced:
-            values, _ = final_sampling(csp, m, run.final_state, seed)
-            return values, T
+            values, _ = final_sampling(csp, m, run.state, seed)
+            return values.tolist(), T
         if T >= cap:
             return None
         T *= 2
@@ -293,3 +299,101 @@ def test_rejection_cap_is_exact():
                 rejection_sampling(projected, tape.stream(t, LABEL_REJECTION),
                                    cap=need - 1)
     assert len(seen) >= 5
+
+
+# --- reference chain: one _update_in_place call per time slot, unmarked
+# slots included, deviates drawn in blocks of 2^16 ------------------------
+
+def reference_steps(ctx, values, seed, start, stop):
+    tape = RandomnessTape(seed)
+    chunk = 1 << 16
+    for a in range(start, stop, chunk):
+        b = min(a + chunk, stop)
+        u0s = tape.layered_block(a, b)
+        for i, t in enumerate(range(a, b)):
+            _update_in_place(ctx, values, t, float(u0s[i]))
+    return values
+
+
+def reference_bounding_chain(csp, m, T, seed):
+    values = reference_steps(UpdateContext(csp, m.marked),
+                             [STAR] * csp.num_vars, seed, -T, 0)
+    return values, all(values[v] is not STAR for v in m.indices())
+
+
+def residual_slots_per_sweep(csp, m, T, seed):
+    """The most residual-layer slots in one sweep of [-T, 0)."""
+    ctx = UpdateContext(csp, m.marked)
+    n = csp.num_vars
+    u0s = RandomnessTape(seed).layered_block(-T, 0)
+    per_sweep = {}
+    for i, t in enumerate(range(-T, 0)):
+        v = t % n
+        if m.marked[v] and u0s[i] >= ctx.safe_total[v]:
+            per_sweep[t // n] = per_sweep.get(t // n, 0) + 1
+    return max(per_sweep.values(), default=0)
+
+
+def test_sweep_chain_matches_per_slot_reference():
+    # horizons mostly not multiples of n, so sweeps are cut at both ends
+    cases = [weighted8(), overlap18(), uniform20(), free8(), ternary9()]
+    for csp, m in cases:
+        n = csp.num_vars
+        for T in (1, 3, n - 1, n + 1, 2 * n + 3, 4 * n, 5 * n + 2):
+            for seed in range(40):
+                run = bounding_chain(csp, m, T, seed)
+                assert (run.final_state.values, run.coalesced) == (
+                    reference_bounding_chain(csp, m, T, seed)), (n, T, seed)
+                assert run.state.dtype == np.int64
+    # ternary9 takes several residual steps within one sweep
+    csp, m = ternary9()
+    assert max(residual_slots_per_sweep(csp, m, 50, s)
+               for s in range(40)) >= 4
+
+
+def test_sweep_chain_crosses_a_deviate_block():
+    # 2^16 + 5 steps: the deviates come in two blocks, cut inside a sweep
+    T = (1 << 16) + 5
+    for csp, m in (weighted8(), ternary9()):
+        for seed in range(2):
+            run = bounding_chain(csp, m, T, seed)
+            assert (run.final_state.values, run.coalesced) == (
+                reference_bounding_chain(csp, m, T, seed))
+
+
+def test_scan_matches_per_slot_reference():
+    rng = random.Random(3)
+    for csp, m in (weighted8(), overlap18(), ternary9()):
+        ctx = UpdateContext(csp, m.marked)
+        for seed in range(30):
+            start = PartialAssignment([
+                rng.randrange(csp.vars[v].domain_size) if m.marked[v]
+                else STAR for v in range(csp.num_vars)])
+            steps = rng.randrange(1, 5 * csp.num_vars)
+            got = systematic_scan(csp, m, start, steps, seed)
+            assert got.values == reference_steps(ctx, list(start.values),
+                                                 seed, 0, steps)
+
+
+def test_update_context_built_once_per_marking(monkeypatch):
+    built = []
+    init = UpdateContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UpdateContext, "__init__", counting_init)
+    csp, m = weighted8()
+    for seed in range(100):
+        sample(csp, m, seed)
+    bounding_chain(csp, m, 16, 0)
+    state = make_scan_state(csp, m, [1] * 8)
+    systematic_scan(csp, m, state, 16, 0)
+    coupled_update(csp, m.marked, state, 3, RandomnessTape(0))
+    check_bounding_invariant(csp, m, 16, 5, 0)
+    coalescence_experiment(csp, m, [16], 5, 0)
+    assert len(built) == 1
+    # another marking of the same instance gets its own context
+    bounding_chain(csp, Marking.from_indices(8, range(4)), 8, 0)
+    assert len(built) == 2

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError, Marking,
@@ -88,8 +89,8 @@ def test_certify_detects_a_broken_sampler(monkeypatch):
     # certification must flag the wrong law
     import lllsampler.verify as verify_mod
 
-    def broken(csp, m, sigma_marked, seed):
-        return ([0 if q is STAR else q for q in sigma_marked.values], 0)
+    def broken(csp, m, state, seed):
+        return np.maximum(state, 0), 0
 
     monkeypatch.setattr("lllsampler.sampler.final_sampling", broken)
     csp, m = weighted8()
@@ -118,3 +119,4 @@ def test_bounding_invariant_holds():
     assert out["containment_violations"] == 0
     assert out["coalesced"] > 0
     assert out["equality_failures"] == 0
+    assert out["sweep_mismatches"] == 0
