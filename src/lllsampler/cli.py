@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import click
+import numpy as np
 
 from .core import AtomicCsp, preprocess
 from .errors import (BudgetError, ConstructionFailedError,
@@ -88,17 +89,20 @@ class PreparedPipeline:
                          check_conditions=False,
                          horizon_cap=self.max_horizon)
             chain_values = rec.assignment
+        if self.original is self.run_csp:
+            # nothing was removed or tensorized, and ``sample`` has checked
+            # this assignment against this instance
+            return chain_values
         if self.tensorized is not None:
             reduced = trans(self.tensorized, chain_values)
         else:
             reduced = chain_values
         # re-insert variables removed by preprocessing (all had domain 1)
-        values = [0] * self.original.num_vars
-        for idx, v in enumerate(self.kept_vars):
-            values[v] = reduced[idx]
+        values = np.zeros(self.original.num_vars, dtype=np.int64)
+        values[list(self.kept_vars)] = reduced
         if not self.original.satisfies(values):
             raise InvariantError("emitted assignment violates a constraint")
-        return values
+        return values.tolist()
 
 
 def _fallback(original, run_csp, kept, tensorized, cfg, error):

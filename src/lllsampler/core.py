@@ -1,9 +1,10 @@
-"""Core data model: atomic CSPs, their measures, wildcard semantics, projection.
+"""Core data model: atomic CSPs, their measures, wildcard semantics, components.
 
 An atomic CSP has variables with finite weighted domains and constraints that
-each forbid exactly one local assignment.  Partial assignments may hold the
-wildcard STAR, which matches every value; a constraint is "falsifiable" under a
-partial assignment when every coordinate is either the forbidden value or STAR.
+each forbid exactly one local assignment.  A state (partial assignment) is a
+sequence of value indices, an int64 array or a list of ints, in which STAR
+(-1) is the wildcard that matches every value; a constraint is "falsifiable"
+under a state when every coordinate is either the forbidden value or STAR.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .errors import InvalidInstanceError, UnsatisfiableInstanceError
 
-#: Wildcard marker used in partial assignments.
-STAR = None
+#: Wildcard value of a state: matches every value.
+STAR = -1
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -187,53 +188,6 @@ def flatten(csp: AtomicCsp) -> FlatCsp:
                    cum_table)
 
 
-@dataclass
-class PartialAssignment:
-    """Per-variable value index or STAR."""
-
-    values: list
-
-    def copy(self) -> "PartialAssignment":
-        return PartialAssignment(list(self.values))
-
-    def to_array(self) -> np.ndarray:
-        """The state as an int64 array, -1 for STAR."""
-        return np.array([-1 if x is STAR else x for x in self.values],
-                        dtype=np.int64)
-
-    @staticmethod
-    def from_array(state: np.ndarray) -> "PartialAssignment":
-        return PartialAssignment([STAR if x < 0 else x
-                                  for x in state.tolist()])
-
-    def contained_in(self, other: "PartialAssignment") -> bool:
-        """self is a refinement of other: other(v) in {self(v), STAR}."""
-        return all(b is STAR or b == a
-                   for a, b in zip(self.values, other.values))
-
-    @staticmethod
-    def all_star(n: int) -> "PartialAssignment":
-        return PartialAssignment([STAR] * n)
-
-
-class StarView:
-    """A state array (-1 = STAR) read and written as a value list with STAR:
-    one element per access, so a component search through it costs the
-    component, not the instance."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def __getitem__(self, v):
-        x = self.state[v]
-        return STAR if x < 0 else int(x)
-
-    def __setitem__(self, v, x):
-        self.state[v] = -1 if x is STAR else x
-
-
 @dataclass(frozen=True)
 class ProjectedCsp:
     """The projection of a CSP onto the STAR variables of an assignment.
@@ -259,14 +213,6 @@ class ProjectedCsp:
             [0] + [len(c.vbl) for c in self.constraints[:-1]]))
         return (np.array(self.free_vars, dtype=np.int64), entries[:, 0],
                 entries[:, 1], starts)
-
-    def to_atomic_csp(self) -> AtomicCsp:
-        """Reindex onto 0..len(free_vars)-1 for measure/enumeration checks."""
-        index = {v: i for i, v in enumerate(self.free_vars)}
-        vars = [self.parent.vars[v] for v in self.free_vars]
-        cons = [AtomicConstraint(tuple(index[v] for v in c.vbl), c.falsifying)
-                for c in self.constraints]
-        return AtomicCsp(vars, cons)
 
 
 def split_components(csp: AtomicCsp,
@@ -324,37 +270,6 @@ def compute_measures(csp: AtomicCsp) -> Measures:
         for c in csp.constraints)
     assert d >= 1 and delta >= 1
     return Measures(k=k, d=d, delta=delta, q=q, log_p=log_p, kappa=kappa)
-
-
-def falsifiable_under(c: AtomicConstraint, sigma: PartialAssignment) -> bool:
-    """True iff sigma(v) is the falsifying value or STAR on every coordinate."""
-    vals = sigma.values
-    for v, q in zip(c.vbl, c.falsifying):
-        x = vals[v]
-        if x is not STAR and x != q:
-            return False
-    return True
-
-
-def project(csp: AtomicCsp, sigma: PartialAssignment) -> ProjectedCsp:
-    """Fix the non-STAR variables of sigma and keep the falsifiable
-    constraints, restricted to the STAR variables."""
-    free = tuple(v for v in range(csp.num_vars) if sigma.values[v] is STAR)
-    cons = []
-    for c in csp.constraints:
-        if not falsifiable_under(c, sigma):
-            continue
-        pairs = [(v, q) for v, q in zip(c.vbl, c.falsifying)
-                 if sigma.values[v] is STAR]
-        if pairs:
-            cons.append(AtomicConstraint(tuple(v for v, _ in pairs),
-                                         tuple(q for _, q in pairs)))
-        # A falsifiable constraint with no STAR variable is outright violated
-        # by sigma; projection keeps it as an unsatisfiable marker.
-        else:
-            raise UnsatisfiableInstanceError(
-                "assignment falsifies a fully fixed constraint")
-    return ProjectedCsp(parent=csp, free_vars=free, constraints=tuple(cons))
 
 
 def preprocess(csp: AtomicCsp) -> tuple[AtomicCsp, tuple[int, ...]]:

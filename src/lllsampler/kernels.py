@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import (STAR, AtomicConstraint, AtomicCsp, FlatCsp,
-                   PartialAssignment, ProjectedCsp, StarView,
-                   falsifiable_under)
+from .core import STAR, AtomicConstraint, AtomicCsp, FlatCsp, ProjectedCsp
 from .errors import BudgetError, ConditionsError, InvariantError
 
 # Stream labels.
@@ -149,14 +147,15 @@ class ComponentResult:
     projected: tuple[AtomicConstraint, ...]  # restricted to STAR variables
 
 
-def component(csp: AtomicCsp, marked, sigma: PartialAssignment,
-              u: int) -> ComponentResult:
-    """Grow the component of u through falsifiable projected constraints.
+def component(csp: AtomicCsp, marked, state, u: int) -> ComponentResult:
+    """Grow the component of u through the constraints falsifiable under
+    ``state``, projected onto its STAR variables.
 
-    ``marked`` is a per-variable boolean sequence.  Requires sigma(u) = STAR.
+    ``state`` is a sequence of value indices with STAR = -1: an int64 array
+    or a list of ints.  ``marked`` is a per-variable boolean sequence.
+    Requires state[u] = STAR.
     """
-    vals = sigma.values
-    if vals[u] is not STAR:
+    if state[u] != STAR:
         raise InvariantError("component() requires the focal variable be STAR")
     in_comp = {u}
     queue = deque([u])
@@ -170,21 +169,26 @@ def component(csp: AtomicCsp, marked, sigma: PartialAssignment,
                 continue
             seen_cons.add(ci)
             c = csp.constraints[ci]
-            if not falsifiable_under(c, sigma):
-                continue
-            stars = tuple(w for w in c.vbl if vals[w] is STAR)
-            for w in stars:
-                if w != u and marked[w]:
-                    return ComponentResult(
-                        tuple(sorted(in_comp)), tuple(cons_ids), False, ())
-            cons_ids.append(ci)
-            projected.append(AtomicConstraint(
-                stars, tuple(q for w, q in zip(c.vbl, c.falsifying)
-                             if vals[w] is STAR)))
-            for w in stars:
-                if w not in in_comp:
-                    in_comp.add(w)
-                    queue.append(w)
+            stars = []
+            fals = []
+            for w, q in zip(c.vbl, c.falsifying):
+                x = state[w]
+                if x == STAR:
+                    stars.append(w)
+                    fals.append(q)
+                elif x != q:
+                    break
+            else:
+                for w in stars:
+                    if w != u and marked[w]:
+                        return ComponentResult(
+                            tuple(sorted(in_comp)), tuple(cons_ids), False, ())
+                cons_ids.append(ci)
+                projected.append(AtomicConstraint(tuple(stars), tuple(fals)))
+                for w in stars:
+                    if w not in in_comp:
+                        in_comp.add(w)
+                        queue.append(w)
     return ComponentResult(tuple(sorted(in_comp)), tuple(cons_ids), True,
                            tuple(projected))
 
@@ -433,8 +437,8 @@ def update_context(csp: AtomicCsp, m,
 
 
 def _update_in_place(ctx: UpdateContext, values, t: int, u0: float) -> None:
-    """One bounding-chain / scan step at time t on a mutable value list (or
-    a ``StarView`` of a state array)."""
+    """One bounding-chain / scan step at time t, in place, on a state: an
+    int64 array or a list of ints, STAR = -1."""
     v = t % ctx.n
     if not ctx.marked[v]:
         return
@@ -445,7 +449,7 @@ def _update_in_place(ctx: UpdateContext, values, t: int, u0: float) -> None:
         # no component computation needed.
         values[v] = min(bisect_right(cum, u0), len(cum) - 1)
         return
-    comp = component(ctx.csp, ctx.marked, PartialAssignment(values), v)
+    comp = component(ctx.csp, ctx.marked, values, v)
     if not comp.token:
         values[v] = STAR
         return
@@ -484,7 +488,6 @@ def chain_steps(ctx: UpdateContext, state: np.ndarray, t0: int,
     """
     idx, total, cum = ctx.marked_idx, ctx.marked_total, ctx.marked_cum
     n = ctx.n
-    view = StarView(state)
     stop = t0 + len(u0s)
     a = t0
     while a < stop:
@@ -500,16 +503,17 @@ def chain_steps(ctx: UpdateContext, state: np.ndarray, t0: int,
         done = 0
         for j in np.flatnonzero(u >= total[i0:i1]).tolist():
             state[vs[done:j]] = safe[done:j]
-            _update_in_place(ctx, view, base + int(vs[j]), float(u[j]))
+            _update_in_place(ctx, state, base + int(vs[j]), float(u[j]))
             done = j + 1
         state[vs[done:]] = safe[done:]
         a = b
 
 
-def coupled_update(csp: AtomicCsp, marked, state: PartialAssignment, t: int,
+def coupled_update(csp: AtomicCsp, marked, state, t: int,
                    tape: RandomnessTape,
-                   ctx: UpdateContext = None) -> PartialAssignment:
-    """One monotone coupled step: returns the updated partial assignment.
+                   ctx: UpdateContext = None) -> np.ndarray:
+    """One monotone coupled step on a state (STAR = -1): returns the updated
+    state as a new int64 array and leaves ``state`` as it was.
 
     Unmarked time slots are no-ops.  The randomness consumed is exactly the
     chain deviate of time t, so runs over the same tape couple pointwise.
@@ -517,7 +521,6 @@ def coupled_update(csp: AtomicCsp, marked, state: PartialAssignment, t: int,
     if ctx is None:
         from .marking import Marking
         ctx = update_context(csp, Marking(marked))
-    out = state.copy()
-    u0 = tape.uniform(t)
-    _update_in_place(ctx, out.values, t, u0)
+    out = np.array(state, dtype=np.int64)
+    _update_in_place(ctx, out, t, tape.uniform(t))
     return out

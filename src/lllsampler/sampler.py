@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomicCsp, PartialAssignment, split_components
+from .core import STAR, AtomicCsp, split_components
 from .errors import BudgetError, InvariantError
 from .kernels import (LABEL_REJECTION, RandomnessTape, UpdateContext,
                       chain_steps, product_draw, rejection_sampling,
@@ -41,10 +41,6 @@ class ChainRun:
     horizon: int
     state: np.ndarray    # int64, -1 for STAR
     coalesced: bool
-
-    @property
-    def final_state(self) -> PartialAssignment:
-        return PartialAssignment.from_array(self.state)
 
 
 @dataclass
@@ -76,9 +72,9 @@ def bounding_chain(csp: AtomicCsp, m: Marking, T: int, master_seed: int,
     """
     if ctx is None:
         ctx = update_context(csp, m)
-    state = np.full(csp.num_vars, -1, dtype=np.int64)
+    state = np.full(csp.num_vars, STAR, dtype=np.int64)
     _run_chain(ctx, state, RandomnessTape(master_seed), -T, 0)
-    return ChainRun(T, state, bool((state[ctx.marked_idx] >= 0).all()))
+    return ChainRun(T, state, bool((state[ctx.marked_idx] != STAR).all()))
 
 
 def final_sampling(csp: AtomicCsp, m: Marking, state: np.ndarray,
@@ -97,7 +93,7 @@ def final_sampling(csp: AtomicCsp, m: Marking, state: np.ndarray,
     each is exact.  Returns (assignment array, total rejection attempts).
     """
     values = state.copy()
-    star = values < 0
+    star = values == STAR
     if (star & m.mask).any():
         raise InvariantError("final sampling requires a coalesced state")
     stream = RandomnessTape(seed).stream(0, LABEL_REJECTION)
@@ -185,13 +181,14 @@ def sample(csp: AtomicCsp, m: Marking, master_seed: int,
     return SampleRecord(values.tolist(), T, wall)
 
 
-def systematic_scan(csp: AtomicCsp, m: Marking, sigma_in: PartialAssignment,
-                    steps: int, seed: int,
-                    ctx: UpdateContext = None) -> PartialAssignment:
-    """Forward chain on a STAR-free marked state: ``steps`` coupled updates
-    at times 0..steps-1.  Used as the convergence oracle."""
-    state = sigma_in.to_array()
-    star = state < 0
+def systematic_scan(csp: AtomicCsp, m: Marking, state, steps: int, seed: int,
+                    ctx: UpdateContext = None) -> np.ndarray:
+    """Forward chain on a state (STAR = -1) that is STAR-free on the marking
+    and STAR off it: ``steps`` coupled updates at times 0..steps-1, on an
+    int64 copy of ``state``, which is returned.  Used as the convergence
+    oracle."""
+    state = np.array(state, dtype=np.int64)
+    star = state == STAR
     if (star & m.mask).any():
         raise InvariantError("scan input must be STAR-free on the marking")
     if (~star & ~m.mask).any():
@@ -199,4 +196,4 @@ def systematic_scan(csp: AtomicCsp, m: Marking, sigma_in: PartialAssignment,
     if ctx is None:
         ctx = update_context(csp, m)
     _run_chain(ctx, state, RandomnessTape(seed), 0, steps)
-    return PartialAssignment.from_array(state)
+    return state

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from scipy import stats
 
-from .core import (STAR, AtomicCsp, PartialAssignment, all_assignments)
+from .core import STAR, AtomicCsp, all_assignments
 from .errors import BudgetError, UnsatisfiableInstanceError
 from .kernels import (RandomnessTape, _update_in_place, derive_seed,
                       update_context)
@@ -212,16 +212,16 @@ def check_bounding_invariant(csp: AtomicCsp, m: Marking, T: int, trials: int,
             _update_in_place(ctx, real, t, u0)
             _update_in_place(ctx, bound, t, u0)
             for v in range(n):
-                if bound[v] is not STAR and bound[v] != real[v]:
+                if bound[v] != STAR and bound[v] != real[v]:
                     ok = False
-            if real[v := (t % n)] is STAR and m.marked[v]:
+            if real[v := (t % n)] == STAR and m.marked[v]:
                 ok = False  # the real chain must stay STAR-free on the marking
         if not ok:
             containment_violations += 1
-        swept = bounding_chain(csp, m, T, trial_seed, ctx).final_state.values
+        swept = bounding_chain(csp, m, T, trial_seed, ctx).state
         if any(swept[v] != bound[v] for v in marked):
             sweep_mismatches += 1
-        if all(bound[v] is not STAR for v in marked):
+        if all(bound[v] != STAR for v in marked):
             coalesced_count += 1
             if any(bound[v] != real[v] for v in marked):
                 equality_failures += 1
@@ -242,7 +242,3 @@ def law_of_projection(csp: AtomicCsp, m: Marking,
         law = enumerate_law(csp)
     return law.restricted(m.indices())
 
-
-def assignment_in(values, state: PartialAssignment) -> bool:
-    """True iff the concrete assignment refines the STAR state."""
-    return all(b is STAR or b == a for a, b in zip(values, state.values))

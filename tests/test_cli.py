@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import lllsampler.marking
-from lllsampler import HypergraphInstance, emit_csp
+from lllsampler import STAR, HypergraphInstance, emit_csp
 from lllsampler.cli import (PipelineConfig, pipeline_binary, prepare_pipeline,
                            run)
 
@@ -111,6 +112,21 @@ def test_verify_small_instance(cnf_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"]
     assert report["containment_violations"] == 0
+
+
+def test_verify_exit_5_on_wrong_law(cnf_file, capsys, monkeypatch):
+    # filling STAR with 1 gives solutions of the instance, so the sampler's
+    # own check passes, but their law is wrong: verify's verdict fails
+    def ones(csp, m, state, seed):
+        return np.where(state == STAR, 1, state), 0
+
+    monkeypatch.setattr("lllsampler.sampler.final_sampling", ones)
+    assert run(["verify", "--input", cnf_file, "--format", "dimacs",
+                "--pipeline", "binary", "--force", "--num", "2000",
+                "--seed", "5"]) == 5
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["tv_distance"] > report["tv_threshold"]
 
 
 def test_bench_rows(csp_file, capsys):

@@ -1,12 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lllsampler import (AtomicConstraint, AtomicCsp, InvalidInstanceError,
-                        PartialAssignment, STAR, UnsatisfiableInstanceError,
-                        VariableSpec, compute_measures, falsifiable_under,
-                        preprocess, project)
+                        STAR, UnsatisfiableInstanceError, VariableSpec,
+                        component, compute_measures, preprocess)
 
 from conftest import mixed_csp, overlap18
 
@@ -57,42 +59,33 @@ def test_measures_constraint_free():
 
 def test_falsifiable_and_projection():
     csp = mixed_csp()
-    sigma = PartialAssignment([STAR, 1])
-    c_binary = csp.constraints[1]
-    assert falsifiable_under(c_binary, sigma)
-    proj = project(csp, sigma)
-    assert proj.free_vars == (0,)
-    # both constraints survive, restricted to variable 0
-    assert len(proj.constraints) == 2
-    assert all(c.vbl == (0,) for c in proj.constraints)
-    sigma2 = PartialAssignment([STAR, 2])
-    proj2 = project(csp, sigma2)
-    assert len(proj2.constraints) == 1  # the (u,v)=(c,B) constraint dropped
-
-
-def test_projection_detects_violation():
-    csp = mixed_csp()
-    with pytest.raises(UnsatisfiableInstanceError):
-        project(csp, PartialAssignment([0, STAR]))
+    comp = component(csp, [False, False], [STAR, 1], 0)
+    assert comp.token and comp.component_vars == (0,)
+    # both constraints are falsifiable and survive, restricted to variable 0
+    assert comp.component_constraints == (0, 1)
+    assert len(comp.projected) == 2
+    assert all(c.vbl == (0,) for c in comp.projected)
+    comp2 = component(csp, [False, False], np.array([STAR, 2]), 0)
+    # the (u,v)=(c,B) constraint dropped
+    assert comp2.component_constraints == (0,)
+    assert len(comp2.projected) == 1
+    assert comp2.projected[0].vbl == (0,)
 
 
 def test_projection_measures_do_not_increase():
     csp = mixed_csp()
-    proj = project(csp, PartialAssignment([STAR, 1])).to_atomic_csp()
+    comp = component(csp, [False, False], [STAR, 1], 0)
+    index = {v: i for i, v in enumerate(comp.component_vars)}
+    proj = AtomicCsp(
+        [csp.vars[v] for v in comp.component_vars],
+        [AtomicConstraint(tuple(index[v] for v in c.vbl), c.falsifying)
+         for c in comp.projected])
     before = compute_measures(csp)
     after = compute_measures(proj)
     assert after.k <= before.k
     assert after.d <= before.d
     assert after.delta <= before.delta
     assert after.log_p <= before.log_p + 1e-12
-
-
-def test_containment():
-    a = PartialAssignment([0, 1, 2])
-    b = PartialAssignment([0, STAR, 2])
-    assert a.contained_in(b)
-    assert not b.contained_in(a) or b.values == a.values
-    assert a.contained_in(PartialAssignment.all_star(3))
 
 
 def test_preprocess_removes_singletons():
@@ -160,3 +153,26 @@ def test_flat_view():
     assert mixed.cum_table[0, :2].tolist() == [1 / 3, 2 / 3]
     assert mixed.cum_table[0, 2] == math.inf
     assert mixed.cum_table[1].tolist() == [0.25, 0.5, 0.25 + 0.25 + 1 / 3]
+
+
+def names_star(node):
+    return ((isinstance(node, ast.Name) and node.id == "STAR")
+            or (isinstance(node, ast.Attribute) and node.attr == "STAR"))
+
+
+def test_no_identity_comparison_with_star():
+    # STAR is the int -1, and ``np.int64(-1) is STAR`` is always False: an
+    # identity test silently misreads every state array
+    repo = Path(__file__).resolve().parent.parent
+    found = []
+    for path in sorted([*(repo / "src").rglob("*.py"),
+                        *(repo / "tests").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, a, b in zip(node.ops, operands, operands[1:]):
+                if (isinstance(op, (ast.Is, ast.IsNot))
+                        and (names_star(a) or names_star(b))):
+                    found.append(f"{path.relative_to(repo)}:{node.lineno}")
+    assert found == []

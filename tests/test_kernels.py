@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from lllsampler import (AtomicConstraint, AtomicCsp, InvariantError, Marking,
-                        PartialAssignment, ProjectedCsp, RandomnessTape, STAR,
+from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError,
+                        ConditionsError, InvariantError, Marking,
+                        ProjectedCsp, RandomnessTape, STAR,
                         VariableSpec, component, compute_constants,
                         coupled_update, derive_seed, exact_component_marginal,
                         rejection_sampling, safe_pmf)
 from lllsampler.kernels import (LABEL_REJECTION, UpdateContext, _enum_marginal,
-                                _ie_marginal)
+                                _ie_marginal, _update_in_place)
 
 from conftest import ternary9, weighted8
 
@@ -77,17 +78,17 @@ def random_csp(rng, n=5, m=4, qmax=3):
 def test_component_token_rules():
     csp, m = weighted8()
     # all marked vars STAR: token False because another marked STAR is reached
-    sigma = PartialAssignment([STAR] * 8)
+    sigma = [STAR] * 8
     res = component(csp, m.marked, sigma, 0)
     assert not res.token
     # fix the other marked variables: token True
-    sigma = PartialAssignment([STAR, 0, 0, 0, 0, STAR, STAR, STAR])
+    sigma = [STAR, 0, 0, 0, 0, STAR, STAR, STAR]
     res = component(csp, m.marked, sigma, 0)
     assert res.token
     assert res.component_vars == (0, 5, 6, 7)
     assert res.component_constraints == (0,)
     # breaking the constraint prunes the component to the focal var alone
-    sigma = PartialAssignment([STAR, 1, 0, 0, 0, STAR, STAR, STAR])
+    sigma = [STAR, 1, 0, 0, 0, STAR, STAR, STAR]
     res = component(csp, m.marked, sigma, 0)
     assert res.token and res.component_vars == (0,)
 
@@ -95,7 +96,7 @@ def test_component_token_rules():
 def test_component_requires_star_focal():
     csp, m = weighted8()
     with pytest.raises(InvariantError):
-        component(csp, m.marked, PartialAssignment([0] * 8), 0)
+        component(csp, m.marked, [0] * 8, 0)
 
 
 def test_safe_pmf_shape():
@@ -134,11 +135,11 @@ def test_marginal_paths_agree_with_oracle():
         values = [STAR if rng.random() < 0.5
                   else rng.randrange(csp.vars[v].domain_size)
                   for v in range(csp.num_vars)]
-        stars = [v for v in range(csp.num_vars) if values[v] is STAR]
+        stars = [v for v in range(csp.num_vars) if values[v] == STAR]
         if not stars:
             continue
         focal = rng.choice(stars)
-        comp = component(csp, marked, PartialAssignment(values), focal)
+        comp = component(csp, marked, values, focal)
         if not comp.token:
             continue
         try:
@@ -159,7 +160,7 @@ def test_marginal_paths_agree_with_oracle():
 
 def test_rejection_sampling_law():
     csp, m = weighted8()
-    sigma = PartialAssignment([STAR, 0, 0, 0, 0, STAR, STAR, STAR])
+    sigma = [STAR, 0, 0, 0, 0, STAR, STAR, STAR]
     comp = component(csp, m.marked, sigma, 0)
     projected = ProjectedCsp(parent=csp, free_vars=comp.component_vars,
                              constraints=comp.projected)
@@ -177,13 +178,13 @@ def test_rejection_sampling_law():
 def test_update_consumes_single_layered_deviate():
     csp, m = weighted8()
     tape = RandomnessTape(17)
-    state = PartialAssignment([STAR] * 8)
+    state = [STAR] * 8
     out1 = coupled_update(csp, m.marked, state, 3, tape)
     out2 = coupled_update(csp, m.marked, state, 3, tape)
-    assert out1.values == out2.values  # pure in the tape
+    assert out1.tolist() == out2.tolist()  # pure in the tape
     # unmarked slot is a no-op
     out = coupled_update(csp, m.marked, state, 5, tape)
-    assert out.values == state.values
+    assert out.tolist() == state
 
 
 def test_update_monotone_on_random_pairs():
@@ -204,12 +205,62 @@ def test_update_monotone_on_random_pairs():
             loose.append(STAR if rng.random() < 0.4 else x)
         t = rng.randrange(-40, 40)
         tape = RandomnessTape(rng.randrange(2 ** 32))
-        s1 = coupled_update(csp, m.marked, PartialAssignment(refined), t,
-                            tape, ctx)
-        s2 = coupled_update(csp, m.marked, PartialAssignment(loose), t,
-                            tape, ctx)
-        for a, b in zip(s1.values, s2.values):
-            assert b is STAR or a == b
+        s1 = coupled_update(csp, m.marked, refined, t, tape, ctx)
+        s2 = coupled_update(csp, m.marked, loose, t, tape, ctx)
+        for a, b in zip(s1.tolist(), s2.tolist()):
+            assert b == STAR or a == b
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the sampler error it raises."""
+    try:
+        return f(*args)
+    except (BudgetError, InvariantError) as e:
+        return type(e)
+
+
+def test_list_and_array_states_agree():
+    # the oracles step Python lists and the chain steps int64 arrays: both
+    # must read STAR (-1) alike
+    rng = random.Random(13)
+    contexts = tokens = residual = 0
+    while contexts < 100:
+        csp = random_csp(rng)
+        marked = [rng.random() < 0.5 for _ in range(csp.num_vars)]
+        try:
+            ctx = UpdateContext(csp, marked)
+        except ConditionsError:
+            continue
+        contexts += 1
+        tape = RandomnessTape(rng.randrange(2 ** 32))
+        for _ in range(10):
+            before = [STAR if rng.random() < 0.5
+                      else rng.randrange(csp.vars[v].domain_size)
+                      for v in range(csp.num_vars)]
+            lst = list(before)
+            arr = np.array(before, dtype=np.int64)
+            for u in range(csp.num_vars):
+                if before[u] == STAR:
+                    comp = component(csp, marked, lst, u)
+                    assert comp == component(csp, marked, arr, u)
+                    tokens += comp.token and len(comp.component_vars) > 1
+            t = rng.randrange(-50, 50)
+            u0 = rng.random()
+            v = t % csp.num_vars
+            residual += marked[v] and u0 >= ctx.safe_total[v]
+            a, b = list(before), arr.copy()
+            assert outcome(_update_in_place, ctx, a, t, u0) == outcome(
+                _update_in_place, ctx, b, t, u0)
+            assert a == b.tolist()
+
+            def update(state):
+                return coupled_update(csp, marked, state, t, tape,
+                                      ctx).tolist()
+
+            assert outcome(update, lst) == outcome(update, arr)
+            # coupled_update leaves its input as it was
+            assert lst == arr.tolist() == before
+    assert tokens > 100 and residual > 50
 
 
 def test_safe_table_matches_clamped_bisect():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError,
-                        InvariantError, Marking, PartialAssignment,
-                        ProjectedCsp, RandomnessTape, STAR, VariableSpec,
+                        InvariantError, Marking, ProjectedCsp,
+                        RandomnessTape, STAR, VariableSpec,
                         bounding_chain, component, derive_seed,
                         final_sampling, rejection_sampling, sample,
                         systematic_scan)
@@ -44,11 +44,11 @@ def test_doubling_replays_shared_suffix():
         t = 1
         while not bounding_chain(csp, m, t, seed).coalesced:
             t *= 2
-        small = bounding_chain(csp, m, t, seed).final_state
-        big = bounding_chain(csp, m, 2 * t, seed).final_state
+        small = bounding_chain(csp, m, t, seed).state
+        big = bounding_chain(csp, m, 2 * t, seed).state
         for v in range(csp.num_vars):
             if m.marked[v]:
-                assert small.values[v] == big.values[v]
+                assert small[v] == big[v]
 
 
 def test_constraint_free_coalesces_in_one_sweep():
@@ -74,17 +74,16 @@ def test_sample_checks_conditions():
 
 def test_final_sampling_identity_when_all_marked():
     csp, m = free8()
-    state = PartialAssignment([0, 1, 0, 1, 0, 1, 0, 1])
-    values, attempts = final_sampling(csp, m, state.to_array(), seed=0)
-    assert values.tolist() == list(state.values)
+    state = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+    values, attempts = final_sampling(csp, m, state, seed=0)
+    assert values.tolist() == state.tolist()
     assert attempts == 0
 
 
 def test_final_sampling_requires_coalesced_state():
     csp, m = weighted8()
     with pytest.raises(InvariantError):
-        final_sampling(csp, m, PartialAssignment.all_star(8).to_array(),
-                       seed=0)
+        final_sampling(csp, m, np.full(8, STAR), seed=0)
 
 
 def test_sample_opens_one_stream(monkeypatch):
@@ -106,23 +105,22 @@ def test_sample_opens_one_stream(monkeypatch):
 def test_scan_validates_input_shape():
     csp, m = weighted8()
     with pytest.raises(InvariantError):
-        systematic_scan(csp, m, PartialAssignment.all_star(8), 4, 0)
+        systematic_scan(csp, m, [STAR] * 8, 4, 0)
     with pytest.raises(InvariantError):
-        systematic_scan(csp, m, PartialAssignment([1] * 8), 4, 0)
+        systematic_scan(csp, m, [1] * 8, 4, 0)
 
 
 def make_scan_state(csp, m, solution):
-    return PartialAssignment(
-        [solution[v] if m.marked[v] else STAR for v in range(csp.num_vars)])
+    return [solution[v] if m.marked[v] else STAR for v in range(csp.num_vars)]
 
 
 def test_scan_zero_steps_and_determinism():
     csp, m = weighted8()
     state = make_scan_state(csp, m, [1] * 8)
-    assert systematic_scan(csp, m, state, 0, 7).values == state.values
-    out = systematic_scan(csp, m, state, 40, 7)
-    assert out.values == systematic_scan(csp, m, state, 40, 7).values
-    assert all(out.values[v] is STAR or m.marked[v] for v in range(8))
+    assert systematic_scan(csp, m, state, 0, 7).tolist() == state
+    out = systematic_scan(csp, m, state, 40, 7).tolist()
+    assert out == systematic_scan(csp, m, state, 40, 7).tolist()
+    assert all(out[v] == STAR or m.marked[v] for v in range(8))
 
 
 def test_scan_preserves_stationary_law():
@@ -139,8 +137,8 @@ def test_scan_preserves_stationary_law():
         for i, v in enumerate(m.indices()):
             full[v] = start[i]
         out = systematic_scan(csp, m, make_scan_state(csp, m, full), 24,
-                              derive_seed(5, "scan", trial))
-        key = tuple(out.values[v] for v in m.indices())
+                              derive_seed(5, "scan", trial)).tolist()
+        key = tuple(out[v] for v in m.indices())
         counts[key] = counts.get(key, 0) + 1
     empirical = {k: c / trials for k, c in counts.items()}
     assert tv_distance(empirical, law.as_dict()) < 0.08
@@ -166,16 +164,16 @@ def reference_rejection(projected, stream, cap=10**7):
 
 
 def reference_final_sampling(csp, m, sigma_marked, seed):
-    values = list(sigma_marked.values)
+    values = list(sigma_marked)
     for v in range(csp.num_vars):
-        if m.marked[v] and values[v] is STAR:
+        if m.marked[v] and values[v] == STAR:
             raise InvariantError("final sampling requires a coalesced state")
     stream = RandomnessTape(seed).stream(0, LABEL_REJECTION)
     attempts = 0
     for v in range(csp.num_vars):
-        if values[v] is not STAR:
+        if values[v] != STAR:
             continue
-        comp = component(csp, m.marked, PartialAssignment(values), v)
+        comp = component(csp, m.marked, values, v)
         assert comp.token
         projected = ProjectedCsp(parent=csp, free_vars=comp.component_vars,
                                  constraints=comp.projected)
@@ -219,15 +217,15 @@ def test_final_sampling_matches_per_variable_reference():
     for csp, m in cases:
         for seed in range(60):
             # falsifying (0) marked values keep the constraints live
-            state = PartialAssignment([
+            state = [
                 (0 if rng.random() < 0.8 else 1) if m.marked[v] else STAR
-                for v in range(csp.num_vars)])
-            values, attempts = final_sampling(csp, m, state.to_array(), seed)
+                for v in range(csp.num_vars)]
+            values, attempts = final_sampling(csp, m, np.array(state), seed)
             got = values.tolist(), attempts
             assert got == reference_final_sampling(csp, m, state, seed)
             assert values.dtype == np.int64
             comps = {component(csp, m.marked, state, v).component_vars
-                     for v in range(csp.num_vars) if state.values[v] is STAR}
+                     for v in range(csp.num_vars) if state[v] == STAR}
             rejected += got[1] > len(comps)
     assert rejected > 50  # many draws rejected some attempt
 
@@ -318,7 +316,7 @@ def reference_steps(ctx, values, seed, start, stop):
 def reference_bounding_chain(csp, m, T, seed):
     values = reference_steps(UpdateContext(csp, m.marked),
                              [STAR] * csp.num_vars, seed, -T, 0)
-    return values, all(values[v] is not STAR for v in m.indices())
+    return values, all(values[v] != STAR for v in m.indices())
 
 
 def residual_slots_per_sweep(csp, m, T, seed):
@@ -342,7 +340,7 @@ def test_sweep_chain_matches_per_slot_reference():
         for T in (1, 3, n - 1, n + 1, 2 * n + 3, 4 * n, 5 * n + 2):
             for seed in range(40):
                 run = bounding_chain(csp, m, T, seed)
-                assert (run.final_state.values, run.coalesced) == (
+                assert (run.state.tolist(), run.coalesced) == (
                     reference_bounding_chain(csp, m, T, seed)), (n, T, seed)
                 assert run.state.dtype == np.int64
     # ternary9 takes several residual steps within one sweep
@@ -357,7 +355,7 @@ def test_sweep_chain_crosses_a_deviate_block():
     for csp, m in (weighted8(), ternary9()):
         for seed in range(2):
             run = bounding_chain(csp, m, T, seed)
-            assert (run.final_state.values, run.coalesced) == (
+            assert (run.state.tolist(), run.coalesced) == (
                 reference_bounding_chain(csp, m, T, seed))
 
 
@@ -366,12 +364,12 @@ def test_scan_matches_per_slot_reference():
     for csp, m in (weighted8(), overlap18(), ternary9()):
         ctx = UpdateContext(csp, m.marked)
         for seed in range(30):
-            start = PartialAssignment([
+            start = [
                 rng.randrange(csp.vars[v].domain_size) if m.marked[v]
-                else STAR for v in range(csp.num_vars)])
+                else STAR for v in range(csp.num_vars)]
             steps = rng.randrange(1, 5 * csp.num_vars)
             got = systematic_scan(csp, m, start, steps, seed)
-            assert got.values == reference_steps(ctx, list(start.values),
+            assert got.tolist() == reference_steps(ctx, list(start),
                                                  seed, 0, steps)
 
 

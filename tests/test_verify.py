@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError, Marking,
-                        STAR, UnsatisfiableInstanceError, VariableSpec,
+                        UnsatisfiableInstanceError, VariableSpec,
                         certify_sampler, check_bounding_invariant,
                         coalescence_experiment, enumerate_law, tv_distance)
-from lllsampler.verify import (assignment_in, enumerate_law_recursive,
-                               law_of_projection)
-from lllsampler.core import PartialAssignment
+from lllsampler.verify import enumerate_law_recursive, law_of_projection
 
 from test_kernels import random_csp
 from conftest import free8, weighted8
@@ -67,12 +65,6 @@ def test_restricted_law():
     p1 = sum(p for k, p in zip(proj.support, proj.pmf) if k[0] == 1)
     q1 = sum(p for k, p in zip(law.support, law.pmf) if k[0] == 1)
     assert p1 == pytest.approx(q1, abs=1e-12)
-
-
-def test_assignment_in():
-    state = PartialAssignment([STAR, 1, STAR])
-    assert assignment_in([0, 1, 1], state)
-    assert not assignment_in([0, 0, 1], state)
 
 
 def test_certify_accepts_the_real_sampler():
