@@ -2,8 +2,8 @@
 problems in the local lemma regime, via a monotone bounding chain run by
 coupling from the past, with state tensorization for large domains."""
 
-from .core import (AtomicConstraint, AtomicCsp, Measures, ProjectedCsp, STAR,
-                   VariableSpec, compute_measures, preprocess)
+from .core import (AtomicConstraint, AtomicCsp, Measures, STAR, VariableSpec,
+                   compute_measures, preprocess)
 from .errors import (BudgetError, ConditionsError, ConstructionFailedError,
                      InvalidInstanceError, InvariantError, ParseError,
                      RegimeError, SamplerError, UnsatisfiableInstanceError)

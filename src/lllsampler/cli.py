@@ -398,7 +398,9 @@ def cmd_verify(**kw):
     inv = verify_mod.check_bounding_invariant(
         prepared.run_csp, prepared.marking, 10 * max(prepared.run_csp.num_vars, 1),
         min(200, num), cfg.seed,
-        law=verify_mod.enumerate_law(prepared.run_csp))
+        # enumerated again only when preprocessing or tensorization changed
+        # the instance
+        law=law if prepared.run_csp is prepared.original else None)
     threshold = 2.0 * 0.5 * math.sqrt(len(law.support) / num)
     report = {
         "num_samples": num,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class AtomicConstraint:
 
 class AtomicCsp:
     """An atomic CSP.  Immutable after construction; safe to share, and its
-    derived quantities (``measures``, ``flat``) are computed once, on first
-    use."""
+    derived quantities (``measures``, ``flat``, ``free_labels``) are
+    computed once, on first use."""
 
     def __init__(self, vars: list[VariableSpec], constraints: list[AtomicConstraint]):
         self.vars = tuple(vars)
@@ -107,8 +107,8 @@ class AtomicCsp:
         return flatten(self)
 
     @functools.cached_property
-    def free_components(self) -> tuple[ProjectedCsp, ...]:
-        """The components of the instance with no variable fixed."""
+    def free_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """``split_components`` with no variable fixed."""
         return split_components(
             self, np.ones(len(self.flat.cons_vars), dtype=bool))
 
@@ -188,66 +188,32 @@ def flatten(csp: AtomicCsp) -> FlatCsp:
                    cum_table)
 
 
-@dataclass(frozen=True)
-class ProjectedCsp:
-    """The projection of a CSP onto the STAR variables of an assignment.
-
-    Variables keep their original indices (``free_vars`` lists them); the
-    constraints are the falsifiable ones restricted to the free variables.
-    """
-
-    parent: AtomicCsp = field(compare=False)
-    free_vars: tuple[int, ...]
-    constraints: tuple[AtomicConstraint, ...]
-
-    @functools.cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-        """(free variables, each constraint entry's position in
-        ``free_vars``, its falsifying value, each constraint's first
-        entry), the constraints' entries concatenated."""
-        index = {v: i for i, v in enumerate(self.free_vars)}
-        entries = np.array([(index[v], q) for c in self.constraints
-                            for v, q in zip(c.vbl, c.falsifying)],
-                           dtype=np.int64).reshape(-1, 2)
-        starts = list(itertools.accumulate(
-            [0] + [len(c.vbl) for c in self.constraints[:-1]]))
-        return (np.array(self.free_vars, dtype=np.int64), entries[:, 0],
-                entries[:, 1], starts)
-
-
 def split_components(csp: AtomicCsp,
-                     live: np.ndarray) -> tuple[ProjectedCsp, ...]:
+                     live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The components of the falsifiable constraints' STAR entries
-    (``live``, a mask over ``csp.flat``), ascending by smallest variable: for
-    each, its variables ascending and its constraints projected onto them.
-    The components come from a union-find over the live constraints."""
+    (``live``, a mask over ``csp.flat``), as labels: a component id per
+    variable, and per constraint, -1 for a constraint with no live entry.
+    A variable in no live entry is a component on its own.  An id is the
+    root of a union-find over the live constraints, a variable index."""
     flat = csp.flat
-    ent_vars = flat.cons_vars[live].tolist()
-    ent_fals = flat.cons_fals[live].tolist()
-    sizes = np.add.reduceat(live, flat.starts, dtype=np.int64)
-    bounds = list(itertools.accumulate(sizes[sizes > 0].tolist(), initial=0))
-    projected = [(ent_vars[a:b], ent_fals[a:b])
-                 for a, b in zip(bounds, bounds[1:])]
-    root = {v: v for v in ent_vars}
+    ent_vars = flat.cons_vars[live]
+    ent_cons = flat.entry_cons[live]
+    root = {v: v for v in ent_vars.tolist()}
 
     def find(v):
         while root[v] != v:
             root[v] = v = root[root[v]]
         return v
 
-    for vbl, _ in projected:
-        r = find(vbl[0])
-        for w in vbl[1:]:
-            root[find(w)] = r = find(r)
-    comp_vars: dict[int, list[int]] = {}
-    for v in sorted(root):
-        comp_vars.setdefault(find(v), []).append(v)
-    comp_cons: dict[int, list[AtomicConstraint]] = {}
-    for vbl, fals in projected:
-        comp_cons.setdefault(find(vbl[0]), []).append(
-            AtomicConstraint(tuple(vbl), tuple(fals)))
-    return tuple(ProjectedCsp(csp, tuple(free), tuple(comp_cons[r]))
-                 for r, free in comp_vars.items())
+    # join each live entry to the one before it in its constraint
+    same = ent_cons[1:] == ent_cons[:-1]
+    for a, b in zip(ent_vars[:-1][same].tolist(), ent_vars[1:][same].tolist()):
+        root[find(b)] = find(a)
+    var_label = np.arange(csp.num_vars)
+    var_label[list(root)] = [find(v) for v in root]
+    cons_label = np.full(len(flat.starts), -1)
+    cons_label[ent_cons] = var_label[ent_vars]
+    return var_label, cons_label
 
 
 def compute_measures(csp: AtomicCsp) -> Measures:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import STAR, AtomicConstraint, AtomicCsp, FlatCsp, ProjectedCsp
+from .core import STAR, AtomicConstraint, AtomicCsp, FlatCsp
 from .errors import BudgetError, ConditionsError, InvariantError
 
 # Stream labels.
@@ -34,10 +34,6 @@ LABEL_TENSOR = 3       # tensorization randomness
 _TIME_OFFSET = 1 << 62
 
 DEFAULT_REJECTION_CAP = 10**7
-# Rejection attempts per batch: the first batch, and the most deviates one
-# batch may read.
-_FIRST_BATCH = 16
-_BATCH_DEVIATES = 1 << 16
 DEFAULT_TERM_BUDGET = 2**24
 
 #: Slack for floating point comparisons of probabilities.
@@ -64,9 +60,9 @@ class RandomnessTape:
     independent Philox keys.
 
     - Chain deviates (label 0) are keyed by absolute time: the deviate of
-      time t sits at counter position t, so a whole horizon's deviates come
-      from one vectorized call and doubling the horizon replays the shared
-      suffix exactly.
+      time t is output t + 2^62 of the label's stream, so a whole horizon's
+      deviates come from one vectorized call and doubling the horizon
+      replays the shared suffix exactly.
     - Every other draw comes from a ``TapeStream``: one generator at address
       (t, label), read in order.
     """
@@ -75,22 +71,25 @@ class RandomnessTape:
         self.master_seed = int(master_seed) & (2**64 - 1)
 
     def _generator(self, label: int, position: int) -> Generator:
-        bg = Philox(key=np.array([self.master_seed, label], dtype=np.uint64))
-        bg.advance(position)
-        return Generator(bg)
+        return Generator(Philox(
+            key=np.array([self.master_seed, label], dtype=np.uint64),
+            counter=position))
 
     def uniform(self, t: int) -> float:
         """The chain deviate of time t."""
         return float(self.layered_block(t, t + 1)[0])
 
     def layered_block(self, t_start: int, t_stop: int) -> np.ndarray:
-        """The chain deviates for t in [t_start, t_stop), batched.
+        """The chain deviates for t in [t_start, t_stop), batched: one
+        output each, read in order.
 
-        One counter position yields four 64-bit outputs, so the per-time
-        deviate is every fourth draw.
+        One counter position yields four 64-bit outputs, so the generator
+        starts at position (t_start + 2^62) // 4 and skips t_start % 4
+        outputs.
         """
-        g = self._generator(LABEL_LAYERED, t_start + _TIME_OFFSET)
-        return g.random(4 * (t_stop - t_start))[::4].copy()
+        skip = t_start % 4
+        g = self._generator(LABEL_LAYERED, (t_start + _TIME_OFFSET) // 4)
+        return g.random(skip + t_stop - t_start)[skip:]
 
     def stream(self, t: int, label: int) -> "TapeStream":
         return TapeStream(self, t, label)
@@ -124,12 +123,6 @@ class TapeStream:
         if len(head) == k:
             return np.array(head, dtype=np.float64)
         return np.concatenate((head, self._gen.random(k - len(head))))
-
-    def put_back(self, u: np.ndarray) -> None:
-        """Return the last ``len(u)`` deviates read, unused: the next reads
-        give them again, in order."""
-        self._buf = u.tolist() + self._buf[self._buf_pos:]
-        self._buf_pos = 0
 
 
 @dataclass(frozen=True)
@@ -197,9 +190,8 @@ def product_draw(flat: FlatCsp, free: np.ndarray,
                  u: np.ndarray) -> np.ndarray:
     """Values of the variables ``free`` from their product law, one deviate
     each: a deviate x gives the first value whose cumulative weight exceeds
-    x (the top value when none does).  ``u`` holds one row of ``len(free)``
-    deviates per draw.  One pass per column of ``flat.cum_table``: one for
-    binary domains."""
+    x (the top value when none does).  One pass per column of
+    ``flat.cum_table``: one for binary domains."""
     spec = flat.spec_of[free]
     out = np.zeros(u.shape, dtype=np.int64)
     for column in flat.cum_table.T:
@@ -207,40 +199,53 @@ def product_draw(flat: FlatCsp, free: np.ndarray,
     return out
 
 
-def rejection_sampling(projected: ProjectedCsp, stream: TapeStream,
-                       cap: int = DEFAULT_REJECTION_CAP):
-    """Repeatedly draw the free variables from their product law until the
-    draw satisfies every projected constraint.
+def rejection_sampling(csp: AtomicCsp, values: np.ndarray, labels,
+                       stream: TapeStream, cap: int = DEFAULT_REJECTION_CAP):
+    """Fill the STAR entries of ``values`` (-1 = STAR) in place from their
+    product law until no constraint of their components is violated, every
+    component rejection-sampled at once, in lockstep.
 
-    Attempts are drawn in batches, one row per attempt with the free
-    variables ascending, and the deviates after the accepted attempt go back
-    to the stream: it is read exactly as by one attempt at a time.
+    ``labels`` is ``split_components``'s pair: a component per variable and
+    per constraint.  The first attempt draws every STAR variable, ascending,
+    in one read of the stream; each later one redraws, in one ascending
+    read, every variable of the components with a violated constraint, and
+    checks only their constraints.  Which deviates a component reads depends
+    only on outcomes already revealed, so its attempts are i.i.d. product
+    draws that stop at its first success, independently of the other
+    components.
 
-    Returns (values_by_free_var: dict, attempts).
+    Returns (values, attempts summed over the components with a
+    constraint); a variable in no constraint is drawn once and counts no
+    attempt.  A component that needs more than ``cap`` attempts raises
+    ``BudgetError``.
     """
-    free, cols, fals, starts = projected.arrays
-    flat = projected.parent.flat
-    size = len(free)
-    rows = _FIRST_BATCH
-    done = 0
-    while done < cap:
-        rows = min(rows, cap - done)
-        u = stream.uniforms(rows * size).reshape(rows, size)
-        draw = product_draw(flat, free, u)
-        r = 0
-        if projected.constraints:
-            bad = np.logical_and.reduceat(draw[:, cols] == fals, starts,
-                                          axis=1).any(axis=1)
-            r = int(bad.argmin())
-            if bad[r]:
-                done += rows
-                rows = min(2 * rows, max(1, _BATCH_DEVIATES // size))
-                continue
-        stream.put_back(u[r + 1:].ravel())
-        return dict(zip(projected.free_vars, draw[r].tolist())), done + r + 1
-    raise BudgetError(
-        f"rejection sampling exceeded {cap} attempts; instance is likely "
-        "outside the sampler's regime")
+    flat = csp.flat
+    var_label, cons_label = labels
+    draw = np.flatnonzero(values == STAR)
+    # the components with a constraint to satisfy, and their entries
+    pending = len(np.unique(cons_label[cons_label >= 0]))
+    if pending:
+        entries = np.flatnonzero(cons_label[flat.entry_cons] >= 0)
+    attempts = rounds = 0
+    while True:
+        values[draw] = product_draw(flat, draw, stream.uniforms(len(draw)))
+        attempts += pending
+        rounds += 1
+        if not pending:
+            return values, attempts
+        cons = flat.entry_cons[entries]
+        first = np.flatnonzero(np.diff(cons, prepend=-1))
+        hit = values[flat.cons_vars[entries]] == flat.cons_fals[entries]
+        violated = cons[first][np.logical_and.reduceat(hit, first)]
+        bad = np.zeros(len(var_label), dtype=bool)
+        bad[cons_label[violated]] = True
+        pending = int(bad.sum())
+        if pending and rounds == cap:
+            raise BudgetError(
+                f"rejection sampling exceeded {cap} attempts; instance is "
+                "likely outside the sampler's regime")
+        draw = draw[bad[var_label[draw]]]
+        entries = entries[bad[cons_label[cons]]]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ variables.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,7 @@ import numpy as np
 from .core import STAR, AtomicCsp, split_components
 from .errors import BudgetError, InvariantError
 from .kernels import (LABEL_REJECTION, RandomnessTape, UpdateContext,
-                      chain_steps, product_draw, rejection_sampling,
-                      update_context)
+                      chain_steps, rejection_sampling, update_context)
 from .marking import Marking, check_theorem_conditions
 
 DEFAULT_HORIZON_CAP = 2**30
@@ -83,53 +81,26 @@ def final_sampling(csp: AtomicCsp, m: Marking, state: np.ndarray,
     a full solution.
 
     With no marked STAR left, the constraints that are still falsifiable tie
-    unmarked STAR variables only, and split the projection into components.
-    They are rejection-sampled in turn, ascending by smallest variable, from
-    one rejection stream of the seed's tape.  A variable in no falsifiable
-    constraint is a component on its own, accepted at its first attempt, so
-    each run of such variables is drawn from one read of the stream.  The
-    components are disjoint and each rejection loop stops at a stopping time
-    of the stream's i.i.d. deviates, so the components stay independent and
-    each is exact.  Returns (assignment array, total rejection attempts).
+    unmarked STAR variables only.  Their components (``split_components``;
+    a variable in no such constraint is one on its own) are
+    rejection-sampled all at once, in lockstep, from one rejection stream of
+    the seed's tape (``rejection_sampling``).  Returns (assignment array,
+    rejection attempts of the components with a falsifiable constraint).
     """
     values = state.copy()
     star = values == STAR
     if (star & m.mask).any():
         raise InvariantError("final sampling requires a coalesced state")
-    stream = RandomnessTape(seed).stream(0, LABEL_REJECTION)
     flat = csp.flat
     # the STAR entries of the constraints still falsifiable
     on_star = star[flat.cons_vars]
     falsifiable = np.logical_and.reduceat(
         on_star | (values[flat.cons_vars] == flat.cons_fals), flat.starts)
     live = on_star & falsifiable[flat.entry_cons]
-    loose = np.flatnonzero(star)
-    pos = 0
-    attempts = 0
-
-    def draw_loose(stop):
-        nonlocal pos, attempts
-        if stop > pos:
-            run = loose[pos:stop]
-            values[run] = product_draw(flat, run, stream.uniforms(len(run)))
-            attempts += stop - pos
-            pos = stop
-
-    if live.any():
-        tied = np.zeros_like(star)
-        tied[flat.cons_vars[live]] = True
-        loose = loose[~tied[loose]]
-        loose_list = loose.tolist()
-        # with nothing fixed, the components are the instance's own
-        comps = (csp.free_components if star.all()
-                 else split_components(csp, live))
-        for projected in comps:
-            draw_loose(bisect_left(loose_list, projected.free_vars[0]))
-            draw, k = rejection_sampling(projected, stream)
-            attempts += k
-            values[list(draw)] = list(draw.values())
-    draw_loose(len(loose))
-    return values, attempts
+    # with nothing fixed, the components are the instance's own
+    labels = csp.free_labels if star.all() else split_components(csp, live)
+    return rejection_sampling(csp, values, labels,
+                              RandomnessTape(seed).stream(0, LABEL_REJECTION))
 
 
 def start_horizon(m: Marking) -> int:

@@ -9,20 +9,21 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from scipy import stats
 
 from lllsampler import (AtomicConstraint, AtomicCsp, HypergraphInstance,
-                        Marking, ProjectedCsp, STAR,
-                        VariableSpec, bounding_chain, check_bounding_invariant,
-                        check_theorem_conditions, coalescence_experiment,
-                        compute_measures, construct_marking_binary,
+                        Marking, STAR, VariableSpec, bounding_chain,
+                        check_bounding_invariant, check_theorem_conditions,
+                        coalescence_experiment, compute_measures,
+                        construct_marking_binary,
                         construct_marking_uniform_binary, derive_seed,
-                        exact_component_marginal, huffman_tensorize,
-                        rejection_sampling, sample, tensorize, trans,
+                        exact_component_marginal, final_sampling,
+                        huffman_tensorize, sample, tensorize, trans,
                         tv_distance, verify_numeric_facts)
 from lllsampler.cli import PipelineConfig, prepare_pipeline, run
-from lllsampler.kernels import LABEL_REJECTION, RandomnessTape, component
+from lllsampler.kernels import component
 from lllsampler.marking import (DEFAULT_ZETA, UNIFORM_ETA, UNIFORM_TAU1,
                                 UNIFORM_TAU2, binary_gamma)
 from lllsampler.verify import enumerate_law
@@ -241,17 +242,15 @@ def test_criterion_5_oracle_equivalences():
     csp, m = weighted8()
     sigma = [STAR, 0, 0, 0, 0, STAR, STAR, STAR]
     comp = component(csp, m.marked, sigma, 0)
-    projected = ProjectedCsp(parent=csp, free_vars=comp.component_vars,
-                             constraints=comp.projected)
     law = component_joint_law(csp, comp)
-    tape = RandomnessTape(44)
+    # the empty marking: final sampling rejection-samples the component
+    state, empty = np.array(sigma), Marking.empty(8)
     num = 100_000
     counts = {}
-    order = comp.component_vars
+    order = list(comp.component_vars)
     for i in range(num):
-        draw, _ = rejection_sampling(projected,
-                                     tape.stream(i, LABEL_REJECTION))
-        key = tuple(draw[v] for v in order)
+        values, _ = final_sampling(csp, empty, state, derive_seed(44, i))
+        key = tuple(values[order].tolist())
         counts[key] = counts.get(key, 0) + 1
     tv = tv_distance({k: c / num for k, c in counts.items()}, law)
     rej_ok = tv <= 0.02

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lllsampler.marking
+import lllsampler.verify
 from lllsampler import STAR, HypergraphInstance, emit_csp
 from lllsampler.cli import (PipelineConfig, pipeline_binary, prepare_pipeline,
                            run)
@@ -112,6 +113,24 @@ def test_verify_small_instance(cnf_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"]
     assert report["containment_violations"] == 0
+
+
+def test_verify_enumerates_law_once(cnf_file, capsys, monkeypatch):
+    # the binary pipeline samples the instance itself: one enumeration
+    # serves the TV check and the bounding invariant
+    calls = []
+    enumerate_law = lllsampler.verify.enumerate_law
+
+    def counting(csp, *args, **kwargs):
+        calls.append(csp)
+        return enumerate_law(csp, *args, **kwargs)
+
+    monkeypatch.setattr(lllsampler.verify, "enumerate_law", counting)
+    assert run(["verify", "--input", cnf_file, "--format", "dimacs",
+                "--pipeline", "binary", "--force", "--num", "200",
+                "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert len(calls) == 1
 
 
 def test_verify_exit_5_on_wrong_law(cnf_file, capsys, monkeypatch):

@@ -42,15 +42,15 @@ CASES = {
     "binary": (
         binary_regime_instance(1.0),
         PipelineConfig("-", "csp", "binary", seed=SEED), False,
-        "cd3c4de48b0589e28b588bc917e55a808644cb6fd032bd570deb4f9aa8b87272"),
+        "447d6943b8282d73358825aca43a5e24aa22f1e06fba12aa889d04d0f78ed578"),
     "general": (
         weighted_ternary(),
         PipelineConfig("-", "csp", "general", seed=SEED), False,
-        "3a3e80229a86ef2deff7155f7f03db79c1d05f76a6458539e108150185548b4c"),
+        "9832227e9dc57d7d7e3c7f67966d0f014940c2efa959ddb4e97822a79018b246"),
     "uniform": (
         uniform_octal(),
         PipelineConfig("-", "csp", "uniform", seed=SEED), False,
-        "0b5c224c9c6c1c2d90db09ebc2a1b42c900925bc175739bad55ab6a7ad8841c4"),
+        "8571ae24da79db17fb812e7694e04436c9a1f953a6da55be708394bc0cb7e6c4"),
     # In-regime coloring needs thousands of chain variables; the forced
     # small instance still runs tensorization and the back-map.
     "coloring": (

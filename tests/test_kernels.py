@@ -9,10 +9,9 @@ from numpy.random import Generator, Philox
 
 from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError,
                         ConditionsError, InvariantError, Marking,
-                        ProjectedCsp, RandomnessTape, STAR,
-                        VariableSpec, component, compute_constants,
-                        coupled_update, derive_seed, exact_component_marginal,
-                        rejection_sampling, safe_pmf)
+                        RandomnessTape, STAR, VariableSpec, component,
+                        compute_constants, coupled_update, derive_seed,
+                        exact_component_marginal, final_sampling, safe_pmf)
 from lllsampler.kernels import (LABEL_REJECTION, UpdateContext, _enum_marginal,
                                 _ie_marginal, _update_in_place)
 
@@ -44,6 +43,17 @@ def test_layered_block_matches_pointwise():
     # doubled horizon shares the suffix exactly
     block2 = tape.layered_block(-20, 0)
     assert np.array_equal(block2[10:], block)
+
+
+def test_layered_block_is_window_stable():
+    # every window ending at b is a suffix of every longer one, whatever
+    # its start's offset within a Philox counter position
+    tape = RandomnessTape(6)
+    b = 20
+    blocks = {a: tape.layered_block(a, b) for a in range(-20, b)}
+    for a, block in blocks.items():
+        for a2 in range(-20, a + 1):
+            assert np.array_equal(blocks[a2][a - a2:], block), (a2, a)
 
 
 def test_stream_is_prefix_stable():
@@ -159,18 +169,19 @@ def test_marginal_paths_agree_with_oracle():
 
 
 def test_rejection_sampling_law():
+    # with the empty marking, final sampling rejection-samples the component
+    # {0, 5, 6, 7} of the fixed variables 1-4
     csp, m = weighted8()
     sigma = [STAR, 0, 0, 0, 0, STAR, STAR, STAR]
     comp = component(csp, m.marked, sigma, 0)
-    projected = ProjectedCsp(parent=csp, free_vars=comp.component_vars,
-                             constraints=comp.projected)
     expect = brute_component_marginal(csp, comp, 0)
-    tape = RandomnessTape(31)
+    state = np.array(sigma)
     counts = [0, 0]
     n = 20000
     for i in range(n):
-        draw, _ = rejection_sampling(projected, tape.stream(i, LABEL_REJECTION))
-        counts[draw[0]] += 1
+        values, _ = final_sampling(csp, Marking.empty(8), state,
+                                   derive_seed(31, i))
+        counts[values[0]] += 1
     for q in range(2):
         assert counts[q] / n == pytest.approx(expect[q], abs=0.02)
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError,
-                        InvariantError, Marking, ProjectedCsp,
-                        RandomnessTape, STAR, VariableSpec,
-                        bounding_chain, component, derive_seed,
+                        InvariantError, Marking, RandomnessTape, STAR,
+                        VariableSpec, bounding_chain, component, derive_seed,
                         final_sampling, rejection_sampling, sample,
                         systematic_scan)
 from lllsampler.kernels import (LABEL_REJECTION, TapeStream, UpdateContext,
@@ -144,43 +143,35 @@ def test_scan_preserves_stationary_law():
     assert tv_distance(empirical, law.as_dict()) < 0.08
 
 
-# --- reference final sampling: one BFS component per STAR variable, and a
-# rejection loop that draws one attempt, one variable at a time -------------
+# --- reference final sampling: one BFS component per STAR variable, all
+# drawn in lockstep, one deviate per redrawn variable ----------------------
 
-def reference_rejection(projected, stream, cap=10**7):
-    specs = [projected.parent.vars[v] for v in projected.free_vars]
-    cums = [list(itertools.accumulate(s.weights)) for s in specs]
-    index = {v: i for i, v in enumerate(projected.free_vars)}
-    cons = [(tuple(index[v] for v in c.vbl), c.falsifying)
-            for c in projected.constraints]
-    for attempt in range(1, cap + 1):
-        draw = [min(bisect_right(cw, stream.next_uniform()), len(cw) - 1)
-                for cw in cums]
-        if not any(all(draw[i] == q for i, q in zip(vbl, fals))
-                   for vbl, fals in cons):
-            return ({v: draw[index[v]] for v in projected.free_vars},
-                    attempt)
-    raise BudgetError("reference rejection exceeded its cap")
-
-
-def reference_final_sampling(csp, m, sigma_marked, seed):
+def reference_final_sampling(csp, m, sigma_marked, stream):
     values = list(sigma_marked)
     for v in range(csp.num_vars):
         if m.marked[v] and values[v] == STAR:
             raise InvariantError("final sampling requires a coalesced state")
-    stream = RandomnessTape(seed).stream(0, LABEL_REJECTION)
-    attempts = 0
+    comps = []
+    seen = set()
     for v in range(csp.num_vars):
-        if values[v] != STAR:
-            continue
-        comp = component(csp, m.marked, values, v)
-        assert comp.token
-        projected = ProjectedCsp(parent=csp, free_vars=comp.component_vars,
-                                 constraints=comp.projected)
-        draw, n = reference_rejection(projected, stream)
-        attempts += n
-        for w, q in draw.items():
-            values[w] = q
+        if values[v] == STAR and v not in seen:
+            comp = component(csp, m.marked, values, v)
+            assert comp.token
+            seen.update(comp.component_vars)
+            comps.append(comp)
+    cums = [list(itertools.accumulate(s.weights)) for s in csp.vars]
+    pending = comps
+    attempts = 0
+    while pending:
+        attempts += sum(1 for comp in pending if comp.projected)
+        for v in sorted(w for comp in pending for w in comp.component_vars):
+            cw = cums[v]
+            values[v] = min(bisect_right(cw, stream.next_uniform()),
+                            len(cw) - 1)
+        pending = [comp for comp in pending
+                   if any(all(values[w] == q
+                              for w, q in zip(c.vbl, c.falsifying))
+                          for c in comp.projected)]
     return values, attempts
 
 
@@ -209,7 +200,8 @@ def interleaved_3cnf(seed, blocks=4, size=6, clauses=5):
 
 def test_final_sampling_matches_per_variable_reference():
     # singleton variables mixed with multi-variable components, in every
-    # interleaving order; the draws and the attempt totals must agree
+    # interleaving order; the draws and the attempt totals must agree with
+    # the lockstep reference
     rng = random.Random(8)
     cases = [weighted8(), overlap18(), uniform20()]
     cases += [interleaved_3cnf(s) for s in range(6)]
@@ -222,11 +214,13 @@ def test_final_sampling_matches_per_variable_reference():
                 for v in range(csp.num_vars)]
             values, attempts = final_sampling(csp, m, np.array(state), seed)
             got = values.tolist(), attempts
-            assert got == reference_final_sampling(csp, m, state, seed)
+            assert got == reference_final_sampling(
+                csp, m, state, RandomnessTape(seed).stream(0, LABEL_REJECTION))
             assert values.dtype == np.int64
-            comps = {component(csp, m.marked, state, v).component_vars
-                     for v in range(csp.num_vars) if state[v] == STAR}
-            rejected += got[1] > len(comps)
+            comps = [component(csp, m.marked, state, v)
+                     for v in range(csp.num_vars) if state[v] == STAR]
+            constrained = {c.component_vars for c in comps if c.projected}
+            rejected += got[1] > len(constrained)
     assert rejected > 50  # many draws rejected some attempt
 
 
@@ -258,15 +252,13 @@ def test_start_horizon_matches_doubling_from_one():
                 assert got == expect, (n, seed, cap)
 
 
-def test_stream_batched_read_and_put_back():
+def test_stream_batched_read():
     tape = RandomnessTape(21)
     contiguous = tape.stream(2, LABEL_REJECTION).uniforms(500).tolist()
     s = tape.stream(2, LABEL_REJECTION)
     got = [s.next_uniform() for _ in range(5)]
     for k in (0, 3, 70, 1, 130):
-        u = s.uniforms(k)
-        s.put_back(u[k // 3:])
-        got += u[:k // 3].tolist()
+        got += s.uniforms(k).tolist()
         got.append(s.next_uniform())
     got += s.uniforms(500 - len(got)).tolist()
     assert got == contiguous
@@ -279,23 +271,24 @@ def test_rejection_cap_is_exact():
                     [AtomicConstraint((0, 1), (0, 0)),
                      AtomicConstraint((0, 1), (0, 1)),
                      AtomicConstraint((1, 0), (0, 1))])
-    projected = ProjectedCsp(parent=csp, free_vars=(0, 1, 2),
-                             constraints=csp.constraints)
+    empty = Marking.empty(3)
     tape = RandomnessTape(5)
+
+    def draw(t, **cap):
+        return rejection_sampling(csp, np.full(3, STAR), csp.free_labels,
+                                  tape.stream(t, LABEL_REJECTION), **cap)
+
     seen = set()
     for t in range(100):
-        draw, need = rejection_sampling(projected,
-                                        tape.stream(t, LABEL_REJECTION))
-        assert (draw, need) == reference_rejection(
-            projected, tape.stream(t, LABEL_REJECTION))
+        values, need = draw(t)
+        assert (values.tolist(), need) == reference_final_sampling(
+            csp, empty, [STAR] * 3, tape.stream(t, LABEL_REJECTION))
         if need > 1 and need not in seen:
             seen.add(need)
-            assert rejection_sampling(
-                projected, tape.stream(t, LABEL_REJECTION), cap=need) == (
-                    draw, need)
+            got, k = draw(t, cap=need)
+            assert (got.tolist(), k) == (values.tolist(), need)
             with pytest.raises(BudgetError):
-                rejection_sampling(projected, tape.stream(t, LABEL_REJECTION),
-                                   cap=need - 1)
+                draw(t, cap=need - 1)
     assert len(seen) >= 5
 
 
