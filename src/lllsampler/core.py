@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidInstanceError, UnsatisfiableInstanceError
 
@@ -22,6 +23,10 @@ from .errors import InvalidInstanceError, UnsatisfiableInstanceError
 STAR = -1
 
 WEIGHT_SUM_TOL = 1e-12
+
+#: Constraint rows per block of the constraint-adjacency product in
+#: ``compute_measures``, which bounds its memory by this many rows of Delta.
+_DELTA_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -81,13 +86,6 @@ class AtomicCsp:
                 if not 0 <= q < self.vars[v].domain_size:
                     raise InvalidInstanceError(
                         f"falsifying value {q} outside domain of variable {v}")
-        # var -> indices of constraints containing it
-        occ: list[list[int]] = [[] for _ in self.vars]
-        for ci, c in enumerate(self.constraints):
-            for v in c.vbl:
-                occ[v].append(ci)
-        self.var_constraints: tuple[tuple[int, ...], ...] = tuple(
-            tuple(x) for x in occ)
         # Marking -> marking.MarkingConstants, filled by marking.constants
         self.constants_memo: dict = {}
         # (Marking, budget) -> kernels.UpdateContext, filled by
@@ -146,7 +144,9 @@ class Measures:
 @dataclass(frozen=True, eq=False)
 class FlatCsp:
     """An instance as flat arrays: the constraints' variables and falsifying
-    values concatenated in constraint order, and one row of cumulative
+    values concatenated in constraint order, the same incidence indexed by
+    variable (CSR: variable v's constraints, ascending, are
+    ``var_cons[var_ptr[v]:var_ptr[v + 1]]``), and one row of cumulative
     weights per distinct ``VariableSpec``.
 
     Row g of ``cum_table`` holds spec g's running sums of weights but the
@@ -159,6 +159,8 @@ class FlatCsp:
     cons_fals: np.ndarray    # falsifying value of each entry
     starts: np.ndarray       # offset of each constraint's first entry
     entry_cons: np.ndarray   # constraint of each entry
+    var_ptr: np.ndarray      # offset of each variable's first constraint
+    var_cons: np.ndarray     # constraints of each variable, concatenated
     spec_of: np.ndarray      # per variable, its row of ``cum_table``
     cum_table: np.ndarray
 
@@ -175,6 +177,9 @@ def flatten(csp: AtomicCsp) -> FlatCsp:
         np.int64, total)
     starts = np.cumsum(arity) - arity
     entry_cons = np.repeat(np.arange(len(arity)), arity)
+    by_var = np.argsort(cons_vars, kind="stable")
+    var_ptr = np.searchsorted(cons_vars[by_var], np.arange(csp.num_vars + 1))
+    var_cons = entry_cons[by_var]
     index: dict[VariableSpec, int] = {}
     spec_of = np.fromiter((index.setdefault(s, len(index)) for s in csp.vars),
                           np.int64, csp.num_vars)
@@ -184,8 +189,8 @@ def flatten(csp: AtomicCsp) -> FlatCsp:
         # summed left to right, one weight at a time
         cum_table[g, :s.domain_size - 1] = list(
             itertools.accumulate(s.weights))[:-1]
-    return FlatCsp(cons_vars, cons_fals, starts, entry_cons, spec_of,
-                   cum_table)
+    return FlatCsp(cons_vars, cons_fals, starts, entry_cons, var_ptr,
+                   var_cons, spec_of, cum_table)
 
 
 def split_components(csp: AtomicCsp,
@@ -223,14 +228,18 @@ def compute_measures(csp: AtomicCsp) -> Measures:
     kappa = max((max(s.weights) / min(s.weights) for s in csp.vars), default=1.0)
     if not csp.constraints:
         return Measures(k=0, d=0, delta=0, q=q, log_p=-math.inf, kappa=kappa)
-    k = max(len(c.vbl) for c in csp.constraints)
-    d = max(len(x) for x in csp.var_constraints)
-    delta = 0
-    for c in csp.constraints:
-        neigh = set()
-        for v in c.vbl:
-            neigh.update(csp.var_constraints[v])
-        delta = max(delta, len(neigh))
+    flat = csp.flat
+    ends = np.append(flat.starts, len(flat.cons_vars))
+    k = int(np.diff(ends).max())
+    d = int(np.diff(flat.var_ptr).max())
+    # Delta: the row sizes of A @ A.T, A the constraint-variable incidence,
+    # whose transpose is the CSR index
+    ones = np.ones(len(flat.cons_vars), dtype=np.int64)
+    a = sparse.csr_matrix((ones, flat.cons_vars, ends),
+                          shape=(len(flat.starts), csp.num_vars))
+    a_t = sparse.csr_matrix((ones, flat.var_cons, flat.var_ptr))
+    delta = max(int(np.diff((a[i:i + _DELTA_BLOCK] @ a_t).indptr).max())
+                for i in range(0, a.shape[0], _DELTA_BLOCK))
     log_p = max(
         sum(csp.vars[v].log_weights[val] for v, val in zip(c.vbl, c.falsifying))
         for c in csp.constraints)
@@ -242,9 +251,8 @@ def preprocess(csp: AtomicCsp) -> tuple[AtomicCsp, tuple[int, ...]]:
     """Substitute away size-1 domains.
 
     Returns the simplified instance and the surviving original variable
-    indices.  Constraints whose fixed coordinates already break the falsifying
-    assignment are dropped; a constraint entirely pinned to its falsifying
-    assignment makes the instance unsatisfiable.
+    indices.  A constraint entirely pinned to its falsifying assignment makes
+    the instance unsatisfiable.
     """
     keep = tuple(v for v, s in enumerate(csp.vars) if s.domain_size > 1)
     if len(keep) == csp.num_vars:
@@ -252,19 +260,10 @@ def preprocess(csp: AtomicCsp) -> tuple[AtomicCsp, tuple[int, ...]]:
     index = {v: i for i, v in enumerate(keep)}
     new_cons = []
     for c in csp.constraints:
-        pairs = []
-        dropped = False
-        for v, q in zip(c.vbl, c.falsifying):
-            if csp.vars[v].domain_size == 1:
-                if q != 0:
-                    dropped = True  # cannot happen given validation, defensive
-                    break
-                # the fixed value equals the falsifying value: coordinate
-                # is always matched, remove it from the constraint
-            else:
-                pairs.append((index[v], q))
-        if dropped:
-            continue
+        # a size-1 domain's falsifying value is its only value, so its
+        # coordinate always matches and leaves the constraint
+        pairs = [(index[v], q) for v, q in zip(c.vbl, c.falsifying)
+                 if v in index]
         if not pairs:
             raise UnsatisfiableInstanceError(
                 "constraint with all variables fixed to its falsifying values")

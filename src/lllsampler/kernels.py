@@ -150,6 +150,7 @@ def component(csp: AtomicCsp, marked, state, u: int) -> ComponentResult:
     """
     if state[u] != STAR:
         raise InvariantError("component() requires the focal variable be STAR")
+    flat = csp.flat
     in_comp = {u}
     queue = deque([u])
     cons_ids: list[int] = []
@@ -157,7 +158,8 @@ def component(csp: AtomicCsp, marked, state, u: int) -> ComponentResult:
     seen_cons = set()
     while queue:
         v = queue.popleft()
-        for ci in csp.var_constraints[v]:
+        lo, hi = flat.var_ptr[v:v + 2].tolist()
+        for ci in flat.var_cons[lo:hi].tolist():
             if ci in seen_cons:
                 continue
             seen_cons.add(ci)
@@ -382,62 +384,58 @@ def exact_component_marginal(csp: AtomicCsp, comp: ComponentResult, focal: int,
 
 
 class UpdateContext:
-    """Precomputed per-variable data for the coupled update.
+    """Precomputed data for the coupled update under a ``Marking`` m.
 
     Building one of these requires beta to be defined whenever any variable is
-    marked (e*alpha <= 1).  The safe layer is also kept as arrays over the
-    marked variables, ascending (``marked_idx``): each one's safe total, and
-    one row of its safe cumulative sums but the last, padded with +inf.  A
-    safe deviate u0 then gives the value "how many entries of the row are
-    <= u0", which is ``min(bisect_right(cum, u0), len(cum) - 1)``.
+    marked (e*alpha <= 1).  The safe layer has one row per distinct marked
+    ``VariableSpec``, keyed by its index in ``csp.flat.spec_of`` as in
+    ``flat.cum_table``: the safe probabilities, their running sums and the
+    safe total.  It is also kept as arrays over the marked variables,
+    ascending (``marked_idx``): each one's safe total, and one row of its
+    safe cumulative sums but the last, padded with +inf.  A safe deviate u0
+    then gives the value "how many entries of the row are <= u0", which is
+    ``min(bisect_right(cum, u0), len(cum) - 1)``.
     """
 
-    def __init__(self, csp: AtomicCsp, marked, budget: int = DEFAULT_TERM_BUDGET):
-        from .marking import Marking, constants
+    def __init__(self, csp: AtomicCsp, m, budget: int = DEFAULT_TERM_BUDGET):
+        from .marking import constants
         self.csp = csp
-        self.marked = tuple(bool(x) for x in marked)
+        self.marking = m
         self.n = csp.num_vars
         self.budget = budget
-        self.safe_cum: list = [None] * self.n
-        self.safe_probs: list = [None] * self.n
-        self.safe_total: list = [None] * self.n
-        if any(self.marked):
-            consts = constants(csp, Marking(self.marked))
+        self.marked_idx = np.flatnonzero(m.mask)
+        marked_spec = csp.flat.spec_of[self.marked_idx]
+        self.safe_probs, self.safe_cum, self.safe_total = {}, {}, {}
+        if len(self.marked_idx):
+            consts = constants(csp, m)
             if consts.log_beta is None:
                 raise ConditionsError(
                     "e*alpha > 1: beta undefined, chain cannot run")
-            # variables of one spec share one safe pmf
-            by_spec: dict = {}
-            for v in range(self.n):
-                if self.marked[v]:
-                    spec = csp.vars[v]
-                    if spec not in by_spec:
-                        sp = safe_pmf(csp, v, consts.log_beta)
-                        by_spec[spec] = (sp.probs,
-                                         list(itertools.accumulate(sp.probs)),
-                                         1.0 - sp.star)
-                    (self.safe_probs[v], self.safe_cum[v],
-                     self.safe_total[v]) = by_spec[spec]
-        self.marked_idx = np.flatnonzero(
-            np.fromiter(self.marked, dtype=bool, count=self.n))
-        idx = self.marked_idx.tolist()
-        self.marked_total = np.array([self.safe_total[v] for v in idx],
-                                     dtype=np.float64)
-        cums = [self.safe_cum[v] for v in idx]
-        width = max(map(len, cums), default=1) - 1
-        self.marked_cum = np.array(
-            [c[:-1] + [np.inf] * (width + 1 - len(c)) for c in cums],
-            dtype=np.float64).reshape(len(idx), width)
+            # each spec's safe pmf, from its first marked variable
+            specs, first = np.unique(marked_spec, return_index=True)
+            for g, v in zip(specs.tolist(), self.marked_idx[first].tolist()):
+                sp = safe_pmf(csp, v, consts.log_beta)
+                self.safe_probs[g] = sp.probs
+                self.safe_cum[g] = list(itertools.accumulate(sp.probs))
+                self.safe_total[g] = 1.0 - sp.star
+        width = max(map(len, self.safe_cum.values()), default=1) - 1
+        total = np.zeros(len(csp.flat.cum_table))
+        cum = np.full((len(total), width), np.inf)
+        for g, row in self.safe_cum.items():
+            total[g] = self.safe_total[g]
+            cum[g, :len(row) - 1] = row[:-1]
+        self.marked_total = total[marked_spec]
+        self.marked_cum = cum[marked_spec]
 
 
 def update_context(csp: AtomicCsp, m,
                    budget: int = DEFAULT_TERM_BUDGET) -> UpdateContext:
-    """``UpdateContext(csp, m.marked, budget)`` for a ``Marking`` m, built
-    once per (marking, budget) and kept on the instance."""
+    """``UpdateContext(csp, m, budget)`` for a ``Marking`` m, built once per
+    (marking, budget) and kept on the instance."""
     key = (m, budget)
     ctx = csp.context_memo.get(key)
     if ctx is None:
-        ctx = csp.context_memo[key] = UpdateContext(csp, m.marked, budget)
+        ctx = csp.context_memo[key] = UpdateContext(csp, m, budget)
     return ctx
 
 
@@ -445,21 +443,22 @@ def _update_in_place(ctx: UpdateContext, values, t: int, u0: float) -> None:
     """One bounding-chain / scan step at time t, in place, on a state: an
     int64 array or a list of ints, STAR = -1."""
     v = t % ctx.n
-    if not ctx.marked[v]:
+    if not ctx.marking.marked[v]:
         return
     values[v] = STAR
-    cum = ctx.safe_cum[v]
-    if u0 < ctx.safe_total[v]:
+    g = ctx.csp.flat.spec_of[v]
+    cum = ctx.safe_cum[g]
+    if u0 < ctx.safe_total[g]:
         # Shared safe layer: the outcome is the same for every bounded chain,
         # no component computation needed.
         values[v] = min(bisect_right(cum, u0), len(cum) - 1)
         return
-    comp = component(ctx.csp, ctx.marked, values, v)
+    comp = component(ctx.csp, ctx.marking.marked, values, v)
     if not comp.token:
         values[v] = STAR
         return
     dagger = exact_component_marginal(ctx.csp, comp, v, ctx.budget).probs
-    safe = ctx.safe_probs[v]
+    safe = ctx.safe_probs[g]
     for q in range(len(safe)):
         if dagger[q] < safe[q] - _PROB_TOL:
             raise InvariantError(
@@ -467,7 +466,7 @@ def _update_in_place(ctx: UpdateContext, values, t: int, u0: float) -> None:
                 "instance is outside the coupling's valid regime")
     # Residual layer: sub-blocks of length dagger(q) - safe(q) in ascending
     # value order fill the STAR region exactly.
-    x = u0 - ctx.safe_total[v]
+    x = u0 - ctx.safe_total[g]
     q = 0
     while q < len(safe) - 1:
         block = dagger[q] - safe[q]
@@ -514,7 +513,7 @@ def chain_steps(ctx: UpdateContext, state: np.ndarray, t0: int,
         a = b
 
 
-def coupled_update(csp: AtomicCsp, marked, state, t: int,
+def coupled_update(csp: AtomicCsp, m, state, t: int,
                    tape: RandomnessTape,
                    ctx: UpdateContext = None) -> np.ndarray:
     """One monotone coupled step on a state (STAR = -1): returns the updated
@@ -524,8 +523,7 @@ def coupled_update(csp: AtomicCsp, marked, state, t: int,
     chain deviate of time t, so runs over the same tape couple pointwise.
     """
     if ctx is None:
-        from .marking import Marking
-        ctx = update_context(csp, Marking(marked))
+        ctx = update_context(csp, m)
     out = np.array(state, dtype=np.int64)
     _update_in_place(ctx, out, t, tape.uniform(t))
     return out

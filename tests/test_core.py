@@ -1,11 +1,13 @@
 import ast
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from lllsampler import core
 from lllsampler import (AtomicConstraint, AtomicCsp, InvalidInstanceError,
                         STAR, UnsatisfiableInstanceError, VariableSpec,
                         component, compute_measures, preprocess)
@@ -29,8 +31,24 @@ def test_constraint_validation():
         AtomicConstraint((), ())
     with pytest.raises(InvalidInstanceError):
         AtomicConstraint((0, 0), (1, 1))
-    with pytest.raises(InvalidInstanceError):
+    with pytest.raises(
+            InvalidInstanceError,
+            match="falsifying value 2 outside domain of variable 0"):
         AtomicCsp([VariableSpec.uniform(2)], [AtomicConstraint((0,), (2,))])
+    # numpy fancy indexing would wrap a negative index silently
+    with pytest.raises(InvalidInstanceError,
+                       match="variable index -1 out of range"):
+        AtomicCsp([VariableSpec.uniform(2)] * 2,
+                  [AtomicConstraint((0, -1), (0, 0))])
+    with pytest.raises(InvalidInstanceError,
+                       match="variable index 2 out of range"):
+        AtomicCsp([VariableSpec.uniform(2)] * 2,
+                  [AtomicConstraint((0, 2), (0, 0))])
+    with pytest.raises(
+            InvalidInstanceError,
+            match="falsifying value -1 outside domain of variable 1"):
+        AtomicCsp([VariableSpec.uniform(2)] * 2,
+                  [AtomicConstraint((0, 1), (0, -1))])
 
 
 def test_measures_mixed():
@@ -55,6 +73,59 @@ def test_measures_constraint_free():
     m = compute_measures(csp)
     assert (m.k, m.d, m.delta) == (0, 0, 0)
     assert m.log_p == -math.inf
+
+
+def reference_measures(csp):
+    """(k, d, delta) by a scan of the constraints: delta is the largest
+    number of constraints sharing a variable with one, itself included."""
+    if not csp.constraints:
+        return 0, 0, 0
+    occ = [[] for _ in csp.vars]
+    for ci, c in enumerate(csp.constraints):
+        for v in c.vbl:
+            occ[v].append(ci)
+    delta = 0
+    for c in csp.constraints:
+        neigh = set()
+        for v in c.vbl:
+            neigh.update(occ[v])
+        delta = max(delta, len(neigh))
+    return (max(len(c.vbl) for c in csp.constraints),
+            max(len(x) for x in occ), delta)
+
+
+@st.composite
+def random_instances(draw):
+    """Random instances, constraint-free ones and variables in no
+    constraint included."""
+    n = draw(st.integers(1, 8))
+    cons = [AtomicConstraint(tuple(vbl), (0,) * len(vbl))
+            for vbl in draw(st.lists(
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                         unique=True), max_size=10))]
+    return AtomicCsp([VariableSpec.uniform(2)] * n, cons)
+
+
+def more_constraints_than_a_block():
+    rng = random.Random(0)
+    n = 300
+    cons = []
+    for _ in range(core._DELTA_BLOCK + 500):
+        vbl = tuple(rng.sample(range(n), rng.randint(1, 4)))
+        cons.append(AtomicConstraint(vbl, (0,) * len(vbl)))
+    return AtomicCsp([VariableSpec.uniform(2)] * (n + 5), cons)
+
+
+@given(random_instances())
+@example(more_constraints_than_a_block())
+def test_csr_index_and_measures_match_a_constraint_scan(csp):
+    f = csp.flat
+    for v in range(csp.num_vars):
+        row = f.var_cons[f.var_ptr[v]:f.var_ptr[v + 1]].tolist()
+        assert row == [ci for ci, c in enumerate(csp.constraints)
+                       if v in c.vbl]
+    m = compute_measures(csp)
+    assert (m.k, m.d, m.delta) == reference_measures(csp)
 
 
 def test_falsifiable_and_projection():

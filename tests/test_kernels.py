@@ -12,6 +12,7 @@ from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError,
                         RandomnessTape, STAR, VariableSpec, component,
                         compute_constants, coupled_update, derive_seed,
                         exact_component_marginal, final_sampling, safe_pmf)
+from lllsampler import kernels
 from lllsampler.kernels import (LABEL_REJECTION, UpdateContext, _enum_marginal,
                                 _ie_marginal, _update_in_place)
 
@@ -190,17 +191,17 @@ def test_update_consumes_single_layered_deviate():
     csp, m = weighted8()
     tape = RandomnessTape(17)
     state = [STAR] * 8
-    out1 = coupled_update(csp, m.marked, state, 3, tape)
-    out2 = coupled_update(csp, m.marked, state, 3, tape)
+    out1 = coupled_update(csp, m, state, 3, tape)
+    out2 = coupled_update(csp, m, state, 3, tape)
     assert out1.tolist() == out2.tolist()  # pure in the tape
     # unmarked slot is a no-op
-    out = coupled_update(csp, m.marked, state, 5, tape)
+    out = coupled_update(csp, m, state, 5, tape)
     assert out.tolist() == state
 
 
 def test_update_monotone_on_random_pairs():
     csp, m = weighted8()
-    ctx = UpdateContext(csp, m.marked)
+    ctx = UpdateContext(csp, m)
     rng = random.Random(5)
     for trial in range(500):
         refined = []
@@ -216,8 +217,8 @@ def test_update_monotone_on_random_pairs():
             loose.append(STAR if rng.random() < 0.4 else x)
         t = rng.randrange(-40, 40)
         tape = RandomnessTape(rng.randrange(2 ** 32))
-        s1 = coupled_update(csp, m.marked, refined, t, tape, ctx)
-        s2 = coupled_update(csp, m.marked, loose, t, tape, ctx)
+        s1 = coupled_update(csp, m, refined, t, tape, ctx)
+        s2 = coupled_update(csp, m, loose, t, tape, ctx)
         for a, b in zip(s1.tolist(), s2.tolist()):
             assert b == STAR or a == b
 
@@ -239,7 +240,7 @@ def test_list_and_array_states_agree():
         csp = random_csp(rng)
         marked = [rng.random() < 0.5 for _ in range(csp.num_vars)]
         try:
-            ctx = UpdateContext(csp, marked)
+            ctx = UpdateContext(csp, Marking(marked))
         except ConditionsError:
             continue
         contexts += 1
@@ -258,14 +259,15 @@ def test_list_and_array_states_agree():
             t = rng.randrange(-50, 50)
             u0 = rng.random()
             v = t % csp.num_vars
-            residual += marked[v] and u0 >= ctx.safe_total[v]
+            residual += (marked[v]
+                         and u0 >= ctx.safe_total[csp.flat.spec_of[v]])
             a, b = list(before), arr.copy()
             assert outcome(_update_in_place, ctx, a, t, u0) == outcome(
                 _update_in_place, ctx, b, t, u0)
             assert a == b.tolist()
 
             def update(state):
-                return coupled_update(csp, marked, state, t, tape,
+                return coupled_update(csp, ctx.marking, state, t, tape,
                                       ctx).tolist()
 
             assert outcome(update, lst) == outcome(update, arr)
@@ -274,7 +276,7 @@ def test_list_and_array_states_agree():
     assert tokens > 100 and residual > 50
 
 
-def test_safe_table_matches_clamped_bisect():
+def test_safe_table_matches_clamped_bisect(monkeypatch):
     # mixed domain sizes pad the rows with +inf; the deviates sit on, just
     # below and just above every cumulative sum, and at both ends of [0, 1)
     specs = [VariableSpec(2, (0.3, 0.7)), VariableSpec(3, (0.2, 0.3, 0.5)),
@@ -283,13 +285,26 @@ def test_safe_table_matches_clamped_bisect():
                                                    (0,) * 9)])
     cases = [weighted8(), ternary9(),
              (mixed, Marking.from_indices(9, range(6)))]
-    for csp, m in cases:
-        ctx = UpdateContext(csp, m.marked)
+    calls = []
+
+    def counting_safe_pmf(*args):
+        calls.append(args[1])
+        return safe_pmf(*args)
+
+    monkeypatch.setattr(kernels, "safe_pmf", counting_safe_pmf)
+    for (csp, m), pmfs in zip(cases, (1, 1, 3)):
+        calls.clear()
+        ctx = UpdateContext(csp, m)
+        # one safe pmf per distinct marked spec
+        assert len(calls) == pmfs
         assert ctx.marked_idx.tolist() == list(m.indices())
+        log_beta = compute_constants(csp, m).log_beta
         for i, v in enumerate(m.indices()):
-            cum = ctx.safe_cum[v]
-            assert ctx.marked_total[i] == ctx.safe_total[v]
-            grid = {0.0, math.nextafter(1.0, 0.0), ctx.safe_total[v]}
+            sp = safe_pmf(csp, v, log_beta)
+            cum = list(itertools.accumulate(sp.probs))
+            total = 1.0 - sp.star
+            assert ctx.marked_total[i] == total
+            grid = {0.0, math.nextafter(1.0, 0.0), total}
             for c in cum:
                 grid |= {c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)}
             for u0 in grid:

@@ -307,20 +307,20 @@ def reference_steps(ctx, values, seed, start, stop):
 
 
 def reference_bounding_chain(csp, m, T, seed):
-    values = reference_steps(UpdateContext(csp, m.marked),
+    values = reference_steps(UpdateContext(csp, m),
                              [STAR] * csp.num_vars, seed, -T, 0)
     return values, all(values[v] != STAR for v in m.indices())
 
 
 def residual_slots_per_sweep(csp, m, T, seed):
     """The most residual-layer slots in one sweep of [-T, 0)."""
-    ctx = UpdateContext(csp, m.marked)
+    ctx = UpdateContext(csp, m)
     n = csp.num_vars
     u0s = RandomnessTape(seed).layered_block(-T, 0)
     per_sweep = {}
     for i, t in enumerate(range(-T, 0)):
         v = t % n
-        if m.marked[v] and u0s[i] >= ctx.safe_total[v]:
+        if m.marked[v] and u0s[i] >= ctx.safe_total[csp.flat.spec_of[v]]:
             per_sweep[t // n] = per_sweep.get(t // n, 0) + 1
     return max(per_sweep.values(), default=0)
 
@@ -355,7 +355,7 @@ def test_sweep_chain_crosses_a_deviate_block():
 def test_scan_matches_per_slot_reference():
     rng = random.Random(3)
     for csp, m in (weighted8(), overlap18(), ternary9()):
-        ctx = UpdateContext(csp, m.marked)
+        ctx = UpdateContext(csp, m)
         for seed in range(30):
             start = [
                 rng.randrange(csp.vars[v].domain_size) if m.marked[v]
@@ -381,7 +381,7 @@ def test_update_context_built_once_per_marking(monkeypatch):
     bounding_chain(csp, m, 16, 0)
     state = make_scan_state(csp, m, [1] * 8)
     systematic_scan(csp, m, state, 16, 0)
-    coupled_update(csp, m.marked, state, 3, RandomnessTape(0))
+    coupled_update(csp, m, state, 3, RandomnessTape(0))
     check_bounding_invariant(csp, m, 16, 5, 0)
     coalescence_experiment(csp, m, [16], 5, 0)
     assert len(built) == 1

@@ -1,7 +1,8 @@
 """The benchmark's span tracer (``perfbench/spans.py``) wraps package
 functions and methods by name.  These tests load it read-only and check that
-every name it lists still resolves, and that installing and uninstalling the
-tracer leaves the package as it was."""
+every name it lists still resolves, that installing and uninstalling the
+tracer leaves the package as it was, and that a traced run fills every counter
+the tracer reads off a return value."""
 
 import importlib
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import lllsampler
 import lllsampler.cli  # noqa: F401  (the tracer wraps names in every module)
+
+from conftest import ternary9
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -61,3 +64,36 @@ def test_tracer_install_round_trip():
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
     assert all(vars(c)[k] is v for (c, k), v in methods.items())
+
+
+def test_tracer_counts_a_traced_run():
+    # every counter read off a return value is filled, so a change to a
+    # traced layer's return value fails here first
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # ternary9's safe mass is about 0.49, so the chain enters the
+        # residual layer and computes components and their marginals
+        csp, m = ternary9()
+        for seed in range(3):
+            lllsampler.sample(csp, m, seed, check_conditions=False)
+        cnf = ("p cnf 6 6\n1 2 3 0\n-1 2 4 0\n1 -3 5 0\n-2 -4 6 0\n"
+               "3 -5 -6 0\n-1 -2 -6 0\n")
+        cfg = lllsampler.cli.PipelineConfig("-", "dimacs", "binary", seed=1,
+                                            force=True)
+        prepared = lllsampler.cli.prepare_pipeline(
+            lllsampler.frontends.parse_dimacs(cnf), cfg)
+        assert prepared.forced_empty
+        for i in range(3):
+            prepared.draw(1, i)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for span_name in (*spans.ON_RESULT, "kernels.marginal"):
+        assert summary[(span_name, "setup")][0] > 0, span_name
+    assert {"kernels.component_vars", "kernels.rejection_attempts",
+            "sampler.chain_steps", "sampler.horizon",
+            "sampler.coalesced_runs"} <= {k for k, v in tracer.counts.items()
+                                          if v > 0}
+    assert summary[("kernels.update_ctx", "setup")][0] >= 2
