@@ -191,7 +191,8 @@ def _prepare_coloring(h: HypergraphInstance, cfg: PipelineConfig):
     tree, marks, _ = complete_binary_tensorize_with_marking(q, h.k)
     tens = tensorize(csp, [tree] * csp.num_vars)
     marking = global_marking(tens, [marks] * csp.num_vars)
-    in_regime = coloring_regime_ok(q, h.k, h.max_edge_degree())
+    # a constraint (e, i) meets the Q copies of every edge that meets e
+    in_regime = coloring_regime_ok(q, h.k, csp.measures.delta // q)
     if not in_regime or not check_theorem_conditions(tens.base, marking).passed:
         return _fallback(csp, tens.base, range(csp.num_vars), tens, cfg,
                          RegimeError(

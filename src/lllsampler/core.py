@@ -41,7 +41,7 @@ class VariableSpec:
             raise InvalidInstanceError("domain_size must be >= 1")
         if len(self.weights) != self.domain_size:
             raise InvalidInstanceError("need one weight per domain value")
-        if any(w <= 0.0 for w in self.weights):
+        if any(not w > 0.0 for w in self.weights):
             raise InvalidInstanceError("weights must be strictly positive")
         if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInstanceError("weights must sum to 1")
@@ -72,20 +72,15 @@ class AtomicConstraint:
 
 
 class AtomicCsp:
-    """An atomic CSP.  Immutable after construction; safe to share, and its
-    derived quantities (``measures``, ``flat``, ``free_labels``) are
-    computed once, on first use."""
+    """An atomic CSP.  Immutable after construction; safe to share.  Its
+    arrays (``flat``) are built and range-checked on construction, and its
+    other derived quantities (``measures``, ``free_labels``) are computed
+    once, on first use."""
 
     def __init__(self, vars: list[VariableSpec], constraints: list[AtomicConstraint]):
         self.vars = tuple(vars)
         self.constraints = tuple(constraints)
-        for c in self.constraints:
-            for v, q in zip(c.vbl, c.falsifying):
-                if not 0 <= v < len(self.vars):
-                    raise InvalidInstanceError(f"variable index {v} out of range")
-                if not 0 <= q < self.vars[v].domain_size:
-                    raise InvalidInstanceError(
-                        f"falsifying value {q} outside domain of variable {v}")
+        self.flat = flatten(self.vars, self.constraints)
         # Marking -> marking.MarkingConstants, filled by marking.constants
         self.constants_memo: dict = {}
         # (Marking, budget) -> kernels.UpdateContext, filled by
@@ -99,10 +94,6 @@ class AtomicCsp:
     @functools.cached_property
     def measures(self) -> Measures:
         return compute_measures(self)
-
-    @functools.cached_property
-    def flat(self) -> FlatCsp:
-        return flatten(self)
 
     @functools.cached_property
     def free_labels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -143,11 +134,12 @@ class Measures:
 
 @dataclass(frozen=True, eq=False)
 class FlatCsp:
-    """An instance as flat arrays: the constraints' variables and falsifying
-    values concatenated in constraint order, the same incidence indexed by
-    variable (CSR: variable v's constraints, ascending, are
-    ``var_cons[var_ptr[v]:var_ptr[v + 1]]``), and one row of cumulative
-    weights per distinct ``VariableSpec``.
+    """An instance as flat arrays: the constraints' variables, falsifying
+    values and the ln weights of those values, concatenated in constraint
+    order; the same incidence indexed by variable (CSR: variable v's
+    constraints, ascending, are ``var_cons[var_ptr[v]:var_ptr[v + 1]]``);
+    and the distinct ``VariableSpec``s, with one row of cumulative weights
+    each.
 
     Row g of ``cum_table`` holds spec g's running sums of weights but the
     last, padded with +inf to the widest domain less one.  A deviate x draws
@@ -157,40 +149,79 @@ class FlatCsp:
 
     cons_vars: np.ndarray    # variable of each constraint entry
     cons_fals: np.ndarray    # falsifying value of each entry
+    log_w: np.ndarray        # ln weight of each entry's falsifying value
     starts: np.ndarray       # offset of each constraint's first entry
+    arity: np.ndarray        # entries of each constraint
     entry_cons: np.ndarray   # constraint of each entry
     var_ptr: np.ndarray      # offset of each variable's first constraint
     var_cons: np.ndarray     # constraints of each variable, concatenated
-    spec_of: np.ndarray      # per variable, its row of ``cum_table``
+    specs: tuple[VariableSpec, ...]  # the distinct specs, first use first
+    spec_of: np.ndarray      # per variable, its index in ``specs``
     cum_table: np.ndarray
 
 
-def flatten(csp: AtomicCsp) -> FlatCsp:
-    arity = np.fromiter((len(c.vbl) for c in csp.constraints), np.int64,
-                        len(csp.constraints))
+def flatten(vars: tuple[VariableSpec, ...],
+            constraints: tuple[AtomicConstraint, ...]) -> FlatCsp:
+    """The arrays of an instance, its entries range-checked before any
+    gather: numpy's fancy indexing would wrap a negative index."""
+    arity = np.fromiter((len(c.vbl) for c in constraints), np.int64,
+                        len(constraints))
     total = int(arity.sum())
     cons_vars = np.fromiter(
-        itertools.chain.from_iterable(c.vbl for c in csp.constraints),
+        itertools.chain.from_iterable(c.vbl for c in constraints),
         np.int64, total)
     cons_fals = np.fromiter(
-        itertools.chain.from_iterable(c.falsifying for c in csp.constraints),
+        itertools.chain.from_iterable(c.falsifying for c in constraints),
         np.int64, total)
-    starts = np.cumsum(arity) - arity
-    entry_cons = np.repeat(np.arange(len(arity)), arity)
-    by_var = np.argsort(cons_vars, kind="stable")
-    var_ptr = np.searchsorted(cons_vars[by_var], np.arange(csp.num_vars + 1))
-    var_cons = entry_cons[by_var]
     index: dict[VariableSpec, int] = {}
-    spec_of = np.fromiter((index.setdefault(s, len(index)) for s in csp.vars),
-                          np.int64, csp.num_vars)
-    width = max((s.domain_size for s in index), default=1) - 1
-    cum_table = np.full((len(index), width), np.inf)
-    for g, s in enumerate(index):
+    spec_of = np.fromiter((index.setdefault(s, len(index)) for s in vars),
+                          np.int64, len(vars))
+    specs = tuple(index)
+    domain = np.array([s.domain_size for s in specs], dtype=np.int64)
+    # the first bad entry names the error; every variable before it is valid
+    bad = (cons_vars < 0) | (cons_vars >= len(vars))
+    stop = int(bad.argmax()) if bad.any() else total
+    q, v = cons_fals[:stop], cons_vars[:stop]
+    bad_q = np.flatnonzero((q < 0) | (q >= domain[spec_of[v]]))
+    if len(bad_q):
+        e = bad_q[0]
+        raise InvalidInstanceError(
+            f"falsifying value {q[e]} outside domain of variable {v[e]}")
+    if stop < total:
+        raise InvalidInstanceError(
+            f"variable index {cons_vars[stop]} out of range")
+    width = int(domain.max(initial=1))
+    cum_table = np.full((len(specs), width - 1), np.inf)
+    log_table = np.zeros((len(specs), width))
+    for g, s in enumerate(specs):
         # summed left to right, one weight at a time
         cum_table[g, :s.domain_size - 1] = list(
             itertools.accumulate(s.weights))[:-1]
-    return FlatCsp(cons_vars, cons_fals, starts, entry_cons, var_ptr,
-                   var_cons, spec_of, cum_table)
+        log_table[g, :s.domain_size] = s.log_weights
+    log_w = log_table[spec_of[cons_vars], cons_fals]
+    starts = np.cumsum(arity) - arity
+    entry_cons = np.repeat(np.arange(len(arity)), arity)
+    by_var = np.argsort(cons_vars, kind="stable")
+    var_ptr = np.searchsorted(cons_vars[by_var], np.arange(len(vars) + 1))
+    var_cons = entry_cons[by_var]
+    return FlatCsp(cons_vars, cons_fals, log_w, starts, arity, entry_cons,
+                   var_ptr, var_cons, specs, spec_of, cum_table)
+
+
+def constraint_sums(flat: FlatCsp, x: np.ndarray, first=0.0) -> np.ndarray:
+    """Per constraint, ``first`` (a scalar or one value per constraint) plus
+    its entries' values ``x``, added left to right one entry at a time: a
+    row-wise cumsum per distinct arity.  ``np.add.reduceat`` sums in
+    unrolled blocks, and Python's float ``sum`` is compensated from 3.12."""
+    out = np.empty(len(flat.arity))
+    first = np.broadcast_to(np.asarray(first, dtype=np.float64), out.shape)
+    for a in np.unique(flat.arity).tolist():
+        rows = np.flatnonzero(flat.arity == a)
+        block = np.empty((len(rows), a + 1))
+        block[:, 0] = first[rows]
+        block[:, 1:] = x[flat.starts[rows, None] + np.arange(a)]
+        out[rows] = np.cumsum(block, axis=1)[:, -1]
+    return out
 
 
 def split_components(csp: AtomicCsp,
@@ -224,13 +255,14 @@ def split_components(csp: AtomicCsp,
 def compute_measures(csp: AtomicCsp) -> Measures:
     """Maximum arity, variable degree, constraint degree (counting self),
     domain size, log falsifying probability and smoothness."""
-    q = max((s.domain_size for s in csp.vars), default=0)
-    kappa = max((max(s.weights) / min(s.weights) for s in csp.vars), default=1.0)
-    if not csp.constraints:
-        return Measures(k=0, d=0, delta=0, q=q, log_p=-math.inf, kappa=kappa)
     flat = csp.flat
+    q = max((s.domain_size for s in flat.specs), default=0)
+    kappa = max((max(s.weights) / min(s.weights) for s in flat.specs),
+                default=1.0)
+    if not len(flat.arity):
+        return Measures(k=0, d=0, delta=0, q=q, log_p=-math.inf, kappa=kappa)
     ends = np.append(flat.starts, len(flat.cons_vars))
-    k = int(np.diff(ends).max())
+    k = int(flat.arity.max())
     d = int(np.diff(flat.var_ptr).max())
     # Delta: the row sizes of A @ A.T, A the constraint-variable incidence,
     # whose transpose is the CSR index
@@ -240,9 +272,7 @@ def compute_measures(csp: AtomicCsp) -> Measures:
     a_t = sparse.csr_matrix((ones, flat.var_cons, flat.var_ptr))
     delta = max(int(np.diff((a[i:i + _DELTA_BLOCK] @ a_t).indptr).max())
                 for i in range(0, a.shape[0], _DELTA_BLOCK))
-    log_p = max(
-        sum(csp.vars[v].log_weights[val] for v, val in zip(c.vbl, c.falsifying))
-        for c in csp.constraints)
+    log_p = float(constraint_sums(flat, flat.log_w).max())
     assert d >= 1 and delta >= 1
     return Measures(k=k, d=d, delta=delta, q=q, log_p=log_p, kappa=kappa)
 

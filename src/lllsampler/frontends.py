@@ -42,20 +42,6 @@ class HypergraphInstance:
     def k(self) -> int:
         return len(self.edges[0])
 
-    def max_edge_degree(self) -> int:
-        """Maximum number of edges meeting any single edge, counting itself."""
-        touching = [[] for _ in range(self.num_vertices)]
-        for i, e in enumerate(self.edges):
-            for v in e:
-                touching[v].append(i)
-        best = 0
-        for e in self.edges:
-            neigh = set()
-            for v in e:
-                neigh.update(touching[v])
-            best = max(best, len(neigh))
-        return best
-
 
 def parse_dimacs(text: str) -> AtomicCsp:
     """DIMACS CNF to an atomic CSP over uniform binary variables.
@@ -203,8 +189,10 @@ def parse_csp(text: str) -> AtomicCsp:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict) or "vars" not in doc:
-        raise ParseError("document must be an object with a 'vars' list")
+    if (not isinstance(doc, dict) or not isinstance(doc.get("vars"), list)
+            or not isinstance(doc.get("constraints", []), list)):
+        raise ParseError("document must be an object with a 'vars' list and"
+                         " an optional 'constraints' list")
     vars = []
     for i, spec in enumerate(doc["vars"]):
         if not isinstance(spec, dict) or "domain" not in spec:
@@ -213,10 +201,12 @@ def parse_csp(text: str) -> AtomicCsp:
         if not isinstance(n, int) or n < 1:
             raise ParseError(f"vars[{i}].domain must be a positive integer")
         weights = spec.get("weights", [1.0 / n] * n)
-        if len(weights) != n:
-            raise ParseError(f"vars[{i}] needs {n} weights")
-        if any(w <= 0 for w in weights):
-            raise ParseError(f"vars[{i}] has a non-positive weight")
+        if not isinstance(weights, list) or len(weights) != n:
+            raise ParseError(f"vars[{i}] needs a list of {n} weights")
+        # ``not w > 0`` also rejects NaN
+        if any(isinstance(w, bool) or not isinstance(w, (int, float))
+               or not w > 0 for w in weights):
+            raise ParseError(f"vars[{i}] needs positive numeric weights")
         total = sum(weights)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ParseError(f"vars[{i}] weights sum to {total}, not 1")
@@ -227,8 +217,10 @@ def parse_csp(text: str) -> AtomicCsp:
             raise ParseError(
                 f"constraints[{i}] must be an object with 'vbl' and 'false'")
         vbl, fals = c["vbl"], c["false"]
-        if len(vbl) != len(fals) or not vbl:
-            raise ParseError(f"constraints[{i}] has mismatched vbl/false")
+        if (not isinstance(vbl, list) or not isinstance(fals, list)
+                or len(vbl) != len(fals) or not vbl):
+            raise ParseError(f"constraints[{i}] needs nonempty 'vbl' and "
+                             "'false' lists of equal length")
         for v, q in zip(vbl, fals):
             if not isinstance(v, int) or not 0 <= v < len(vars):
                 raise ParseError(f"constraints[{i}]: variable {v} out of range")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomicCsp
+from .core import AtomicCsp, constraint_sums
 from .errors import (ConditionsError, ConstructionFailedError, RegimeError,
                      SamplerError)
 from .kernels import LABEL_MARKING, RandomnessTape, derive_seed
@@ -64,59 +64,51 @@ class Marking:
 
 @dataclass(frozen=True)
 class MarkingConstants:
-    """ln(alpha), ln(beta), ln(rho), ln(lambda) plus per-constraint values.
+    """ln(alpha), ln(beta), ln(rho), ln(lambda).
 
     ``log_beta`` (and the quantities depending on it) is None when
     e*alpha > 1.
     """
 
     log_alpha: float
-    log_alpha_per_constraint: tuple[float, ...]
     log_beta: float | None
     log_rho: float | None
-    log_rho_per_constraint: tuple[float, ...] | None
     log_lambda: float | None
-    log_lambda_per_constraint: tuple[float, ...] | None
 
 
 def compute_constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
-    """The marking-dependent constants, in natural-log space.
+    """The marking-dependent constants, in natural-log space, each the
+    largest of a sum per constraint over its unmarked or marked entries.
 
     alpha is always computable; beta, rho, lambda require e*alpha <= 1 and are
     None otherwise.
     """
     if len(m.marked) != csp.num_vars:
         raise SamplerError("marking length does not match variable count")
-    meas = csp.measures
-    la_per = []
-    for c in csp.constraints:
-        la_per.append(sum(csp.vars[v].log_weights[q]
-                          for v, q in zip(c.vbl, c.falsifying)
-                          if not m.marked[v]))
-    log_alpha = max(la_per, default=-math.inf)
+    flat = csp.flat
+    marked = m.mask[flat.cons_vars]
+    la = constraint_sums(flat, np.where(marked, 0.0, flat.log_w))
+    log_alpha = float(la.max(initial=-math.inf))
     # beta is defined only when e*alpha < 1, i.e. 1 + ln(alpha) < 0
     if 1.0 + log_alpha >= 0.0:
-        return MarkingConstants(log_alpha, tuple(la_per), None, None, None,
-                                None, None)
-    log_beta = -meas.d * math.log1p(-math.exp(1.0 + log_alpha))
+        return MarkingConstants(log_alpha, None, None, None)
+    log_beta = -csp.measures.d * math.log1p(-math.exp(1.0 + log_alpha))
     beta = math.exp(log_beta)
-    lr_per = []
-    ll_per = []
-    for c in csp.constraints:
-        lr = 0.0
-        ll = 2.0 * math.log(len(c.vbl))
-        for v, q in zip(c.vbl, c.falsifying):
-            if not m.marked[v]:
-                continue
-            w = csp.vars[v].weights[q]
-            lr += log_beta + math.log(w)
-            ll += math.log(beta * w + (beta - 1.0) * (csp.vars[v].domain_size - 2))
-        lr_per.append(lr)
-        ll_per.append(ll)
-    log_rho = max(lr_per, default=-math.inf)
-    log_lambda = max(ll_per, default=-math.inf)
-    return MarkingConstants(log_alpha, tuple(la_per), log_beta, log_rho,
-                            tuple(lr_per), log_lambda, tuple(ll_per))
+    lr = constraint_sums(flat, np.where(marked, log_beta + flat.log_w, 0.0))
+    # lambda's term per (spec, value)
+    term = np.zeros((len(flat.specs), flat.cum_table.shape[1] + 1))
+    for g, s in enumerate(flat.specs):
+        term[g, :s.domain_size] = [
+            math.log(beta * w + (beta - 1.0) * (s.domain_size - 2))
+            for w in s.weights]
+    ll = constraint_sums(
+        flat,
+        np.where(marked, term[flat.spec_of[flat.cons_vars], flat.cons_fals],
+                 0.0),
+        first=[2.0 * math.log(k) for k in flat.arity.tolist()])
+    return MarkingConstants(log_alpha, log_beta,
+                            float(lr.max(initial=-math.inf)),
+                            float(ll.max(initial=-math.inf)))
 
 
 def constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
@@ -187,29 +179,28 @@ def kl_divergence(a: float, b: float) -> float:
     return term(a, b) + term(1.0 - a, 1.0 - b)
 
 
-def moser_tardos(num_vars: int, sample_var, bad_events, stream,
+def moser_tardos(csp: AtomicCsp, sample, violated,
                  iteration_factor: int = DEFAULT_MT_ITERATION_FACTOR):
-    """Generic resampling engine.
+    """Resampling engine with one bad event per constraint of ``csp``.
 
-    ``sample_var(i, stream)`` draws the i-th auxiliary variable; each bad
-    event is (variable indices, predicate over the full value list).  The
-    lowest-index violated event is resampled first; the result violates no
-    event.  Deterministic given the stream.
+    ``sample(vs)`` draws values for the ascending variable array ``vs``;
+    ``violated(values)`` flags the constraints whose event holds.  The
+    variables of the lowest flagged constraint are resampled, in ascending
+    order, until no event holds.  Deterministic given ``sample``.
     """
-    values = [sample_var(i, stream) for i in range(num_vars)]
-    if not bad_events:
+    flat = csp.flat
+    values = sample(np.arange(csp.num_vars))
+    if not len(flat.arity):
         return values
-    cap = iteration_factor * len(bad_events)
+    cap = iteration_factor * len(flat.arity)
     for _ in range(cap):
-        violated = None
-        for ei, (_, pred) in enumerate(bad_events):
-            if pred(values):
-                violated = ei
-                break
-        if violated is None:
+        flags = violated(values)
+        if not flags.any():
             return values
-        for v in sorted(bad_events[violated][0]):
-            values[v] = sample_var(v, stream)
+        ci = int(flags.argmax())
+        start = flat.starts[ci]
+        vs = np.sort(flat.cons_vars[start:start + flat.arity[ci]])
+        values[vs] = sample(vs)
     raise ConstructionFailedError(
         f"resampling did not converge within {cap} iterations")
 
@@ -225,23 +216,21 @@ def binary_gamma(kappa: float, zeta: float) -> tuple[float, float, float]:
 
 
 def _binary_events(csp, eta, tau):
-    """Deviation events of the binary construction, in nats.
+    """Deviation events of the binary construction, in nats, as a
+    ``violated`` over marks.
 
     Event for C: |sum_{v in vbl(C) marked} ln D_v(sigma_False(v))
     - eta ln p_C| > tau ln(1/p_C).
     """
-    events = []
-    for c in csp.constraints:
-        terms = [(v, csp.vars[v].log_weights[q])
-                 for v, q in zip(c.vbl, c.falsifying)]
-        log_pc = sum(t for _, t in terms)
+    flat = csp.flat
+    log_pc = constraint_sums(flat, flat.log_w)
 
-        def pred(marks, terms=terms, log_pc=log_pc):
-            s = sum(t for v, t in terms if marks[v])
-            return abs(s - eta * log_pc) > tau * (-log_pc)
+    def violated(marks):
+        s = constraint_sums(flat, np.where(marks[flat.cons_vars], flat.log_w,
+                                           0.0))
+        return np.abs(s - eta * log_pc) > tau * -log_pc
 
-        events.append((tuple(v for v, _ in terms), pred))
-    return events
+    return violated
 
 
 def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
@@ -259,16 +248,13 @@ def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
         raise RegimeError(
             f"regime p^gamma*Delta <= 0.01*zeta/kappa fails: gamma={gamma:.4f}"
             f" ln p={meas.log_p:.4f} Delta={meas.delta} kappa={meas.kappa:.4f}")
-    events = _binary_events(csp, eta, tau)
-
-    def sample_mark(i, stream):
-        return stream.next_uniform() < eta
-
+    violated = _binary_events(csp, eta, tau)
     for attempt in range(DEFAULT_RETRY_CAP):
         tape = RandomnessTape(derive_seed(seed, "marking-binary", attempt))
         stream = tape.stream(0, LABEL_MARKING)
-        marks = moser_tardos(csp.num_vars, sample_mark, events, stream)
-        marking = Marking(tuple(marks))
+        marks = moser_tardos(
+            csp, lambda vs: stream.uniforms(len(vs)) < eta, violated)
+        marking = Marking(marks.tolist())
         if check_theorem_conditions(csp, marking).passed:
             return marking
     raise ConstructionFailedError(
@@ -277,47 +263,47 @@ def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
 
 
 def _uniform_binary_events(csp):
-    """Asymmetric two-sided events of the uniform binary construction.
+    """Asymmetric two-sided events of the uniform binary construction, as a
+    ``violated`` over marks.
 
     With uniform binary domains the marked log2-mass of C is -(#marked in
     vbl(C)), so the events reduce to a window on the marked count."""
-    events = []
-    for c in csp.constraints:
-        kc = len(c.vbl)
-        lo = (UNIFORM_ETA - UNIFORM_TAU2) * kc
-        hi = (UNIFORM_ETA + UNIFORM_TAU1) * kc
+    flat = csp.flat
+    lo = (UNIFORM_ETA - UNIFORM_TAU2) * flat.arity
+    hi = (UNIFORM_ETA + UNIFORM_TAU1) * flat.arity
 
-        def pred(marks, vbl=c.vbl, lo=lo, hi=hi):
-            mc = sum(1 for v in vbl if marks[v])
-            return mc < lo or mc > hi
+    def violated(marks):
+        mc = np.add.reduceat(marks[flat.cons_vars].astype(np.int64),
+                             flat.starts)
+        return (mc < lo) | (mc > hi)
 
-        events.append((c.vbl, pred))
-    return events
+    return violated
 
 
-def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0,
-                                     check_regime: bool = True) -> Marking:
+def check_uniform_regime(meas) -> None:
+    """The regime p^0.175*Delta <= 1e-7 of both uniform constructions."""
+    if (UNIFORM_GAMMA * meas.log_p + math.log(max(meas.delta, 1))
+            > math.log(1e-7)):
+        raise RegimeError(
+            f"regime p^0.175*Delta <= 1e-7 fails: ln p={meas.log_p:.4f} "
+            f"Delta={meas.delta}")
+
+
+def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0) -> Marking:
     """Marking for uniform binary domains with the fixed constants
     eta=0.595, tau1=0.23, tau2=0.245-3e-5."""
     meas = csp.measures
     if meas.q > 2 or meas.kappa != 1.0:
         raise RegimeError(
             "uniform binary marking construction needs uniform binary domains")
-    if check_regime and (UNIFORM_GAMMA * meas.log_p
-                         + math.log(max(meas.delta, 1)) > math.log(1e-7)):
-        raise RegimeError(
-            f"regime p^0.175*Delta <= 1e-7 fails: ln p={meas.log_p:.4f} "
-            f"Delta={meas.delta}")
-    events = _uniform_binary_events(csp)
-
-    def sample_mark(i, stream):
-        return stream.next_uniform() < UNIFORM_ETA
-
+    check_uniform_regime(meas)
+    violated = _uniform_binary_events(csp)
     for attempt in range(DEFAULT_RETRY_CAP):
         tape = RandomnessTape(derive_seed(seed, "marking-uniform", attempt))
         stream = tape.stream(0, LABEL_MARKING)
-        marks = moser_tardos(csp.num_vars, sample_mark, events, stream)
-        marking = Marking(tuple(marks))
+        marks = moser_tardos(
+            csp, lambda vs: stream.uniforms(len(vs)) < UNIFORM_ETA, violated)
+        marking = Marking(marks.tolist())
         if check_theorem_conditions(csp, marking).passed:
             return marking
     raise ConstructionFailedError(

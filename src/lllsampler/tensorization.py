@@ -16,15 +16,17 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .core import AtomicConstraint, AtomicCsp, VariableSpec
+import numpy as np
+
+from .core import AtomicConstraint, AtomicCsp, VariableSpec, constraint_sums
 from .errors import (ConstructionFailedError, InvalidInstanceError,
                      InvariantError, RegimeError)
 from .kernels import LABEL_TENSOR, RandomnessTape, TapeStream, derive_seed
 from .marking import (DEFAULT_RETRY_CAP, Marking, UNIFORM_ETA, UNIFORM_GAMMA,
                       UNIFORM_TAU1, UNIFORM_TAU2, UNIFORM_ZETA,
-                      check_theorem_conditions, kl_divergence, moser_tardos)
+                      check_theorem_conditions, check_uniform_regime,
+                      kl_divergence, moser_tardos)
 
-_LEAF_PRODUCT_TOL = 1e-12
 _WEIGHT_TOL = 1e-9
 
 
@@ -241,14 +243,13 @@ class TensorizedCsp:
 
     ``base`` has one variable per internal tree node (domain = its children,
     pmf = edge weights).  ``node_of[v]`` maps variable v's local internal node
-    ids to global indices; ``var_of[z]`` gives (v, local node) back.
+    ids to global indices.
     """
 
     base: AtomicCsp
     original: AtomicCsp = field(compare=False)
     trees: tuple[TensorTree, ...]
     node_of: tuple[dict, ...] = field(hash=False)
-    var_of: tuple[tuple[int, int], ...]
 
 
 def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
@@ -273,14 +274,12 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
                 raise InvalidInstanceError(
                     f"tree {v} does not reproduce the weight of value {q}")
     node_of = []
-    var_of = []
     zvars = []
     spec_of = {}  # one shared spec per distinct node pmf
     for v, tree in enumerate(trees):
         local = {}
         for z in tree.internal_nodes():
             local[z] = len(zvars)
-            var_of.append((v, z))
             ws = [tree.weight[c] for c in tree.children[z]]
             s = sum(ws)
             pmf = tuple(w / s for w in ws)
@@ -298,7 +297,7 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
                 fals.append(ci)
         cons.append(AtomicConstraint(tuple(vbl), tuple(fals)))
     base = AtomicCsp(zvars, cons)
-    out = TensorizedCsp(base, csp, trees, tuple(node_of), tuple(var_of))
+    out = TensorizedCsp(base, csp, trees, tuple(node_of))
     _check_preservation(out)
     return out
 
@@ -306,7 +305,8 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
 def _check_preservation(t: TensorizedCsp) -> None:
     """Constraint count, Delta, d and per-constraint falsifying probability
     are invariant under tensorization; node count is at most Q*|V|."""
-    if len(t.base.constraints) != len(t.original.constraints):
+    fo, ft = t.original.flat, t.base.flat
+    if len(ft.arity) != len(fo.arity):
         raise InvariantError("tensorization changed the constraint count")
     mo = t.original.measures
     mt = t.base.measures
@@ -314,14 +314,10 @@ def _check_preservation(t: TensorizedCsp) -> None:
         raise InvariantError("tensorization changed d or Delta")
     if t.base.num_vars > mo.q * t.original.num_vars:
         raise InvariantError("tensorization exceeded the Q|V| node bound")
-    for co, ct in zip(t.original.constraints, t.base.constraints):
-        po = math.fsum(t.original.vars[v].log_weights[q]
-                       for v, q in zip(co.vbl, co.falsifying))
-        pt = math.fsum(t.base.vars[z].log_weights[ci]
-                       for z, ci in zip(ct.vbl, ct.falsifying))
-        if abs(po - pt) > 1e-9:
-            raise InvariantError(
-                "tensorization changed a falsifying probability")
+    po = constraint_sums(fo, fo.log_w)
+    pt = constraint_sums(ft, ft.log_w)
+    if (np.abs(po - pt) > 1e-9).any():
+        raise InvariantError("tensorization changed a falsifying probability")
 
 
 def trans(tensorized: TensorizedCsp, sigma_tensor) -> list[int]:
@@ -554,8 +550,7 @@ def uniform_randomized_tensorization(n: int, stream: TapeStream):
     return TensorTree(tree.children, tree.weight, leaf_value), marks
 
 
-def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0,
-                                   check_regime: bool = True):
+def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0):
     """End-to-end randomized construction for uniform domains.
 
     Draws per-variable trees and marks, resamples variables of constraints
@@ -570,38 +565,32 @@ def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0,
         if any(abs(w - 1.0 / spec.domain_size) > _WEIGHT_TOL
                for w in spec.weights):
             raise RegimeError("uniform tensorization needs uniform domains")
-    meas = csp.measures
-    if check_regime and csp.constraints and (
-            UNIFORM_GAMMA * meas.log_p
-            + math.log(max(meas.delta, 1)) > math.log(1e-7)):
-        raise RegimeError(
-            f"regime p^0.175*Delta <= 1e-7 fails: ln p={meas.log_p:.4f} "
-            f"Delta={meas.delta}")
-
-    events = []
+    check_uniform_regime(csp.measures)
+    windows = []  # (constraint, lo, hi), the tolerance included
     for c in csp.constraints:
         l_c = math.fsum(math.log2(csp.vars[v].domain_size) for v in c.vbl)
-        lo = -(UNIFORM_ETA + UNIFORM_TAU1) * l_c
-        hi = -(UNIFORM_ETA - UNIFORM_TAU2) * l_c
+        windows.append((c, -(UNIFORM_ETA + UNIFORM_TAU1) * l_c - _WEIGHT_TOL,
+                        -(UNIFORM_ETA - UNIFORM_TAU2) * l_c + _WEIGHT_TOL))
 
-        def pred(cons, c=c, lo=lo, hi=hi):
-            s = math.fsum(
-                marked_path_log2(cons[v][0], cons[v][1], q)
-                for v, q in zip(c.vbl, c.falsifying))
-            return s < lo - _WEIGHT_TOL or s > hi + _WEIGHT_TOL
-
-        events.append((c.vbl, pred))
+    def violated(cons):
+        return np.array([not lo <= math.fsum(
+            marked_path_log2(*cons[v], q)
+            for v, q in zip(c.vbl, c.falsifying)) <= hi
+            for c, lo, hi in windows])
 
     for attempt in range(DEFAULT_RETRY_CAP):
         tape = RandomnessTape(derive_seed(seed, "tensor-uniform", attempt))
         streams = [tape.stream(v, LABEL_TENSOR) for v in range(csp.num_vars)]
 
-        def sample_var(v, _stream):
-            return uniform_randomized_tensorization(
-                csp.vars[v].domain_size, streams[v])
+        def sample(vs):
+            out = np.empty(len(vs), dtype=object)
+            for i, v in enumerate(vs.tolist()):
+                out[i] = uniform_randomized_tensorization(
+                    csp.vars[v].domain_size, streams[v])
+            return out
 
         try:
-            cons = moser_tardos(csp.num_vars, sample_var, events, None)
+            cons = moser_tardos(csp, sample, violated)
         except ConstructionFailedError:
             continue
         tensorized = tensorize(csp, [t for t, _ in cons])

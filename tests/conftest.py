@@ -42,6 +42,25 @@ def ternary9():
     return AtomicCsp([spec] * 9, cons), Marking.from_indices(9, range(6))
 
 
+def random_weighted_csp(rng):
+    """Domains of size 2-7 with random weights, 0-30 constraints of arity
+    1-12."""
+    n = rng.randint(1, 40)
+    specs = []
+    for _ in range(rng.randint(1, 4)):
+        d = rng.randint(2, 7)
+        raw = [rng.random() + 0.05 for _ in range(d)]
+        total = sum(raw)
+        specs.append(VariableSpec(d, tuple(w / total for w in raw)))
+    vars = [rng.choice(specs) for _ in range(n)]
+    cons = []
+    for _ in range(rng.randint(0, 30)):
+        vbl = tuple(rng.sample(range(n), rng.randint(1, min(12, n))))
+        cons.append(AtomicConstraint(
+            vbl, tuple(rng.randrange(vars[v].domain_size) for v in vbl)))
+    return AtomicCsp(vars, cons)
+
+
 def free8():
     """Constraint-free uniform binary instance, everything marked."""
     csp = AtomicCsp([VariableSpec.uniform(2) for _ in range(8)], [])

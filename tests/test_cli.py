@@ -1,11 +1,13 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
 import lllsampler.marking
 import lllsampler.verify
-from lllsampler import STAR, HypergraphInstance, emit_csp
+from lllsampler import (STAR, AtomicConstraint, AtomicCsp, HypergraphInstance,
+                        VariableSpec, emit_csp)
 from lllsampler.cli import (PipelineConfig, pipeline_binary, prepare_pipeline,
                            run)
 
@@ -89,6 +91,19 @@ def test_exit_codes(cnf_file, tmp_path, capsys):
     assert run(sample_args(cnf_file, "--format", "dimacs",
                            "--pipeline", "coloring")) == 1
     assert run(["sample", "--pipeline", "nope", "--input", cnf_file]) == 1
+    # malformed JSON instances: a NaN weight, a non-numeric weight, and a
+    # non-list ``vbl`` or ``false``
+    for doc in ('{"vars": [{"domain": 2, "weights": [NaN, 0.5]}, '
+                '{"domain": 2}], "constraints": [{"vbl": [0, 1], '
+                '"false": [0, 0]}]}',
+                '{"vars": [{"domain": 2, "weights": ["a", "b"]}]}',
+                '{"vars": [{"domain": 2}], '
+                '"constraints": [{"vbl": 0, "false": [0]}]}',
+                '{"vars": [{"domain": 2}], '
+                '"constraints": [{"vbl": [0], "false": 0}]}'):
+        bad.write_text(doc)
+        assert run(sample_args(str(bad), "--pipeline", "general",
+                               "--force")) == 2
     # in regime, but the horizon cap stops the chain before coalescence
     regime = tmp_path / "regime.json"
     regime.write_text(emit_csp(binary_regime_instance(1.0)))
@@ -214,3 +229,32 @@ def test_prepare_computes_marking_constants_once(pipeline, monkeypatch):
     prepared = prepare_pipeline(instance, cfg)
     assert not prepared.forced_empty
     assert calls == [prepared.marking]
+
+
+class Untouchable(tuple):
+    """A tuple that fails when iterated or indexed."""
+
+    def __iter__(self):
+        raise AssertionError("constraints iterated")
+
+    def __getitem__(self, i):
+        raise AssertionError("constraints indexed")
+
+
+def test_binary_pipeline_reads_only_the_arrays():
+    # set-up and draws read ``csp.flat``, never the constraint objects
+    rng = random.Random(5)
+    n, k = 600, 200
+    cons = []
+    for _ in range(2):
+        perm = rng.sample(range(n), n)
+        cons += [AtomicConstraint(tuple(sorted(perm[i:i + k])),
+                                  tuple(rng.randrange(2) for _ in range(k)))
+                 for i in range(0, n, k)]
+    csp = AtomicCsp([VariableSpec.uniform(2)] * n, cons)
+    csp.constraints = Untouchable(csp.constraints)
+    prepared = prepare_pipeline(csp, PipelineConfig("-", "dimacs", "binary",
+                                                    seed=1))
+    assert not prepared.forced_empty
+    for i in range(20):
+        assert len(prepared.draw(1, i)) == n

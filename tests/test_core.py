@@ -12,7 +12,7 @@ from lllsampler import (AtomicConstraint, AtomicCsp, InvalidInstanceError,
                         STAR, UnsatisfiableInstanceError, VariableSpec,
                         component, compute_measures, preprocess)
 
-from conftest import mixed_csp, overlap18
+from conftest import mixed_csp, overlap18, random_weighted_csp
 
 
 def test_variable_spec_validation():
@@ -22,6 +22,9 @@ def test_variable_spec_validation():
         VariableSpec(2, (1.0, 0.0))
     with pytest.raises(InvalidInstanceError):
         VariableSpec(0, ())
+    # NaN fails ``w <= 0`` and the sum test alike
+    with pytest.raises(InvalidInstanceError, match="strictly positive"):
+        VariableSpec(2, (math.nan, 0.5))
     s = VariableSpec.uniform(4)
     assert s.weights == (0.25,) * 4
 
@@ -49,6 +52,13 @@ def test_constraint_validation():
             match="falsifying value -1 outside domain of variable 1"):
         AtomicCsp([VariableSpec.uniform(2)] * 2,
                   [AtomicConstraint((0, 1), (0, -1))])
+    # the first bad entry, in constraint order, names the error
+    with pytest.raises(
+            InvalidInstanceError,
+            match="falsifying value 3 outside domain of variable 1"):
+        AtomicCsp([VariableSpec.uniform(2)] * 2,
+                  [AtomicConstraint((0, 1), (0, 3)),
+                   AtomicConstraint((0, -5), (0, 0))])
 
 
 def test_measures_mixed():
@@ -66,6 +76,46 @@ def test_derived_quantities_cached():
     assert csp.measures == compute_measures(csp)
     spec = csp.vars[1]
     assert spec.log_weights is spec.log_weights
+
+
+def acc_sum(first, xs):
+    """``first`` plus ``xs``, added left to right: Python's ``sum`` of
+    floats is compensated from 3.12 on."""
+    acc = first
+    for x in xs:
+        acc += x
+    return acc
+
+
+def test_constraint_sums_add_left_to_right():
+    rng = random.Random(3)
+    n = 40
+    cons = []
+    for _ in range(300):
+        vbl = tuple(rng.sample(range(n), rng.randint(1, 12)))
+        cons.append(AtomicConstraint(vbl, (0,) * len(vbl)))
+    csp = AtomicCsp([VariableSpec.uniform(2)] * n, cons)
+    f = csp.flat
+    # magnitudes spread over 16 decades, so that the order of the adds shows
+    x = np.array([rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
+                  for _ in range(len(f.cons_vars))])
+    first = np.array([rng.uniform(-1e3, 1e3) for _ in cons])
+    ends = (f.starts + f.arity).tolist()
+    for got, start in ((core.constraint_sums(f, x, first), first.tolist()),
+                       (core.constraint_sums(f, x), [0.0] * len(cons))):
+        want = [acc_sum(a, x[s:e].tolist())
+                for a, s, e in zip(start, f.starts.tolist(), ends)]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+def test_log_p_matches_the_entry_loop_bitwise():
+    rng = random.Random(11)
+    for _ in range(100):
+        csp = random_weighted_csp(rng)
+        want = max((acc_sum(0.0, [csp.vars[v].log_weights[q]
+                                  for v, q in zip(c.vbl, c.falsifying)])
+                    for c in csp.constraints), default=-math.inf)
+        assert compute_measures(csp).log_p.hex() == want.hex()
 
 
 def test_measures_constraint_free():
@@ -216,6 +266,8 @@ def test_flat_view():
     assert f.cons_vars.tolist() == list(range(10)) + list(range(8, 18))
     assert f.cons_fals.tolist() == [0] * 20
     assert f.starts.tolist() == [0, 10]
+    assert f.arity.tolist() == [10, 10]
+    assert f.log_w.tolist() == [math.log(0.2)] * 20
     assert f.entry_cons.tolist() == [0] * 10 + [1] * 10
     assert f.spec_of.tolist() == [0] * 18
     assert f.cum_table.tolist() == [[0.2]]

@@ -54,7 +54,8 @@ def test_hypergraph_parse_and_roundtrip():
     h = parse_hypergraph(text)
     assert h.num_vertices == 4 and h.k == 3
     assert h.edges == ((0, 1, 2), (1, 2, 3))
-    assert h.max_edge_degree() == 2
+    # the two edges meet: Delta(H) = 2, each color copy meets Q copies
+    assert build_coloring(h, 3).measures.delta == 3 * 2
     assert parse_hypergraph(emit_hypergraph(h)) == h
     with pytest.raises(ParseError):
         parse_hypergraph("h 4 2 3\n1 2 3\n")
@@ -75,8 +76,8 @@ def test_build_coloring_counts_and_measures():
     m = compute_measures(csp)
     assert m.k == 2 and m.q == 2
     assert m.log_p == pytest.approx(2 * math.log(0.5))
-    # Delta counts color-copies: both edges meet, so Q * Delta(H)
-    assert m.delta == 2 * h.max_edge_degree()
+    # Delta counts color-copies: both edges meet, so Q * Delta(H) = 2 * 2
+    assert m.delta == 2 * 2
 
 
 def test_build_coloring_three_colors():
@@ -110,3 +111,7 @@ def test_parse_csp_defaults_and_errors():
     with pytest.raises(ParseError):
         parse_csp('{"vars": [{"domain": 2}], '
                   '"constraints": [{"vbl": [0, 0], "false": [0, 1]}]}')
+    with pytest.raises(ParseError, match="positive numeric weights"):
+        parse_csp('{"vars": [{"domain": 2, "weights": [NaN, 0.5]}, '
+                  '{"domain": 2}], '
+                  '"constraints": [{"vbl": [0, 1], "false": [0, 0]}]}')

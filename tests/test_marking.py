@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from lllsampler import (AtomicConstraint, AtomicCsp, ConstructionFailedError,
@@ -8,10 +10,11 @@ from lllsampler import (AtomicConstraint, AtomicCsp, ConstructionFailedError,
                         construct_marking_binary,
                         construct_marking_uniform_binary, kl_divergence)
 from lllsampler.marking import (UNIFORM_ETA, UNIFORM_TAU1, UNIFORM_TAU2,
+                                _binary_events, _uniform_binary_events,
                                 moser_tardos)
 from lllsampler.kernels import LABEL_MARKING, RandomnessTape
 
-from conftest import uniform20, weighted8
+from conftest import random_weighted_csp, uniform20, weighted8
 
 
 def binary_regime_instance(kappa, k=None):
@@ -83,22 +86,177 @@ def test_binary_gamma_limits():
     assert eta1 == pytest.approx((2.0 - tau1) / 3.0)
 
 
+def bits_csp(n):
+    """n uniform bits, constraint i forbidding bit i = 0."""
+    return AtomicCsp([VariableSpec.uniform(2)] * n,
+                     [AtomicConstraint((i,), (0,)) for i in range(n)])
+
+
 def test_moser_tardos_resamples_to_valid():
     # toy: three bits, bad events "bit i == 0"
     tape = RandomnessTape(42)
     stream = tape.stream(0, LABEL_MARKING)
-    events = [((i,), lambda vals, i=i: vals[i] == 0) for i in range(3)]
-    vals = moser_tardos(3, lambda i, s: int(s.next_uniform() < 0.5), events,
-                        stream)
-    assert vals == [1, 1, 1]
+    csp = bits_csp(3)
+    vals = moser_tardos(
+        csp, lambda vs: (stream.uniforms(len(vs)) < 0.5).astype(int),
+        lambda vals: vals[csp.flat.cons_vars] == 0)
+    assert vals.tolist() == [1, 1, 1]
 
 
 def test_moser_tardos_cap():
-    tape = RandomnessTape(1)
-    stream = tape.stream(0, LABEL_MARKING)
-    events = [((0,), lambda vals: True)]
+    csp = bits_csp(1)
     with pytest.raises(ConstructionFailedError):
-        moser_tardos(1, lambda i, s: 0, events, stream, iteration_factor=10)
+        moser_tardos(csp, lambda vs: np.zeros(len(vs), dtype=int),
+                     lambda vals: np.ones(1, dtype=bool), iteration_factor=10)
+
+
+def hex_or_none(x):
+    return None if x is None else float(x).hex()
+
+
+def loop_constants(csp, m):
+    """Reference: ``compute_constants`` as loops over each constraint's
+    entries, each sum an explicit left-to-right accumulation."""
+    la_per = []
+    for c in csp.constraints:
+        acc = 0.0
+        for v, q in zip(c.vbl, c.falsifying):
+            if not m.marked[v]:
+                acc += csp.vars[v].log_weights[q]
+        la_per.append(acc)
+    log_alpha = max(la_per, default=-math.inf)
+    if 1.0 + log_alpha >= 0.0:
+        return log_alpha, None, None, None
+    log_beta = -csp.measures.d * math.log1p(-math.exp(1.0 + log_alpha))
+    beta = math.exp(log_beta)
+    lr_per = []
+    ll_per = []
+    for c in csp.constraints:
+        lr = 0.0
+        ll = 2.0 * math.log(len(c.vbl))
+        for v, q in zip(c.vbl, c.falsifying):
+            if not m.marked[v]:
+                continue
+            w = csp.vars[v].weights[q]
+            lr += log_beta + math.log(w)
+            ll += math.log(beta * w + (beta - 1.0)
+                           * (csp.vars[v].domain_size - 2))
+        lr_per.append(lr)
+        ll_per.append(ll)
+    return (log_alpha, log_beta, max(lr_per, default=-math.inf),
+            max(ll_per, default=-math.inf))
+
+
+def test_constants_match_the_entry_loops_bitwise():
+    rng = random.Random(7)
+    with_beta = 0
+    for _ in range(150):
+        csp = random_weighted_csp(rng)
+        for frac in (0.0, 0.3 * rng.random(), rng.random()):
+            m = Marking([rng.random() < frac for _ in range(csp.num_vars)])
+            got = compute_constants(csp, m)
+            got = (got.log_alpha, got.log_beta, got.log_rho, got.log_lambda)
+            want = loop_constants(csp, m)
+            assert list(map(hex_or_none, got)) == list(map(hex_or_none, want))
+            with_beta += want[1] is not None
+    assert with_beta > 50
+
+
+def loop_moser_tardos(num_vars, sample_var, bad_events, stream):
+    """Reference engine over a list of (variables, predicate) events,
+    scanned in order; returns the values and the resampling count."""
+    values = [sample_var(i, stream) for i in range(num_vars)]
+    if not bad_events:
+        return values, 0
+    for it in range(10**4 * len(bad_events)):
+        violated = None
+        for ei, (_, pred) in enumerate(bad_events):
+            if pred(values):
+                violated = ei
+                break
+        if violated is None:
+            return values, it
+        for v in sorted(bad_events[violated][0]):
+            values[v] = sample_var(v, stream)
+    raise ConstructionFailedError("no convergence")
+
+
+def loop_binary_events(csp, eta, tau):
+    """Reference: the binary deviation events as per-constraint closures."""
+    events = []
+    for c in csp.constraints:
+        terms = [(v, csp.vars[v].log_weights[q])
+                 for v, q in zip(c.vbl, c.falsifying)]
+        log_pc = 0.0
+        for _, t in terms:
+            log_pc += t
+
+        def pred(marks, terms=terms, log_pc=log_pc):
+            s = 0.0
+            for v, t in terms:
+                if marks[v]:
+                    s += t
+            return abs(s - eta * log_pc) > tau * (-log_pc)
+
+        events.append((c.vbl, pred))
+    return events
+
+
+def loop_uniform_binary_events(csp):
+    """Reference: the uniform binary count windows as closures."""
+    events = []
+    for c in csp.constraints:
+        kc = len(c.vbl)
+        lo = (UNIFORM_ETA - UNIFORM_TAU2) * kc
+        hi = (UNIFORM_ETA + UNIFORM_TAU1) * kc
+
+        def pred(marks, vbl=c.vbl, lo=lo, hi=hi):
+            mc = sum(1 for v in vbl if marks[v])
+            return mc < lo or mc > hi
+
+        events.append((c.vbl, pred))
+    return events
+
+
+def blocks_csp(seed, k, blocks, extra, spec):
+    """Disjoint blocks of k variables, one constraint each, plus ``extra``
+    random arity-k constraints across them."""
+    rng = random.Random(seed)
+    n = k * blocks
+    perm = list(range(n))
+    rng.shuffle(perm)
+    vbls = [perm[i:i + k] for i in range(0, n, k)]
+    vbls += [rng.sample(range(n), k) for _ in range(extra)]
+    return AtomicCsp([spec] * n, [
+        AtomicConstraint(tuple(sorted(vbl)),
+                         tuple(rng.randrange(2) for _ in vbl))
+        for vbl in vbls])
+
+
+@pytest.mark.parametrize("kind", ["binary", "uniform"])
+def test_array_events_match_the_closures(kind):
+    fired = 0
+    for seed in range(12):
+        if kind == "binary":
+            csp = blocks_csp(seed, 12, 12, 3, VariableSpec(2, (0.4, 0.6)))
+            _, eta, tau = binary_gamma(csp.measures.kappa, 1e-5)
+            violated = _binary_events(csp, eta, tau)
+            events = loop_binary_events(csp, eta, tau)
+        else:
+            csp = blocks_csp(seed, 12, 12, 3, VariableSpec.uniform(2))
+            eta = UNIFORM_ETA
+            violated = _uniform_binary_events(csp)
+            events = loop_uniform_binary_events(csp)
+        tape = RandomnessTape(seed)
+        want, iterations = loop_moser_tardos(
+            csp.num_vars, lambda i, s: s.next_uniform() < eta, events,
+            tape.stream(0, LABEL_MARKING))
+        stream = tape.stream(0, LABEL_MARKING)
+        got = moser_tardos(csp, lambda vs: stream.uniforms(len(vs)) < eta,
+                           violated)
+        assert got.tolist() == want
+        fired += iterations > 0
+    assert fired >= 6
 
 
 def test_binary_construction_regime_error():

@@ -234,10 +234,12 @@ def test_uniform_construction_in_regime():
     # recompute the marked falsifying log-mass independently and check the
     # acceptance window for the single constraint
     c = csp.constraints[0]
+    var_of = {g: (v, z) for v, local in enumerate(tz.node_of)
+              for z, g in local.items()}
     marks_by_var = [set() for _ in range(k)]
     for z, flag in enumerate(marking.marked):
         if flag:
-            v, local = tz.var_of[z]
+            v, local = var_of[z]
             marks_by_var[v].add(local)
     s = math.fsum(marked_path_log2(tz.trees[v], marks_by_var[v], q)
                   for v, q in zip(c.vbl, c.falsifying))
