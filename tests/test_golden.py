@@ -1,5 +1,6 @@
 """Golden draw digests: one sha256 per pipeline over its marking and its
-first 20 draws on a small fixed instance.
+first 20 draws on a small fixed instance, and one per residual case over
+300 ``sample`` draws whose chain enters the residual layer.
 
 A change that keeps the draw stream keeps these digests.  A change that alters
 the stream on purpose updates them, names the change, and re-certifies the law
@@ -12,10 +13,12 @@ import json
 
 import pytest
 
-from lllsampler import AtomicConstraint, AtomicCsp, VariableSpec
+from lllsampler import (AtomicConstraint, AtomicCsp, VariableSpec, kernels,
+                        sample)
 from lllsampler.cli import PipelineConfig, prepare_pipeline
 from lllsampler.frontends import HypergraphInstance
 
+from conftest import ternary9, weighted8
 from test_marking import binary_regime_instance
 
 SEED = 3
@@ -68,6 +71,31 @@ def draw_digest(prepared) -> str:
     return h.hexdigest()
 
 
+# The pipelines' instances are in regime, where the safe mass is 1.0, so
+# their chains never leave the safe layer.  These small instances, run
+# without the condition check, take the residual step (``component`` and
+# the exact component marginal) hundreds of times.
+# name -> (instance and marking, sha256 of the draws)
+RESIDUAL_CASES = {
+    "ternary9": (
+        ternary9,
+        "b5c797aaa461df53b824eea1921e585919eb3773f8011f61c3836074eec2db59"),
+    "weighted8": (
+        weighted8,
+        "333e87a39fd66d1a04cc8a93021ec15a42b286f20fe44dca002fa7a297c5990c"),
+}
+RESIDUAL_DRAWS = 300
+
+
+def residual_digest(csp, m) -> str:
+    h = hashlib.sha256()
+    for seed in range(RESIDUAL_DRAWS):
+        r = sample(csp, m, seed, check_conditions=False)
+        h.update(json.dumps([r.assignment, r.horizon_used,
+                             r.wall_steps]).encode() + b"\n")
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("pipeline", sorted(CASES))
 def test_golden_draw_digest(pipeline):
     instance, cfg, forced_empty, expected = CASES[pipeline]
@@ -77,8 +105,25 @@ def test_golden_draw_digest(pipeline):
     assert draw_digest(prepared) == expected
 
 
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_residual_draw_digest(case, monkeypatch):
+    make, expected = RESIDUAL_CASES[case]
+    calls = []
+    component = kernels.component
+
+    def counting_component(*args):
+        calls.append(args[3])
+        return component(*args)
+
+    monkeypatch.setattr(kernels, "component", counting_component)
+    assert residual_digest(*make()) == expected
+    assert len(calls) >= 40
+
+
 if __name__ == "__main__":
     # Print each case's current digest, to paste into CASES after a change
     # that alters the draw stream on purpose.
     for name, (instance, cfg, _, _) in sorted(CASES.items()):
         print(name, draw_digest(prepare_pipeline(instance, cfg)))
+    for name, (make, _) in sorted(RESIDUAL_CASES.items()):
+        print(name, residual_digest(*make()))
