@@ -29,6 +29,16 @@ WEIGHT_SUM_TOL = 1e-12
 _DELTA_BLOCK = 1 << 10
 
 
+def left_sum(xs) -> float:
+    """The float sum of ``xs``, added left to right one value at a time.
+    From Python 3.12 on, the builtin ``sum`` compensates float sums, so its
+    result depends on the interpreter; this one equals 3.11's."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 @dataclass(frozen=True)
 class VariableSpec:
     """One variable: domain size and a strictly positive pmf over its values."""
@@ -43,7 +53,7 @@ class VariableSpec:
             raise InvalidInstanceError("need one weight per domain value")
         if any(not w > 0.0 for w in self.weights):
             raise InvalidInstanceError("weights must be strictly positive")
-        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
+        if abs(left_sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInstanceError("weights must sum to 1")
 
     @functools.cached_property
@@ -173,9 +183,12 @@ def flatten(vars: tuple[VariableSpec, ...],
     cons_fals = np.fromiter(
         itertools.chain.from_iterable(c.falsifying for c in constraints),
         np.int64, total)
+    # one lookup per distinct spec object: hashing a spec hashes its weights
+    objects = {id(s): s for s in vars}
     index: dict[VariableSpec, int] = {}
-    spec_of = np.fromiter((index.setdefault(s, len(index)) for s in vars),
-                          np.int64, len(vars))
+    row = {i: index.setdefault(s, len(index)) for i, s in objects.items()}
+    spec_of = np.fromiter(map(row.__getitem__, map(id, vars)), np.int64,
+                          len(vars))
     specs = tuple(index)
     domain = np.array([s.domain_size for s in specs], dtype=np.int64)
     # the first bad entry names the error; every variable before it is valid

@@ -10,7 +10,7 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from .core import AtomicConstraint, AtomicCsp, VariableSpec
+from .core import AtomicConstraint, AtomicCsp, VariableSpec, left_sum
 from .errors import InvalidInstanceError, ParseError
 
 _WEIGHT_TOL = 1e-9
@@ -207,7 +207,7 @@ def parse_csp(text: str) -> AtomicCsp:
         if any(isinstance(w, bool) or not isinstance(w, (int, float))
                or not w > 0 for w in weights):
             raise ParseError(f"vars[{i}] needs positive numeric weights")
-        total = sum(weights)
+        total = left_sum(weights)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ParseError(f"vars[{i}] weights sum to {total}, not 1")
         vars.append(VariableSpec(n, tuple(w / total for w in weights)))

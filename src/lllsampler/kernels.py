@@ -15,14 +15,13 @@ import hashlib
 import itertools
 import math
 import struct
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import STAR, AtomicConstraint, AtomicCsp, FlatCsp
+from .core import STAR, AtomicCsp, FlatCsp, left_sum
 from .errors import BudgetError, ConditionsError, InvariantError
 
 # Stream labels.
@@ -132,17 +131,19 @@ class ComponentResult:
     ``token`` is False as soon as a reachable falsifiable constraint touches a
     marked STAR variable other than the focal one; True means the component's
     conditional law factorizes away from the rest of the instance.
+    ``entries`` holds, per falsifiable constraint in discovery order, the
+    (variable, falsifying value) pairs of its STAR entries, in entry order.
     """
 
     component_vars: tuple[int, ...]
     component_constraints: tuple[int, ...]
     token: bool
-    projected: tuple[AtomicConstraint, ...]  # restricted to STAR variables
+    entries: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def component(csp: AtomicCsp, marked, state, u: int) -> ComponentResult:
     """Grow the component of u through the constraints falsifiable under
-    ``state``, projected onto its STAR variables.
+    ``state``, restricted to their STAR entries, walking ``csp.flat``.
 
     ``state`` is a sequence of value indices with STAR = -1: an int64 array
     or a list of ints.  ``marked`` is a per-variable boolean sequence.
@@ -154,7 +155,7 @@ def component(csp: AtomicCsp, marked, state, u: int) -> ComponentResult:
     in_comp = {u}
     queue = deque([u])
     cons_ids: list[int] = []
-    projected: list[AtomicConstraint] = []
+    entries: list[tuple[tuple[int, int], ...]] = []
     seen_cons = set()
     while queue:
         v = queue.popleft()
@@ -163,29 +164,29 @@ def component(csp: AtomicCsp, marked, state, u: int) -> ComponentResult:
             if ci in seen_cons:
                 continue
             seen_cons.add(ci)
-            c = csp.constraints[ci]
+            a = int(flat.starts[ci])
+            b = a + int(flat.arity[ci])
             stars = []
-            fals = []
-            for w, q in zip(c.vbl, c.falsifying):
+            for w, q in zip(flat.cons_vars[a:b].tolist(),
+                            flat.cons_fals[a:b].tolist()):
                 x = state[w]
                 if x == STAR:
-                    stars.append(w)
-                    fals.append(q)
+                    stars.append((w, q))
                 elif x != q:
                     break
             else:
-                for w in stars:
+                for w, _ in stars:
                     if w != u and marked[w]:
                         return ComponentResult(
                             tuple(sorted(in_comp)), tuple(cons_ids), False, ())
                 cons_ids.append(ci)
-                projected.append(AtomicConstraint(tuple(stars), tuple(fals)))
-                for w in stars:
+                entries.append(tuple(stars))
+                for w, _ in stars:
                     if w not in in_comp:
                         in_comp.add(w)
                         queue.append(w)
     return ComponentResult(tuple(sorted(in_comp)), tuple(cons_ids), True,
-                           tuple(projected))
+                           tuple(entries))
 
 
 def product_draw(flat: FlatCsp, free: np.ndarray,
@@ -250,40 +251,20 @@ def rejection_sampling(csp: AtomicCsp, values: np.ndarray, labels,
         entries = entries[bad[cons_label[cons]]]
 
 
-@dataclass(frozen=True)
-class SafePmf:
-    """The safe lower envelope D*(q) = max(0, 1 - beta*(1 - D(q))) with the
-    residual mass on STAR."""
-
-    probs: tuple[float, ...]
-    star: float
-
-
-def safe_pmf(csp: AtomicCsp, u: int, log_beta: float) -> SafePmf:
-    """The safe distribution of a marked variable, given the marking's
-    ln(beta)."""
+def safe_pmf(csp: AtomicCsp, u: int, log_beta: float) -> tuple[float, ...]:
+    """The safe lower envelope D*(q) = max(0, 1 - beta*(1 - D(q))) of a
+    marked variable, given the marking's ln(beta); the rest of the mass is
+    the residual layer's."""
     beta = math.exp(log_beta)
-    probs = tuple(max(0.0, 1.0 - beta * (1.0 - w)) for w in csp.vars[u].weights)
-    star = 1.0 - sum(probs)
-    if star < -_PROB_TOL:
-        raise ConditionsError("safe pmf has negative residual mass")
-    return SafePmf(probs, max(0.0, star))
+    return tuple(max(0.0, 1.0 - beta * (1.0 - w)) for w in csp.vars[u].weights)
 
 
-@dataclass(frozen=True)
-class ComponentMarginal:
-    """Exact marginal of the focal variable under the component's
-    conditional law."""
-
-    probs: tuple[float, ...]
-
-
-def _ie_marginal(csp, projected, focal, budget):
-    """Inclusion-exclusion over constraint subsets with conflict pruning."""
+def _ie_marginal(csp, cons, focal, budget):
+    """Inclusion-exclusion over constraint subsets with conflict pruning;
+    ``cons`` is ``ComponentResult.entries``."""
     nq = csp.vars[focal].domain_size
     weights = csp.vars[focal].weights
     numer = [0.0] * nq
-    cons = [tuple(zip(c.vbl, c.falsifying)) for c in projected]
     terms = 0
 
     assign: dict[int, int] = {}
@@ -320,7 +301,7 @@ def _ie_marginal(csp, projected, focal, budget):
     return numer
 
 
-def _enum_marginal(csp, comp_vars, projected, focal, budget):
+def _enum_marginal(csp, comp_vars, entries, focal, budget):
     nq = csp.vars[focal].domain_size
     numer = [0.0] * nq
     domains = [range(csp.vars[v].domain_size) for v in comp_vars]
@@ -330,12 +311,12 @@ def _enum_marginal(csp, comp_vars, projected, focal, budget):
     if total > budget:
         raise BudgetError("enumeration budget exceeded")
     index = {v: i for i, v in enumerate(comp_vars)}
-    cons = [(tuple(index[v] for v in c.vbl), c.falsifying) for c in projected]
+    cons = [tuple((index[v], q) for v, q in e) for e in entries]
     fi = index[focal]
     for draw in itertools.product(*domains):
         ok = True
-        for vbl, fals in cons:
-            if all(draw[i] == q for i, q in zip(vbl, fals)):
+        for c in cons:
+            if all(draw[i] == q for i, q in c):
                 ok = False
                 break
         if not ok:
@@ -348,7 +329,8 @@ def _enum_marginal(csp, comp_vars, projected, focal, budget):
 
 
 def exact_component_marginal(csp: AtomicCsp, comp: ComponentResult, focal: int,
-                             budget: int = DEFAULT_TERM_BUDGET) -> ComponentMarginal:
+                             budget: int = DEFAULT_TERM_BUDGET
+                             ) -> tuple[float, ...]:
     """Pr[focal = q] under the component's conditional law, computed exactly.
 
     Chooses inclusion-exclusion over constraint subsets or exhaustive
@@ -359,9 +341,9 @@ def exact_component_marginal(csp: AtomicCsp, comp: ComponentResult, focal: int,
         raise InvariantError("component marginal requires token = True")
     if focal not in comp.component_vars:
         raise InvariantError("focal variable not in component")
-    if not comp.projected:
-        return ComponentMarginal(csp.vars[focal].weights)
-    ie_cost = 2 ** len(comp.projected)
+    if not comp.entries:
+        return csp.vars[focal].weights
+    ie_cost = 2 ** len(comp.entries)
     enum_cost = 1
     for v in comp.component_vars:
         enum_cost *= csp.vars[v].domain_size
@@ -369,32 +351,30 @@ def exact_component_marginal(csp: AtomicCsp, comp: ComponentResult, focal: int,
             break
     if min(ie_cost, enum_cost) > budget:
         raise BudgetError(
-            f"component too large: 2^{len(comp.projected)} subsets vs "
+            f"component too large: 2^{len(comp.entries)} subsets vs "
             f"{enum_cost} states exceed the budget of {budget} terms")
     if ie_cost <= enum_cost:
-        numer = _ie_marginal(csp, comp.projected, focal, budget)
+        numer = _ie_marginal(csp, comp.entries, focal, budget)
     else:
-        numer = _enum_marginal(csp, comp.component_vars, comp.projected,
+        numer = _enum_marginal(csp, comp.component_vars, comp.entries,
                                focal, budget)
-    denom = sum(numer)
+    denom = left_sum(numer)
     if denom <= 0.0:
         raise InvariantError("component has no satisfying assignment")
-    probs = tuple(max(0.0, x) / denom for x in numer)
-    return ComponentMarginal(probs)
+    return tuple(max(0.0, x) / denom for x in numer)
 
 
 class UpdateContext:
     """Precomputed data for the coupled update under a ``Marking`` m.
 
     Building one of these requires beta to be defined whenever any variable is
-    marked (e*alpha <= 1).  The safe layer has one row per distinct marked
-    ``VariableSpec``, keyed by its index in ``csp.flat.spec_of`` as in
-    ``flat.cum_table``: the safe probabilities, their running sums and the
-    safe total.  It is also kept as arrays over the marked variables,
-    ascending (``marked_idx``): each one's safe total, and one row of its
-    safe cumulative sums but the last, padded with +inf.  A safe deviate u0
-    then gives the value "how many entries of the row are <= u0", which is
-    ``min(bisect_right(cum, u0), len(cum) - 1)``.
+    marked (e*alpha <= 1).  The safe layer is one table with a row per
+    ``csp.flat.specs`` entry, laid out like ``flat.cum_table``, filled for
+    the marked specs: the safe probabilities (``safe_probs``), their running
+    sums but the last, padded with +inf (``safe_cum``), and the safe totals
+    (``safe_total``).  A safe deviate u0 gives the value "how many entries
+    of the row are <= u0".  ``marked_total`` and ``marked_cum`` gather the
+    rows of the marked variables, ascending (``marked_idx``).
     """
 
     def __init__(self, csp: AtomicCsp, m, budget: int = DEFAULT_TERM_BUDGET):
@@ -404,8 +384,12 @@ class UpdateContext:
         self.n = csp.num_vars
         self.budget = budget
         self.marked_idx = np.flatnonzero(m.mask)
-        marked_spec = csp.flat.spec_of[self.marked_idx]
-        self.safe_probs, self.safe_cum, self.safe_total = {}, {}, {}
+        flat = csp.flat
+        marked_spec = flat.spec_of[self.marked_idx]
+        rows, width = flat.cum_table.shape
+        self.safe_probs = np.zeros((rows, width + 1))
+        self.safe_cum = np.full((rows, width), np.inf)
+        self.safe_total = np.zeros(rows)
         if len(self.marked_idx):
             consts = constants(csp, m)
             if consts.log_beta is None:
@@ -414,18 +398,18 @@ class UpdateContext:
             # each spec's safe pmf, from its first marked variable
             specs, first = np.unique(marked_spec, return_index=True)
             for g, v in zip(specs.tolist(), self.marked_idx[first].tolist()):
-                sp = safe_pmf(csp, v, consts.log_beta)
-                self.safe_probs[g] = sp.probs
-                self.safe_cum[g] = list(itertools.accumulate(sp.probs))
-                self.safe_total[g] = 1.0 - sp.star
-        width = max(map(len, self.safe_cum.values()), default=1) - 1
-        total = np.zeros(len(csp.flat.cum_table))
-        cum = np.full((len(total), width), np.inf)
-        for g, row in self.safe_cum.items():
-            total[g] = self.safe_total[g]
-            cum[g, :len(row) - 1] = row[:-1]
-        self.marked_total = total[marked_spec]
-        self.marked_cum = cum[marked_spec]
+                probs = safe_pmf(csp, v, consts.log_beta)
+                # summed left to right, one probability at a time
+                cum = list(itertools.accumulate(probs))
+                star = 1.0 - cum[-1]
+                if star < -_PROB_TOL:
+                    raise ConditionsError(
+                        "safe pmf has negative residual mass")
+                self.safe_probs[g, :len(probs)] = probs
+                self.safe_cum[g, :len(cum) - 1] = cum[:-1]
+                self.safe_total[g] = 1.0 - max(0.0, star)
+        self.marked_total = self.safe_total[marked_spec]
+        self.marked_cum = self.safe_cum[marked_spec]
 
 
 def update_context(csp: AtomicCsp, m,
@@ -447,18 +431,17 @@ def _update_in_place(ctx: UpdateContext, values, t: int, u0: float) -> None:
         return
     values[v] = STAR
     g = ctx.csp.flat.spec_of[v]
-    cum = ctx.safe_cum[g]
     if u0 < ctx.safe_total[g]:
         # Shared safe layer: the outcome is the same for every bounded chain,
         # no component computation needed.
-        values[v] = min(bisect_right(cum, u0), len(cum) - 1)
+        values[v] = int(np.count_nonzero(ctx.safe_cum[g] <= u0))
         return
     comp = component(ctx.csp, ctx.marking.marked, values, v)
     if not comp.token:
         values[v] = STAR
         return
-    dagger = exact_component_marginal(ctx.csp, comp, v, ctx.budget).probs
-    safe = ctx.safe_probs[g]
+    dagger = exact_component_marginal(ctx.csp, comp, v, ctx.budget)
+    safe = ctx.safe_probs[g, :len(dagger)].tolist()
     for q in range(len(safe)):
         if dagger[q] < safe[q] - _PROB_TOL:
             raise InvariantError(

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AtomicConstraint, AtomicCsp, VariableSpec, constraint_sums
+from .core import (AtomicConstraint, AtomicCsp, VariableSpec, constraint_sums,
+                   left_sum)
 from .errors import (ConstructionFailedError, InvalidInstanceError,
                      InvariantError, RegimeError)
 from .kernels import LABEL_TENSOR, RandomnessTape, TapeStream, derive_seed
@@ -53,7 +54,7 @@ class TensorTree:
             if ch and len(ch) < 2 and n > 2:
                 raise InvalidInstanceError(
                     f"internal node {z} has a single child")
-            wsum = sum(self.weight[c] for c in ch)
+            wsum = left_sum(self.weight[c] for c in ch)
             if ch and abs(wsum - 1.0) > _WEIGHT_TOL:
                 raise InvalidInstanceError(
                     f"child weights at node {z} sum to {wsum}, not 1")
@@ -201,33 +202,38 @@ def _struct_mass(struct, masses):
     return _struct_mass(struct[0], masses) + _struct_mass(struct[1], masses)
 
 
+def _attach(b: _TreeBuilder, node: int, struct, masses, marks,
+            leaf) -> None:
+    """Grow a ``_huffman_structure`` under ``node``, depth first: each merge
+    node goes into ``marks`` and gets one child per side, weighted by the
+    sides' masses; each input index i at a node goes to ``leaf(node, i)``."""
+    if isinstance(struct, int):
+        leaf(node, struct)
+        return
+    marks.add(node)
+    l, r = struct
+    ml = _struct_mass(l, masses)
+    mr = _struct_mass(r, masses)
+    tot = ml + mr
+    _attach(b, b.add(node, ml / tot), l, masses, marks, leaf)
+    _attach(b, b.add(node, mr / tot), r, masses, marks, leaf)
+
+
 def huffman_tensorize(pmf) -> TensorTree:
     """Binary tree over a pmf built by repeatedly merging the two minimum
     masses; every sibling weight ratio is at most max(kappa, 2)."""
     pmf = list(pmf)
     if not pmf:
         raise InvalidInstanceError("empty pmf")
-    if any(w <= 0.0 for w in pmf) or abs(sum(pmf) - 1.0) > _WEIGHT_TOL:
+    if any(w <= 0.0 for w in pmf) or abs(left_sum(pmf) - 1.0) > _WEIGHT_TOL:
         raise InvalidInstanceError("pmf must be positive and sum to 1")
     b = _TreeBuilder()
     if len(pmf) == 1:
         leaf = b.add(0, 1.0)
         return b.build({leaf: 0})
-    struct = _huffman_structure(pmf)
     leaf_values = {}
-
-    def attach(node, struct):
-        if isinstance(struct, int):
-            leaf_values[node] = struct
-            return
-        l, r = struct
-        ml = _struct_mass(l, pmf)
-        mr = _struct_mass(r, pmf)
-        tot = ml + mr
-        attach(b.add(node, ml / tot), l)
-        attach(b.add(node, mr / tot), r)
-
-    attach(0, struct)
+    _attach(b, 0, _huffman_structure(pmf), pmf, set(),
+            leaf_values.__setitem__)
     tree = b.build(leaf_values)
     bound = max(max(pmf) / min(pmf), 2.0)
     for z in tree.internal_nodes():
@@ -281,7 +287,7 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
         for z in tree.internal_nodes():
             local[z] = len(zvars)
             ws = [tree.weight[c] for c in tree.children[z]]
-            s = sum(ws)
+            s = left_sum(ws)
             pmf = tuple(w / s for w in ws)
             if pmf not in spec_of:
                 spec_of[pmf] = VariableSpec(len(pmf), pmf)
@@ -418,7 +424,7 @@ def _candidate(shape, marks):
     if isinstance(shape, int):
         _balanced(b, 0, shape)
     else:
-        total = sum(s for s, _ in shape)
+        total = left_sum(s for s, _ in shape)
         for size, sub in shape:
             node = b.add(0, size / total)
             if isinstance(sub, int):
@@ -463,23 +469,10 @@ def _large_candidate(n: int, x: int):
             f"subtree counts out of range for N={n}, x={x}")
     sizes = [x] * a + [x + 1] * bb
     masses = [s / n for s in sizes]
-    struct = _huffman_structure(masses)
     b = _TreeBuilder()
     marks = set()
-
-    def attach(node, struct):
-        if isinstance(struct, int):
-            _balanced(b, node, sizes[struct])
-            return
-        marks.add(node)
-        l, r = struct
-        ml = _struct_mass(l, masses)
-        mr = _struct_mass(r, masses)
-        tot = ml + mr
-        attach(b.add(node, ml / tot), l)
-        attach(b.add(node, mr / tot), r)
-
-    attach(0, struct)
+    _attach(b, 0, _huffman_structure(masses), masses, marks,
+            lambda node, i: _balanced(b, node, sizes[i]))
     # number leaves left to right; the caller permutes values anyway
     leaf_values = {leaf: i for i, leaf in enumerate(b.leaves())}
     tree = b.build(leaf_values)

@@ -2,7 +2,22 @@
 
 import pytest
 
-from lllsampler import (AtomicConstraint, AtomicCsp, Marking, VariableSpec)
+from lllsampler import (AtomicConstraint, AtomicCsp, Marking, STAR,
+                        VariableSpec)
+
+
+def projected_constraints(csp, comp, state):
+    """The oracles' own projection of a component: each constraint of
+    ``comp.component_constraints``, read from ``csp.constraints`` and
+    restricted to the coordinates that are STAR under ``state``."""
+    out = []
+    for ci in comp.component_constraints:
+        c = csp.constraints[ci]
+        pairs = [(v, q) for v, q in zip(c.vbl, c.falsifying)
+                 if state[v] == STAR]
+        out.append(AtomicConstraint(tuple(v for v, _ in pairs),
+                                    tuple(q for _, q in pairs)))
+    return out
 
 
 def weighted8():

@@ -28,7 +28,8 @@ from lllsampler.marking import (DEFAULT_ZETA, UNIFORM_ETA, UNIFORM_TAU1,
                                 UNIFORM_TAU2, binary_gamma)
 from lllsampler.verify import enumerate_law
 
-from conftest import free8, mixed_csp, overlap18, uniform20, weighted8
+from conftest import (free8, mixed_csp, overlap18, projected_constraints,
+                      uniform20, weighted8)
 from test_kernels import brute_component_marginal, random_csp
 from test_marking import binary_regime_instance
 
@@ -194,13 +195,14 @@ def test_criterion_4_horizon_monotonicity():
               "over 200 seeds (exact)", ok)
 
 
-def component_joint_law(csp, comp):
+def component_joint_law(csp, comp, state):
     doms = [range(csp.vars[v].domain_size) for v in comp.component_vars]
     idx = {v: i for i, v in enumerate(comp.component_vars)}
+    projected = projected_constraints(csp, comp, state)
     out = {}
     for draw in itertools.product(*doms):
         if any(all(draw[idx[v]] == q for v, q in zip(c.vbl, c.falsifying))
-               for c in comp.projected):
+               for c in projected):
             continue
         w = 1.0
         for v, q in zip(comp.component_vars, draw):
@@ -230,10 +232,10 @@ def test_criterion_5_oracle_equivalences():
         if not comp.token:
             continue
         try:
-            expect = brute_component_marginal(csp, comp, focal)
+            expect = brute_component_marginal(csp, comp, focal, values)
         except ZeroDivisionError:
             continue
-        got = exact_component_marginal(csp, comp, focal).probs
+        got = exact_component_marginal(csp, comp, focal)
         max_err = max(max_err,
                       max(abs(a - b) for a, b in zip(got, expect)))
         checked += 1
@@ -242,7 +244,7 @@ def test_criterion_5_oracle_equivalences():
     csp, m = weighted8()
     sigma = [STAR, 0, 0, 0, 0, STAR, STAR, STAR]
     comp = component(csp, m.marked, sigma, 0)
-    law = component_joint_law(csp, comp)
+    law = component_joint_law(csp, comp, sigma)
     # the empty marking: final sampling rejection-samples the component
     state, empty = np.array(sigma), Marking.empty(8)
     num = 100_000

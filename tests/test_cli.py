@@ -7,11 +7,11 @@ import pytest
 import lllsampler.marking
 import lllsampler.verify
 from lllsampler import (STAR, AtomicConstraint, AtomicCsp, HypergraphInstance,
-                        VariableSpec, emit_csp)
+                        VariableSpec, emit_csp, sample)
 from lllsampler.cli import (PipelineConfig, pipeline_binary, prepare_pipeline,
                            run)
 
-from conftest import weighted8
+from conftest import ternary9, weighted8
 from test_marking import binary_regime_instance
 
 
@@ -258,3 +258,13 @@ def test_binary_pipeline_reads_only_the_arrays():
     assert not prepared.forced_empty
     for i in range(20):
         assert len(prepared.draw(1, i)) == n
+
+
+def test_residual_layer_reads_only_the_arrays():
+    # the residual step (``component`` and the exact component marginal)
+    # reads ``csp.flat``, never the constraint objects
+    csp, m = ternary9()
+    csp.constraints = Untouchable(csp.constraints)
+    for seed in range(20):
+        record = sample(csp, m, seed, check_conditions=False)
+        assert len(record.assignment) == csp.num_vars

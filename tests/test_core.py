@@ -10,9 +10,11 @@ from hypothesis import example, given, strategies as st
 from lllsampler import core
 from lllsampler import (AtomicConstraint, AtomicCsp, InvalidInstanceError,
                         STAR, UnsatisfiableInstanceError, VariableSpec,
-                        component, compute_measures, preprocess)
+                        component, compute_measures, parse_dimacs,
+                        preprocess)
 
-from conftest import mixed_csp, overlap18, random_weighted_csp
+from conftest import (mixed_csp, overlap18, projected_constraints,
+                      random_weighted_csp)
 
 
 def test_variable_spec_validation():
@@ -184,13 +186,15 @@ def test_falsifiable_and_projection():
     assert comp.token and comp.component_vars == (0,)
     # both constraints are falsifiable and survive, restricted to variable 0
     assert comp.component_constraints == (0, 1)
-    assert len(comp.projected) == 2
-    assert all(c.vbl == (0,) for c in comp.projected)
+    projected = projected_constraints(csp, comp, [STAR, 1])
+    assert [c.vbl for c in projected] == [(0,), (0,)]
+    assert comp.entries == (((0, 0),), ((0, 2),))
     comp2 = component(csp, [False, False], np.array([STAR, 2]), 0)
     # the (u,v)=(c,B) constraint dropped
     assert comp2.component_constraints == (0,)
-    assert len(comp2.projected) == 1
-    assert comp2.projected[0].vbl == (0,)
+    projected = projected_constraints(csp, comp2, [STAR, 2])
+    assert [c.vbl for c in projected] == [(0,)]
+    assert comp2.entries == (((0, 0),),)
 
 
 def test_projection_measures_do_not_increase():
@@ -200,7 +204,7 @@ def test_projection_measures_do_not_increase():
     proj = AtomicCsp(
         [csp.vars[v] for v in comp.component_vars],
         [AtomicConstraint(tuple(index[v] for v in c.vbl), c.falsifying)
-         for c in comp.projected])
+         for c in projected_constraints(csp, comp, [STAR, 1])])
     before = compute_measures(csp)
     after = compute_measures(proj)
     assert after.k <= before.k
@@ -299,3 +303,48 @@ def test_no_identity_comparison_with_star():
                         and (names_star(a) or names_star(b))):
                     found.append(f"{path.relative_to(repo)}:{node.lineno}")
     assert found == []
+
+
+def test_no_builtin_float_sum():
+    # from Python 3.12 on the builtin ``sum`` compensates float sums, so an
+    # instance, a safe total or a marginal would depend on the interpreter;
+    # ``core.left_sum`` adds left to right, as 3.11's ``sum`` does
+    assert core.left_sum([0.1] * 10) == 0.9999999999999999
+    src = Path(__file__).resolve().parent.parent / "src" / "lllsampler"
+    found = []
+    for name in ("core", "frontends", "kernels", "marking", "sampler",
+                 "tensorization"):
+        path = src / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "sum"):
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []
+
+
+def test_flatten_hashes_each_spec_object_once(monkeypatch):
+    # hashing a VariableSpec hashes its weight tuple; ``parse_dimacs`` passes
+    # one shared spec object for every variable
+    calls = []
+    spec_hash = VariableSpec.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return spec_hash(self)
+
+    monkeypatch.setattr(VariableSpec, "__hash__", counting_hash)
+    rng = random.Random(3)
+    n = 1000
+    clauses = [" ".join(str(rng.choice((1, -1)) * v)
+                        for v in rng.sample(range(1, n + 1), 3)) + " 0"
+               for _ in range(400)]
+    csp = parse_dimacs(f"p cnf {n} {len(clauses)}\n" + "\n".join(clauses))
+    distinct = {id(s) for s in csp.vars}
+    assert csp.num_vars == n and len(distinct) == 1
+    assert 1 <= len(calls) <= len(distinct)
+    # equal specs in distinct objects still share one row
+    a, b = VariableSpec(2, (0.3, 0.7)), VariableSpec(2, (0.3, 0.7))
+    c = VariableSpec.uniform(2)
+    f = AtomicCsp([a, c, b, a, c], []).flat
+    assert f.spec_of.tolist() == [0, 1, 0, 0, 1]
+    assert f.specs[0] is a and f.specs[1] is c

@@ -75,7 +75,8 @@ def draw_digest(prepared) -> str:
 # their chains never leave the safe layer.  These small instances, run
 # without the condition check, take the residual step (``component`` and
 # the exact component marginal) hundreds of times.
-# name -> (instance and marking, sha256 of the draws)
+# name -> (function returning the instance and its marking, sha256 of the
+#          draws)
 RESIDUAL_CASES = {
     "ternary9": (
         ternary9,

@@ -16,7 +16,7 @@ from lllsampler import kernels
 from lllsampler.kernels import (LABEL_REJECTION, UpdateContext, _enum_marginal,
                                 _ie_marginal, _update_in_place)
 
-from conftest import ternary9, weighted8
+from conftest import projected_constraints, ternary9, weighted8
 
 
 def test_derive_seed_stable_and_distinct():
@@ -112,22 +112,24 @@ def test_component_requires_star_focal():
 
 def test_safe_pmf_shape():
     csp, m = weighted8()
-    sp = safe_pmf(csp, 0, compute_constants(csp, m).log_beta)
-    assert sp.star == pytest.approx(1.0 - sum(sp.probs))
-    assert all(p >= 0.0 for p in sp.probs)
+    probs = safe_pmf(csp, 0, compute_constants(csp, m).log_beta)
+    assert len(probs) == 2
+    assert all(p >= 0.0 for p in probs)
     # beta > 1 shrinks each weight: D*(q) <= D(q)
-    for p, w in zip(sp.probs, csp.vars[0].weights):
+    for p, w in zip(probs, csp.vars[0].weights):
         assert p <= w + 1e-12
 
 
-def brute_component_marginal(csp, comp, focal):
-    """Independent oracle: direct enumeration over the component variables."""
+def brute_component_marginal(csp, comp, focal, state):
+    """Independent oracle: direct enumeration over the component variables,
+    with the component's constraints projected by ``projected_constraints``."""
     numer = [0.0] * csp.vars[focal].domain_size
     doms = [range(csp.vars[v].domain_size) for v in comp.component_vars]
     idx = {v: i for i, v in enumerate(comp.component_vars)}
+    projected = projected_constraints(csp, comp, state)
     for draw in itertools.product(*doms):
         if any(all(draw[idx[v]] == q for v, q in zip(c.vbl, c.falsifying))
-               for c in comp.projected):
+               for c in projected):
             continue
         w = 1.0
         for v, q in zip(comp.component_vars, draw):
@@ -153,13 +155,16 @@ def test_marginal_paths_agree_with_oracle():
         comp = component(csp, marked, values, focal)
         if not comp.token:
             continue
+        assert comp.entries == tuple(
+            tuple(zip(c.vbl, c.falsifying))
+            for c in projected_constraints(csp, comp, values))
         try:
-            expect = brute_component_marginal(csp, comp, focal)
+            expect = brute_component_marginal(csp, comp, focal, values)
         except ZeroDivisionError:
             continue
-        got = exact_component_marginal(csp, comp, focal).probs
-        ie = _ie_marginal(csp, comp.projected, focal, 2 ** 20)
-        enum = _enum_marginal(csp, comp.component_vars, comp.projected,
+        got = exact_component_marginal(csp, comp, focal)
+        ie = _ie_marginal(csp, comp.entries, focal, 2 ** 20)
+        enum = _enum_marginal(csp, comp.component_vars, comp.entries,
                               focal, 2 ** 20)
         z_ie, z_en = sum(ie), sum(enum)
         for q in range(len(expect)):
@@ -175,7 +180,7 @@ def test_rejection_sampling_law():
     csp, m = weighted8()
     sigma = [STAR, 0, 0, 0, 0, STAR, STAR, STAR]
     comp = component(csp, m.marked, sigma, 0)
-    expect = brute_component_marginal(csp, comp, 0)
+    expect = brute_component_marginal(csp, comp, 0, sigma)
     state = np.array(sigma)
     counts = [0, 0]
     n = 20000
@@ -300,13 +305,23 @@ def test_safe_table_matches_clamped_bisect(monkeypatch):
         assert ctx.marked_idx.tolist() == list(m.indices())
         log_beta = compute_constants(csp, m).log_beta
         for i, v in enumerate(m.indices()):
-            sp = safe_pmf(csp, v, log_beta)
-            cum = list(itertools.accumulate(sp.probs))
-            total = 1.0 - sp.star
-            assert ctx.marked_total[i] == total
+            probs = safe_pmf(csp, v, log_beta)
+            g = csp.flat.spec_of[v]
+            assert ctx.safe_probs[g, :len(probs)].tolist() == list(probs)
+            cum = []
+            acc = 0.0
+            for p in probs:
+                acc += p
+                cum.append(acc)
+            total = 1.0 - max(0.0, 1.0 - acc)
+            assert ctx.marked_total[i] == ctx.safe_total[g] == total
             grid = {0.0, math.nextafter(1.0, 0.0), total}
             for c in cum:
                 grid |= {c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)}
             for u0 in grid:
-                assert int((ctx.marked_cum[i] <= u0).sum()) == min(
-                    bisect_right(cum, u0), len(cum) - 1), (v, u0)
+                expect = min(bisect_right(cum, u0), len(cum) - 1)
+                assert int((ctx.marked_cum[i] <= u0).sum()) == expect, (v, u0)
+                if u0 < total:
+                    state = [STAR] * csp.num_vars
+                    _update_in_place(ctx, state, v, u0)
+                    assert state[v] == expect, (v, u0)

@@ -16,7 +16,8 @@ from lllsampler.verify import (check_bounding_invariant,
                                coalescence_experiment, enumerate_law,
                                law_of_projection, tv_distance)
 
-from conftest import free8, overlap18, ternary9, uniform20, weighted8
+from conftest import (free8, overlap18, projected_constraints, ternary9,
+                      uniform20, weighted8)
 
 
 def test_sample_deterministic_in_seed():
@@ -158,20 +159,21 @@ def reference_final_sampling(csp, m, sigma_marked, stream):
             comp = component(csp, m.marked, values, v)
             assert comp.token
             seen.update(comp.component_vars)
-            comps.append(comp)
+            comps.append((comp.component_vars,
+                          projected_constraints(csp, comp, values)))
     cums = [list(itertools.accumulate(s.weights)) for s in csp.vars]
     pending = comps
     attempts = 0
     while pending:
-        attempts += sum(1 for comp in pending if comp.projected)
-        for v in sorted(w for comp in pending for w in comp.component_vars):
+        attempts += sum(1 for _, projected in pending if projected)
+        for v in sorted(w for vs, _ in pending for w in vs):
             cw = cums[v]
             values[v] = min(bisect_right(cw, stream.next_uniform()),
                             len(cw) - 1)
-        pending = [comp for comp in pending
+        pending = [(vs, projected) for vs, projected in pending
                    if any(all(values[w] == q
                               for w, q in zip(c.vbl, c.falsifying))
-                          for c in comp.projected)]
+                          for c in projected)]
     return values, attempts
 
 
@@ -219,7 +221,8 @@ def test_final_sampling_matches_per_variable_reference():
             assert values.dtype == np.int64
             comps = [component(csp, m.marked, state, v)
                      for v in range(csp.num_vars) if state[v] == STAR]
-            constrained = {c.component_vars for c in comps if c.projected}
+            constrained = {c.component_vars for c in comps
+                           if c.component_constraints}
             rejected += got[1] > len(constrained)
     assert rejected > 50  # many draws rejected some attempt
 
