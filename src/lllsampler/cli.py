@@ -10,7 +10,6 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -51,13 +50,9 @@ class PipelineConfig:
     colors: int = 0
     zeta: float = 1e-5
     seed: int = 0
-    num: int = 1
-    jobs: int = 1
-    out: str = None
     budget_terms: int = DEFAULT_TERM_BUDGET
     max_horizon: int = DEFAULT_HORIZON_CAP
     force: bool = False
-    named: bool = False
 
 
 class PreparedPipeline:
@@ -202,16 +197,6 @@ def _prepare_coloring(h: HypergraphInstance, cfg: PipelineConfig):
                             tens, cfg.budget_terms, cfg.max_horizon)
 
 
-# --- spec-level pipeline entry points ---------------------------------------
-
-def pipeline_binary(csp: AtomicCsp, zeta: float = 1e-5, seed: int = 0,
-                    num: int = 1, force: bool = False):
-    cfg = PipelineConfig("-", "csp", "binary", zeta=zeta, seed=seed, num=num,
-                         force=force)
-    prepared = prepare_pipeline(csp, cfg)
-    return [prepared.draw(seed, i) for i in range(num)]
-
-
 # --- input/output plumbing --------------------------------------------------
 
 def _read_input(path: str) -> str:
@@ -235,17 +220,18 @@ def _load(cfg: PipelineConfig):
     return parse_csp(text)
 
 
-def _render(values, cfg: PipelineConfig) -> str:
-    if cfg.named and cfg.format == "dimacs":
-        lits = [(v + 1) if q == 1 else -(v + 1) for v, q in enumerate(values)]
-        return json.dumps(lits)
+def _render(values, named: bool) -> str:
+    """One JSON line; ``named`` renders DIMACS values as signed literals."""
+    if named:
+        values = [(v + 1) if q == 1 else -(v + 1)
+                  for v, q in enumerate(values)]
     return json.dumps(values)
 
 
-def _emit(lines, cfg: PipelineConfig):
+def _emit(lines, out: str | None):
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as f:
+    if out:
+        with open(out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -265,62 +251,68 @@ def _worker_draw(i):
     return i, _WORKER.draw(_WORKER_CFG.seed, i)
 
 
-def _sample_lines(cfg: PipelineConfig) -> list[str]:
-    if cfg.jobs <= 1:
+def _sample_lines(cfg: PipelineConfig, num: int, jobs: int,
+                  named: bool) -> list[str]:
+    named = named and cfg.format == "dimacs"
+    if jobs <= 1:
         prepared = prepare_pipeline(_load(cfg), cfg)
-        return [_render(prepared.draw(cfg.seed, i), cfg)
-                for i in range(cfg.num)]
-    results = [None] * cfg.num
+        return [_render(prepared.draw(cfg.seed, i), named)
+                for i in range(num)]
+    results = [None] * num
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=cfg.jobs, initializer=_worker_init,
+            max_workers=jobs, initializer=_worker_init,
             initargs=(cfg,)) as pool:
-        for i, values in pool.map(_worker_draw, range(cfg.num)):
-            results[i] = _render(values, cfg)
+        for i, values in pool.map(_worker_draw, range(num)):
+            results[i] = _render(values, named)
     return results
 
 
 # --- click wiring -----------------------------------------------------------
 
-def _common_options(f):
-    opts = [
-        click.option("--input", "input_", default="-", show_default=True,
-                     help="Instance file, or - for stdin."),
-        click.option("--format", "format_", default="csp",
-                     type=click.Choice(FORMATS), show_default=True),
-        click.option("--pipeline", default="general",
-                     type=click.Choice(PIPELINES), show_default=True),
-        click.option("--colors", default=0, type=int,
-                     help="Color count for the coloring pipeline."),
-        click.option("--zeta", default=1e-5, type=float, show_default=True),
-        click.option("--seed", default=None, type=int,
-                     help="Master seed (falls back to $LLL_SAMPLER_SEED, "
-                          "then 0)."),
-        click.option("--num", default=1, type=click.IntRange(min=1),
-                     show_default=True),
-        click.option("--jobs", default=1, type=click.IntRange(min=1),
-                     show_default=True),
-        click.option("--out", default=None, help="Output file."),
-        click.option("--budget-terms", default=DEFAULT_TERM_BUDGET, type=int,
-                     show_default=True),
-        click.option("--max-horizon", default=DEFAULT_HORIZON_CAP, type=int,
-                     show_default=True),
-        click.option("--force", is_flag=True,
-                     help="Bypass regime checks; fall back to the empty "
-                          "marking when construction fails."),
-        click.option("--named", is_flag=True,
-                     help="Render DIMACS samples as signed literal lists."),
-    ]
-    for opt in reversed(opts):
-        f = opt(f)
-    return f
+# Each option once; every command lists the ones it reads.  The parameter
+# names are ``PipelineConfig``'s field names.
+_OPTIONS = {
+    "input": click.option("--input", default="-", show_default=True,
+                          help="Instance file, or - for stdin."),
+    "format": click.option("--format", default="csp",
+                           type=click.Choice(FORMATS), show_default=True),
+    "pipeline": click.option("--pipeline", default="general",
+                             type=click.Choice(PIPELINES), show_default=True),
+    "colors": click.option("--colors", default=0, type=int,
+                           help="Color count for the coloring pipeline."),
+    "zeta": click.option("--zeta", default=1e-5, type=float,
+                         show_default=True),
+    "seed": click.option("--seed", default=0, type=int,
+                         envvar="LLL_SAMPLER_SEED",
+                         help="Master seed (falls back to $LLL_SAMPLER_SEED, "
+                              "then 0)."),
+    "num": click.option("--num", default=1, type=click.IntRange(min=1),
+                        show_default=True),
+    "jobs": click.option("--jobs", default=1, type=click.IntRange(min=1),
+                         show_default=True),
+    "out": click.option("--out", default=None, help="Output file."),
+    "budget_terms": click.option("--budget-terms", default=DEFAULT_TERM_BUDGET,
+                                 type=int, show_default=True),
+    "max_horizon": click.option("--max-horizon", default=DEFAULT_HORIZON_CAP,
+                                type=int, show_default=True),
+    "force": click.option("--force", is_flag=True,
+                          help="Bypass regime checks; fall back to the empty "
+                               "marking when construction fails."),
+    "named": click.option("--named", is_flag=True,
+                          help="Render DIMACS samples as signed literal "
+                               "lists."),
+}
+
+# the options that pick and build an instance's pipeline
+_INSTANCE = ("input", "format", "pipeline", "colors", "zeta", "seed")
 
 
-def _make_config(input_, format_, pipeline, colors, zeta, seed, num, jobs,
-                 out, budget_terms, max_horizon, force, named):
-    if seed is None:
-        seed = int(os.environ.get("LLL_SAMPLER_SEED", "0"))
-    return PipelineConfig(input_, format_, pipeline, colors, zeta, seed, num,
-                          jobs, out, budget_terms, max_horizon, force, named)
+def _options(*names):
+    def decorate(f):
+        for name in reversed(names):
+            f = _OPTIONS[name](f)
+        return f
+    return decorate
 
 
 @click.group()
@@ -329,18 +321,18 @@ def cli():
 
 
 @cli.command("sample")
-@_common_options
-def cmd_sample(**kw):
+@_options(*_INSTANCE, "num", "jobs", "out", "budget_terms", "max_horizon",
+          "force", "named")
+def cmd_sample(num, jobs, out, named, **kw):
     """Draw solutions; one JSON array of value indices per line."""
-    cfg = _make_config(**kw)
-    _emit(_sample_lines(cfg), cfg)
+    _emit(_sample_lines(PipelineConfig(**kw), num, jobs, named), out)
 
 
 @cli.command("check")
-@_common_options
-def cmd_check(**kw):
+@_options(*_INSTANCE, "out")
+def cmd_check(out, **kw):
     """Report measures, constants and the chain-condition verdict."""
-    cfg = _make_config(**kw)
+    cfg = PipelineConfig(**kw, force=True)
     loaded = _load(cfg)
     if cfg.pipeline == "coloring":
         csp = build_coloring(loaded, max(cfg.colors, 2))
@@ -362,7 +354,7 @@ def cmd_check(**kw):
         gb, _, _ = binary_gamma(meas.kappa, cfg.zeta)
         report["binary_gamma"] = gb
     try:
-        prepared = prepare_pipeline(loaded, replace(cfg, force=True))
+        prepared = prepare_pipeline(loaded, cfg)
         run_csp = prepared.run_csp
         report["marked_count"] = sum(prepared.marking.marked)
         report["forced_empty_marking"] = prepared.forced_empty
@@ -379,16 +371,16 @@ def cmd_check(**kw):
     except SamplerError as e:
         report["construction_error"] = str(e)
         report["regime_ok"] = False
-    _emit([json.dumps(report, indent=1)], cfg)
+    _emit([json.dumps(report, indent=1)], out)
 
 
 @cli.command("verify")
-@_common_options
-def cmd_verify(**kw):
+@_options(*_INSTANCE, "num", "out", "budget_terms", "max_horizon", "force")
+def cmd_verify(num, out, **kw):
     """End-to-end certification against exhaustive enumeration."""
-    cfg = _make_config(**kw)
+    cfg = PipelineConfig(**kw)
     prepared = prepare_pipeline(_load(cfg), cfg)
-    num = max(cfg.num, 2000)
+    num = max(num, 2000)
     law = verify_mod.enumerate_law(prepared.original)
     counts = {}
     for i in range(num):
@@ -416,30 +408,30 @@ def cmd_verify(**kw):
               and inv["equality_failures"] == 0
               and inv["sweep_mismatches"] == 0)
     report["passed"] = passed
-    _emit([json.dumps(report, indent=1)], cfg)
+    _emit([json.dumps(report, indent=1)], out)
     if not passed:
         raise InvariantError("verification failed")
 
 
 @cli.command("bench")
-@_common_options
-def cmd_bench(**kw):
+@_options(*_INSTANCE, "num", "out", "force")
+def cmd_bench(num, out, **kw):
     """Coalescence-tail table at T in {20n, 30n, 40n}."""
-    cfg = _make_config(**kw)
+    cfg = PipelineConfig(**kw)
     prepared = prepare_pipeline(_load(cfg), cfg)
     n = max(prepared.run_csp.num_vars, 1)
     rows = verify_mod.coalescence_experiment(
         prepared.run_csp, prepared.marking, [20 * n, 30 * n, 40 * n],
-        max(cfg.num, 100), cfg.seed)
-    _emit([json.dumps(r) for r in rows], cfg)
+        max(num, 100), cfg.seed)
+    _emit([json.dumps(r) for r in rows], out)
 
 
 @cli.command("tensorize")
-@_common_options
-def cmd_tensorize(**kw):
+@_options(*_INSTANCE, "out")
+def cmd_tensorize(out, **kw):
     """Emit per-variable decision-tree dumps."""
-    cfg = _make_config(**kw)
-    prepared = prepare_pipeline(_load(cfg), replace(cfg, force=True))
+    cfg = PipelineConfig(**kw, force=True)
+    prepared = prepare_pipeline(_load(cfg), cfg)
     if prepared.tensorized is None:
         raise click.UsageError(
             "the selected pipeline does not tensorize this instance")
@@ -449,18 +441,17 @@ def cmd_tensorize(**kw):
                  if prepared.marking.marked[prepared.tensorized.node_of[v][z]]}
         lines.append(f"var {v}")
         lines.append(tree.dump(marks))
-    _emit(lines, cfg)
+    _emit(lines, out)
 
 
 @cli.command("selftest")
-@_common_options
-def cmd_selftest(**kw):
+@_options("seed", "out")
+def cmd_selftest(seed, out):
     """Numeric-constant checks plus fast construction properties."""
-    cfg = _make_config(**kw)
     report = verify_numeric_facts()
     ok = report["all_passed"]
     # quick structural probes
-    rng = RandomnessTape(derive_seed(cfg.seed, "selftest"))
+    rng = RandomnessTape(derive_seed(seed, "selftest"))
     for n in range(2, 18):
         tree, _ = uniform_randomized_tensorization(
             n, rng.stream(n, LABEL_TENSOR))
@@ -469,7 +460,7 @@ def cmd_selftest(**kw):
                 ok = False
     report["tree_products_ok"] = ok
     report["all_passed"] = ok
-    _emit([json.dumps(report, indent=1)], cfg)
+    _emit([json.dumps(report, indent=1)], out)
     if not ok:
         raise InvariantError("self-test failed")
 

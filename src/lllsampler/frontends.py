@@ -182,6 +182,11 @@ def build_coloring(h: HypergraphInstance, q_colors: int) -> AtomicCsp:
     return AtomicCsp(vars, constraints)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_csp(text: str) -> AtomicCsp:
     """JSON interchange: {"vars": [{"domain": n, "weights": [...]}, ...],
     "constraints": [{"vbl": [...], "false": [...]}, ...]}, 0-based."""
@@ -198,7 +203,7 @@ def parse_csp(text: str) -> AtomicCsp:
         if not isinstance(spec, dict) or "domain" not in spec:
             raise ParseError(f"vars[{i}] must be an object with 'domain'")
         n = spec["domain"]
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ParseError(f"vars[{i}].domain must be a positive integer")
         weights = spec.get("weights", [1.0 / n] * n)
         if not isinstance(weights, list) or len(weights) != n:
@@ -222,9 +227,9 @@ def parse_csp(text: str) -> AtomicCsp:
             raise ParseError(f"constraints[{i}] needs nonempty 'vbl' and "
                              "'false' lists of equal length")
         for v, q in zip(vbl, fals):
-            if not isinstance(v, int) or not 0 <= v < len(vars):
+            if not _is_int(v) or not 0 <= v < len(vars):
                 raise ParseError(f"constraints[{i}]: variable {v} out of range")
-            if not isinstance(q, int) or not 0 <= q < vars[v].domain_size:
+            if not _is_int(q) or not 0 <= q < vars[v].domain_size:
                 raise ParseError(
                     f"constraints[{i}]: falsifying value {q} out of range")
         try:

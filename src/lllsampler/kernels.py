@@ -95,33 +95,17 @@ class RandomnessTape:
 
 
 class TapeStream:
-    """Deviates read in order from one generator at address (t, label).
-
-    The values do not depend on the buffer size: the buffer only batches
-    reads of the same sequence.
-    """
+    """Deviates read in order from one generator at address (t, label)."""
 
     def __init__(self, tape: RandomnessTape, t: int, label: int):
         self._gen = tape._generator(label, (t + _TIME_OFFSET) << 80)
-        self._buf: list[float] = []
-        self._buf_pos = 0
 
     def next_uniform(self) -> float:
-        if self._buf_pos >= len(self._buf):
-            self._buf = self._gen.random(64).tolist()
-            self._buf_pos = 0
-        u = self._buf[self._buf_pos]
-        self._buf_pos += 1
-        return u
+        return float(self._gen.random())
 
     def uniforms(self, k: int) -> np.ndarray:
         """The next k deviates, as one array."""
-        pos = self._buf_pos
-        head = self._buf[pos:pos + k]
-        self._buf_pos = pos + len(head)
-        if len(head) == k:
-            return np.array(head, dtype=np.float64)
-        return np.concatenate((head, self._gen.random(k - len(head))))
+        return self._gen.random(k)
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,23 @@ def binary_gamma(kappa: float, zeta: float) -> tuple[float, float, float]:
     return gamma, eta, tau
 
 
+def _resample_marking(csp, eta, violated, seed, label, name) -> Marking:
+    """Bernoulli(eta) marks resampled until no ``violated`` event holds,
+    kept once the chain conditions pass; each attempt reads the tape of
+    ``derive_seed(seed, label, attempt)``."""
+    for attempt in range(DEFAULT_RETRY_CAP):
+        tape = RandomnessTape(derive_seed(seed, label, attempt))
+        stream = tape.stream(0, LABEL_MARKING)
+        marks = moser_tardos(
+            csp, lambda vs: stream.uniforms(len(vs)) < eta, violated)
+        marking = Marking(marks.tolist())
+        if check_theorem_conditions(csp, marking).passed:
+            return marking
+    raise ConstructionFailedError(
+        f"{name} marking construction failed after {DEFAULT_RETRY_CAP} "
+        "attempts")
+
+
 def _binary_events(csp, eta, tau):
     """Deviation events of the binary construction, in nats, as a
     ``violated`` over marks.
@@ -248,18 +265,8 @@ def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
         raise RegimeError(
             f"regime p^gamma*Delta <= 0.01*zeta/kappa fails: gamma={gamma:.4f}"
             f" ln p={meas.log_p:.4f} Delta={meas.delta} kappa={meas.kappa:.4f}")
-    violated = _binary_events(csp, eta, tau)
-    for attempt in range(DEFAULT_RETRY_CAP):
-        tape = RandomnessTape(derive_seed(seed, "marking-binary", attempt))
-        stream = tape.stream(0, LABEL_MARKING)
-        marks = moser_tardos(
-            csp, lambda vs: stream.uniforms(len(vs)) < eta, violated)
-        marking = Marking(marks.tolist())
-        if check_theorem_conditions(csp, marking).passed:
-            return marking
-    raise ConstructionFailedError(
-        f"binary marking construction failed after {DEFAULT_RETRY_CAP} "
-        "attempts")
+    return _resample_marking(csp, eta, _binary_events(csp, eta, tau), seed,
+                             "marking-binary", "binary")
 
 
 def _uniform_binary_events(csp):
@@ -297,15 +304,5 @@ def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0) -> Marking:
         raise RegimeError(
             "uniform binary marking construction needs uniform binary domains")
     check_uniform_regime(meas)
-    violated = _uniform_binary_events(csp)
-    for attempt in range(DEFAULT_RETRY_CAP):
-        tape = RandomnessTape(derive_seed(seed, "marking-uniform", attempt))
-        stream = tape.stream(0, LABEL_MARKING)
-        marks = moser_tardos(
-            csp, lambda vs: stream.uniforms(len(vs)) < UNIFORM_ETA, violated)
-        marking = Marking(marks.tolist())
-        if check_theorem_conditions(csp, marking).passed:
-            return marking
-    raise ConstructionFailedError(
-        "uniform binary marking construction failed after "
-        f"{DEFAULT_RETRY_CAP} attempts")
+    return _resample_marking(csp, UNIFORM_ETA, _uniform_binary_events(csp),
+                             seed, "marking-uniform", "uniform binary")

@@ -9,8 +9,6 @@ import math
 import random
 from dataclasses import dataclass
 
-from scipy import stats
-
 from .core import STAR, AtomicCsp, all_assignments
 from .errors import BudgetError, UnsatisfiableInstanceError
 from .kernels import (RandomnessTape, _update_in_place, derive_seed,
@@ -117,7 +115,9 @@ def certify_sampler(csp: AtomicCsp, m: Marking, num_samples: int, seed: int,
                     law: ExactLaw = None) -> dict:
     """Draw num_samples end-to-end samples and compare against the enumerated
     law: TV distance, chi-square p-value, max per-outcome z-score and max
-    marginal gap."""
+    marginal gap.  An outcome of probability 1 has z-score 0."""
+    from scipy import stats  # slow to import; only this check needs it
+
     if law is None:
         law = enumerate_law(csp)
     ctx = update_context(csp, m)
@@ -133,10 +133,15 @@ def certify_sampler(csp: AtomicCsp, m: Marking, num_samples: int, seed: int,
     observed = [counts.get(k, 0) for k in law.support]
     expected = [p * num_samples for p in law.pmf]
     stray = sum(c for k, c in counts.items() if k not in exact)
-    chi_p = (0.0 if stray
-             else float(stats.chisquare(observed, expected).pvalue))
+    if stray:
+        chi_p = 0.0
+    elif len(observed) == 1:
+        chi_p = 1.0  # one outcome, and every draw is it
+    else:
+        chi_p = float(stats.chisquare(observed, expected).pvalue)
     max_z = max(
-        abs(o - e) / math.sqrt(e * (1.0 - e / num_samples))
+        (abs(o - e) / math.sqrt(e * (1.0 - e / num_samples))
+         if e < num_samples else 0.0)
         for o, e in zip(observed, expected))
     max_marginal_gap = 0.0
     for v, spec in enumerate(csp.vars):

@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,7 @@ import lllsampler.marking
 import lllsampler.verify
 from lllsampler import (STAR, AtomicConstraint, AtomicCsp, HypergraphInstance,
                         VariableSpec, emit_csp, sample)
-from lllsampler.cli import (PipelineConfig, pipeline_binary, prepare_pipeline,
-                           run)
+from lllsampler.cli import PipelineConfig, cli, prepare_pipeline, run
 
 from conftest import ternary9, weighted8
 from test_marking import binary_regime_instance
@@ -91,8 +93,8 @@ def test_exit_codes(cnf_file, tmp_path, capsys):
     assert run(sample_args(cnf_file, "--format", "dimacs",
                            "--pipeline", "coloring")) == 1
     assert run(["sample", "--pipeline", "nope", "--input", cnf_file]) == 1
-    # malformed JSON instances: a NaN weight, a non-numeric weight, and a
-    # non-list ``vbl`` or ``false``
+    # malformed JSON instances: a NaN weight, a non-numeric weight, a
+    # non-list ``vbl`` or ``false``, and a boolean domain, variable or value
     for doc in ('{"vars": [{"domain": 2, "weights": [NaN, 0.5]}, '
                 '{"domain": 2}], "constraints": [{"vbl": [0, 1], '
                 '"false": [0, 0]}]}',
@@ -100,7 +102,13 @@ def test_exit_codes(cnf_file, tmp_path, capsys):
                 '{"vars": [{"domain": 2}], '
                 '"constraints": [{"vbl": 0, "false": [0]}]}',
                 '{"vars": [{"domain": 2}], '
-                '"constraints": [{"vbl": [0], "false": 0}]}'):
+                '"constraints": [{"vbl": [0], "false": 0}]}',
+                # JSON booleans are not integers
+                '{"vars": [{"domain": true}]}',
+                '{"vars": [{"domain": 2}, {"domain": 2}], '
+                '"constraints": [{"vbl": [true, 0], "false": [0, 1]}]}',
+                '{"vars": [{"domain": 2}, {"domain": 2}], '
+                '"constraints": [{"vbl": [1, 0], "false": [false, 1]}]}'):
         bad.write_text(doc)
         assert run(sample_args(str(bad), "--pipeline", "general",
                                "--force")) == 2
@@ -201,10 +209,46 @@ def test_jobs_invariant_output(cnf_file, tmp_path):
 
 def test_pipeline_api_binary():
     csp = binary_regime_instance(kappa=1.0)
-    draws = pipeline_binary(csp, seed=6, num=3)
-    assert len(draws) == 3
-    for values in draws:
-        assert csp.satisfies(values)
+    prepared = prepare_pipeline(csp, PipelineConfig("-", "csp", "binary",
+                                                    seed=6))
+    assert not prepared.forced_empty
+    for i in range(3):
+        assert csp.satisfies(prepared.draw(6, i))
+
+
+def test_each_command_takes_only_the_options_it_reads(cnf_file, capsys):
+    instance = {"--input", "--format", "--pipeline", "--colors", "--zeta",
+                "--seed", "--out"}
+    expected = {
+        "sample": instance | {"--num", "--jobs", "--budget-terms",
+                             "--max-horizon", "--force", "--named"},
+        "verify": instance | {"--num", "--budget-terms", "--max-horizon",
+                             "--force"},
+        "bench": instance | {"--num", "--force"},
+        "check": instance,
+        "tensorize": instance,
+        "selftest": {"--seed", "--out"},
+    }
+    got = {name: {p.opts[0] for p in command.params}
+           for name, command in cli.commands.items()}
+    assert got == expected
+    assert {name: len(c.params) for name, c in cli.commands.items()} == {
+        "sample": 13, "verify": 11, "bench": 9, "check": 7, "tensorize": 7,
+        "selftest": 2}
+    assert run(["selftest", "--jobs", "2"]) == 1
+    assert run(["check", "--input", cnf_file, "--format", "dimacs",
+                "--force"]) == 1
+    assert run(["verify", "--input", cnf_file, "--jobs", "2"]) == 1
+    assert "No such option" in capsys.readouterr().err
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats doubles the import's memory and time; only
+    # ``certify_sampler`` needs it, and imports it itself
+    src = str(Path(lllsampler.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import lllsampler.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 @pytest.mark.parametrize("pipeline", ["binary", "coloring"])

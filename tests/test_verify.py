@@ -31,6 +31,18 @@ def test_enumerators_agree_on_random_instances():
         done += 1
 
 
+def test_certify_one_solution_instance():
+    # the only outcome has probability 1: z-score 0, chi-square p 1
+    spec = VariableSpec.uniform(2)
+    csp = AtomicCsp([spec, spec], [AtomicConstraint((0,), (0,)),
+                                   AtomicConstraint((1,), (1,))])
+    report = certify_sampler(csp, Marking.empty(2), 50, 1)
+    assert report["tv_distance"] == 0.0
+    assert report["max_z_score"] == 0.0
+    assert report["chi_square_p"] == 1.0
+    assert report["samples_outside_support"] == 0
+
+
 def test_enumerate_law_free_instance():
     csp, _ = free8()
     law = enumerate_law(csp)
