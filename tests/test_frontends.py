@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -41,6 +42,72 @@ def test_parse_dimacs_errors_and_warnings():
     # duplicate literal collapses
     csp = parse_dimacs("p cnf 2 1\n1 1 2 0\n")
     assert csp.constraints[0].vbl == (0, 1)
+
+
+# DIMACS text -> (message, line) of the ParseError it raises; the first
+# error in file order is the one reported.  A clause's own errors are
+# reported at the line of its terminating 0, and a line with a non-integer
+# token fails before any clause it ends.
+DIMACS_ERRORS = [
+    ("", "missing problem line", None),
+    ("c only a comment\n\n", "missing problem line", None),
+    ("c x\n1 2 0\np cnf 2 1\n", "clause before the problem line", 2),
+    ("p cnf 2\n1 0\n", "malformed problem line", 1),
+    ("c x\np dnf 2 1\n1 0\n", "malformed problem line", 2),
+    ("p cnf two 1\n1 0\n", "malformed problem line", 1),
+    ("p cnf 0 1\n", "variable count must be positive", 1),
+    ("p cnf 3 2\n1 2 0\nc between\n3 x 0\n", "non-integer literal", 4),
+    ("p cnf 3 2\n1 2\n-3 1.5 0\n", "non-integer literal", 3),
+    # a clause spanning lines, its bad literal on the first of them
+    ("p cnf 3 1\n1 5\nc between\n2 0\n", "literal 5 out of range", 4),
+    # two clauses on one line, the second one bad
+    ("p cnf 3 2\n1 2 0 -4 0\n", "literal -4 out of range", 2),
+    ("p cnf 3 2\n1 -2\n4 0 2 0\n", "literal 4 out of range", 3),
+    ("p cnf 3 2\n1 2 0 0\n", "empty clause", 2),
+    ("p cnf 3 2\n0\n", "empty clause", 2),
+    ("p cnf 3 2\n1 2 0\n3\n", "last clause is not 0-terminated", None),
+    ("p cnf 3 1\n1 0 2 0\n", "more clauses than the header declares",
+     None),
+    # first in file order
+    ("p cnf 3 3\n1 2 0\n5 0\nx 0\n", "literal 5 out of range", 3),
+    ("p cnf 3 3\n1 x 0\n5 0\n", "non-integer literal", 2),
+    ("p cnf 3 3\n5 0 x\n", "non-integer literal", 2),
+    ("p cnf 3 3\n0 5 0\n", "empty clause", 2),
+]
+
+
+@pytest.mark.parametrize("text, message, line", DIMACS_ERRORS)
+def test_parse_dimacs_error_table(text, message, line):
+    with pytest.raises(ParseError) as e:
+        parse_dimacs(text)
+    assert e.value.line == line
+    assert str(e.value) == (message if line is None
+                            else f"line {line}: {message}")
+
+
+def test_parse_dimacs_tautology_warnings():
+    # a tautology is dropped with a warning at the line of its 0; warnings
+    # before an error are still given
+    text = "c x\np cnf 4 3\n1 2\n-1 0 3 -3 0\nc y\n4 1 -4 0 2 4 0\n"
+    with pytest.warns(UserWarning) as record:
+        csp = parse_dimacs(text)
+    assert [str(w.message) for w in record] == [
+        "line 4: tautological clause dropped",
+        "line 4: tautological clause dropped",
+        "line 6: tautological clause dropped"]
+    assert [(c.vbl, c.falsifying) for c in csp.constraints] == [
+        ((1, 3), (0, 0))]
+    with pytest.warns(UserWarning) as record:
+        with pytest.raises(ParseError, match="line 4: literal 9 out of range"):
+            parse_dimacs("p cnf 3 3\n1 -1 0\n2 -2\n0 9 0\n")
+    assert [str(w.message) for w in record] == [
+        "line 2: tautological clause dropped",
+        "line 4: tautological clause dropped"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        csp = parse_dimacs("p cnf 3 2\n1 1 -2\n0 -3 2 -3 0\n")
+    assert [(c.vbl, c.falsifying) for c in csp.constraints] == [
+        ((0, 1), (0, 1)), ((1, 2), (0, 1))]
 
 
 def test_dimacs_roundtrip():

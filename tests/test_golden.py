@@ -1,6 +1,8 @@
 """Golden draw digests: one sha256 per pipeline over its marking and its
-first 20 draws on a small fixed instance, and one per residual case over
-300 ``sample`` draws whose chain enters the residual layer.
+first 20 draws on a small fixed instance, one per residual case over
+300 ``sample`` draws whose chain enters the residual layer, and one per
+input text over the ``flat`` arrays of the parsed and the chain instance,
+the marking and the first 20 draws of text -> parse -> ``prepare_pipeline``.
 
 A change that keeps the draw stream keeps these digests.  A change that alters
 the stream on purpose updates them, names the change, and re-certifies the law
@@ -10,13 +12,15 @@ case's current digest.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from lllsampler import (AtomicConstraint, AtomicCsp, VariableSpec, kernels,
                         sample)
 from lllsampler.cli import PipelineConfig, prepare_pipeline
-from lllsampler.frontends import HypergraphInstance
+from lllsampler.frontends import (HypergraphInstance, parse_dimacs,
+                                  parse_hypergraph)
 
 from conftest import ternary9, weighted8
 from test_marking import binary_regime_instance
@@ -121,6 +125,59 @@ def test_residual_draw_digest(case, monkeypatch):
     assert len(calls) >= 40
 
 
+def regime_dimacs(n=600, k=200, seed=7) -> str:
+    """A ``cnf-regime``-shaped DIMACS text: every variable in exactly two
+    k-clauses, the clause sets two random partitions into blocks of k."""
+    rng = random.Random(seed)
+    lines = [f"c cnf-regime shape, n={n} k={k}", f"p cnf {n} {2 * n // k}"]
+    for _ in range(2):
+        perm = rng.sample(range(1, n + 1), n)
+        for i in range(0, n, k):
+            lines.append(" ".join(str(v if rng.random() < 0.5 else -v)
+                                  for v in perm[i:i + k]) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+# name -> (parser, input text, config, sha256 of both instances' arrays, the
+#          marking and the first NUM_DRAWS draws)
+TEXT_CASES = {
+    "cnf-regime-text": (
+        parse_dimacs, regime_dimacs(),
+        PipelineConfig("-", "dimacs", "binary", seed=SEED),
+        "d8333300f5f802a42015efe6377daa34071e34907bfbd70fe89749455c8a24ee"),
+    # the in-regime coloring-q256 shape: 32 vertices, one 32-edge, Q = 256
+    "coloring-q256-text": (
+        parse_hypergraph,
+        "h 32 1 32\n" + " ".join(str(v) for v in range(32, 0, -1)) + "\n",
+        PipelineConfig("-", "hypergraph", "coloring", colors=256, seed=SEED),
+        "c56dd2c662998949fcbab3ba5294574f45f077be0b15d8cffe88e41e31c8e10d"),
+}
+
+FLAT_ARRAYS = ("cons_vars", "cons_fals", "log_w", "starts", "arity",
+               "entry_cons", "var_ptr", "var_cons", "spec_of", "cum_table")
+
+
+def text_digest(parse, text, cfg) -> str:
+    prepared = prepare_pipeline(parse(text), cfg)
+    assert not prepared.forced_empty
+    h = hashlib.sha256()
+    for csp in (prepared.original, prepared.run_csp):
+        flat = csp.flat
+        for name in FLAT_ARRAYS:
+            a = getattr(flat, name)
+            h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+            h.update(a.tobytes())
+        h.update(repr([s.weights for s in flat.specs]).encode())
+    h.update(draw_digest(prepared).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_CASES))
+def test_text_pipeline_digest(case):
+    parse, text, cfg, expected = TEXT_CASES[case]
+    assert text_digest(parse, text, cfg) == expected
+
+
 if __name__ == "__main__":
     # Print each case's current digest, to paste into CASES after a change
     # that alters the draw stream on purpose.
@@ -128,3 +185,5 @@ if __name__ == "__main__":
         print(name, draw_digest(prepare_pipeline(instance, cfg)))
     for name, (make, _) in sorted(RESIDUAL_CASES.items()):
         print(name, residual_digest(*make()))
+    for name, (parse, text, cfg, _) in sorted(TEXT_CASES.items()):
+        print(name, text_digest(parse, text, cfg))
