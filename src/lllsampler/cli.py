@@ -127,7 +127,7 @@ def prepare_pipeline(csp_or_h, cfg: PipelineConfig) -> PreparedPipeline:
         meas = csp.measures
         kappa_t = max(meas.kappa, 2.0)
         gamma, _, _ = binary_gamma(kappa_t, cfg.zeta)
-        in_regime = (not csp.constraints
+        in_regime = (not len(csp.flat.arity)
                      or gamma * meas.log_p + math.log(max(meas.delta, 1))
                      <= math.log(0.01 * cfg.zeta / kappa_t))
         trees = [huffman_tensorize(s.weights) for s in csp.vars]
@@ -334,15 +334,17 @@ def cmd_check(out, **kw):
     """Report measures, constants and the chain-condition verdict."""
     cfg = PipelineConfig(**kw, force=True)
     loaded = _load(cfg)
-    if cfg.pipeline == "coloring":
-        csp = build_coloring(loaded, max(cfg.colors, 2))
-    else:
-        csp = loaded
-    run_csp = csp
+    try:
+        prepared, error = prepare_pipeline(loaded, cfg), None
+        csp = prepared.original
+    except SamplerError as e:
+        prepared, error = None, e
+        csp = (build_coloring(loaded, max(cfg.colors, 2))
+               if cfg.pipeline == "coloring" else loaded)
     meas = csp.measures
     report = {
         "num_vars": csp.num_vars,
-        "num_constraints": len(csp.constraints),
+        "num_constraints": len(csp.flat.arity),
         "measures": {
             "k": meas.k, "d": meas.d, "delta": meas.delta, "q": meas.q,
             "log_p": meas.log_p, "kappa": meas.kappa,
@@ -353,10 +355,12 @@ def cmd_check(out, **kw):
     if meas.q <= 2:
         gb, _, _ = binary_gamma(meas.kappa, cfg.zeta)
         report["binary_gamma"] = gb
-    try:
-        prepared = prepare_pipeline(loaded, cfg)
+    if error is not None:
+        report["construction_error"] = str(error)
+        report["regime_ok"] = False
+    else:
         run_csp = prepared.run_csp
-        report["marked_count"] = sum(prepared.marking.marked)
+        report["marked_count"] = int(prepared.marking.mask.sum())
         report["forced_empty_marking"] = prepared.forced_empty
         consts = constants(run_csp, prepared.marking)
         report["constants"] = {
@@ -368,9 +372,6 @@ def cmd_check(out, **kw):
         report["conditions"] = check_theorem_conditions(
             run_csp, prepared.marking).as_dict()
         report["regime_ok"] = not prepared.forced_empty
-    except SamplerError as e:
-        report["construction_error"] = str(e)
-        report["regime_ok"] = False
     _emit([json.dumps(report, indent=1)], out)
 
 

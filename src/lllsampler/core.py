@@ -82,15 +82,40 @@ class AtomicConstraint:
 
 
 class AtomicCsp:
-    """An atomic CSP.  Immutable after construction; safe to share.  Its
-    arrays (``flat``) are built and range-checked on construction, and its
-    other derived quantities (``measures``, ``free_labels``) are computed
-    once, on first use."""
+    """An atomic CSP.  Immutable after construction; safe to share.
+
+    The instance is its arrays, ``flat``: built and checked on construction,
+    either from ``AtomicConstraint`` objects or, without any, from the
+    entry arrays (``from_arrays``).  The constraint objects
+    (``constraints``) and the other derived quantities (``measures``,
+    ``free_labels``) are computed once, on first use."""
 
     def __init__(self, vars: list[VariableSpec], constraints: list[AtomicConstraint]):
+        constraints = tuple(constraints)
+        arity = np.fromiter((len(c.vbl) for c in constraints), np.int64,
+                            len(constraints))
+        total = int(arity.sum())
+        self._build(
+            vars,
+            np.fromiter(itertools.chain.from_iterable(
+                c.vbl for c in constraints), np.int64, total),
+            np.fromiter(itertools.chain.from_iterable(
+                c.falsifying for c in constraints), np.int64, total),
+            arity)
+
+    @classmethod
+    def from_arrays(cls, vars, cons_vars, cons_fals, arity) -> "AtomicCsp":
+        """The instance whose constraint i has the ``arity[i]`` entries
+        that follow constraint i - 1's in ``cons_vars`` (variables) and
+        ``cons_fals`` (falsifying values).  The arrays are kept, not
+        copied."""
+        csp = cls.__new__(cls)
+        csp._build(vars, cons_vars, cons_fals, arity)
+        return csp
+
+    def _build(self, vars, cons_vars, cons_fals, arity):
         self.vars = tuple(vars)
-        self.constraints = tuple(constraints)
-        self.flat = flatten(self.vars, self.constraints)
+        self.flat = flatten(self.vars, cons_vars, cons_fals, arity)
         # Marking -> marking.MarkingConstants, filled by marking.constants
         self.constants_memo: dict = {}
         # (Marking, budget) -> kernels.UpdateContext, filled by
@@ -100,6 +125,15 @@ class AtomicCsp:
     @property
     def num_vars(self) -> int:
         return len(self.vars)
+
+    @functools.cached_property
+    def constraints(self) -> tuple[AtomicConstraint, ...]:
+        """The constraints as objects, derived from the arrays."""
+        f = self.flat
+        vs, qs = f.cons_vars.tolist(), f.cons_fals.tolist()
+        return tuple(AtomicConstraint(tuple(vs[a:b]), tuple(qs[a:b]))
+                     for a, b in zip(f.starts.tolist(),
+                                     (f.starts + f.arity).tolist()))
 
     @functools.cached_property
     def measures(self) -> Measures:
@@ -117,13 +151,17 @@ class AtomicCsp:
         hit = np.asarray(values)[f.cons_vars] == f.cons_fals
         return not np.logical_and.reduceat(hit, f.starts).any()
 
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """The arrays that, with ``vars``, define the instance."""
+        return self.flat.arity, self.flat.cons_vars, self.flat.cons_fals
+
     def __eq__(self, other):
         return (isinstance(other, AtomicCsp)
                 and self.vars == other.vars
-                and self.constraints == other.constraints)
+                and all(map(np.array_equal, self._arrays(), other._arrays())))
 
     def __hash__(self):
-        return hash((self.vars, self.constraints))
+        return hash((self.vars, *(a.tobytes() for a in self._arrays())))
 
 
 @dataclass(frozen=True)
@@ -170,32 +208,43 @@ class FlatCsp:
     cum_table: np.ndarray
 
 
-def flatten(vars: tuple[VariableSpec, ...],
-            constraints: tuple[AtomicConstraint, ...]) -> FlatCsp:
-    """The arrays of an instance, its entries range-checked before any
-    gather: numpy's fancy indexing would wrap a negative index."""
-    arity = np.fromiter((len(c.vbl) for c in constraints), np.int64,
-                        len(constraints))
-    total = int(arity.sum())
-    cons_vars = np.fromiter(
-        itertools.chain.from_iterable(c.vbl for c in constraints),
-        np.int64, total)
-    cons_fals = np.fromiter(
-        itertools.chain.from_iterable(c.falsifying for c in constraints),
-        np.int64, total)
-    # one lookup per distinct spec object: hashing a spec hashes its weights
-    objects = {id(s): s for s in vars}
-    index: dict[VariableSpec, int] = {}
-    row = {i: index.setdefault(s, len(index)) for i, s in objects.items()}
-    spec_of = np.fromiter(map(row.__getitem__, map(id, vars)), np.int64,
-                          len(vars))
+def flatten(vars: tuple[VariableSpec, ...], cons_vars, cons_fals,
+            arity) -> FlatCsp:
+    """The arrays of an instance from its entry arrays, checked: first what
+    ``AtomicConstraint`` checks per constraint, then every entry's range
+    before any gather (numpy's fancy indexing would wrap a negative
+    index)."""
+    cons_vars = np.asarray(cons_vars, dtype=np.int64)
+    cons_fals = np.asarray(cons_fals, dtype=np.int64)
+    arity = np.asarray(arity, dtype=np.int64)
+    total = len(cons_vars)
+    if cons_vars.ndim != 1 or cons_fals.shape != cons_vars.shape:
+        raise InvalidInstanceError("falsifying must match vbl in length")
+    if arity.ndim != 1 or (arity < 1).any():
+        raise InvalidInstanceError("empty constraint (arity 0)")
+    if int(arity.sum()) != total:
+        raise InvalidInstanceError("the arities must sum to the entry count")
+    n = len(vars)
+    if n and vars.count(vars[0]) == n:
+        # one spec for every variable, as the parsers give
+        index = {vars[0]: 0}
+        spec_of = np.zeros(n, dtype=np.int64)
+    else:
+        # one lookup per distinct spec object: hashing a spec hashes its
+        # weights
+        objects = {id(s): s for s in vars}
+        index = {}
+        row = {i: index.setdefault(s, len(index)) for i, s in objects.items()}
+        spec_of = np.fromiter(map(row.__getitem__, map(id, vars)), np.int64,
+                              n)
     specs = tuple(index)
     domain = np.array([s.domain_size for s in specs], dtype=np.int64)
     # the first bad entry names the error; every variable before it is valid
-    bad = (cons_vars < 0) | (cons_vars >= len(vars))
+    bad = (cons_vars < 0) | (cons_vars >= n)
     stop = int(bad.argmax()) if bad.any() else total
     q, v = cons_fals[:stop], cons_vars[:stop]
-    bad_q = np.flatnonzero((q < 0) | (q >= domain[spec_of[v]]))
+    entry_spec = spec_of[v]
+    bad_q = np.flatnonzero((q < 0) | (q >= domain[entry_spec]))
     if len(bad_q):
         e = bad_q[0]
         raise InvalidInstanceError(
@@ -203,6 +252,25 @@ def flatten(vars: tuple[VariableSpec, ...],
     if stop < total:
         raise InvalidInstanceError(
             f"variable index {cons_vars[stop]} out of range")
+    starts = np.cumsum(arity) - arity
+    entry_cons = np.repeat(np.arange(len(arity)), arity)
+    var_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cons_vars, minlength=n), out=var_ptr[1:])
+    # the entries by variable, each variable's in constraint order: a sort
+    # of the distinct keys (variable, entry), much faster than a stable
+    # argsort of the variables; n * total stays far below 2^63 for any
+    # instance that fits in memory
+    key = cons_vars * total
+    key += np.arange(total)
+    key.sort()
+    var_cons = entry_cons[np.remainder(key, max(total, 1), out=key)]
+    # a variable twice in one constraint gives two neighbours, within one
+    # variable's run, with one constraint
+    same = var_cons[1:] == var_cons[:-1]
+    run = var_ptr[1:-1]
+    same[run[(run > 0) & (run < total)] - 1] = False
+    if same.any():
+        raise InvalidInstanceError("constraint variables must be distinct")
     width = int(domain.max(initial=1))
     cum_table = np.full((len(specs), width - 1), np.inf)
     log_table = np.zeros((len(specs), width))
@@ -211,12 +279,7 @@ def flatten(vars: tuple[VariableSpec, ...],
         cum_table[g, :s.domain_size - 1] = list(
             itertools.accumulate(s.weights))[:-1]
         log_table[g, :s.domain_size] = s.log_weights
-    log_w = log_table[spec_of[cons_vars], cons_fals]
-    starts = np.cumsum(arity) - arity
-    entry_cons = np.repeat(np.arange(len(arity)), arity)
-    by_var = np.argsort(cons_vars, kind="stable")
-    var_ptr = np.searchsorted(cons_vars[by_var], np.arange(len(vars) + 1))
-    var_cons = entry_cons[by_var]
+    log_w = log_table[entry_spec, cons_fals]
     return FlatCsp(cons_vars, cons_fals, log_w, starts, arity, entry_cons,
                    var_ptr, var_cons, specs, spec_of, cum_table)
 
@@ -297,22 +360,23 @@ def preprocess(csp: AtomicCsp) -> tuple[AtomicCsp, tuple[int, ...]]:
     indices.  A constraint entirely pinned to its falsifying assignment makes
     the instance unsatisfiable.
     """
-    keep = tuple(v for v, s in enumerate(csp.vars) if s.domain_size > 1)
-    if len(keep) == csp.num_vars:
-        return csp, keep
-    index = {v: i for i, v in enumerate(keep)}
-    new_cons = []
-    for c in csp.constraints:
-        # a size-1 domain's falsifying value is its only value, so its
-        # coordinate always matches and leaves the constraint
-        pairs = [(index[v], q) for v, q in zip(c.vbl, c.falsifying)
-                 if v in index]
-        if not pairs:
-            raise UnsatisfiableInstanceError(
-                "constraint with all variables fixed to its falsifying values")
-        new_cons.append(AtomicConstraint(tuple(v for v, _ in pairs),
-                                         tuple(q for _, q in pairs)))
-    return AtomicCsp([csp.vars[v] for v in keep], new_cons), keep
+    flat = csp.flat
+    fixed = np.array([s.domain_size == 1 for s in flat.specs], dtype=bool)
+    if not fixed.any():
+        return csp, tuple(range(csp.num_vars))
+    kept = ~fixed[flat.spec_of]
+    keep = np.flatnonzero(kept).tolist()
+    # a size-1 domain's falsifying value is its only value, so its
+    # coordinate always matches and leaves the constraint
+    live = kept[flat.cons_vars]
+    arity = np.bincount(flat.entry_cons[live], minlength=len(flat.arity))
+    if (arity == 0).any():
+        raise UnsatisfiableInstanceError(
+            "constraint with all variables fixed to its falsifying values")
+    index = np.cumsum(kept) - 1
+    return AtomicCsp.from_arrays(
+        [csp.vars[v] for v in keep], index[flat.cons_vars[live]],
+        flat.cons_fals[live], arity), tuple(keep)
 
 
 def all_assignments(csp: AtomicCsp):

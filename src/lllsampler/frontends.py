@@ -10,6 +10,8 @@ import json
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import AtomicConstraint, AtomicCsp, VariableSpec, left_sum
 from .errors import InvalidInstanceError, ParseError
 
@@ -48,77 +50,149 @@ def parse_dimacs(text: str) -> AtomicCsp:
 
     A clause's single falsifying assignment sets every literal false.
     Duplicate literals are dropped; tautological clauses (x and not x) are
-    dropped entirely with a warning.
+    dropped entirely with a warning.  The lines after the problem line are
+    read as one array of literals, in which the zeros end the clauses.  The
+    first error in file order is raised: a clause's own errors at the line
+    of its terminating 0, and a line with a non-integer token before any
+    clause that it ends.
     """
-    num_vars = None
-    num_clauses = None
-    constraints = []
-    pending: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    header = None
+    for i, raw in enumerate(lines):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if not line.startswith("p"):
+            raise ParseError("clause before the problem line", i + 1)
+        header = _problem_line(line, i + 1)
+        break
+    if header is None:
+        raise ParseError("missing problem line")
+    num_vars, num_clauses = header
+    lines, linenos = lines[i + 1:], range(i + 2, len(lines) + 1)
+    lits, stop = _integers(" ".join(lines)), None
+    if lits is None:
+        lits, lines, linenos, stop = _read_lines(lines, linenos, num_vars)
+    zero = lits == 0
+    ends = np.flatnonzero(zero)    # each clause's terminating 0
+    cid = np.cumsum(zero)          # per literal, its clause (0s before it)
+    size = np.diff(ends, prepend=-1) - 1
+    lit = ~zero
+    out = lit & ((lits > num_vars) | (lits < -num_vars))
+    # a clause is bad when empty or holding a literal out of range
+    bad = size == 0
+    hit = cid[out]
+    bad[hit[hit < len(ends)]] = True
+    done = int(bad.argmax()) if bad.any() else len(ends)
+    # the clauses before the first bad one, by one sort over (clause,
+    # variable, sign): equal neighbours are duplicate literals, and
+    # neighbours equal but for the sign make a tautology
+    head = lit & (cid < done)
+    signed = lits[head]
+    key = np.sort((cid[head] * num_vars + np.abs(signed) - 1) * 2
+                  + (signed < 0))
+    key = key[np.diff(key, prepend=-1) != 0]
+    pair = key >> 1
+    clause = pair // num_vars
+    taut = np.zeros(done, dtype=bool)
+    taut[clause[1:][pair[1:] == pair[:-1]]] = True
+    if taut.any() or done < len(ends):
+        at = np.repeat(linenos, [len(line.split()) for line in lines])
+        for lineno in at[ends[np.flatnonzero(taut)]].tolist():
+            warnings.warn(f"line {lineno}: tautological clause dropped")
+        if done < len(ends):
+            lineno = int(at[ends[done]])
+            if size[done] == 0:
+                raise ParseError("empty clause", lineno)
+            first = np.flatnonzero(out & (cid == done))[0]
+            literal = int(" ".join(lines).split()[first])
+            raise ParseError(f"literal {literal} out of range", lineno)
+    if stop is not None:
+        raise stop
+    if len(lits) and not zero[-1]:
+        raise ParseError("last clause is not 0-terminated")
+    if done - int(taut.sum()) > num_clauses:
+        raise ParseError("more clauses than the header declares")
+    keep = ~taut[clause]
+    return AtomicCsp.from_arrays(
+        [VariableSpec.uniform(2)] * num_vars, (pair % num_vars)[keep],
+        key[keep] & 1, np.bincount(clause[keep], minlength=done)[~taut])
+
+
+def _problem_line(line: str, lineno: int) -> tuple[int, int]:
+    """The variable and clause counts of a "p cnf" line."""
+    parts = line.split()
+    if len(parts) != 4 or parts[1] != "cnf":
+        raise ParseError("malformed problem line", lineno)
+    try:
+        num_vars, num_clauses = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise ParseError("malformed problem line", lineno) from None
+    if num_vars < 1:
+        raise ParseError("variable count must be positive", lineno)
+    if num_clauses < 0:
+        raise ParseError("malformed problem line", lineno)
+    return num_vars, num_clauses
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _integers(body: str):
+    """The integers of ``body`` in one C pass, or None unless it holds only
+    ASCII whitespace and decimal integers inside int64 (so no comment line,
+    problem line or bad token)."""
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode(), dtype=np.uint8)
+    digit = b - 48 < 10     # uint8 arithmetic wraps below "0"
+    sign = (b == 43) | (b == 45)
+    if (not (digit | sign | (b == 32) | (b - 9 < 5)).all()
+            or (sign & ~np.append(digit[1:], False)).any()):
+        return None
+    if not digit.any():
+        return np.zeros(0, dtype=np.int64)
+    try:
+        lits = np.fromstring(body, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    # fromstring saturates at the int64 bounds
+    if ((lits == _INT64.max) | (lits == _INT64.min)).any():
+        return None
+    return lits
+
+
+def _read_lines(lines, linenos, num_vars):
+    """The literals line by line, skipping comment and blank lines, up to a
+    second problem line or a line with a non-integer token, whose error is
+    returned; with the lines read and their numbers.  A literal outside
+    int64 is out of range, and stays so."""
+    values, read, numbers, stop = [], [], [], None
+    for raw, lineno in zip(lines, linenos):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError("malformed problem line", lineno)
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("malformed problem line", lineno) from None
-            if num_vars < 1:
-                raise ParseError("variable count must be positive", lineno)
-            continue
-        if num_vars is None:
-            raise ParseError("clause before the problem line", lineno)
+            stop = ParseError("duplicate problem line", lineno)
+            break
         try:
-            lits = [int(x) for x in line.split()]
+            values += [int(x) for x in line.split()]
         except ValueError:
-            raise ParseError("non-integer literal", lineno) from None
-        for lit in lits:
-            if lit == 0:
-                _finish_clause(pending, num_vars, constraints, lineno)
-                pending = []
-            else:
-                pending.append(lit)
-    if pending:
-        raise ParseError("last clause is not 0-terminated")
-    if num_vars is None:
-        raise ParseError("missing problem line")
-    if num_clauses is not None and len(constraints) > num_clauses:
-        raise ParseError("more clauses than the header declares")
-    vars = [VariableSpec.uniform(2)] * num_vars
-    return AtomicCsp(vars, constraints)
-
-
-def _finish_clause(lits, num_vars, constraints, lineno):
-    if not lits:
-        raise ParseError("empty clause", lineno)
-    seen = {}
-    for lit in lits:
-        v = abs(lit) - 1
-        if not 0 <= v < num_vars:
-            raise ParseError(f"literal {lit} out of range", lineno)
-        sign = lit > 0
-        if v in seen:
-            if seen[v] != sign:
-                warnings.warn(
-                    f"line {lineno}: tautological clause dropped")
-                return
-        else:
-            seen[v] = sign
-    vbl = tuple(sorted(seen))
-    # the falsifying assignment makes every literal false
-    fals = tuple(0 if seen[v] else 1 for v in vbl)
-    constraints.append(AtomicConstraint(vbl, fals))
+            stop = ParseError("non-integer literal", lineno)
+            break
+        read.append(line)
+        numbers.append(lineno)
+    bound = num_vars + 1
+    return (np.array([max(-bound, min(x, bound)) for x in values],
+                     dtype=np.int64), read, numbers, stop)
 
 
 def emit_dimacs(csp: AtomicCsp) -> str:
-    for spec in csp.vars:
+    for spec in csp.flat.specs:
         if spec.domain_size != 2 or spec.weights != (0.5, 0.5):
             raise InvalidInstanceError(
                 "DIMACS output requires uniform binary variables")
-    lines = [f"p cnf {csp.num_vars} {len(csp.constraints)}"]
+    lines = [f"p cnf {csp.num_vars} {len(csp.flat.arity)}"]
     for c in csp.constraints:
         lits = [(v + 1) if q == 0 else -(v + 1)
                 for v, q in zip(c.vbl, c.falsifying)]
@@ -173,13 +247,16 @@ def emit_hypergraph(h: HypergraphInstance) -> str:
 
 def build_coloring(h: HypergraphInstance, q_colors: int) -> AtomicCsp:
     """Proper-coloring CSP: one constraint per (edge, color) forbidding the
-    edge being monochromatic in that color."""
+    edge being monochromatic in that color, edge by edge, each edge's
+    vertices ascending."""
     if q_colors < 2:
         raise InvalidInstanceError("coloring needs at least 2 colors")
     vars = [VariableSpec.uniform(q_colors)] * h.num_vertices
-    constraints = [AtomicConstraint(tuple(sorted(e)), (i,) * len(e))
-                   for e in h.edges for i in range(q_colors)]
-    return AtomicCsp(vars, constraints)
+    edges = np.sort(np.array(h.edges, dtype=np.int64), axis=1)
+    colors = np.tile(np.arange(q_colors, dtype=np.int64), len(h.edges))
+    return AtomicCsp.from_arrays(
+        vars, np.repeat(edges, q_colors, axis=0).ravel(),
+        np.repeat(colors, h.k), np.full(len(colors), h.k, dtype=np.int64))
 
 
 def _is_int(x) -> bool:

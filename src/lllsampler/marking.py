@@ -33,33 +33,44 @@ UNIFORM_ZETA = 1e-5
 UNIFORM_GAMMA = 0.175
 
 
-@dataclass(frozen=True)
 class Marking:
-    """Per-variable membership flags for the marked set."""
+    """The marked set, as a read-only bool array over the variables
+    (``mask``).  Equal markings are equal and hash alike, by the mask's
+    bytes, so the per-instance memos keyed by marking hit for either."""
 
-    marked: tuple[bool, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "marked", tuple(bool(x) for x in self.marked))
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(v for v, m in enumerate(self.marked) if m)
+    def __init__(self, marked):
+        mask = np.array(marked, dtype=bool)
+        mask.flags.writeable = False
+        self.mask = mask
 
     @functools.cached_property
-    def mask(self) -> np.ndarray:
-        """``marked`` as a read-only bool array."""
-        mask = np.fromiter(self.marked, dtype=bool, count=len(self.marked))
-        mask.flags.writeable = False
-        return mask
+    def marked(self) -> tuple[bool, ...]:
+        """The flags as a tuple, for reads one variable at a time."""
+        return tuple(self.mask.tolist())
+
+    @functools.cached_property
+    def _bytes(self) -> bytes:
+        return self.mask.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, Marking) and self._bytes == other._bytes
+
+    def __hash__(self):
+        return hash(self._bytes)
+
+    def __repr__(self):
+        return f"Marking.from_indices({len(self.mask)}, {self.indices()})"
+
+    def indices(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.mask).tolist())
 
     @staticmethod
     def empty(n: int) -> "Marking":
-        return Marking((False,) * n)
+        return Marking(np.zeros(n, dtype=bool))
 
     @staticmethod
     def from_indices(n: int, idx) -> "Marking":
-        s = set(idx)
-        return Marking(tuple(v in s for v in range(n)))
+        return Marking(np.isin(np.arange(n), list(idx)))
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,7 @@ def compute_constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
     alpha is always computable; beta, rho, lambda require e*alpha <= 1 and are
     None otherwise.
     """
-    if len(m.marked) != csp.num_vars:
+    if len(m.mask) != csp.num_vars:
         raise SamplerError("marking length does not match variable count")
     flat = csp.flat
     marked = m.mask[flat.cons_vars]
@@ -224,7 +235,7 @@ def _resample_marking(csp, eta, violated, seed, label, name) -> Marking:
         stream = tape.stream(0, LABEL_MARKING)
         marks = moser_tardos(
             csp, lambda vs: stream.uniforms(len(vs)) < eta, violated)
-        marking = Marking(marks.tolist())
+        marking = Marking(marks)
         if check_theorem_conditions(csp, marking).passed:
             return marking
     raise ConstructionFailedError(

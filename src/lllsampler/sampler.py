@@ -110,9 +110,9 @@ def start_horizon(m: Marking) -> int:
     index v is updated inside [-T, 0) only when T >= n - v; so no power of
     two below n - v coalesces.  1 when nothing is marked.
     """
-    if not any(m.marked):
+    if not m.mask.any():
         return 1
-    return 1 << (len(m.marked) - m.marked.index(True) - 1).bit_length()
+    return 1 << (len(m.mask) - int(m.mask.argmax()) - 1).bit_length()
 
 
 def sample(csp: AtomicCsp, m: Marking, master_seed: int,
@@ -126,7 +126,7 @@ def sample(csp: AtomicCsp, m: Marking, master_seed: int,
     the cap stops it where that doubling would stop: after the first failed
     horizon at or above ``horizon_cap``.
     """
-    if check_conditions and any(m.marked):
+    if check_conditions and m.mask.any():
         report = check_theorem_conditions(csp, m)
         if not report.passed:
             raise InvariantError(

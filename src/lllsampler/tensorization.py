@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (AtomicConstraint, AtomicCsp, VariableSpec, constraint_sums,
-                   left_sum)
+from .core import AtomicCsp, VariableSpec, constraint_sums, left_sum
 from .errors import (ConstructionFailedError, InvalidInstanceError,
                      InvariantError, RegimeError)
 from .kernels import LABEL_TENSOR, RandomnessTape, TapeStream, derive_seed
@@ -279,31 +279,61 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
             if abs(tree.leaf_product(q) - spec.weights[q]) > _WEIGHT_TOL:
                 raise InvalidInstanceError(
                     f"tree {v} does not reproduce the weight of value {q}")
-    node_of = []
-    zvars = []
-    spec_of = {}  # one shared spec per distinct node pmf
-    for v, tree in enumerate(trees):
-        local = {}
-        for z in tree.internal_nodes():
-            local[z] = len(zvars)
+    # the distinct tree objects, first use first, each with its internal
+    # nodes, their specs (one shared spec per distinct node pmf) and its
+    # rows of the path table: per value q, the length of q's root-to-leaf
+    # path and its (node rank, child index) pairs
+    index: dict[int, int] = {}
+    tree_of = np.fromiter((index.setdefault(id(t), len(index))
+                           for t in trees), np.int64, len(trees))
+    distinct = list({id(t): t for t in trees}.values())
+    spec_of = {}
+    internal, node_specs, path_len, path_rank, path_child = [], [], [], [], []
+    for tree in distinct:
+        nodes = tree.internal_nodes()
+        specs = []
+        for z in nodes:
             ws = [tree.weight[c] for c in tree.children[z]]
             s = left_sum(ws)
             pmf = tuple(w / s for w in ws)
             if pmf not in spec_of:
                 spec_of[pmf] = VariableSpec(len(pmf), pmf)
-            zvars.append(spec_of[pmf])
-        node_of.append(local)
-    cons = []
-    for c in csp.constraints:
-        vbl = []
-        fals = []
-        for v, q in zip(c.vbl, c.falsifying):
-            for z, ci in trees[v].path(q):
-                vbl.append(node_of[v][z])
-                fals.append(ci)
-        cons.append(AtomicConstraint(tuple(vbl), tuple(fals)))
-    base = AtomicCsp(zvars, cons)
-    out = TensorizedCsp(base, csp, trees, tuple(node_of))
+            specs.append(spec_of[pmf])
+        rank = {z: r for r, z in enumerate(nodes)}
+        for q in range(tree.num_values):
+            path = tree.path(q)
+            path_len.append(len(path))
+            path_rank += [rank[z] for z, _ in path]
+            path_child += [ci for _, ci in path]
+        internal.append(nodes)
+        node_specs.append(specs)
+    # node variables: each variable's internal nodes in turn
+    sizes = np.array([len(nodes) for nodes in internal], dtype=np.int64)
+    first_node = np.cumsum(sizes[tree_of]) - sizes[tree_of]
+    node_of = tuple(
+        dict(zip(internal[g], range(b, b + len(internal[g]))))
+        for g, b in zip(tree_of.tolist(), first_node.tolist()))
+    zvars = list(itertools.chain.from_iterable(
+        node_specs[g] for g in tree_of.tolist()))
+    # each entry (v, q) becomes, in place, the run of table rows of q's
+    # path in v's tree
+    path_len = np.array(path_len, dtype=np.int64)
+    path_start = np.cumsum(path_len) - path_len
+    num_values = np.array([t.num_values for t in distinct], dtype=np.int64)
+    flat = csp.flat
+    row = ((np.cumsum(num_values) - num_values)[tree_of[flat.cons_vars]]
+           + flat.cons_fals)
+    length = path_len[row]
+    ends = np.append(0, np.cumsum(length))
+    src = np.arange(ends[-1]) + np.repeat(path_start[row] - ends[:-1], length)
+    entry = np.repeat(np.arange(len(length)), length)
+    base = AtomicCsp.from_arrays(
+        zvars,
+        first_node[flat.cons_vars[entry]]
+        + np.array(path_rank, dtype=np.int64)[src],
+        np.array(path_child, dtype=np.int64)[src],
+        ends[flat.starts + flat.arity] - ends[flat.starts])
+    out = TensorizedCsp(base, csp, trees, node_of)
     _check_preservation(out)
     return out
 
@@ -343,11 +373,10 @@ def trans(tensorized: TensorizedCsp, sigma_tensor) -> list[int]:
 def global_marking(tensorized: TensorizedCsp, per_var_marks) -> Marking:
     """Lift per-variable local node mark sets to a marking over the
     tensorized variable set."""
-    marked = [False] * tensorized.base.num_vars
+    mask = np.zeros(tensorized.base.num_vars, dtype=bool)
     for v, local in enumerate(per_var_marks):
-        for z in local:
-            marked[tensorized.node_of[v][z]] = True
-    return Marking(tuple(marked))
+        mask[[tensorized.node_of[v][z] for z in local]] = True
+    return Marking(mask)
 
 
 def marked_path_log2(tree: TensorTree, marks, q: int) -> float:

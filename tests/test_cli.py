@@ -12,6 +12,7 @@ import lllsampler.verify
 from lllsampler import (STAR, AtomicConstraint, AtomicCsp, HypergraphInstance,
                         VariableSpec, emit_csp, sample)
 from lllsampler.cli import PipelineConfig, cli, prepare_pipeline, run
+from lllsampler.frontends import parse_dimacs, parse_hypergraph
 
 from conftest import ternary9, weighted8
 from test_marking import binary_regime_instance
@@ -84,8 +85,10 @@ def test_named_dimacs_output(cnf_file, capsys):
 
 def test_exit_codes(cnf_file, tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
-    bad.write_text("p cnf 2 1\n1 5 0\n")
-    assert run(sample_args(str(bad), "--format", "dimacs")) == 2
+    for text in ("p cnf 2 1\n1 5 0\n", "p cnf 2 1\n1 -1 5 0\n",
+                 "p cnf 3 2\n3 0\np cnf 1 5\n", "p cnf 3 -1\n"):
+        bad.write_text(text)
+        assert run(sample_args(str(bad), "--format", "dimacs")) == 2
     # out-of-regime without --force
     assert run(sample_args(cnf_file, "--format", "dimacs",
                            "--pipeline", "binary")) == 3
@@ -285,23 +288,66 @@ class Untouchable(tuple):
         raise AssertionError("constraints indexed")
 
 
-def test_binary_pipeline_reads_only_the_arrays():
-    # set-up and draws read ``csp.flat``, never the constraint objects
+@pytest.fixture
+def no_constraint_objects(monkeypatch):
+    """Every read of ``AtomicCsp.constraints``, on any instance, fails."""
+    def refuse(self):
+        raise AssertionError("constraint objects read")
+
+    monkeypatch.setattr(AtomicCsp, "constraints", property(refuse))
+
+
+def test_binary_pipeline_reads_only_the_arrays(no_constraint_objects):
+    # parsing, set-up and draws read ``csp.flat``, never the constraint
+    # objects
     rng = random.Random(5)
     n, k = 600, 200
-    cons = []
+    lines = [f"p cnf {n} {2 * n // k}"]
     for _ in range(2):
-        perm = rng.sample(range(n), n)
-        cons += [AtomicConstraint(tuple(sorted(perm[i:i + k])),
-                                  tuple(rng.randrange(2) for _ in range(k)))
-                 for i in range(0, n, k)]
-    csp = AtomicCsp([VariableSpec.uniform(2)] * n, cons)
-    csp.constraints = Untouchable(csp.constraints)
+        perm = rng.sample(range(1, n + 1), n)
+        lines += [" ".join(str(v * rng.choice((1, -1)))
+                           for v in perm[i:i + k]) + " 0"
+                  for i in range(0, n, k)]
+    csp = parse_dimacs("\n".join(lines) + "\n")
     prepared = prepare_pipeline(csp, PipelineConfig("-", "dimacs", "binary",
                                                     seed=1))
     assert not prepared.forced_empty
     for i in range(20):
         assert len(prepared.draw(1, i)) == n
+
+
+def test_coloring_pipeline_reads_only_the_arrays(no_constraint_objects):
+    # the coloring instance and its tensorization are built from arrays,
+    # and set-up and draws read only those
+    h = parse_hypergraph(
+        "h 32 1 32\n" + " ".join(str(v) for v in range(1, 33)) + "\n")
+    prepared = prepare_pipeline(h, PipelineConfig(
+        "-", "hypergraph", "coloring", colors=256, seed=1))
+    assert not prepared.forced_empty
+    assert prepared.tensorized is not None
+    for i in range(5):
+        values = prepared.draw(1, i)
+        assert len(values) == 32 and len(set(values)) > 1
+
+
+def test_check_builds_the_coloring_once(tmp_path, monkeypatch, capsys,
+                                        no_constraint_objects):
+    calls = []
+    build = lllsampler.cli.build_coloring
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(lllsampler.cli, "build_coloring", counting_build)
+    path = tmp_path / "h.hg"
+    path.write_text("h 32 1 32\n" + " ".join(map(str, range(1, 33))) + "\n")
+    assert run(["check", "--input", str(path), "--format", "hypergraph",
+                "--pipeline", "coloring", "--colors", "256"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert report["num_vars"] == 32 and report["num_constraints"] == 256
+    assert report["regime_ok"] and report["marked_count"] > 0
 
 
 def test_residual_layer_reads_only_the_arrays():

@@ -63,6 +63,49 @@ def test_constraint_validation():
                    AtomicConstraint((0, -5), (0, 0))])
 
 
+def test_from_arrays_checks_what_constraints_check():
+    two = [VariableSpec.uniform(2)] * 3
+    for arrays, message in (
+            (([0, 1], [0, 0], [2, 0]), "empty constraint"),
+            (([0, 1, 0], [0, 0, 1], [3]), "variables must be distinct"),
+            (([0, 1, 2, 1], [0, 0, 1, 1], [3, 1]), None),
+            (([2, 0, 2], [0, 0, 1], [1, 2]), None),
+            (([1, 2, 0, 2], [0, 0, 0, 1], [1, 3]),
+             "variables must be distinct"),
+            (([0, 1], [0], [2]), "falsifying must match vbl"),
+            (([0, 1], [0, 0], [1]), "arities must sum"),
+            (([0, 3], [0, 0], [2]), "variable index 3 out of range"),
+            (([0, 1], [0, 2], [2]), "falsifying value 2 outside domain")):
+        if message is None:
+            csp = AtomicCsp.from_arrays(two, *map(np.array, arrays))
+            assert len(csp.flat.arity) == len(arrays[2])
+        else:
+            with pytest.raises(InvalidInstanceError, match=message):
+                AtomicCsp.from_arrays(two, *map(np.array, arrays))
+
+
+def test_arrays_and_constraints_give_one_instance():
+    rng = random.Random(11)
+    for _ in range(30):
+        csp = random_weighted_csp(rng)
+        f = csp.flat
+        again = AtomicCsp.from_arrays(csp.vars, f.cons_vars.copy(),
+                                      f.cons_fals.copy(), f.arity.copy())
+        assert again == csp and hash(again) == hash(csp)
+        # the constraint objects are derived from the arrays, on first use
+        assert "constraints" not in vars(again)
+        assert again.constraints == csp.constraints
+        assert AtomicCsp(csp.vars, again.constraints) == csp
+        for name in ("var_ptr", "var_cons", "entry_cons", "starts",
+                     "spec_of", "log_w"):
+            assert np.array_equal(getattr(again.flat, name), getattr(f, name))
+    a = mixed_csp()
+    b = AtomicCsp(a.vars, [AtomicConstraint((0,), (0,)),
+                           AtomicConstraint((0, 1), (2, 2))])
+    c = AtomicCsp(a.vars, [AtomicConstraint((0, 1), (0, 2))])
+    assert a != b and a != c and b != c and a != "a"
+
+
 def test_measures_mixed():
     csp = mixed_csp()
     m = compute_measures(csp)
@@ -223,6 +266,21 @@ def test_preprocess_removes_singletons():
     assert out.num_vars == 2
     assert out.constraints[0].vbl == (0, 1)
     assert out.constraints[0].falsifying == (0, 1)
+
+
+def test_preprocess_keeps_entry_order():
+    one = VariableSpec(1, (1.0,))
+    spec = VariableSpec(3, (0.5, 0.3, 0.2))
+    csp = AtomicCsp(
+        [spec, one, spec, one, spec],
+        [AtomicConstraint((4, 1, 0), (2, 0, 1)),
+         AtomicConstraint((3, 2), (0, 0)),
+         AtomicConstraint((2, 4, 0), (1, 1, 1))])
+    out, kept = preprocess(csp)
+    assert kept == (0, 2, 4)
+    assert [(c.vbl, c.falsifying) for c in out.constraints] == [
+        ((2, 0), (2, 1)), ((1,), (0,)), ((1, 2, 0), (1, 1, 1))]
+    assert out.vars == (spec,) * 3
 
 
 def test_preprocess_unsat():

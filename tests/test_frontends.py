@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import pytest
@@ -73,6 +74,17 @@ DIMACS_ERRORS = [
     ("p cnf 3 3\n1 x 0\n5 0\n", "non-integer literal", 2),
     ("p cnf 3 3\n5 0 x\n", "non-integer literal", 2),
     ("p cnf 3 3\n0 5 0\n", "empty clause", 2),
+    # a tautology does not hide an out-of-range literal of its clause
+    ("p cnf 2 1\n1 -1 5 0\n", "literal 5 out of range", 2),
+    ("p cnf 2 2\n1\n2 0 2 -2\n99999999999999999999 0\n",
+     "literal 99999999999999999999 out of range", 4),
+    # one problem line, with a clause count of at least 0
+    ("p cnf 3 2\n3 0\np cnf 1 5\n", "duplicate problem line", 3),
+    ("p cnf 3 2\n3 0\nc x\n  p cnf 3 2\n1 0\n", "duplicate problem line",
+     4),
+    ("p cnf 3 2\n3\np cnf 3 2\n", "duplicate problem line", 3),
+    ("p cnf 3 2\n5 0\np cnf 3 2\n", "literal 5 out of range", 2),
+    ("p cnf 3 -1\n", "malformed problem line", 1),
 ]
 
 
@@ -108,6 +120,57 @@ def test_parse_dimacs_tautology_warnings():
         csp = parse_dimacs("p cnf 3 2\n1 1 -2\n0 -3 2 -3 0\n")
     assert [(c.vbl, c.falsifying) for c in csp.constraints] == [
         ((0, 1), (0, 1)), ((1, 2), (0, 1))]
+
+
+def reference_dimacs(text):
+    """The kept clauses as (vbl, falsifying) and the lines of the dropped
+    tautologies, reading one line and one literal at a time."""
+    clauses, dropped, pending = [], [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] in "cp":
+            continue
+        for lit in map(int, line.split()):
+            if lit:
+                pending.append(lit)
+                continue
+            sign = {}
+            if any(sign.setdefault(abs(x) - 1, x > 0) != (x > 0)
+                   for x in pending):
+                dropped.append(lineno)
+            else:
+                vbl = tuple(sorted(sign))
+                clauses.append((vbl, tuple(int(not sign[v]) for v in vbl)))
+            pending = []
+    return clauses, dropped
+
+
+def test_parse_dimacs_matches_reference():
+    # duplicate literals, tautologies, clauses spanning lines, several
+    # clauses on a line, blank lines and, on every other text, comment lines
+    rng = random.Random(8)
+    for i in range(200):
+        n = rng.randint(1, 6)
+        tokens = []
+        for _ in range(rng.randint(0, 12)):
+            tokens += [rng.choice((1, -1)) * rng.randint(1, n)
+                       for _ in range(rng.randint(1, 5))] + [0]
+        lines = [f"p cnf {n} {tokens.count(0)}", ""]
+        while tokens:
+            cut = rng.randint(1, 6)
+            lines.append(" ".join(map(str, tokens[:cut])))
+            tokens = tokens[cut:]
+            if i % 2 and rng.random() < 0.3:
+                lines.append("c comment")
+        text = "\n".join(lines) + "\n"
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            csp = parse_dimacs(text)
+        clauses, dropped = reference_dimacs(text)
+        assert csp.num_vars == n
+        assert [(c.vbl, c.falsifying) for c in csp.constraints] == clauses
+        assert [str(w.message) for w in record] == [
+            f"line {x}: tautological clause dropped" for x in dropped]
 
 
 def test_dimacs_roundtrip():

@@ -34,6 +34,25 @@ def binary_regime_instance(kappa, k=None):
     return AtomicCsp(vars, [AtomicConstraint(tuple(range(k)), (0,) * k)])
 
 
+def test_marking_is_its_mask():
+    m = Marking([0, 1, 1, 0, 2])
+    assert m.marked == (False, True, True, False, True)
+    assert m.indices() == (1, 2, 4)
+    assert not m.mask.flags.writeable
+    with pytest.raises(ValueError):
+        m.mask[0] = True
+    same = Marking.from_indices(5, [4, 1, 2, 2, 9])
+    assert same == m and hash(same) == hash(m)
+    assert Marking.empty(5) != m and Marking.empty(4) != Marking.empty(5)
+    assert Marking.empty(3) == Marking(np.zeros(3, dtype=bool))
+    # the memos keyed by marking hit for an equal marking
+    csp, w = weighted8()
+    consts = check_theorem_conditions(csp, w)
+    assert len(csp.constants_memo) == 1
+    check_theorem_conditions(csp, Marking(w.mask.copy()))
+    assert len(csp.constants_memo) == 1 and consts.passed
+
+
 def test_constants_hand_computed():
     csp, m = weighted8()
     consts = compute_constants(csp, m)

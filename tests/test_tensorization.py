@@ -17,7 +17,7 @@ from lllsampler.tensorization import (
 from lllsampler.verify import enumerate_law, tv_distance
 from lllsampler.marking import check_theorem_conditions
 
-from conftest import mixed_csp
+from conftest import mixed_csp, random_weighted_csp
 
 
 def test_huffman_reproduces_pmf():
@@ -81,6 +81,49 @@ def test_tensorize_shares_equal_node_specs():
     # every node splits evenly except the (0.3, 0.7) one
     assert len({id(s) for s in specs}) == 2
     assert all((a == b) == (a is b) for a in specs for b in specs)
+
+
+def reference_tensorize(csp, trees):
+    """Node numbering and constraints of the tensorized instance, one
+    constraint at a time: each entry (v, q) becomes q's root-to-leaf path
+    in v's tree."""
+    node_of, first = [], 0
+    for tree in trees:
+        node_of.append({z: first + r
+                        for r, z in enumerate(tree.internal_nodes())})
+        first += len(node_of[-1])
+    cons = []
+    for c in csp.constraints:
+        pairs = [(node_of[v][z], ci) for v, q in zip(c.vbl, c.falsifying)
+                 for z, ci in trees[v].path(q)]
+        cons.append((tuple(v for v, _ in pairs), tuple(q for _, q in pairs)))
+    return node_of, cons
+
+
+def test_tensorize_matches_reference():
+    # shared and distinct tree objects, of one size or several
+    rng = random.Random(4)
+    for i in range(60):
+        csp = random_weighted_csp(rng)
+        if i % 2:
+            vars = [VariableSpec.uniform(rng.randint(2, 9))
+                    for _ in csp.vars]
+            csp = AtomicCsp(vars, [
+                AtomicConstraint(c.vbl, tuple(rng.randrange(
+                    vars[v].domain_size) for v in c.vbl))
+                for c in csp.constraints])
+            tape = RandomnessTape(i)
+            trees = [uniform_randomized_tensorization(
+                s.domain_size, tape.stream(v, LABEL_TENSOR))[0]
+                for v, s in enumerate(vars)]
+            trees = [trees[vars.index(s)] if rng.random() < 0.3 else t
+                     for t, s in zip(trees, vars)]
+        else:
+            trees = [huffman_tensorize(s.weights) for s in csp.vars]
+        t = tensorize(csp, trees)
+        node_of, cons = reference_tensorize(csp, trees)
+        assert list(t.node_of) == node_of
+        assert [(c.vbl, c.falsifying) for c in t.base.constraints] == cons
 
 
 def test_trans_on_trivial_binary_trees():
