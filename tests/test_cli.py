@@ -9,8 +9,7 @@ import pytest
 
 import lllsampler.marking
 import lllsampler.verify
-from lllsampler import (STAR, AtomicConstraint, AtomicCsp, HypergraphInstance,
-                        VariableSpec, emit_csp, sample)
+from lllsampler import STAR, AtomicCsp, HypergraphInstance, emit_csp, sample
 from lllsampler.cli import PipelineConfig, cli, prepare_pipeline, run
 from lllsampler.frontends import parse_dimacs, parse_hypergraph
 
