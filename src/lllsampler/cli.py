@@ -130,8 +130,9 @@ def prepare_pipeline(csp_or_h, cfg: PipelineConfig) -> PreparedPipeline:
         in_regime = (not len(csp.flat.arity)
                      or gamma * meas.log_p + math.log(max(meas.delta, 1))
                      <= math.log(0.01 * cfg.zeta / kappa_t))
-        trees = [huffman_tensorize(s.weights) for s in csp.vars]
-        tens = tensorize(csp, trees)
+        # one tree per distinct spec, shared by its variables
+        trees = [huffman_tensorize(s.weights) for s in csp.flat.specs]
+        tens = tensorize(csp, [trees[g] for g in csp.flat.spec_of.tolist()])
         if not in_regime:
             return _fallback(original, tens.base, kept, tens, cfg,
                              RegimeError(

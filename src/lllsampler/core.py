@@ -65,55 +65,18 @@ class VariableSpec:
         return VariableSpec(n, tuple([1.0 / n] * n))
 
 
-@dataclass(frozen=True)
-class AtomicConstraint:
-    """A constraint with exactly one falsifying assignment over vbl."""
-
-    vbl: tuple[int, ...]
-    falsifying: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vbl) == 0:
-            raise InvalidInstanceError("empty constraint (arity 0)")
-        if len(set(self.vbl)) != len(self.vbl):
-            raise InvalidInstanceError("constraint variables must be distinct")
-        if len(self.falsifying) != len(self.vbl):
-            raise InvalidInstanceError("falsifying must match vbl in length")
-
-
 class AtomicCsp:
     """An atomic CSP.  Immutable after construction; safe to share.
 
-    The instance is its arrays, ``flat``: built and checked on construction,
-    either from ``AtomicConstraint`` objects or, without any, from the
-    entry arrays (``from_arrays``).  The constraint objects
-    (``constraints``) and the other derived quantities (``measures``,
-    ``free_labels``) are computed once, on first use."""
+    Constraint i is its one falsifying local assignment: the ``arity[i]``
+    entries that follow constraint i - 1's in ``cons_vars`` (variables) and
+    ``cons_fals`` (falsifying values).  The instance is its arrays,
+    ``flat``, built and checked on construction; the arrays given are kept,
+    not copied.  The derived quantities (``measures``, ``free_labels``) are
+    computed once, on first use."""
 
-    def __init__(self, vars: list[VariableSpec], constraints: list[AtomicConstraint]):
-        constraints = tuple(constraints)
-        arity = np.fromiter((len(c.vbl) for c in constraints), np.int64,
-                            len(constraints))
-        total = int(arity.sum())
-        self._build(
-            vars,
-            np.fromiter(itertools.chain.from_iterable(
-                c.vbl for c in constraints), np.int64, total),
-            np.fromiter(itertools.chain.from_iterable(
-                c.falsifying for c in constraints), np.int64, total),
-            arity)
-
-    @classmethod
-    def from_arrays(cls, vars, cons_vars, cons_fals, arity) -> "AtomicCsp":
-        """The instance whose constraint i has the ``arity[i]`` entries
-        that follow constraint i - 1's in ``cons_vars`` (variables) and
-        ``cons_fals`` (falsifying values).  The arrays are kept, not
-        copied."""
-        csp = cls.__new__(cls)
-        csp._build(vars, cons_vars, cons_fals, arity)
-        return csp
-
-    def _build(self, vars, cons_vars, cons_fals, arity):
+    def __init__(self, vars: list[VariableSpec], cons_vars, cons_fals,
+                 arity):
         self.vars = tuple(vars)
         self.flat = flatten(self.vars, cons_vars, cons_fals, arity)
         # Marking -> marking.MarkingConstants, filled by marking.constants
@@ -125,15 +88,6 @@ class AtomicCsp:
     @property
     def num_vars(self) -> int:
         return len(self.vars)
-
-    @functools.cached_property
-    def constraints(self) -> tuple[AtomicConstraint, ...]:
-        """The constraints as objects, derived from the arrays."""
-        f = self.flat
-        vs, qs = f.cons_vars.tolist(), f.cons_fals.tolist()
-        return tuple(AtomicConstraint(tuple(vs[a:b]), tuple(qs[a:b]))
-                     for a, b in zip(f.starts.tolist(),
-                                     (f.starts + f.arity).tolist()))
 
     @functools.cached_property
     def measures(self) -> Measures:
@@ -207,13 +161,17 @@ class FlatCsp:
     spec_of: np.ndarray      # per variable, its index in ``specs``
     cum_table: np.ndarray
 
+    def spans(self):
+        """The (start, end) of each constraint's entries, as ints."""
+        return zip(self.starts.tolist(), (self.starts + self.arity).tolist())
+
 
 def flatten(vars: tuple[VariableSpec, ...], cons_vars, cons_fals,
             arity) -> FlatCsp:
-    """The arrays of an instance from its entry arrays, checked: first what
-    ``AtomicConstraint`` checks per constraint, then every entry's range
-    before any gather (numpy's fancy indexing would wrap a negative
-    index)."""
+    """The arrays of an instance from its entry arrays, checked: first the
+    shape of each constraint, then every entry's range before any gather
+    (numpy's fancy indexing would wrap a negative index), then that each
+    constraint's variables are distinct."""
     cons_vars = np.asarray(cons_vars, dtype=np.int64)
     cons_fals = np.asarray(cons_fals, dtype=np.int64)
     arity = np.asarray(arity, dtype=np.int64)
@@ -374,7 +332,7 @@ def preprocess(csp: AtomicCsp) -> tuple[AtomicCsp, tuple[int, ...]]:
         raise UnsatisfiableInstanceError(
             "constraint with all variables fixed to its falsifying values")
     index = np.cumsum(kept) - 1
-    return AtomicCsp.from_arrays(
+    return AtomicCsp(
         [csp.vars[v] for v in keep], index[flat.cons_vars[live]],
         flat.cons_fals[live], arity), tuple(keep)
 

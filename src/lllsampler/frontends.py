@@ -7,12 +7,13 @@ Each parser has a matching emitter so canonicalized instances round-trip.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomicConstraint, AtomicCsp, VariableSpec, left_sum
+from .core import AtomicCsp, VariableSpec, left_sum
 from .errors import InvalidInstanceError, ParseError
 
 _WEIGHT_TOL = 1e-9
@@ -51,10 +52,11 @@ def parse_dimacs(text: str) -> AtomicCsp:
     A clause's single falsifying assignment sets every literal false.
     Duplicate literals are dropped; tautological clauses (x and not x) are
     dropped entirely with a warning.  The lines after the problem line are
-    read as one array of literals, in which the zeros end the clauses.  The
-    first error in file order is raised: a clause's own errors at the line
-    of its terminating 0, and a line with a non-integer token before any
-    clause that it ends.
+    read as one array of literals, in which the zeros end the clauses; when
+    they hold more than integers, the blank and comment lines are dropped
+    first.  The first error in file order is raised: a clause's own errors
+    at the line of its terminating 0, and a line with a non-integer token
+    before any clause that it ends.
     """
     lines = text.splitlines()
     header = None
@@ -72,7 +74,14 @@ def parse_dimacs(text: str) -> AtomicCsp:
     lines, linenos = lines[i + 1:], range(i + 2, len(lines) + 1)
     lits, stop = _integers(" ".join(lines)), None
     if lits is None:
-        lits, lines, linenos, stop = _read_lines(lines, linenos, num_vars)
+        kept = [(line, lineno) for line, lineno in zip(lines, linenos)
+                if line.lstrip()[:1] not in ("", "c")]
+        lines = [line for line, _ in kept]
+        linenos = [lineno for _, lineno in kept]
+        lits = _integers(" ".join(lines))
+        if lits is None:
+            lits, lines, linenos, stop = _read_lines(lines, linenos,
+                                                     num_vars)
     zero = lits == 0
     ends = np.flatnonzero(zero)    # each clause's terminating 0
     cid = np.cumsum(zero)          # per literal, its clause (0s before it)
@@ -114,7 +123,7 @@ def parse_dimacs(text: str) -> AtomicCsp:
     if done - int(taut.sum()) > num_clauses:
         raise ParseError("more clauses than the header declares")
     keep = ~taut[clause]
-    return AtomicCsp.from_arrays(
+    return AtomicCsp(
         [VariableSpec.uniform(2)] * num_vars, (pair % num_vars)[keep],
         key[keep] & 1, np.bincount(clause[keep], minlength=done)[~taut])
 
@@ -163,15 +172,13 @@ def _integers(body: str):
 
 
 def _read_lines(lines, linenos, num_vars):
-    """The literals line by line, skipping comment and blank lines, up to a
-    second problem line or a line with a non-integer token, whose error is
-    returned; with the lines read and their numbers.  A literal outside
-    int64 is out of range, and stays so."""
+    """The literals line by line, up to a second problem line or a line with
+    a non-integer token, whose error is returned; with the lines read and
+    their numbers.  A literal outside int64 is out of range, and stays
+    so."""
     values, read, numbers, stop = [], [], [], None
     for raw, lineno in zip(lines, linenos):
         line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
         if line.startswith("p"):
             stop = ParseError("duplicate problem line", lineno)
             break
@@ -192,11 +199,11 @@ def emit_dimacs(csp: AtomicCsp) -> str:
         if spec.domain_size != 2 or spec.weights != (0.5, 0.5):
             raise InvalidInstanceError(
                 "DIMACS output requires uniform binary variables")
-    lines = [f"p cnf {csp.num_vars} {len(csp.flat.arity)}"]
-    for c in csp.constraints:
-        lits = [(v + 1) if q == 0 else -(v + 1)
-                for v, q in zip(c.vbl, c.falsifying)]
-        lines.append(" ".join(str(x) for x in lits) + " 0")
+    f = csp.flat
+    lits = np.where(f.cons_fals == 0, f.cons_vars + 1,
+                    -(f.cons_vars + 1)).tolist()
+    lines = [f"p cnf {csp.num_vars} {len(f.arity)}"]
+    lines += [" ".join(map(str, lits[a:b])) + " 0" for a, b in f.spans()]
     return "\n".join(lines) + "\n"
 
 
@@ -254,7 +261,7 @@ def build_coloring(h: HypergraphInstance, q_colors: int) -> AtomicCsp:
     vars = [VariableSpec.uniform(q_colors)] * h.num_vertices
     edges = np.sort(np.array(h.edges, dtype=np.int64), axis=1)
     colors = np.tile(np.arange(q_colors, dtype=np.int64), len(h.edges))
-    return AtomicCsp.from_arrays(
+    return AtomicCsp(
         vars, np.repeat(edges, q_colors, axis=0).ravel(),
         np.repeat(colors, h.k), np.full(len(colors), h.k, dtype=np.int64))
 
@@ -282,6 +289,8 @@ def parse_csp(text: str) -> AtomicCsp:
         n = spec["domain"]
         if not _is_int(n) or n < 1:
             raise ParseError(f"vars[{i}].domain must be a positive integer")
+        if n > sys.maxsize:
+            raise ParseError(f"vars[{i}].domain exceeds {sys.maxsize}")
         weights = spec.get("weights", [1.0 / n] * n)
         if not isinstance(weights, list) or len(weights) != n:
             raise ParseError(f"vars[{i}] needs a list of {n} weights")
@@ -289,11 +298,14 @@ def parse_csp(text: str) -> AtomicCsp:
         if any(isinstance(w, bool) or not isinstance(w, (int, float))
                or not w > 0 for w in weights):
             raise ParseError(f"vars[{i}] needs positive numeric weights")
-        total = left_sum(weights)
+        try:
+            total = left_sum(weights)
+        except OverflowError:  # an integer beyond the float range
+            raise ParseError(f"vars[{i}] needs finite weights") from None
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ParseError(f"vars[{i}] weights sum to {total}, not 1")
         vars.append(VariableSpec(n, tuple(w / total for w in weights)))
-    constraints = []
+    cons_vars, cons_fals, arity = [], [], []
     for i, c in enumerate(doc.get("constraints", [])):
         if not isinstance(c, dict) or "vbl" not in c or "false" not in c:
             raise ParseError(
@@ -309,18 +321,22 @@ def parse_csp(text: str) -> AtomicCsp:
             if not _is_int(q) or not 0 <= q < vars[v].domain_size:
                 raise ParseError(
                     f"constraints[{i}]: falsifying value {q} out of range")
-        try:
-            constraints.append(AtomicConstraint(tuple(vbl), tuple(fals)))
-        except InvalidInstanceError as e:
-            raise ParseError(f"constraints[{i}]: {e}") from None
-    return AtomicCsp(vars, constraints)
+        if len(set(vbl)) != len(vbl):
+            raise ParseError(
+                f"constraints[{i}]: constraint variables must be distinct")
+        cons_vars += vbl
+        cons_fals += fals
+        arity.append(len(vbl))
+    return AtomicCsp(vars, cons_vars, cons_fals, arity)
 
 
 def emit_csp(csp: AtomicCsp) -> str:
+    f = csp.flat
+    vs, qs = f.cons_vars.tolist(), f.cons_fals.tolist()
     doc = {
         "vars": [{"domain": s.domain_size, "weights": list(s.weights)}
                  for s in csp.vars],
-        "constraints": [{"vbl": list(c.vbl), "false": list(c.falsifying)}
-                        for c in csp.constraints],
+        "constraints": [{"vbl": vs[a:b], "false": qs[a:b]}
+                        for a, b in f.spans()],
     }
     return json.dumps(doc, indent=1) + "\n"

@@ -327,7 +327,7 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
     ends = np.append(0, np.cumsum(length))
     src = np.arange(ends[-1]) + np.repeat(path_start[row] - ends[:-1], length)
     entry = np.repeat(np.arange(len(length)), length)
-    base = AtomicCsp.from_arrays(
+    base = AtomicCsp(
         zvars,
         first_node[flat.cons_vars[entry]]
         + np.array(path_rank, dtype=np.int64)[src],
@@ -588,17 +588,19 @@ def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0):
                for w in spec.weights):
             raise RegimeError("uniform tensorization needs uniform domains")
     check_uniform_regime(csp.measures)
-    windows = []  # (constraint, lo, hi), the tolerance included
-    for c in csp.constraints:
-        l_c = math.fsum(math.log2(csp.vars[v].domain_size) for v in c.vbl)
-        windows.append((c, -(UNIFORM_ETA + UNIFORM_TAU1) * l_c - _WEIGHT_TOL,
+    flat = csp.flat
+    vs, qs = flat.cons_vars.tolist(), flat.cons_fals.tolist()
+    windows = []  # (entries, lo, hi), the tolerance included
+    for a, b in flat.spans():
+        l_c = math.fsum(math.log2(csp.vars[v].domain_size) for v in vs[a:b])
+        windows.append((list(zip(vs[a:b], qs[a:b])),
+                        -(UNIFORM_ETA + UNIFORM_TAU1) * l_c - _WEIGHT_TOL,
                         -(UNIFORM_ETA - UNIFORM_TAU2) * l_c + _WEIGHT_TOL))
 
     def violated(cons):
         return np.array([not lo <= math.fsum(
-            marked_path_log2(*cons[v], q)
-            for v, q in zip(c.vbl, c.falsifying)) <= hi
-            for c, lo, hi in windows])
+            marked_path_log2(*cons[v], q) for v, q in entries) <= hi
+            for entries, lo, hi in windows])
 
     for attempt in range(DEFAULT_RETRY_CAP):
         tape = RandomnessTape(derive_seed(seed, "tensor-uniform", attempt))

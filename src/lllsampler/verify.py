@@ -71,8 +71,9 @@ def enumerate_law_recursive(csp: AtomicCsp,
     # constraints that become checkable once variable v is assigned (v is
     # their largest index)
     by_last = [[] for _ in range(n)]
-    for c in csp.constraints:
-        by_last[max(c.vbl)].append(c)
+    vs, qs = csp.flat.cons_vars.tolist(), csp.flat.cons_fals.tolist()
+    for a, b in csp.flat.spans():
+        by_last[max(vs[a:b])].append(list(zip(vs[a:b], qs[a:b])))
     support = []
     weights = []
     values = [0] * n
@@ -90,8 +91,8 @@ def enumerate_law_recursive(csp: AtomicCsp,
         for q in range(csp.vars[v].domain_size):
             values[v] = q
             bad = False
-            for c in by_last[v]:
-                if all(values[u] == fq for u, fq in zip(c.vbl, c.falsifying)):
+            for entries in by_last[v]:
+                if all(values[u] == fq for u, fq in entries):
                     bad = True
                     break
             if not bad:

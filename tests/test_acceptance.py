@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lllsampler import (AtomicConstraint, AtomicCsp, HypergraphInstance,
-                        Marking, STAR, VariableSpec, bounding_chain,
-                        check_bounding_invariant, check_theorem_conditions,
-                        coalescence_experiment, compute_measures,
-                        construct_marking_binary,
+from lllsampler import (HypergraphInstance, Marking, STAR, VariableSpec,
+                        bounding_chain, check_bounding_invariant,
+                        check_theorem_conditions, coalescence_experiment,
+                        compute_measures, construct_marking_binary,
                         construct_marking_uniform_binary, derive_seed,
                         exact_component_marginal, final_sampling,
                         huffman_tensorize, sample, tensorize, trans,
@@ -28,8 +27,8 @@ from lllsampler.marking import (DEFAULT_ZETA, UNIFORM_ETA, UNIFORM_TAU1,
                                 UNIFORM_TAU2, binary_gamma)
 from lllsampler.verify import enumerate_law
 
-from conftest import (free8, mixed_csp, overlap18, projected_constraints,
-                      uniform20, weighted8)
+from conftest import (constraint_pairs, csp_of, free8, mixed_csp, overlap18,
+                      projected_constraints, uniform20, weighted8)
 from test_kernels import brute_component_marginal, random_csp
 from test_marking import binary_regime_instance
 
@@ -61,15 +60,15 @@ def binned_chi_square_p(counts, law, num):
 
 def cnf6():
     vars = [VariableSpec.uniform(2) for _ in range(6)]
-    cons = [AtomicConstraint((0, 1, 2), (0, 0, 0)),
-            AtomicConstraint((1, 3, 4), (1, 0, 0)),
-            AtomicConstraint((3, 4, 5), (1, 1, 0))]
-    return AtomicCsp(vars, cons)
+    cons = [((0, 1, 2), (0, 0, 0)),
+            ((1, 3, 4), (1, 0, 0)),
+            ((3, 4, 5), (1, 1, 0))]
+    return csp_of(vars, cons)
 
 
 def uniform3x4():
     vars = [VariableSpec.uniform(4) for _ in range(3)]
-    return AtomicCsp(vars, [AtomicConstraint((0, 1, 2), (0, 0, 0))])
+    return csp_of(vars, [((0, 1, 2), (0, 0, 0))])
 
 
 def _cfg(pipeline, colors=0):
@@ -128,7 +127,7 @@ def test_criterion_1_perfect_distribution():
 
 def uniform12():
     vars = [VariableSpec.uniform(2) for _ in range(12)]
-    csp = AtomicCsp(vars, [AtomicConstraint(tuple(range(12)), (0,) * 12)])
+    csp = csp_of(vars, [(tuple(range(12)), (0,) * 12)])
     return csp, Marking.from_indices(12, range(8))
 
 
@@ -201,8 +200,8 @@ def component_joint_law(csp, comp, state):
     projected = projected_constraints(csp, comp, state)
     out = {}
     for draw in itertools.product(*doms):
-        if any(all(draw[idx[v]] == q for v, q in zip(c.vbl, c.falsifying))
-               for c in projected):
+        if any(all(draw[idx[v]] == q for v, q in zip(vbl, fals))
+               for vbl, fals in projected):
             continue
         w = 1.0
         for v, q in zip(comp.component_vars, draw):
@@ -284,11 +283,11 @@ def test_criterion_6_tensorization_identities():
     tz = tensorize(csp, [huffman_tensorize(s.weights) for s in csp.vars])
     mo, mt = compute_measures(csp), compute_measures(tz.base)
     pres_ok = ((mt.d, mt.delta) == (mo.d, mo.delta)
-               and len(tz.base.constraints) == len(csp.constraints)
+               and len(tz.base.flat.arity) == len(csp.flat.arity)
                and abs(mt.log_p - mo.log_p) <= 1e-9)
 
     # draw from the unconstrained tensor product law and push through trans
-    free = AtomicCsp(csp.vars, [])
+    free = csp_of(csp.vars, [])
     tzf = tensorize(free, [huffman_tensorize(s.weights) for s in free.vars])
     num = 100_000
     draw_rng = random.Random(5)
@@ -334,17 +333,17 @@ def test_criterion_8_marking_validity():
         m = construct_marking_binary(bcsp, seed=seed)
         if not check_theorem_conditions(bcsp, m).passed:
             ok = False
-        for c in bcsp.constraints:
+        for vbl, fals in constraint_pairs(bcsp):
             log_pc = sum(bcsp.vars[v].log_weights[q]
-                         for v, q in zip(c.vbl, c.falsifying))
+                         for v, q in zip(vbl, fals))
             s = sum(bcsp.vars[v].log_weights[q]
-                    for v, q in zip(c.vbl, c.falsifying) if m.marked[v])
+                    for v, q in zip(vbl, fals) if m.marked[v])
             if abs(s - eta * log_pc) > tau * (-log_pc):
                 ok = False
 
     k = 150
-    ucsp = AtomicCsp([VariableSpec.uniform(2) for _ in range(k)],
-                     [AtomicConstraint(tuple(range(k)), (0,) * k)])
+    ucsp = csp_of([VariableSpec.uniform(2) for _ in range(k)],
+                  [(tuple(range(k)), (0,) * k)])
     for seed in range(100):
         m = construct_marking_uniform_binary(ucsp, seed=seed)
         if not check_theorem_conditions(ucsp, m).passed:

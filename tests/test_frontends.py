@@ -2,15 +2,17 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
-from lllsampler import (HypergraphInstance, ParseError, build_coloring,
+from lllsampler import (HypergraphInstance, VariableSpec, frontends, ParseError, build_coloring,
                         compute_measures, emit_csp, emit_dimacs,
                         emit_hypergraph, parse_csp, parse_dimacs,
                         parse_hypergraph)
 from lllsampler.verify import enumerate_law
 
-from conftest import mixed_csp
+from conftest import (constraint_pairs, csp_of, free8, mixed_csp,
+                      random_weighted_csp)
 
 
 DIMACS = """c tiny example
@@ -22,12 +24,12 @@ p cnf 3 2
 
 def test_parse_dimacs_example():
     csp = parse_dimacs(DIMACS)
-    assert csp.num_vars == 3 and len(csp.constraints) == 2
-    c = csp.constraints[0]
-    assert c.vbl == (0, 1, 2)
+    assert csp.num_vars == 3 and len(csp.flat.arity) == 2
+    (vbl, fals), (_, second) = constraint_pairs(csp)
+    assert vbl == (0, 1, 2)
     # "1 -2 3" is falsified exactly by x1=0, x2=1, x3=0
-    assert c.falsifying == (0, 1, 0)
-    assert csp.constraints[1].falsifying == (1, 0)
+    assert fals == (0, 1, 0)
+    assert second == (1, 0)
 
 
 def test_parse_dimacs_errors_and_warnings():
@@ -39,10 +41,10 @@ def test_parse_dimacs_errors_and_warnings():
         parse_dimacs("p cnf 2 1\n1 2\n")
     with pytest.warns(UserWarning):
         csp = parse_dimacs("p cnf 2 2\n1 -1 0\n1 2 0\n")
-    assert len(csp.constraints) == 1
+    assert len(csp.flat.arity) == 1
     # duplicate literal collapses
     csp = parse_dimacs("p cnf 2 1\n1 1 2 0\n")
-    assert csp.constraints[0].vbl == (0, 1)
+    assert constraint_pairs(csp)[0][0] == (0, 1)
 
 
 # DIMACS text -> (message, line) of the ParseError it raises; the first
@@ -107,8 +109,7 @@ def test_parse_dimacs_tautology_warnings():
         "line 4: tautological clause dropped",
         "line 4: tautological clause dropped",
         "line 6: tautological clause dropped"]
-    assert [(c.vbl, c.falsifying) for c in csp.constraints] == [
-        ((1, 3), (0, 0))]
+    assert constraint_pairs(csp) == [((1, 3), (0, 0))]
     with pytest.warns(UserWarning) as record:
         with pytest.raises(ParseError, match="line 4: literal 9 out of range"):
             parse_dimacs("p cnf 3 3\n1 -1 0\n2 -2\n0 9 0\n")
@@ -118,8 +119,7 @@ def test_parse_dimacs_tautology_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         csp = parse_dimacs("p cnf 3 2\n1 1 -2\n0 -3 2 -3 0\n")
-    assert [(c.vbl, c.falsifying) for c in csp.constraints] == [
-        ((0, 1), (0, 1)), ((1, 2), (0, 1))]
+    assert constraint_pairs(csp) == [((0, 1), (0, 1)), ((1, 2), (0, 1))]
 
 
 def reference_dimacs(text):
@@ -168,15 +168,60 @@ def test_parse_dimacs_matches_reference():
             csp = parse_dimacs(text)
         clauses, dropped = reference_dimacs(text)
         assert csp.num_vars == n
-        assert [(c.vbl, c.falsifying) for c in csp.constraints] == clauses
+        assert constraint_pairs(csp) == clauses
         assert [str(w.message) for w in record] == [
             f"line {x}: tautological clause dropped" for x in dropped]
+
+
+def test_comment_lines_keep_the_array_path(monkeypatch):
+    # comment and blank lines among the clauses are dropped, with their
+    # line numbers, and the rest is read as one array
+    def refuse(*args):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(frontends, "_read_lines", refuse)
+    text = ("c head\np cnf 3 3\nc x\n1 -2 0\n\n  c y\n2 3\nc z\n-1 0\n"
+            "1 1 -1 0\n")
+    with pytest.warns(UserWarning) as record:
+        csp = parse_dimacs(text)
+    assert [str(w.message) for w in record] == [
+        "line 10: tautological clause dropped"]
+    assert constraint_pairs(csp) == [((0, 1), (0, 1)),
+                                     ((0, 1, 2), (1, 0, 0))]
+    assert constraint_pairs(csp) == reference_dimacs(text)[0]
+    with pytest.raises(ParseError, match="line 5: literal 5 out of range"):
+        parse_dimacs("p cnf 3 1\nc x\n1 5\nc y\n2 0\n")
 
 
 def test_dimacs_roundtrip():
     csp = parse_dimacs(DIMACS)
     again = parse_dimacs(emit_dimacs(csp))
     assert again == csp
+
+
+def random_cnf(rng):
+    """Up to 20 clauses over 1-12 uniform bits, each clause's variables
+    ascending and distinct, as ``parse_dimacs`` gives them."""
+    n = rng.randint(1, 12)
+    clauses = []
+    for _ in range(rng.randint(0, 20)):
+        vbl = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        clauses.append((vbl, tuple(rng.randrange(2) for _ in vbl)))
+    return csp_of([VariableSpec.uniform(2)] * n, clauses)
+
+
+def test_emitters_roundtrip_random_instances():
+    rng = random.Random(12)
+    free, _ = free8()
+    for csp in [free, *(random_cnf(rng) for _ in range(200))]:
+        assert parse_dimacs(emit_dimacs(csp)) == csp
+    for csp in [free, *(random_weighted_csp(rng) for _ in range(200))]:
+        again = parse_csp(emit_csp(csp))
+        for name in ("cons_vars", "cons_fals", "arity"):
+            assert np.array_equal(getattr(again.flat, name),
+                                  getattr(csp.flat, name))
+        assert [s.domain_size for s in again.vars] == [
+            s.domain_size for s in csp.vars]
 
 
 def test_hypergraph_parse_and_roundtrip():
@@ -200,7 +245,7 @@ def test_build_coloring_counts_and_measures():
     # edges forbidden leaves 8 proper colorings... enumerate to be sure
     h = HypergraphInstance(3, ((0, 1), (1, 2)))
     csp = build_coloring(h, 2)
-    assert len(csp.constraints) == 4
+    assert len(csp.flat.arity) == 4
     law = enumerate_law(csp)
     assert len(law.support) == 2  # alternating colorings only
     m = compute_measures(csp)
@@ -213,7 +258,7 @@ def test_build_coloring_counts_and_measures():
 def test_build_coloring_three_colors():
     h = HypergraphInstance(3, ((0, 1, 2),))
     csp = build_coloring(h, 3)
-    assert len(csp.constraints) == 3
+    assert len(csp.flat.arity) == 3
     law = enumerate_law(csp)
     assert len(law.support) == 27 - 3
 
@@ -221,7 +266,7 @@ def test_build_coloring_three_colors():
 def test_csp_json_roundtrip():
     csp = mixed_csp()
     again = parse_csp(emit_csp(csp))
-    assert again.constraints == csp.constraints
+    assert constraint_pairs(again) == constraint_pairs(csp)
     for a, b in zip(again.vars, csp.vars):
         assert a.domain_size == b.domain_size
         # renormalization may perturb the last bit
@@ -238,10 +283,19 @@ def test_parse_csp_defaults_and_errors():
     with pytest.raises(ParseError):
         parse_csp('{"vars": [{"domain": 2}], '
                   '"constraints": [{"vbl": [0], "false": [2]}]}')
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"constraints\[0\]: constraint "
+                       "variables must be distinct"):
         parse_csp('{"vars": [{"domain": 2}], '
                   '"constraints": [{"vbl": [0, 0], "false": [0, 1]}]}')
     with pytest.raises(ParseError, match="positive numeric weights"):
         parse_csp('{"vars": [{"domain": 2, "weights": [NaN, 0.5]}, '
                   '{"domain": 2}], '
                   '"constraints": [{"vbl": [0, 1], "false": [0, 0]}]}')
+    big = "1" + "0" * 400
+    with pytest.raises(ParseError, match=r"vars\[0\] needs finite weights"):
+        parse_csp('{"vars": [{"domain": 2, "weights": [%s, 1]}]}' % big)
+    with pytest.raises(ParseError, match=r"vars\[0\] weights sum to inf"):
+        parse_csp('{"vars": [{"domain": 2, "weights": [1e400, 1]}]}')
+    for n in (big, "100000000000000000000"):
+        with pytest.raises(ParseError, match=r"vars\[0\]\.domain exceeds"):
+            parse_csp('{"vars": [{"domain": %s}]}' % n)

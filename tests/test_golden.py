@@ -16,13 +16,12 @@ import random
 
 import pytest
 
-from lllsampler import (AtomicConstraint, AtomicCsp, VariableSpec, kernels,
-                        sample)
+from lllsampler import VariableSpec, kernels, sample
 from lllsampler.cli import PipelineConfig, prepare_pipeline
 from lllsampler.frontends import (HypergraphInstance, parse_dimacs,
                                   parse_hypergraph)
 
-from conftest import ternary9, weighted8
+from conftest import csp_of, ternary9, weighted8
 from test_marking import binary_regime_instance
 
 SEED = 3
@@ -33,14 +32,14 @@ def weighted_ternary(k=80):
     """k weighted ternary variables in one constraint; inside the general
     pipeline's regime from k = 77 on."""
     vars = [VariableSpec(3, (0.5, 0.3, 0.2)) for _ in range(k)]
-    return AtomicCsp(vars, [AtomicConstraint(tuple(range(k)), (2,) * k)])
+    return csp_of(vars, [(tuple(range(k)), (2,) * k)])
 
 
 def uniform_octal(k=45):
     """k uniform size-8 variables in one constraint; inside the uniform
     construction's regime."""
     vars = [VariableSpec.uniform(8) for _ in range(k)]
-    return AtomicCsp(vars, [AtomicConstraint(tuple(range(k)), (0,) * k)])
+    return csp_of(vars, [(tuple(range(k)), (0,) * k)])
 
 
 # pipeline -> (instance, config, whether the marking is the forced empty one,

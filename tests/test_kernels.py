@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError,
-                        ConditionsError, InvariantError, Marking,
+from lllsampler import (BudgetError, ConditionsError, InvariantError, Marking,
                         RandomnessTape, STAR, VariableSpec, component,
                         compute_constants, coupled_update, derive_seed,
                         exact_component_marginal, final_sampling, safe_pmf)
@@ -16,7 +15,7 @@ from lllsampler import kernels
 from lllsampler.kernels import (LABEL_REJECTION, UpdateContext, _enum_marginal,
                                 _ie_marginal, _update_in_place)
 
-from conftest import projected_constraints, ternary9, weighted8
+from conftest import csp_of, projected_constraints, ternary9, weighted8
 
 
 def test_derive_seed_stable_and_distinct():
@@ -82,8 +81,8 @@ def random_csp(rng, n=5, m=4, qmax=3):
         arity = rng.randint(1, min(3, n))
         vbl = tuple(sorted(rng.sample(range(n), arity)))
         fals = tuple(rng.randrange(vars[v].domain_size) for v in vbl)
-        cons.append(AtomicConstraint(vbl, fals))
-    return AtomicCsp(vars, cons)
+        cons.append((vbl, fals))
+    return csp_of(vars, cons)
 
 
 def test_component_token_rules():
@@ -128,8 +127,8 @@ def brute_component_marginal(csp, comp, focal, state):
     idx = {v: i for i, v in enumerate(comp.component_vars)}
     projected = projected_constraints(csp, comp, state)
     for draw in itertools.product(*doms):
-        if any(all(draw[idx[v]] == q for v, q in zip(c.vbl, c.falsifying))
-               for c in projected):
+        if any(all(draw[idx[v]] == q for v, q in zip(vbl, fals))
+               for vbl, fals in projected):
             continue
         w = 1.0
         for v, q in zip(comp.component_vars, draw):
@@ -156,8 +155,8 @@ def test_marginal_paths_agree_with_oracle():
         if not comp.token:
             continue
         assert comp.entries == tuple(
-            tuple(zip(c.vbl, c.falsifying))
-            for c in projected_constraints(csp, comp, values))
+            tuple(zip(vbl, fals))
+            for vbl, fals in projected_constraints(csp, comp, values))
         try:
             expect = brute_component_marginal(csp, comp, focal, values)
         except ZeroDivisionError:
@@ -286,8 +285,7 @@ def test_safe_table_matches_clamped_bisect(monkeypatch):
     # below and just above every cumulative sum, and at both ends of [0, 1)
     specs = [VariableSpec(2, (0.3, 0.7)), VariableSpec(3, (0.2, 0.3, 0.5)),
              VariableSpec(4, (0.1, 0.2, 0.3, 0.4))]
-    mixed = AtomicCsp(specs * 3, [AtomicConstraint(tuple(range(9)),
-                                                   (0,) * 9)])
+    mixed = csp_of(specs * 3, [(tuple(range(9)), (0,) * 9)])
     cases = [weighted8(), ternary9(),
              (mixed, Marking.from_indices(9, range(6)))]
     calls = []

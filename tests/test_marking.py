@@ -4,17 +4,17 @@ import random
 import numpy as np
 import pytest
 
-from lllsampler import (AtomicConstraint, AtomicCsp, ConstructionFailedError,
-                        Marking, RegimeError, VariableSpec, binary_gamma,
-                        check_theorem_conditions, compute_constants,
-                        construct_marking_binary,
+from lllsampler import (ConstructionFailedError, Marking, RegimeError,
+                        VariableSpec, binary_gamma, check_theorem_conditions,
+                        compute_constants, construct_marking_binary,
                         construct_marking_uniform_binary, kl_divergence)
 from lllsampler.marking import (UNIFORM_ETA, UNIFORM_TAU1, UNIFORM_TAU2,
                                 _binary_events, _uniform_binary_events,
                                 moser_tardos)
 from lllsampler.kernels import LABEL_MARKING, RandomnessTape
 
-from conftest import random_weighted_csp, uniform20, weighted8
+from conftest import (constraint_pairs, csp_of, random_weighted_csp,
+                      uniform20, weighted8)
 
 
 def binary_regime_instance(kappa, k=None):
@@ -31,7 +31,7 @@ def binary_regime_instance(kappa, k=None):
     if k is None:
         k = math.ceil(math.log(0.01 * 1e-5 / kappa) / (gamma * math.log(low)))
     vars = [VariableSpec(2, weights) for _ in range(k)]
-    return AtomicCsp(vars, [AtomicConstraint(tuple(range(k)), (0,) * k)])
+    return csp_of(vars, [(tuple(range(k)), (0,) * k)])
 
 
 def test_marking_is_its_mask():
@@ -69,7 +69,7 @@ def test_constants_hand_computed():
 def test_beta_undefined_when_e_alpha_exceeds_one():
     # empty marking on a 3-variable uniform clause: alpha = 1/8, e/8 < 1 ok;
     # on a 1-variable clause alpha = 1/2 and e/2 > 1
-    csp = AtomicCsp([VariableSpec.uniform(2)], [AtomicConstraint((0,), (0,))])
+    csp = csp_of([VariableSpec.uniform(2)], [((0,), (0,))])
     consts = compute_constants(csp, Marking.empty(1))
     assert consts.log_beta is None
     report = check_theorem_conditions(csp, Marking.empty(1))
@@ -82,7 +82,7 @@ def test_conditions_pass_on_reference_instances():
 
 
 def test_conditions_constraint_free():
-    csp = AtomicCsp([VariableSpec.uniform(2)], [])
+    csp = csp_of([VariableSpec.uniform(2)], [])
     assert check_theorem_conditions(csp, Marking.from_indices(1, [0])).passed
 
 
@@ -107,8 +107,8 @@ def test_binary_gamma_limits():
 
 def bits_csp(n):
     """n uniform bits, constraint i forbidding bit i = 0."""
-    return AtomicCsp([VariableSpec.uniform(2)] * n,
-                     [AtomicConstraint((i,), (0,)) for i in range(n)])
+    return csp_of([VariableSpec.uniform(2)] * n,
+                  [((i,), (0,)) for i in range(n)])
 
 
 def test_moser_tardos_resamples_to_valid():
@@ -137,9 +137,9 @@ def loop_constants(csp, m):
     """Reference: ``compute_constants`` as loops over each constraint's
     entries, each sum an explicit left-to-right accumulation."""
     la_per = []
-    for c in csp.constraints:
+    for vbl, fals in constraint_pairs(csp):
         acc = 0.0
-        for v, q in zip(c.vbl, c.falsifying):
+        for v, q in zip(vbl, fals):
             if not m.marked[v]:
                 acc += csp.vars[v].log_weights[q]
         la_per.append(acc)
@@ -150,10 +150,10 @@ def loop_constants(csp, m):
     beta = math.exp(log_beta)
     lr_per = []
     ll_per = []
-    for c in csp.constraints:
+    for vbl, fals in constraint_pairs(csp):
         lr = 0.0
-        ll = 2.0 * math.log(len(c.vbl))
-        for v, q in zip(c.vbl, c.falsifying):
+        ll = 2.0 * math.log(len(vbl))
+        for v, q in zip(vbl, fals):
             if not m.marked[v]:
                 continue
             w = csp.vars[v].weights[q]
@@ -203,9 +203,9 @@ def loop_moser_tardos(num_vars, sample_var, bad_events, stream):
 def loop_binary_events(csp, eta, tau):
     """Reference: the binary deviation events as per-constraint closures."""
     events = []
-    for c in csp.constraints:
+    for vbl, fals in constraint_pairs(csp):
         terms = [(v, csp.vars[v].log_weights[q])
-                 for v, q in zip(c.vbl, c.falsifying)]
+                 for v, q in zip(vbl, fals)]
         log_pc = 0.0
         for _, t in terms:
             log_pc += t
@@ -217,23 +217,23 @@ def loop_binary_events(csp, eta, tau):
                     s += t
             return abs(s - eta * log_pc) > tau * (-log_pc)
 
-        events.append((c.vbl, pred))
+        events.append((vbl, pred))
     return events
 
 
 def loop_uniform_binary_events(csp):
     """Reference: the uniform binary count windows as closures."""
     events = []
-    for c in csp.constraints:
-        kc = len(c.vbl)
+    for vbl, fals in constraint_pairs(csp):
+        kc = len(vbl)
         lo = (UNIFORM_ETA - UNIFORM_TAU2) * kc
         hi = (UNIFORM_ETA + UNIFORM_TAU1) * kc
 
-        def pred(marks, vbl=c.vbl, lo=lo, hi=hi):
+        def pred(marks, vbl=vbl, lo=lo, hi=hi):
             mc = sum(1 for v in vbl if marks[v])
             return mc < lo or mc > hi
 
-        events.append((c.vbl, pred))
+        events.append((vbl, pred))
     return events
 
 
@@ -246,9 +246,8 @@ def blocks_csp(seed, k, blocks, extra, spec):
     rng.shuffle(perm)
     vbls = [perm[i:i + k] for i in range(0, n, k)]
     vbls += [rng.sample(range(n), k) for _ in range(extra)]
-    return AtomicCsp([spec] * n, [
-        AtomicConstraint(tuple(sorted(vbl)),
-                         tuple(rng.randrange(2) for _ in vbl))
+    return csp_of([spec] * n, [
+        (tuple(sorted(vbl)), tuple(rng.randrange(2) for _ in vbl))
         for vbl in vbls])
 
 
@@ -280,8 +279,8 @@ def test_array_events_match_the_closures(kind):
 
 def test_binary_construction_regime_error():
     # desk-scale 3-CNF is far outside the construction regime
-    csp = AtomicCsp([VariableSpec.uniform(2) for _ in range(3)],
-                    [AtomicConstraint((0, 1, 2), (0, 0, 0))])
+    csp = csp_of([VariableSpec.uniform(2) for _ in range(3)],
+                 [((0, 1, 2), (0, 0, 0))])
     with pytest.raises(RegimeError):
         construct_marking_binary(csp, seed=0)
 
@@ -295,8 +294,8 @@ def test_binary_construction_in_regime():
 
 def test_uniform_binary_construction():
     k = 150
-    csp = AtomicCsp([VariableSpec.uniform(2) for _ in range(k)],
-                    [AtomicConstraint(tuple(range(k)), (0,) * k)])
+    csp = csp_of([VariableSpec.uniform(2) for _ in range(k)],
+                 [(tuple(range(k)), (0,) * k)])
     m = construct_marking_uniform_binary(csp, seed=4)
     assert check_theorem_conditions(csp, m).passed
     count = sum(m.marked)
@@ -305,7 +304,7 @@ def test_uniform_binary_construction():
 
 
 def test_uniform_binary_rejects_weighted():
-    csp = AtomicCsp([VariableSpec(2, (0.2, 0.8))], [])
+    csp = csp_of([VariableSpec(2, (0.2, 0.8))], [])
     with pytest.raises(RegimeError):
         construct_marking_uniform_binary(csp, seed=0)
 

@@ -5,19 +5,18 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError,
-                        InvariantError, Marking, RandomnessTape, STAR,
-                        VariableSpec, bounding_chain, component, derive_seed,
-                        final_sampling, rejection_sampling, sample,
-                        systematic_scan)
+from lllsampler import (BudgetError, InvariantError, Marking, RandomnessTape,
+                        STAR, VariableSpec, bounding_chain, component,
+                        derive_seed, final_sampling, rejection_sampling,
+                        sample, systematic_scan)
 from lllsampler.kernels import (LABEL_REJECTION, TapeStream, UpdateContext,
                                 _update_in_place, coupled_update)
 from lllsampler.verify import (check_bounding_invariant,
                                coalescence_experiment, enumerate_law,
                                law_of_projection, tv_distance)
 
-from conftest import (free8, overlap18, projected_constraints, ternary9,
-                      uniform20, weighted8)
+from conftest import (csp_of, free8, overlap18, projected_constraints,
+                      ternary9, uniform20, weighted8)
 
 
 def test_sample_deterministic_in_seed():
@@ -172,8 +171,8 @@ def reference_final_sampling(csp, m, sigma_marked, stream):
                             len(cw) - 1)
         pending = [(vs, projected) for vs, projected in pending
                    if any(all(values[w] == q
-                              for w, q in zip(c.vbl, c.falsifying))
-                          for c in projected)]
+                              for w, q in zip(vbl, fals))
+                          for vbl, fals in projected)]
     return values, attempts
 
 
@@ -194,10 +193,10 @@ def interleaved_3cnf(seed, blocks=4, size=6, clauses=5):
                 fals = tuple(rng.randrange(2) for _ in vs)
                 if any(f != hidden[v] for v, f in zip(vs, fals)):
                     break
-            cons.append(AtomicConstraint(vs, fals))
+            cons.append((vs, fals))
     specs = [VariableSpec(3, (0.2, 0.3, 0.5)) if v % s == blocks
              else VariableSpec(2, (0.3, 0.7)) for v in range(n)]
-    return AtomicCsp(specs, cons), Marking.empty(n)
+    return csp_of(specs, cons), Marking.empty(n)
 
 
 def test_final_sampling_matches_per_variable_reference():
@@ -270,10 +269,10 @@ def test_stream_batched_read():
 def test_rejection_cap_is_exact():
     # three variables, of which only 1 1 _ is allowed: 1/4 of the attempts
     # succeed
-    csp = AtomicCsp([VariableSpec.uniform(2)] * 2 + [VariableSpec.uniform(3)],
-                    [AtomicConstraint((0, 1), (0, 0)),
-                     AtomicConstraint((0, 1), (0, 1)),
-                     AtomicConstraint((1, 0), (0, 1))])
+    csp = csp_of([VariableSpec.uniform(2)] * 2 + [VariableSpec.uniform(3)],
+                 [((0, 1), (0, 0)),
+                  ((0, 1), (0, 1)),
+                  ((1, 0), (0, 1))])
     empty = Marking.empty(3)
     tape = RandomnessTape(5)
 

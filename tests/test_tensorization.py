@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lllsampler import (AtomicConstraint, AtomicCsp, InvalidInstanceError,
-                        Marking, RegimeError, TensorTree, VariableSpec,
-                        compute_measures, huffman_tensorize, tensorize, trans)
+from lllsampler import (InvalidInstanceError, Marking, RegimeError,
+                        TensorTree, VariableSpec, compute_measures,
+                        huffman_tensorize, tensorize, trans)
 from lllsampler.kernels import LABEL_TENSOR, RandomnessTape
 from lllsampler.marking import UNIFORM_ETA, UNIFORM_TAU1, UNIFORM_TAU2
 from lllsampler.tensorization import (
@@ -17,7 +17,8 @@ from lllsampler.tensorization import (
 from lllsampler.verify import enumerate_law, tv_distance
 from lllsampler.marking import check_theorem_conditions
 
-from conftest import mixed_csp, random_weighted_csp
+from conftest import (constraint_pairs, csp_of, mixed_csp,
+                      random_weighted_csp)
 
 
 def test_huffman_reproduces_pmf():
@@ -72,9 +73,9 @@ def test_tensorize_preserves_law():
 
 
 def test_tensorize_shares_equal_node_specs():
-    csp = AtomicCsp([VariableSpec.uniform(4), VariableSpec(2, (0.3, 0.7)),
-                     VariableSpec(3, (0.5, 0.25, 0.25))],
-                    [AtomicConstraint((0, 1, 2), (0, 0, 0))])
+    csp = csp_of([VariableSpec.uniform(4), VariableSpec(2, (0.3, 0.7)),
+                  VariableSpec(3, (0.5, 0.25, 0.25))],
+                 [((0, 1, 2), (0, 0, 0))])
     tz = tensorize(csp, [huffman_tensorize(s.weights) for s in csp.vars])
     specs = tz.base.vars
     assert len(specs) == 6
@@ -93,8 +94,8 @@ def reference_tensorize(csp, trees):
                         for r, z in enumerate(tree.internal_nodes())})
         first += len(node_of[-1])
     cons = []
-    for c in csp.constraints:
-        pairs = [(node_of[v][z], ci) for v, q in zip(c.vbl, c.falsifying)
+    for vbl, fals in constraint_pairs(csp):
+        pairs = [(node_of[v][z], ci) for v, q in zip(vbl, fals)
                  for z, ci in trees[v].path(q)]
         cons.append((tuple(v for v, _ in pairs), tuple(q for _, q in pairs)))
     return node_of, cons
@@ -108,10 +109,10 @@ def test_tensorize_matches_reference():
         if i % 2:
             vars = [VariableSpec.uniform(rng.randint(2, 9))
                     for _ in csp.vars]
-            csp = AtomicCsp(vars, [
-                AtomicConstraint(c.vbl, tuple(rng.randrange(
-                    vars[v].domain_size) for v in c.vbl))
-                for c in csp.constraints])
+            csp = csp_of(vars, [
+                (vbl, tuple(rng.randrange(
+                    vars[v].domain_size) for v in vbl))
+                for vbl, _ in constraint_pairs(csp)])
             tape = RandomnessTape(i)
             trees = [uniform_randomized_tensorization(
                 s.domain_size, tape.stream(v, LABEL_TENSOR))[0]
@@ -123,12 +124,12 @@ def test_tensorize_matches_reference():
         t = tensorize(csp, trees)
         node_of, cons = reference_tensorize(csp, trees)
         assert list(t.node_of) == node_of
-        assert [(c.vbl, c.falsifying) for c in t.base.constraints] == cons
+        assert constraint_pairs(t.base) == cons
 
 
 def test_trans_on_trivial_binary_trees():
-    csp = AtomicCsp([VariableSpec(2, (0.3, 0.7)) for _ in range(3)],
-                    [AtomicConstraint((0, 1, 2), (0, 0, 0))])
+    csp = csp_of([VariableSpec(2, (0.3, 0.7)) for _ in range(3)],
+                 [((0, 1, 2), (0, 0, 0))])
     tz = tensorize(csp, [huffman_tensorize(s.weights) for s in csp.vars])
     assert tz.base.num_vars == 3
     for bits in ((0, 0, 1), (1, 1, 0)):
@@ -153,12 +154,12 @@ def test_tensorize_checks_each_tree_and_spec_once(monkeypatch):
 
     monkeypatch.setattr(TensorTree, "leaf_product", counting)
     q5 = VariableSpec.uniform(5)
-    csp = AtomicCsp([q5] * 6, [AtomicConstraint((0, 3), (1, 1))])
+    csp = csp_of([q5] * 6, [((0, 3), (1, 1))])
     tree = huffman_tensorize(q5.weights)
     tensorize(csp, [tree] * 6)
     assert sorted(calls) == list(range(5))
     # the same tree under a different spec is checked again, and rejected
-    skewed = AtomicCsp([q5, VariableSpec(5, (0.2, 0.2, 0.2, 0.3, 0.1))], [])
+    skewed = csp_of([q5, VariableSpec(5, (0.2, 0.2, 0.2, 0.3, 0.1))], [])
     with pytest.raises(InvalidInstanceError):
         tensorize(skewed, [tree, tree])
 
@@ -269,14 +270,14 @@ def test_randomized_tensorization_deterministic():
 
 def test_uniform_construction_in_regime():
     k = 45
-    csp = AtomicCsp([VariableSpec.uniform(8) for _ in range(k)],
-                    [AtomicConstraint(tuple(range(k)), (0,) * k)])
+    csp = csp_of([VariableSpec.uniform(8) for _ in range(k)],
+                 [(tuple(range(k)), (0,) * k)])
     tz, marking = uniform_tensorize_with_marking(csp, seed=2)
     assert tz.base.num_vars == 7 * k
     assert check_theorem_conditions(tz.base, marking).passed
     # recompute the marked falsifying log-mass independently and check the
     # acceptance window for the single constraint
-    c = csp.constraints[0]
+    vbl, fals = constraint_pairs(csp)[0]
     var_of = {g: (v, z) for v, local in enumerate(tz.node_of)
               for z, g in local.items()}
     marks_by_var = [set() for _ in range(k)]
@@ -285,18 +286,18 @@ def test_uniform_construction_in_regime():
             v, local = var_of[z]
             marks_by_var[v].add(local)
     s = math.fsum(marked_path_log2(tz.trees[v], marks_by_var[v], q)
-                  for v, q in zip(c.vbl, c.falsifying))
+                  for v, q in zip(vbl, fals))
     l_c = 3.0 * k
     assert -(UNIFORM_ETA + UNIFORM_TAU1) * l_c - 1e-9 <= s
     assert s <= -(UNIFORM_ETA - UNIFORM_TAU2) * l_c + 1e-9
 
 
 def test_uniform_construction_regime_error():
-    csp = AtomicCsp([VariableSpec.uniform(4) for _ in range(2)],
-                    [AtomicConstraint((0, 1), (0, 0))])
+    csp = csp_of([VariableSpec.uniform(4) for _ in range(2)],
+                 [((0, 1), (0, 0))])
     with pytest.raises(RegimeError):
         uniform_tensorize_with_marking(csp, seed=0)
-    csp2 = AtomicCsp([VariableSpec(2, (0.3, 0.7))], [])
+    csp2 = csp_of([VariableSpec(2, (0.3, 0.7))], [])
     with pytest.raises(RegimeError):
         uniform_tensorize_with_marking(csp2, seed=0)
 
@@ -312,7 +313,7 @@ def test_verify_numeric_facts():
 
 
 def test_global_marking_roundtrip():
-    csp = AtomicCsp([VariableSpec.uniform(4) for _ in range(2)], [])
+    csp = csp_of([VariableSpec.uniform(4) for _ in range(2)], [])
     trees = [huffman_tensorize(s.weights) for s in csp.vars]
     tz = tensorize(csp, trees)
     marking = global_marking(tz, [{0}, {0, 4}])

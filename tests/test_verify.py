@@ -4,14 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from lllsampler import (AtomicConstraint, AtomicCsp, BudgetError, Marking,
-                        UnsatisfiableInstanceError, VariableSpec,
-                        certify_sampler, check_bounding_invariant,
-                        coalescence_experiment, enumerate_law, tv_distance)
+from lllsampler import (BudgetError, Marking, UnsatisfiableInstanceError,
+                        VariableSpec, certify_sampler,
+                        check_bounding_invariant, coalescence_experiment,
+                        enumerate_law, tv_distance)
 from lllsampler.verify import enumerate_law_recursive, law_of_projection
 
 from test_kernels import random_csp
-from conftest import free8, weighted8
+from conftest import csp_of, free8, weighted8
 
 
 def test_enumerators_agree_on_random_instances():
@@ -34,8 +34,7 @@ def test_enumerators_agree_on_random_instances():
 def test_certify_one_solution_instance():
     # the only outcome has probability 1: z-score 0, chi-square p 1
     spec = VariableSpec.uniform(2)
-    csp = AtomicCsp([spec, spec], [AtomicConstraint((0,), (0,)),
-                                   AtomicConstraint((1,), (1,))])
+    csp = csp_of([spec, spec], [((0,), (0,)), ((1,), (1,))])
     report = certify_sampler(csp, Marking.empty(2), 50, 1)
     assert report["tv_distance"] == 0.0
     assert report["max_z_score"] == 0.0
@@ -51,12 +50,10 @@ def test_enumerate_law_free_instance():
 
 
 def test_enumerate_budget_and_unsat():
-    big = AtomicCsp([VariableSpec.uniform(2) for _ in range(40)], [])
+    big = csp_of([VariableSpec.uniform(2) for _ in range(40)], [])
     with pytest.raises(BudgetError):
         enumerate_law(big)
-    unsat = AtomicCsp([VariableSpec.uniform(2)],
-                      [AtomicConstraint((0,), (0,)),
-                       AtomicConstraint((0,), (1,))])
+    unsat = csp_of([VariableSpec.uniform(2)], [((0,), (0,)), ((0,), (1,))])
     with pytest.raises(UnsatisfiableInstanceError):
         enumerate_law(unsat)
 
