@@ -67,7 +67,12 @@ class PreparedPipeline:
         self.original = original
         self.run_csp = run_csp
         self.marking = marking
-        self.kept_vars = tuple(kept_vars)
+        # the original indices of the chain instance's variables, ascending:
+        # all of them unless preprocessing removed some (converting a long
+        # tuple of ints costs more than the range)
+        self.kept_vars = (np.arange(original.num_vars)
+                          if len(kept_vars) == original.num_vars
+                          else np.asarray(kept_vars, dtype=np.int64))
         self.tensorized = tensorized
         self.max_horizon = max_horizon
         self.forced_empty = forced_empty
@@ -78,23 +83,22 @@ class PreparedPipeline:
         """The i-th sample as an original-domain assignment."""
         seed_i = derive_seed(master_seed, "sample", i)
         if self.run_csp.num_vars == 0:
-            chain_values = []
+            values = np.zeros(0, dtype=np.int64)
         else:
-            rec = sample(self.run_csp, self.marking, seed_i, ctx=self.ctx,
-                         check_conditions=False,
-                         horizon_cap=self.max_horizon)
-            chain_values = rec.assignment
+            values = sample(self.run_csp, self.marking, seed_i, ctx=self.ctx,
+                            check_conditions=False,
+                            horizon_cap=self.max_horizon).assignment
         if self.original is self.run_csp:
             # nothing was removed or tensorized, and ``sample`` has checked
             # this assignment against this instance
-            return chain_values
+            return values.tolist()
         if self.tensorized is not None:
-            reduced = trans(self.tensorized, chain_values)
-        else:
-            reduced = chain_values
-        # re-insert variables removed by preprocessing (all had domain 1)
-        values = np.zeros(self.original.num_vars, dtype=np.int64)
-        values[list(self.kept_vars)] = reduced
+            values = trans(self.tensorized, values)
+        if len(self.kept_vars) < self.original.num_vars:
+            # re-insert variables removed by preprocessing (all had domain 1)
+            reduced = values
+            values = np.zeros(self.original.num_vars, dtype=np.int64)
+            values[self.kept_vars] = reduced
         if not self.original.satisfies(values):
             raise InvariantError("emitted assignment violates a constraint")
         return values.tolist()

@@ -84,6 +84,8 @@ class AtomicCsp:
         # (Marking, budget) -> kernels.UpdateContext, filled by
         # kernels.update_context
         self.context_memo: dict = {}
+        # Marking -> sampler.MarkedEntries, filled by sampler.marked_entries
+        self.entries_memo: dict = {}
 
     @property
     def num_vars(self) -> int:

@@ -45,7 +45,7 @@ class ChainRun:
 class SampleRecord:
     """One emitted solution with bookkeeping."""
 
-    assignment: list[int]
+    assignment: np.ndarray    # int64
     horizon_used: int
     wall_steps: int
 
@@ -75,31 +75,86 @@ def bounding_chain(csp: AtomicCsp, m: Marking, T: int, master_seed: int,
     return ChainRun(T, state, bool((state[ctx.marked_idx] != STAR).all()))
 
 
+@dataclass(frozen=True)
+class MarkedEntries:
+    """The constraint entries on marked variables, in entry order, for one
+    marking: their variables and falsifying values, the start of each
+    constraint's run among them (``starts``, with that constraint's id in
+    ``cons``), and the constraints with no marked entry (``free``)."""
+
+    vars: np.ndarray
+    fals: np.ndarray
+    starts: np.ndarray
+    cons: np.ndarray
+    free: np.ndarray
+
+
+def marked_entries(csp: AtomicCsp, m: Marking) -> MarkedEntries:
+    """The marked entries of ``csp`` under ``m``, built once per marking and
+    kept on the instance."""
+    me = csp.entries_memo.get(m)
+    if me is None:
+        flat = csp.flat
+        idx = np.flatnonzero(m.mask[flat.cons_vars])
+        cons = flat.entry_cons[idx]
+        starts = np.flatnonzero(np.diff(cons, prepend=-1))
+        has = np.zeros(len(flat.arity), dtype=bool)
+        has[cons] = True
+        me = csp.entries_memo[m] = MarkedEntries(
+            flat.cons_vars[idx], flat.cons_fals[idx], starts, cons[starts],
+            np.flatnonzero(~has))
+    return me
+
+
+def live_labels(csp: AtomicCsp, m: Marking, values: np.ndarray):
+    """``split_components``'s labels of the constraints still falsifiable
+    under a state that is STAR exactly off the marking.
+
+    Unmarked entries are STAR, so a constraint is live when it has no
+    marked entry or all of its marked entries hold their falsifying values;
+    only the marked entries are read.  The live entries are the unmarked
+    entries of the live constraints.
+    """
+    flat = csp.flat
+    if not m.mask.any():
+        # with nothing fixed, the components are the instance's own
+        return csp.free_labels
+    me = marked_entries(csp, m)
+    hit = values[me.vars] == me.fals
+    live = np.concatenate(
+        [me.free, me.cons[np.logical_and.reduceat(hit, me.starts)]])
+    if not len(live):
+        # every variable is a component on its own
+        return (np.arange(csp.num_vars),
+                np.full(len(flat.arity), -1, dtype=np.int64))
+    start, length = flat.starts[live], flat.arity[live]
+    ends = np.cumsum(length)
+    entries = np.arange(ends[-1]) + np.repeat(start - ends + length, length)
+    mask = np.zeros(len(flat.cons_vars), dtype=bool)
+    mask[entries] = ~m.mask[flat.cons_vars[entries]]
+    return split_components(csp, mask)
+
+
 def final_sampling(csp: AtomicCsp, m: Marking, state: np.ndarray,
                    seed: int) -> tuple[np.ndarray, int]:
-    """Extend a state array (-1 = STAR) that is STAR-free on the marking to
-    a full solution.
+    """Extend a state array (-1 = STAR) that is STAR exactly off the marking,
+    as a coalesced chain leaves it, to a full solution.
 
-    With no marked STAR left, the constraints that are still falsifiable tie
-    unmarked STAR variables only.  Their components (``split_components``;
-    a variable in no such constraint is one on its own) are
-    rejection-sampled all at once, in lockstep, from one rejection stream of
-    the seed's tape (``rejection_sampling``).  Returns (assignment array,
-    rejection attempts of the components with a falsifiable constraint).
+    The constraints that are still falsifiable tie unmarked STAR variables
+    only.  Their components (``live_labels``; a variable in no such
+    constraint is one on its own) are rejection-sampled all at once, in
+    lockstep, from one rejection stream of the seed's tape
+    (``rejection_sampling``).  Returns (assignment array, rejection attempts
+    of the components with a falsifiable constraint).
     """
     values = state.copy()
     star = values == STAR
-    if (star & m.mask).any():
-        raise InvariantError("final sampling requires a coalesced state")
-    flat = csp.flat
-    # the STAR entries of the constraints still falsifiable
-    on_star = star[flat.cons_vars]
-    falsifiable = np.logical_and.reduceat(
-        on_star | (values[flat.cons_vars] == flat.cons_fals), flat.starts)
-    live = on_star & falsifiable[flat.entry_cons]
-    # with nothing fixed, the components are the instance's own
-    labels = csp.free_labels if star.all() else split_components(csp, live)
-    return rejection_sampling(csp, values, labels,
+    if (star == m.mask).any():
+        raise InvariantError(
+            "final sampling requires a coalesced state"
+            if (star & m.mask).any()
+            else "final sampling requires STAR off the marking")
+    return rejection_sampling(csp, values, live_labels(csp, m, values),
                               RandomnessTape(seed).stream(0, LABEL_REJECTION))
 
 
@@ -149,7 +204,7 @@ def sample(csp: AtomicCsp, m: Marking, master_seed: int,
     values, _ = final_sampling(csp, m, run.state, master_seed)
     if not csp.satisfies(values):
         raise InvariantError("emitted assignment violates a constraint")
-    return SampleRecord(values.tolist(), T, wall)
+    return SampleRecord(values, T, wall)
 
 
 def systematic_scan(csp: AtomicCsp, m: Marking, state, steps: int, seed: int,

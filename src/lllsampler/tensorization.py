@@ -248,14 +248,36 @@ class TensorizedCsp:
     """An atomic CSP over node-variables plus the bookkeeping to map back.
 
     ``base`` has one variable per internal tree node (domain = its children,
-    pmf = edge weights).  ``node_of[v]`` maps variable v's local internal node
-    ids to global indices.
+    pmf = edge weights), each variable's internal nodes in turn from
+    ``first_node[v]`` on.  ``node_of[v]``, derived on first use, maps
+    variable v's local internal node ids to global indices.
+
+    The back-map tables (``trans``) number the nodes of the distinct trees
+    one tree after another.  ``node_child[z]`` lists node z's children,
+    padded with the last one, and a leaf's row is its own id;
+    ``node_value[z]`` is leaf z's value (-1 at internal nodes);
+    ``node_rank[z]`` is an internal node's rank among its tree's internal
+    nodes (0 at leaves); ``var_root[v]`` is variable v's root; ``depth`` is
+    the deepest leaf's level.  ``first_node`` is clipped to the last node
+    variable, so a leaf's read of it stays in range.
     """
 
     base: AtomicCsp
     original: AtomicCsp = field(compare=False)
     trees: tuple[TensorTree, ...]
-    node_of: tuple[dict, ...] = field(hash=False)
+    first_node: np.ndarray = field(compare=False, repr=False)
+    var_root: np.ndarray = field(compare=False, repr=False)
+    node_child: np.ndarray = field(compare=False, repr=False)
+    node_value: np.ndarray = field(compare=False, repr=False)
+    node_rank: np.ndarray = field(compare=False, repr=False)
+    depth: int = field(compare=False)
+
+    @functools.cached_property
+    def node_of(self) -> tuple[dict, ...]:
+        nodes = {id(t): t.internal_nodes()
+                 for t in {id(t): t for t in self.trees}.values()}
+        return tuple(dict(zip(nodes[id(t)], itertools.count(b)))
+                     for t, b in zip(self.trees, self.first_node.tolist()))
 
 
 def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
@@ -267,29 +289,34 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
     trees = tuple(trees)
     if len(trees) != csp.num_vars:
         raise InvalidInstanceError("need one tree per variable")
-    checked = set()  # (tree, spec) pairs already checked
-    for v, tree in enumerate(trees):
-        spec = csp.vars[v]
-        if (id(tree), spec) in checked:
-            continue
-        checked.add((id(tree), spec))
+    flat = csp.flat
+    # the distinct tree objects, first use first
+    index: dict[int, int] = {}
+    tree_of = np.fromiter((index.setdefault(id(t), len(index))
+                           for t in trees), np.int64, len(trees))
+    distinct = list({id(t): t for t in trees}.values())
+    # each (tree, spec) pair checked once, at its first variable
+    _, first = np.unique(tree_of * len(flat.specs) + flat.spec_of,
+                         return_index=True)
+    for v in np.sort(first).tolist():
+        tree, spec = trees[v], csp.vars[v]
         if tree.num_values != spec.domain_size:
             raise InvalidInstanceError(f"tree {v} has the wrong leaf count")
         for q in range(spec.domain_size):
             if abs(tree.leaf_product(q) - spec.weights[q]) > _WEIGHT_TOL:
                 raise InvalidInstanceError(
                     f"tree {v} does not reproduce the weight of value {q}")
-    # the distinct tree objects, first use first, each with its internal
-    # nodes, their specs (one shared spec per distinct node pmf) and its
-    # rows of the path table: per value q, the length of q's root-to-leaf
-    # path and its (node rank, child index) pairs
-    index: dict[int, int] = {}
-    tree_of = np.fromiter((index.setdefault(id(t), len(index))
-                           for t in trees), np.int64, len(trees))
-    distinct = list({id(t): t for t in trees}.values())
+    # per distinct tree: its internal nodes, their specs (one shared spec
+    # per distinct node pmf), its rows of the path table (per value q, the
+    # length of q's root-to-leaf path and its (node rank, child index)
+    # pairs), and its rows of the back-map tables
+    sizes = np.array([len(t.children) for t in distinct], dtype=np.int64)
+    node_base = np.cumsum(sizes) - sizes
+    width = max((len(ch) for t in distinct for ch in t.children), default=1)
+    node_child, node_value, node_rank = [], [], []
     spec_of = {}
     internal, node_specs, path_len, path_rank, path_child = [], [], [], [], []
-    for tree in distinct:
+    for tree, b in zip(distinct, node_base.tolist()):
         nodes = tree.internal_nodes()
         specs = []
         for z in nodes:
@@ -307,12 +334,14 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
             path_child += [ci for _, ci in path]
         internal.append(nodes)
         node_specs.append(specs)
+        for z, ch in enumerate(tree.children):
+            row = [b + c for c in ch] or [b + z]
+            node_child.append(row + row[-1:] * (width - len(row)))
+            node_value.append(tree.leaf_value.get(z, -1))
+            node_rank.append(rank.get(z, 0))
     # node variables: each variable's internal nodes in turn
-    sizes = np.array([len(nodes) for nodes in internal], dtype=np.int64)
-    first_node = np.cumsum(sizes[tree_of]) - sizes[tree_of]
-    node_of = tuple(
-        dict(zip(internal[g], range(b, b + len(internal[g]))))
-        for g, b in zip(tree_of.tolist(), first_node.tolist()))
+    counts = np.array([len(nodes) for nodes in internal], dtype=np.int64)
+    first_node = np.cumsum(counts[tree_of]) - counts[tree_of]
     zvars = list(itertools.chain.from_iterable(
         node_specs[g] for g in tree_of.tolist()))
     # each entry (v, q) becomes, in place, the run of table rows of q's
@@ -320,7 +349,6 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
     path_len = np.array(path_len, dtype=np.int64)
     path_start = np.cumsum(path_len) - path_len
     num_values = np.array([t.num_values for t in distinct], dtype=np.int64)
-    flat = csp.flat
     row = ((np.cumsum(num_values) - num_values)[tree_of[flat.cons_vars]]
            + flat.cons_fals)
     length = path_len[row]
@@ -333,7 +361,12 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
         + np.array(path_rank, dtype=np.int64)[src],
         np.array(path_child, dtype=np.int64)[src],
         ends[flat.starts + flat.arity] - ends[flat.starts])
-    out = TensorizedCsp(base, csp, trees, node_of)
+    out = TensorizedCsp(
+        base, csp, trees, np.minimum(first_node, max(len(zvars) - 1, 0)),
+        node_base[tree_of],
+        np.array(node_child, dtype=np.int64).reshape(-1, max(width, 1)),
+        np.array(node_value, dtype=np.int64),
+        np.array(node_rank, dtype=np.int64), int(path_len.max(initial=0)))
     _check_preservation(out)
     return out
 
@@ -356,18 +389,16 @@ def _check_preservation(t: TensorizedCsp) -> None:
         raise InvariantError("tensorization changed a falsifying probability")
 
 
-def trans(tensorized: TensorizedCsp, sigma_tensor) -> list[int]:
-    """Read a full tensor assignment back to original-domain values by
-    root-to-leaf descent in every variable's tree."""
-    out = []
-    for v, tree in enumerate(tensorized.trees):
-        z = 0
-        while tree.children[z]:
-            ci = (0 if len(tree.children[z]) == 1
-                  else sigma_tensor[tensorized.node_of[v][z]])
-            z = tree.children[z][ci]
-        out.append(tree.leaf_value[z])
-    return out
+def trans(tensorized: TensorizedCsp, sigma_tensor) -> np.ndarray:
+    """Read a full tensor assignment back to original-domain values, as an
+    int64 array: every variable descends its tree at once, one level per
+    step, each internal node to the child its node variable holds."""
+    t = tensorized
+    sigma = np.asarray(sigma_tensor)
+    z = t.var_root
+    for _ in range(t.depth):
+        z = t.node_child[z, sigma[t.first_node + t.node_rank[z]]]
+    return t.node_value[z]
 
 
 def global_marking(tensorized: TensorizedCsp, per_var_marks) -> Marking:

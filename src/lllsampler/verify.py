@@ -126,7 +126,7 @@ def certify_sampler(csp: AtomicCsp, m: Marking, num_samples: int, seed: int,
     for i in range(num_samples):
         rec = sample(csp, m, derive_seed(seed, "certify", i), ctx=ctx,
                      check_conditions=check_conditions)
-        key = tuple(rec.assignment)
+        key = tuple(rec.assignment.tolist())
         counts[key] = counts.get(key, 0) + 1
     exact = law.as_dict()
     empirical = {k: c / num_samples for k, c in counts.items()}

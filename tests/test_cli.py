@@ -333,6 +333,23 @@ def test_check_builds_the_coloring_once(tmp_path, monkeypatch, capsys):
     assert report["regime_ok"] and report["marked_count"] > 0
 
 
+def test_general_pipeline_reinserts_fixed_variables():
+    # size-1 domains leave preprocessing, and come back in each draw; with
+    # only such variables, nothing is left to tensorize or to sample
+    one, q3 = VariableSpec(1, (1.0,)), VariableSpec(3, (0.5, 0.3, 0.2))
+    cfg = PipelineConfig("-", "csp", "general", force=True)
+    fixed = prepare_pipeline(csp_of([one] * 3, []), cfg)
+    assert fixed.tensorized.base.num_vars == 0
+    assert [fixed.draw(0, i) for i in range(3)] == [[0, 0, 0]] * 3
+    mixed = prepare_pipeline(
+        csp_of([q3, one, q3, one], [((0, 1, 2), (2, 0, 2))]), cfg)
+    assert mixed.kept_vars.tolist() == [0, 2]
+    for i in range(50):
+        values = mixed.draw(0, i)
+        assert values[1] == values[3] == 0 and values[::2] != [2, 2]
+        assert all(type(q) is int for q in values)
+
+
 def test_general_pipeline_builds_one_tree_per_spec():
     # the variables of one spec share one Huffman tree object
     csp, _ = ternary9()

@@ -95,7 +95,7 @@ def residual_digest(csp, m) -> str:
     h = hashlib.sha256()
     for seed in range(RESIDUAL_DRAWS):
         r = sample(csp, m, seed, check_conditions=False)
-        h.update(json.dumps([r.assignment, r.horizon_used,
+        h.update(json.dumps([r.assignment.tolist(), r.horizon_used,
                              r.wall_steps]).encode() + b"\n")
     return h.hexdigest()
 

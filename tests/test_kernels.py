@@ -174,18 +174,17 @@ def test_marginal_paths_agree_with_oracle():
 
 
 def test_rejection_sampling_law():
-    # with the empty marking, final sampling rejection-samples the component
-    # {0, 5, 6, 7} of the fixed variables 1-4
+    # with the fixed variables 1-4 marked, final sampling rejection-samples
+    # the component {0, 5, 6, 7}
     csp, m = weighted8()
     sigma = [STAR, 0, 0, 0, 0, STAR, STAR, STAR]
     comp = component(csp, m.marked, sigma, 0)
     expect = brute_component_marginal(csp, comp, 0, sigma)
-    state = np.array(sigma)
+    state, fixed = np.array(sigma), Marking.from_indices(8, [1, 2, 3, 4])
     counts = [0, 0]
     n = 20000
     for i in range(n):
-        values, _ = final_sampling(csp, Marking.empty(8), state,
-                                   derive_seed(31, i))
+        values, _ = final_sampling(csp, fixed, state, derive_seed(31, i))
         counts[values[0]] += 1
     for q in range(2):
         assert counts[q] / n == pytest.approx(expect[q], abs=0.02)

@@ -9,8 +9,11 @@ from lllsampler import (BudgetError, InvariantError, Marking, RandomnessTape,
                         STAR, VariableSpec, bounding_chain, component,
                         derive_seed, final_sampling, rejection_sampling,
                         sample, systematic_scan)
+from lllsampler.core import split_components
+from lllsampler.cli import PreparedPipeline
 from lllsampler.kernels import (LABEL_REJECTION, TapeStream, UpdateContext,
                                 _update_in_place, coupled_update)
+from lllsampler.sampler import live_labels, marked_entries
 from lllsampler.verify import (check_bounding_invariant,
                                coalescence_experiment, enumerate_law,
                                law_of_projection, tv_distance)
@@ -23,9 +26,9 @@ def test_sample_deterministic_in_seed():
     csp, m = weighted8()
     a = sample(csp, m, 11)
     b = sample(csp, m, 11)
-    assert a.assignment == b.assignment
+    assert np.array_equal(a.assignment, b.assignment)
     assert a.horizon_used == b.horizon_used
-    assert any(sample(csp, m, s).assignment != a.assignment
+    assert any(not np.array_equal(sample(csp, m, s).assignment, a.assignment)
                for s in range(5))
 
 
@@ -33,8 +36,12 @@ def test_sample_satisfies_and_is_concrete():
     csp, m = overlap18()
     for seed in range(20):
         rec = sample(csp, m, seed)
-        assert all(type(q) is int for q in rec.assignment)
+        assert rec.assignment.dtype == np.int64
+        assert (rec.assignment != STAR).all()
         assert csp.satisfies(rec.assignment)
+        # the emitted draw is a list of ints
+        drawn = PreparedPipeline(csp, csp, m, range(18)).draw(seed, 0)
+        assert all(type(q) is int for q in drawn)
 
 
 def test_doubling_replays_shared_suffix():
@@ -81,8 +88,17 @@ def test_final_sampling_identity_when_all_marked():
 
 def test_final_sampling_requires_coalesced_state():
     csp, m = weighted8()
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="coalesced"):
         final_sampling(csp, m, np.full(8, STAR), seed=0)
+
+
+def test_final_sampling_requires_star_off_the_marking():
+    # variables 0-4 are marked; a value on the unmarked variable 6 is not a
+    # state a coalesced chain leaves
+    csp, m = weighted8()
+    state = np.array([0, 0, 1, 0, 0, STAR, 1, STAR])
+    with pytest.raises(InvariantError, match="STAR off the marking"):
+        final_sampling(csp, m, state, seed=0)
 
 
 def test_sample_opens_one_stream(monkeypatch):
@@ -226,6 +242,73 @@ def test_final_sampling_matches_per_variable_reference():
     assert rejected > 50  # many draws rejected some attempt
 
 
+def full_mask_labels(csp, values):
+    """The components of the falsifiable constraints' STAR entries, from
+    one falsifiability test of every entry."""
+    flat = csp.flat
+    star = values == STAR
+    on_star = star[flat.cons_vars]
+    falsifiable = np.logical_and.reduceat(
+        on_star | (values[flat.cons_vars] == flat.cons_fals), flat.starts)
+    live = on_star & falsifiable[flat.entry_cons]
+    return csp.free_labels if star.all() else split_components(csp, live)
+
+
+def canonical_state(csp, m, rng, solution=None):
+    """STAR off the marking.  Each marked variable takes its value in
+    ``solution`` when one is given, and else mostly the falsifying value of
+    one of its entries, so that constraints stay live; the fixtures this
+    is used on without a solution extend from any such state."""
+    flat = csp.flat
+    state = np.full(csp.num_vars, STAR, dtype=np.int64)
+    for v in m.indices():
+        mine = np.flatnonzero(flat.cons_vars == v).tolist()
+        if solution is not None:
+            state[v] = solution[v]
+        elif mine and rng.random() < 0.8:
+            state[v] = flat.cons_fals[rng.choice(mine)]
+        else:
+            state[v] = rng.randrange(csp.vars[v].domain_size)
+    return state
+
+
+def test_live_labels_match_full_mask_oracle():
+    rng = random.Random(14)
+    cases = [(c, m, False) for c, m in (weighted8(), overlap18(), uniform20(),
+                                        ternary9(), free8())]
+    for s in range(6):
+        csp, empty = interleaved_3cnf(s)
+        n = csp.num_vars
+        # random markings leave some clauses with no marked entry; marked
+        # values from a solution keep the state extendable
+        cases += [(csp, empty, False), (csp, Marking.from_indices(
+            n, [v for v in range(n) if rng.random() < 0.5]), True)]
+    seen = {"live": 0, "no_marked_entry": 0, "none_live": 0}
+    for csp, m, from_solution in cases:
+        me = marked_entries(csp, m)
+        everything = np.full(csp.num_vars, STAR, dtype=np.int64)
+        for seed in range(40):
+            solution = (final_sampling(csp, Marking.empty(csp.num_vars),
+                                       everything, seed + 100)[0]
+                        if from_solution else None)
+            state = canonical_state(csp, m, rng, solution)
+            want = full_mask_labels(csp, state)
+            got = live_labels(csp, m, state)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            values, attempts = final_sampling(csp, m, state, seed)
+            expect = rejection_sampling(
+                csp, state.copy(), want,
+                RandomnessTape(seed).stream(0, LABEL_REJECTION))
+            assert values.tolist() == expect[0].tolist()
+            assert attempts == expect[1]
+            live = set(want[1][want[1] >= 0].tolist())
+            seen["live"] += bool(live - set(me.free.tolist()))
+            seen["no_marked_entry"] += bool(len(me.free) and m.mask.any())
+            seen["none_live"] += not live
+    assert min(seen.values()) > 20, seen
+
+
 def doubling_from_one(csp, m, seed, cap):
     """``sample`` as a doubling from T = 1: (assignment, horizon) or None
     on a budget error."""
@@ -248,7 +331,7 @@ def test_start_horizon_matches_doubling_from_one():
                 expect = doubling_from_one(csp, m, seed, cap)
                 try:
                     rec = sample(csp, m, seed, horizon_cap=cap)
-                    got = rec.assignment, rec.horizon_used
+                    got = rec.assignment.tolist(), rec.horizon_used
                 except BudgetError:
                     got = None
                 assert got == expect, (n, seed, cap)

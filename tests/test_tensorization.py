@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -133,7 +134,70 @@ def test_trans_on_trivial_binary_trees():
     tz = tensorize(csp, [huffman_tensorize(s.weights) for s in csp.vars])
     assert tz.base.num_vars == 3
     for bits in ((0, 0, 1), (1, 1, 0)):
-        assert trans(tz, list(bits)) == list(bits)
+        assert trans(tz, list(bits)).tolist() == list(bits)
+
+
+def reference_trans(tensorized, sigma_tensor):
+    """Root-to-leaf descent in every variable's tree, one variable and one
+    node at a time."""
+    out = []
+    for v, tree in enumerate(tensorized.trees):
+        z = 0
+        while tree.children[z]:
+            ci = (0 if len(tree.children[z]) == 1
+                  else sigma_tensor[tensorized.node_of[v][z]])
+            z = tree.children[z][ci]
+        out.append(tree.leaf_value[z])
+    return out
+
+
+def test_trans_matches_per_variable_descent():
+    rng = random.Random(6)
+    tape = RandomnessTape(6)
+    coloring = {q: complete_binary_tensorize_with_marking(q, 3)[0]
+                for q in (5, 12, 256)}
+    one = VariableSpec(1, (1.0,))
+    single_node = TensorTree(((),), (1.0,), {0: 0})
+
+    # (spec, tree) pairs of one kind each
+    def complete_binary():
+        q = rng.choice(sorted(coloring))
+        return VariableSpec.uniform(q), coloring[q]
+
+    def huffman():
+        # halving masses give leaves at every depth
+        d = rng.randint(2, 7)
+        pmf = tuple([2.0 ** -(i + 1) for i in range(d - 1)] + [2.0 ** (1 - d)])
+        return VariableSpec(d, pmf), huffman_tensorize(pmf)
+
+    def uniform():
+        n = rng.randint(2, 17)
+        tree, _ = uniform_randomized_tensorization(
+            n, tape.stream(rng.randrange(1 << 30), LABEL_TENSOR))
+        return VariableSpec.uniform(n), tree
+
+    kinds = {
+        "coloring": complete_binary,
+        "huffman": huffman,
+        "uniform": uniform,
+        "domain1": lambda: (one, huffman_tensorize((1.0,))),
+    }
+    # instances of one kind, then instances that mix the kinds and end
+    # with a one-node tree, whose variable has no node variable
+    instances = [[kinds[k]() for _ in range(rng.randint(1, 6))]
+                 for k in kinds for _ in range(5)]
+    for _ in range(10):
+        mix = [kinds[rng.choice(sorted(kinds))]()
+               for _ in range(rng.randint(2, 12))]
+        instances.append(mix + [(one, single_node)])
+    for pairs in instances:
+        specs = [s for s, _ in pairs]
+        tz = tensorize(csp_of(specs, []), [t for _, t in pairs])
+        for _ in range(20):
+            sigma = [rng.randrange(s.domain_size) for s in tz.base.vars]
+            got = trans(tz, sigma)
+            assert got.dtype == np.int64
+            assert got.tolist() == reference_trans(tz, sigma)
 
 
 def test_tensorize_rejects_wrong_tree():
