@@ -1,5 +1,6 @@
-"""Golden draw digests: one sha256 per pipeline over its marking and its
-first 20 draws on a small fixed instance, one per residual case over
+"""Golden draw digests: one sha256 per pipeline case over its marking and
+its first 20 draws on a small fixed instance (each pipeline in regime, and
+each forced fallback), one per residual case over
 300 ``sample`` draws whose chain enters the residual layer, and one per
 input text over the ``flat`` arrays of the parsed and the chain instance,
 the marking and the first 20 draws of text -> parse -> ``prepare_pipeline``.
@@ -42,8 +43,8 @@ def uniform_octal(k=45):
     return csp_of(vars, [(tuple(range(k)), (0,) * k)])
 
 
-# pipeline -> (instance, config, whether the marking is the forced empty one,
-#              sha256 of the marking and the first NUM_DRAWS draws)
+# case -> (instance, config, whether the marking is the forced empty one,
+#          sha256 of the marking and the first NUM_DRAWS draws)
 CASES = {
     "binary": (
         binary_regime_instance(1.0),
@@ -64,6 +65,29 @@ CASES = {
         PipelineConfig("-", "hypergraph", "coloring", colors=5, seed=SEED,
                        force=True), True,
         "3ccb83adaa1583fd5778039544765ac7c0cfc2001d0c29ce03fabb1c866be372"),
+    # Out of regime under --force: the general fallback keeps its Huffman
+    # tensorization, the uniform one draws its fallback trees, and Q = 3
+    # coloring runs untensorized.
+    "general-forced": (
+        weighted_ternary(6),
+        PipelineConfig("-", "csp", "general", seed=SEED, force=True), True,
+        "16753609a422e3f0b8178eaa1d0e927374ea323004aa78c9505d981f9b9b7712"),
+    "uniform-forced": (
+        uniform_octal(5),
+        PipelineConfig("-", "csp", "uniform", seed=SEED, force=True), True,
+        "0c30b24657a449a3c7c7172b1f1abdb407d142fa213e7fad086af1374db94cb4"),
+    "coloring-q3-forced": (
+        HypergraphInstance(4, ((0, 1, 2), (1, 2, 3))),
+        PipelineConfig("-", "hypergraph", "coloring", colors=3, seed=SEED,
+                       force=True), True,
+        "93da319a8a2a7f39d5cc193f1b054efe9e1698f87d689301a279435a87979fa7"),
+    # Q = 2 coloring has binary domains and takes the binary construction;
+    # one 150-vertex edge is in its regime
+    "coloring-q2": (
+        HypergraphInstance(150, (tuple(range(150)),)),
+        PipelineConfig("-", "hypergraph", "coloring", colors=2, seed=SEED),
+        False,
+        "9ab9344b94fdbad8e3025aca626e8684d39daf15194e2b6985dbd406a44df73b"),
 }
 
 
@@ -100,9 +124,9 @@ def residual_digest(csp, m) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("pipeline", sorted(CASES))
-def test_golden_draw_digest(pipeline):
-    instance, cfg, forced_empty, expected = CASES[pipeline]
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_draw_digest(case):
+    instance, cfg, forced_empty, expected = CASES[case]
     prepared = prepare_pipeline(instance, cfg)
     assert prepared.forced_empty == forced_empty
     assert any(prepared.marking.marked) != forced_empty
