@@ -11,7 +11,7 @@ import concurrent.futures
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -22,19 +22,20 @@ from .errors import (BudgetError, ConstructionFailedError,
                      RegimeError, SamplerError, UnsatisfiableInstanceError)
 from .frontends import (HypergraphInstance, build_coloring, parse_csp,
                         parse_dimacs, parse_hypergraph)
-from .kernels import DEFAULT_TERM_BUDGET, derive_seed, update_context
+from .kernels import (LABEL_TENSOR, RandomnessTape, derive_seed,
+                      update_context)
 from .marking import (Marking, binary_gamma, check_theorem_conditions,
                       constants, construct_marking_binary,
                       construct_marking_uniform_binary)
 from .sampler import DEFAULT_HORIZON_CAP, sample
-from .tensorization import (complete_binary_tensorize_with_marking,
+from .tensorization import (check_uniform_domains,
+                            complete_binary_tensorize_with_marking,
                             coloring_regime_ok, global_marking,
                             huffman_tensorize, tensorize, trans,
                             uniform_randomized_tensorization,
                             uniform_tensorize_with_marking,
                             verify_numeric_facts)
 from . import verify as verify_mod
-from .kernels import LABEL_TENSOR, RandomnessTape
 
 PIPELINES = ("binary", "general", "uniform", "coloring")
 FORMATS = ("dimacs", "hypergraph", "csp")
@@ -50,7 +51,6 @@ class PipelineConfig:
     colors: int = 0
     zeta: float = 1e-5
     seed: int = 0
-    budget_terms: int = DEFAULT_TERM_BUDGET
     max_horizon: int = DEFAULT_HORIZON_CAP
     force: bool = False
 
@@ -61,7 +61,6 @@ class PreparedPipeline:
 
     def __init__(self, original: AtomicCsp, run_csp: AtomicCsp,
                  marking: Marking, kept_vars, tensorized=None,
-                 budget: int = DEFAULT_TERM_BUDGET,
                  max_horizon: int = DEFAULT_HORIZON_CAP,
                  forced_empty: bool = False):
         self.original = original
@@ -76,8 +75,9 @@ class PreparedPipeline:
         self.tensorized = tensorized
         self.max_horizon = max_horizon
         self.forced_empty = forced_empty
-        self.ctx = (update_context(run_csp, marking, budget)
-                    if run_csp.num_vars else None)
+        if run_csp.num_vars:
+            # built here, at set-up, and found again by each draw
+            update_context(run_csp, marking)
 
     def draw(self, master_seed: int, i: int) -> list[int]:
         """The i-th sample as an original-domain assignment."""
@@ -85,7 +85,7 @@ class PreparedPipeline:
         if self.run_csp.num_vars == 0:
             values = np.zeros(0, dtype=np.int64)
         else:
-            values = sample(self.run_csp, self.marking, seed_i, ctx=self.ctx,
+            values = sample(self.run_csp, self.marking, seed_i,
                             check_conditions=False,
                             horizon_cap=self.max_horizon).assignment
         if self.original is self.run_csp:
@@ -104,102 +104,77 @@ class PreparedPipeline:
         return values.tolist()
 
 
-def _fallback(original, run_csp, kept, tensorized, cfg, error):
-    if not cfg.force:
-        raise error
-    return PreparedPipeline(original, run_csp, Marking.empty(run_csp.num_vars),
-                            kept, tensorized, cfg.budget_terms,
-                            cfg.max_horizon, forced_empty=True)
-
-
-def prepare_pipeline(csp_or_h, cfg: PipelineConfig) -> PreparedPipeline:
-    """Construct marking (and tensorization where the pipeline calls for it),
-    honoring --force by falling back to the empty marking."""
-    if cfg.pipeline == "coloring":
-        return _prepare_coloring(csp_or_h, cfg)
-    original = csp_or_h
+def prepare_pipeline(instance, cfg: PipelineConfig) -> PreparedPipeline:
+    """Construct the marking, and the tensorization where the pipeline calls
+    for it, of an instance (a hypergraph for the coloring pipeline).  A
+    construction that fails or is out of regime raises, or with ``--force``
+    falls back to the empty marking."""
+    coloring = cfg.pipeline == "coloring"
+    if cfg.pipeline not in PIPELINES:
+        raise click.UsageError(f"unknown pipeline {cfg.pipeline!r}")
+    if coloring != isinstance(instance, HypergraphInstance):
+        raise click.UsageError("the coloring pipeline takes a hypergraph "
+                               "(--format hypergraph), and no other does")
+    if coloring and cfg.colors < 2:
+        raise click.UsageError("--colors is required for the coloring pipeline")
+    original = build_coloring(instance, cfg.colors) if coloring else instance
     csp, kept = preprocess(original)
     mseed = derive_seed(cfg.seed, "construction")
-    if cfg.pipeline == "binary":
-        try:
-            m = construct_marking_binary(csp, cfg.zeta, mseed)
-        except (RegimeError, ConstructionFailedError) as e:
-            return _fallback(original, csp, kept, None, cfg, e)
-        return PreparedPipeline(original, csp, m, kept, None,
-                                cfg.budget_terms, cfg.max_horizon)
-    if cfg.pipeline == "general":
-        meas = csp.measures
-        kappa_t = max(meas.kappa, 2.0)
-        gamma, _, _ = binary_gamma(kappa_t, cfg.zeta)
-        in_regime = (not len(csp.flat.arity)
-                     or gamma * meas.log_p + math.log(max(meas.delta, 1))
-                     <= math.log(0.01 * cfg.zeta / kappa_t))
-        # one tree per distinct spec, shared by its variables
-        trees = [huffman_tensorize(s.weights) for s in csp.flat.specs]
-        tens = tensorize(csp, [trees[g] for g in csp.flat.spec_of.tolist()])
-        if not in_regime:
-            return _fallback(original, tens.base, kept, tens, cfg,
-                             RegimeError(
-                                 f"regime p^gamma*Delta <= 0.01*zeta/kappa~ "
-                                 f"fails: gamma={gamma:.4f} "
-                                 f"ln p={meas.log_p:.4f} Delta={meas.delta} "
-                                 f"kappa~={kappa_t:.4f}"))
-        try:
-            m = construct_marking_binary(tens.base, cfg.zeta, mseed,
-                                         check_regime=False)
-        except ConstructionFailedError as e:
-            return _fallback(original, tens.base, kept, tens, cfg, e)
-        return PreparedPipeline(original, tens.base, m, kept, tens,
-                                cfg.budget_terms, cfg.max_horizon)
-    if cfg.pipeline == "uniform":
-        meas = csp.measures
-        if meas.q <= 2:
-            try:
-                m = construct_marking_uniform_binary(csp, mseed)
-            except (RegimeError, ConstructionFailedError) as e:
-                return _fallback(original, csp, kept, None, cfg, e)
-            return PreparedPipeline(original, csp, m, kept, None,
-                                    cfg.budget_terms, cfg.max_horizon)
-        try:
-            tens, m = uniform_tensorize_with_marking(csp, mseed)
-        except (RegimeError, ConstructionFailedError) as e:
-            # the fallback still needs trees for the large domains
+    tens = marking = None
+    try:
+        # Q = 2 colorings have binary domains: the binary construction
+        if cfg.pipeline == "binary" or coloring and cfg.colors == 2:
+            marking = construct_marking_binary(csp, cfg.zeta, mseed)
+        elif coloring:
+            q, k = cfg.colors, instance.k
+            if q < 5:
+                raise RegimeError("coloring pipeline requires Q >= 5")
+            tree, marks, _ = complete_binary_tensorize_with_marking(q, k)
+            tens = tensorize(csp, [tree] * csp.num_vars)
+            m = global_marking(tens, [marks] * csp.num_vars)
+            # a constraint (e, i) meets the Q copies of every edge that meets e
+            if (not coloring_regime_ok(q, k, csp.measures.delta // q)
+                    or not check_theorem_conditions(tens.base, m).passed):
+                raise RegimeError("coloring regime Delta <= (Q^(1/3)/4)^k /"
+                                  " (40 k Q log Q) fails")
+            marking = m
+        elif cfg.pipeline == "general":
+            meas = csp.measures
+            kappa_t = max(meas.kappa, 2.0)
+            gamma, _, _ = binary_gamma(kappa_t, cfg.zeta)
+            # one tree per distinct spec, shared by its variables
+            trees = [huffman_tensorize(s.weights) for s in csp.flat.specs]
+            tens = tensorize(csp, [trees[g] for g in csp.flat.spec_of.tolist()])
+            if (len(csp.flat.arity)
+                    and gamma * meas.log_p + math.log(max(meas.delta, 1))
+                    > math.log(0.01 * cfg.zeta / kappa_t)):
+                raise RegimeError(
+                    f"regime p^gamma*Delta <= 0.01*zeta/kappa~ fails: "
+                    f"gamma={gamma:.4f} ln p={meas.log_p:.4f} "
+                    f"Delta={meas.delta} kappa~={kappa_t:.4f}")
+            marking = construct_marking_binary(tens.base, cfg.zeta, mseed,
+                                               check_regime=False)
+        elif csp.measures.q <= 2:
+            marking = construct_marking_uniform_binary(csp, mseed)
+        else:
+            tens, marking = uniform_tensorize_with_marking(csp, mseed)
+    except (RegimeError, ConstructionFailedError):
+        if not cfg.force:
+            raise
+        if cfg.pipeline == "uniform" and csp.measures.q > 2:
+            # the fallback still needs trees for the large domains, and
+            # uniform trees reproduce uniform domains only
+            check_uniform_domains(csp)
             rtape = RandomnessTape(derive_seed(mseed, "fallback-trees"))
-            trees = []
-            for v, s in enumerate(csp.vars):
-                t, _ = uniform_randomized_tensorization(
-                    s.domain_size, rtape.stream(v, LABEL_TENSOR))
-                trees.append(t)
-            tens = tensorize(csp, trees)
-            return _fallback(original, tens.base, kept, tens, cfg, e)
-        return PreparedPipeline(original, tens.base, m, kept, tens,
-                                cfg.budget_terms, cfg.max_horizon)
-    raise click.UsageError(f"unknown pipeline {cfg.pipeline!r}")
-
-
-def _prepare_coloring(h: HypergraphInstance, cfg: PipelineConfig):
-    if cfg.colors < 2:
-        raise click.UsageError("--colors is required for the coloring pipeline")
-    q = cfg.colors
-    csp = build_coloring(h, q)
-    if q == 2:
-        # degenerate: binary domains, route through the binary construction
-        return prepare_pipeline(csp, replace(cfg, pipeline="binary"))
-    if q < 5:
-        return _fallback(csp, csp, range(csp.num_vars), None, cfg,
-                         RegimeError("coloring pipeline requires Q >= 5"))
-    tree, marks, _ = complete_binary_tensorize_with_marking(q, h.k)
-    tens = tensorize(csp, [tree] * csp.num_vars)
-    marking = global_marking(tens, [marks] * csp.num_vars)
-    # a constraint (e, i) meets the Q copies of every edge that meets e
-    in_regime = coloring_regime_ok(q, h.k, csp.measures.delta // q)
-    if not in_regime or not check_theorem_conditions(tens.base, marking).passed:
-        return _fallback(csp, tens.base, range(csp.num_vars), tens, cfg,
-                         RegimeError(
-                             "coloring regime Delta <= (Q^(1/3)/4)^k /"
-                             " (40 k Q log Q) fails"))
-    return PreparedPipeline(csp, tens.base, marking, range(csp.num_vars),
-                            tens, cfg.budget_terms, cfg.max_horizon)
+            tens = tensorize(csp, [uniform_randomized_tensorization(
+                s.domain_size, rtape.stream(v, LABEL_TENSOR))[0]
+                for v, s in enumerate(csp.vars)])
+    run_csp = csp if tens is None else tens.base
+    forced_empty = marking is None
+    if forced_empty:
+        marking = Marking.empty(run_csp.num_vars)
+    return PreparedPipeline(original, run_csp, marking, kept, tens,
+                            cfg.max_horizon, forced_empty)
 
 
 # --- input/output plumbing --------------------------------------------------
@@ -296,8 +271,6 @@ _OPTIONS = {
     "jobs": click.option("--jobs", default=1, type=click.IntRange(min=1),
                          show_default=True),
     "out": click.option("--out", default=None, help="Output file."),
-    "budget_terms": click.option("--budget-terms", default=DEFAULT_TERM_BUDGET,
-                                 type=int, show_default=True),
     "max_horizon": click.option("--max-horizon", default=DEFAULT_HORIZON_CAP,
                                 type=int, show_default=True),
     "force": click.option("--force", is_flag=True,
@@ -326,8 +299,8 @@ def cli():
 
 
 @cli.command("sample")
-@_options(*_INSTANCE, "num", "jobs", "out", "budget_terms", "max_horizon",
-          "force", "named")
+@_options(*_INSTANCE, "num", "jobs", "out", "max_horizon", "force",
+          "named")
 def cmd_sample(num, jobs, out, named, **kw):
     """Draw solutions; one JSON array of value indices per line."""
     _emit(_sample_lines(PipelineConfig(**kw), num, jobs, named), out)
@@ -344,7 +317,7 @@ def cmd_check(out, **kw):
         csp = prepared.original
     except SamplerError as e:
         prepared, error = None, e
-        csp = (build_coloring(loaded, max(cfg.colors, 2))
+        csp = (build_coloring(loaded, cfg.colors)
                if cfg.pipeline == "coloring" else loaded)
     meas = csp.measures
     report = {
@@ -381,7 +354,7 @@ def cmd_check(out, **kw):
 
 
 @cli.command("verify")
-@_options(*_INSTANCE, "num", "out", "budget_terms", "max_horizon", "force")
+@_options(*_INSTANCE, "num", "out", "max_horizon", "force")
 def cmd_verify(num, out, **kw):
     """End-to-end certification against exhaustive enumeration."""
     cfg = PipelineConfig(**kw)
@@ -441,10 +414,13 @@ def cmd_tensorize(out, **kw):
     if prepared.tensorized is None:
         raise click.UsageError(
             "the selected pipeline does not tensorize this instance")
+    t = prepared.tensorized
     lines = []
-    for v, tree in enumerate(prepared.tensorized.trees):
-        marks = {z for z in tree.internal_nodes()
-                 if prepared.marking.marked[prepared.tensorized.node_of[v][z]]}
+    for v, tree in enumerate(t.trees):
+        nodes = np.array(tree.internal_nodes(), dtype=np.int64)
+        marked = prepared.marking.mask[
+            t.first_node[v] + t.node_rank[t.var_root[v] + nodes]]
+        marks = set(nodes[marked].tolist())
         lines.append(f"var {v}")
         lines.append(tree.dump(marks))
     _emit(lines, out)

@@ -81,8 +81,7 @@ class AtomicCsp:
         self.flat = flatten(self.vars, cons_vars, cons_fals, arity)
         # Marking -> marking.MarkingConstants, filled by marking.constants
         self.constants_memo: dict = {}
-        # (Marking, budget) -> kernels.UpdateContext, filled by
-        # kernels.update_context
+        # Marking -> kernels.UpdateContext, filled by kernels.update_context
         self.context_memo: dict = {}
         # Marking -> sampler.MarkedEntries, filled by sampler.marked_entries
         self.entries_memo: dict = {}

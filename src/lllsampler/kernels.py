@@ -361,12 +361,11 @@ class UpdateContext:
     rows of the marked variables, ascending (``marked_idx``).
     """
 
-    def __init__(self, csp: AtomicCsp, m, budget: int = DEFAULT_TERM_BUDGET):
+    def __init__(self, csp: AtomicCsp, m):
         from .marking import constants
         self.csp = csp
         self.marking = m
         self.n = csp.num_vars
-        self.budget = budget
         self.marked_idx = np.flatnonzero(m.mask)
         flat = csp.flat
         marked_spec = flat.spec_of[self.marked_idx]
@@ -396,14 +395,12 @@ class UpdateContext:
         self.marked_cum = self.safe_cum[marked_spec]
 
 
-def update_context(csp: AtomicCsp, m,
-                   budget: int = DEFAULT_TERM_BUDGET) -> UpdateContext:
-    """``UpdateContext(csp, m, budget)`` for a ``Marking`` m, built once per
-    (marking, budget) and kept on the instance."""
-    key = (m, budget)
-    ctx = csp.context_memo.get(key)
+def update_context(csp: AtomicCsp, m) -> UpdateContext:
+    """``UpdateContext(csp, m)`` for a ``Marking`` m, built once per marking
+    and kept on the instance."""
+    ctx = csp.context_memo.get(m)
     if ctx is None:
-        ctx = csp.context_memo[key] = UpdateContext(csp, m, budget)
+        ctx = csp.context_memo[m] = UpdateContext(csp, m)
     return ctx
 
 
@@ -424,7 +421,7 @@ def _update_in_place(ctx: UpdateContext, values, t: int, u0: float) -> None:
     if not comp.token:
         values[v] = STAR
         return
-    dagger = exact_component_marginal(ctx.csp, comp, v, ctx.budget)
+    dagger = exact_component_marginal(ctx.csp, comp, v)
     safe = ctx.safe_probs[g, :len(dagger)].tolist()
     for q in range(len(safe)):
         if dagger[q] < safe[q] - _PROB_TOL:
@@ -481,16 +478,13 @@ def chain_steps(ctx: UpdateContext, state: np.ndarray, t0: int,
 
 
 def coupled_update(csp: AtomicCsp, m, state, t: int,
-                   tape: RandomnessTape,
-                   ctx: UpdateContext = None) -> np.ndarray:
+                   tape: RandomnessTape) -> np.ndarray:
     """One monotone coupled step on a state (STAR = -1): returns the updated
     state as a new int64 array and leaves ``state`` as it was.
 
     Unmarked time slots are no-ops.  The randomness consumed is exactly the
     chain deviate of time t, so runs over the same tape couple pointwise.
     """
-    if ctx is None:
-        ctx = update_context(csp, m)
     out = np.array(state, dtype=np.int64)
-    _update_in_place(ctx, out, t, tape.uniform(t))
+    _update_in_place(update_context(csp, m), out, t, tape.uniform(t))
     return out

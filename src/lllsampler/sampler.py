@@ -61,15 +61,14 @@ def _run_chain(ctx: UpdateContext, state: np.ndarray, tape: RandomnessTape,
         chain_steps(ctx, state, a, tape.layered_block(a, b))
 
 
-def bounding_chain(csp: AtomicCsp, m: Marking, T: int, master_seed: int,
-                   ctx: UpdateContext = None) -> ChainRun:
+def bounding_chain(csp: AtomicCsp, m: Marking, T: int,
+                   master_seed: int) -> ChainRun:
     """Run the bounding chain from all-STAR at time -T to time 0.
 
     Deterministic given (csp, m, T, seed); a run at horizon 2T replays the
     same per-time randomness on the shared suffix.
     """
-    if ctx is None:
-        ctx = update_context(csp, m)
+    ctx = update_context(csp, m)
     state = np.full(csp.num_vars, STAR, dtype=np.int64)
     _run_chain(ctx, state, RandomnessTape(master_seed), -T, 0)
     return ChainRun(T, state, bool((state[ctx.marked_idx] != STAR).all()))
@@ -171,7 +170,7 @@ def start_horizon(m: Marking) -> int:
 
 
 def sample(csp: AtomicCsp, m: Marking, master_seed: int,
-           ctx: UpdateContext = None, check_conditions: bool = True,
+           check_conditions: bool = True,
            horizon_cap: int = DEFAULT_HORIZON_CAP) -> SampleRecord:
     """Draw one exact solution by coupling from the past with horizon
     doubling, then extend to the unmarked variables.
@@ -187,14 +186,12 @@ def sample(csp: AtomicCsp, m: Marking, master_seed: int,
             raise InvariantError(
                 "chain conditions do not hold; pass check_conditions=False "
                 "to run anyway")
-    if ctx is None:
-        ctx = update_context(csp, m)
     wall = 0
     T = start_horizon(m)
     if T > 1 and T // 2 >= horizon_cap:
         raise BudgetError(f"no coalescence by horizon {horizon_cap}")
     while True:
-        run = bounding_chain(csp, m, T, master_seed, ctx)
+        run = bounding_chain(csp, m, T, master_seed)
         wall += T
         if run.coalesced:
             break
@@ -207,8 +204,8 @@ def sample(csp: AtomicCsp, m: Marking, master_seed: int,
     return SampleRecord(values, T, wall)
 
 
-def systematic_scan(csp: AtomicCsp, m: Marking, state, steps: int, seed: int,
-                    ctx: UpdateContext = None) -> np.ndarray:
+def systematic_scan(csp: AtomicCsp, m: Marking, state, steps: int,
+                    seed: int) -> np.ndarray:
     """Forward chain on a state (STAR = -1) that is STAR-free on the marking
     and STAR off it: ``steps`` coupled updates at times 0..steps-1, on an
     int64 copy of ``state``, which is returned.  Used as the convergence
@@ -219,7 +216,5 @@ def systematic_scan(csp: AtomicCsp, m: Marking, state, steps: int, seed: int,
         raise InvariantError("scan input must be STAR-free on the marking")
     if (~star & ~m.mask).any():
         raise InvariantError("scan input must be STAR off the marking")
-    if ctx is None:
-        ctx = update_context(csp, m)
-    _run_chain(ctx, state, RandomnessTape(seed), 0, steps)
+    _run_chain(update_context(csp, m), state, RandomnessTape(seed), 0, steps)
     return state

@@ -249,8 +249,8 @@ class TensorizedCsp:
 
     ``base`` has one variable per internal tree node (domain = its children,
     pmf = edge weights), each variable's internal nodes in turn from
-    ``first_node[v]`` on.  ``node_of[v]``, derived on first use, maps
-    variable v's local internal node ids to global indices.
+    ``first_node[v]`` on: variable v's local internal node z is node
+    variable ``first_node[v] + node_rank[var_root[v] + z]``.
 
     The back-map tables (``trans``) number the nodes of the distinct trees
     one tree after another.  ``node_child[z]`` lists node z's children,
@@ -271,13 +271,6 @@ class TensorizedCsp:
     node_value: np.ndarray = field(compare=False, repr=False)
     node_rank: np.ndarray = field(compare=False, repr=False)
     depth: int = field(compare=False)
-
-    @functools.cached_property
-    def node_of(self) -> tuple[dict, ...]:
-        nodes = {id(t): t.internal_nodes()
-                 for t in {id(t): t for t in self.trees}.values()}
-        return tuple(dict(zip(nodes[id(t)], itertools.count(b)))
-                     for t, b in zip(self.trees, self.first_node.tolist()))
 
 
 def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
@@ -404,9 +397,11 @@ def trans(tensorized: TensorizedCsp, sigma_tensor) -> np.ndarray:
 def global_marking(tensorized: TensorizedCsp, per_var_marks) -> Marking:
     """Lift per-variable local node mark sets to a marking over the
     tensorized variable set."""
-    mask = np.zeros(tensorized.base.num_vars, dtype=bool)
+    t = tensorized
+    mask = np.zeros(t.base.num_vars, dtype=bool)
     for v, local in enumerate(per_var_marks):
-        mask[[tensorized.node_of[v][z] for z in local]] = True
+        z = np.fromiter(local, np.int64, len(local))
+        mask[t.first_node[v] + t.node_rank[t.var_root[v] + z]] = True
     return Marking(mask)
 
 
@@ -603,6 +598,15 @@ def uniform_randomized_tensorization(n: int, stream: TapeStream):
     return TensorTree(tree.children, tree.weight, leaf_value), marks
 
 
+def check_uniform_domains(csp: AtomicCsp) -> None:
+    """Raise ``RegimeError`` unless every domain's weights are uniform: the
+    uniform trees reproduce no other weights."""
+    for spec in csp.flat.specs:
+        if any(abs(w - 1.0 / spec.domain_size) > _WEIGHT_TOL
+               for w in spec.weights):
+            raise RegimeError("uniform tensorization needs uniform domains")
+
+
 def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0):
     """End-to-end randomized construction for uniform domains.
 
@@ -611,13 +615,10 @@ def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0):
     [-(eta+tau1), -(eta-tau2)]*log2(1/p_C) window, then tensorizes and
     verifies the chain conditions.  Returns (TensorizedCsp, Marking).
     """
-    for spec in csp.vars:
-        if spec.domain_size < 2:
-            raise RegimeError("uniform tensorization needs domains >= 2 "
-                              "(preprocess first)")
-        if any(abs(w - 1.0 / spec.domain_size) > _WEIGHT_TOL
-               for w in spec.weights):
-            raise RegimeError("uniform tensorization needs uniform domains")
+    if any(spec.domain_size < 2 for spec in csp.flat.specs):
+        raise RegimeError("uniform tensorization needs domains >= 2 "
+                          "(preprocess first)")
+    check_uniform_domains(csp)
     check_uniform_regime(csp.measures)
     flat = csp.flat
     vs, qs = flat.cons_vars.tolist(), flat.cons_fals.tolist()

@@ -121,10 +121,9 @@ def certify_sampler(csp: AtomicCsp, m: Marking, num_samples: int, seed: int,
 
     if law is None:
         law = enumerate_law(csp)
-    ctx = update_context(csp, m)
     counts: dict = {}
     for i in range(num_samples):
-        rec = sample(csp, m, derive_seed(seed, "certify", i), ctx=ctx,
+        rec = sample(csp, m, derive_seed(seed, "certify", i),
                      check_conditions=check_conditions)
         key = tuple(rec.assignment.tolist())
         counts[key] = counts.get(key, 0) + 1
@@ -165,13 +164,12 @@ def coalescence_experiment(csp: AtomicCsp, m: Marking, horizons, trials: int,
     """Per horizon T: the fraction of independent chains with a surviving
     STAR on the marked set, against the 4|V|*2^(-T/|V|) tail bound."""
     n = csp.num_vars
-    ctx = update_context(csp, m)
     rows = []
     for horizon in horizons:
         failures = 0
         for trial in range(trials):
             run = bounding_chain(csp, m, horizon,
-                                 derive_seed(seed, "coalescence", trial), ctx)
+                                 derive_seed(seed, "coalescence", trial))
             if not run.coalesced:
                 failures += 1
         bound = min(1.0, 4.0 * n * 2.0 ** (-horizon / n))
@@ -224,7 +222,7 @@ def check_bounding_invariant(csp: AtomicCsp, m: Marking, T: int, trials: int,
                 ok = False  # the real chain must stay STAR-free on the marking
         if not ok:
             containment_violations += 1
-        swept = bounding_chain(csp, m, T, trial_seed, ctx).state
+        swept = bounding_chain(csp, m, T, trial_seed).state
         if any(swept[v] != bound[v] for v in marked):
             sweep_mismatches += 1
         if all(bound[v] != STAR for v in marked):

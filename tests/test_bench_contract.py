@@ -1,0 +1,51 @@
+"""The benchmark (``perfbench/run.py``) drives the sampler through its
+set-up path: it writes each workload's instance to a file, parses the text,
+builds a ``PipelineConfig`` and calls ``prepare_pipeline``, then reads
+``forced_empty``, ``marking`` and ``run_csp`` and checks every draw with the
+workload's own checker.  These tests run that path on each workload's seed-1
+instance, loading ``perfbench/workloads.py`` read-only."""
+
+import json
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from lllsampler.cli import PipelineConfig, prepare_pipeline
+from lllsampler.frontends import parse_dimacs, parse_hypergraph
+
+WORKLOADS = (Path(__file__).resolve().parent.parent / "perfbench"
+             / "workloads.py")
+
+
+def load_workloads():
+    """The workloads module, run from its source without writing a bytecode
+    cache next to it (registered while it runs, for its dataclasses)."""
+    module = types.ModuleType("perfbench_workloads")
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"),
+             vars(module))
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+WORKLOAD = load_workloads().WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD))
+def test_benchmark_setup_path(name, tmp_path):
+    w = WORKLOAD[name]
+    instance = w.generate(1)
+    path = tmp_path / "instance.txt"
+    path.write_text(instance.text)
+    parse = parse_dimacs if w.format == "dimacs" else parse_hypergraph
+    cfg = PipelineConfig(str(path), w.format, w.pipeline, colors=w.colors,
+                         seed=1, force=w.force)
+    prepared = prepare_pipeline(parse(path.read_text()), cfg)
+    assert prepared.forced_empty == w.forced_empty
+    assert len(prepared.marking.marked) == prepared.run_csp.num_vars
+    for i in range(5):
+        assert instance.check_line(json.dumps(prepared.draw(1, i)))

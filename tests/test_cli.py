@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
@@ -95,6 +96,16 @@ def test_exit_codes(cnf_file, tmp_path, capsys):
     # coloring without --colors
     assert run(sample_args(cnf_file, "--format", "dimacs",
                            "--pipeline", "coloring")) == 1
+    # coloring of an input that is not a hypergraph
+    capsys.readouterr()
+    assert run(sample_args(cnf_file, "--format", "dimacs",
+                           "--pipeline", "coloring", "--colors", "5")) == 1
+    json_file = tmp_path / "w8.json"
+    json_file.write_text(emit_csp(weighted8()[0]))
+    assert run(["check", "--input", str(json_file), "--pipeline", "coloring",
+                "--colors", "5"]) == 1
+    assert capsys.readouterr().err.count(
+        "the coloring pipeline takes a hypergraph") == 2
     assert run(["sample", "--pipeline", "nope", "--input", cnf_file]) == 1
     # malformed JSON instances: a NaN weight, a non-numeric weight, a
     # non-list ``vbl`` or ``false``, and a boolean domain, variable or value
@@ -125,6 +136,24 @@ def test_exit_codes(cnf_file, tmp_path, capsys):
     assert run(sample_args(str(regime), "--pipeline", "binary",
                            "--max-horizon", "1")) == 4
     assert "no coalescence by horizon 1" in capsys.readouterr().err
+
+
+def test_uniform_pipeline_needs_uniform_domains(tmp_path, capsys):
+    # the uniform trees, the fallback's included, reproduce only uniform
+    # weights: out of regime with and without --force
+    path = tmp_path / "nonuniform.json"
+    path.write_text('{"vars": [{"domain": 3, "weights": [0.5, 0.3, 0.2]}, '
+                    '{"domain": 3}], "constraints": [{"vbl": [0, 1], '
+                    '"false": [0, 0]}]}')
+    message = "uniform tensorization needs uniform domains"
+    for force in ((), ("--force",)):
+        assert run(sample_args(str(path), "--pipeline", "uniform",
+                               *force)) == 3
+        assert message in capsys.readouterr().err
+    assert run(["check", "--input", str(path), "--pipeline", "uniform"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["construction_error"] == message
+    assert not report["regime_ok"]
 
 
 def test_check_reports(csp_file, capsys):
@@ -221,16 +250,19 @@ def test_pipeline_api_binary():
     assert not prepared.forced_empty
     for i in range(3):
         assert csp.satisfies(prepared.draw(6, i))
+    # a hypergraph is the coloring pipeline's input only
+    with pytest.raises(click.UsageError, match="no other does"):
+        prepare_pipeline(HypergraphInstance(3, ((0, 1, 2),)), PipelineConfig(
+            "-", "hypergraph", "binary", colors=3, force=True))
 
 
 def test_each_command_takes_only_the_options_it_reads(cnf_file, capsys):
     instance = {"--input", "--format", "--pipeline", "--colors", "--zeta",
                 "--seed", "--out"}
     expected = {
-        "sample": instance | {"--num", "--jobs", "--budget-terms",
-                             "--max-horizon", "--force", "--named"},
-        "verify": instance | {"--num", "--budget-terms", "--max-horizon",
-                             "--force"},
+        "sample": instance | {"--num", "--jobs", "--max-horizon", "--force",
+                             "--named"},
+        "verify": instance | {"--num", "--max-horizon", "--force"},
         "bench": instance | {"--num", "--force"},
         "check": instance,
         "tensorize": instance,
@@ -240,7 +272,7 @@ def test_each_command_takes_only_the_options_it_reads(cnf_file, capsys):
            for name, command in cli.commands.items()}
     assert got == expected
     assert {name: len(c.params) for name, c in cli.commands.items()} == {
-        "sample": 13, "verify": 11, "bench": 9, "check": 7, "tensorize": 7,
+        "sample": 12, "verify": 10, "bench": 9, "check": 7, "tensorize": 7,
         "selftest": 2}
     assert run(["selftest", "--jobs", "2"]) == 1
     assert run(["check", "--input", cnf_file, "--format", "dimacs",

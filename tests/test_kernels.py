@@ -204,7 +204,6 @@ def test_update_consumes_single_layered_deviate():
 
 def test_update_monotone_on_random_pairs():
     csp, m = weighted8()
-    ctx = UpdateContext(csp, m)
     rng = random.Random(5)
     for trial in range(500):
         refined = []
@@ -220,8 +219,8 @@ def test_update_monotone_on_random_pairs():
             loose.append(STAR if rng.random() < 0.4 else x)
         t = rng.randrange(-40, 40)
         tape = RandomnessTape(rng.randrange(2 ** 32))
-        s1 = coupled_update(csp, m, refined, t, tape, ctx)
-        s2 = coupled_update(csp, m, loose, t, tape, ctx)
+        s1 = coupled_update(csp, m, refined, t, tape)
+        s2 = coupled_update(csp, m, loose, t, tape)
         for a, b in zip(s1.tolist(), s2.tolist()):
             assert b == STAR or a == b
 
@@ -270,8 +269,8 @@ def test_list_and_array_states_agree():
             assert a == b.tolist()
 
             def update(state):
-                return coupled_update(csp, ctx.marking, state, t, tape,
-                                      ctx).tolist()
+                return coupled_update(csp, ctx.marking, state, t,
+                                      tape).tolist()
 
             assert outcome(update, lst) == outcome(update, arr)
             # coupled_update leaves its input as it was

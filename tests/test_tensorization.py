@@ -85,6 +85,12 @@ def test_tensorize_shares_equal_node_specs():
     assert all((a == b) == (a is b) for a in specs for b in specs)
 
 
+def node_index(tensorized, v, z):
+    """The node variable of variable v's local internal node z."""
+    t = tensorized
+    return int(t.first_node[v] + t.node_rank[t.var_root[v] + z])
+
+
 def reference_tensorize(csp, trees):
     """Node numbering and constraints of the tensorized instance, one
     constraint at a time: each entry (v, q) becomes q's root-to-leaf path
@@ -124,7 +130,8 @@ def test_tensorize_matches_reference():
             trees = [huffman_tensorize(s.weights) for s in csp.vars]
         t = tensorize(csp, trees)
         node_of, cons = reference_tensorize(csp, trees)
-        assert list(t.node_of) == node_of
+        assert [{z: node_index(t, v, z) for z in local}
+                for v, local in enumerate(node_of)] == node_of
         assert constraint_pairs(t.base) == cons
 
 
@@ -145,7 +152,7 @@ def reference_trans(tensorized, sigma_tensor):
         z = 0
         while tree.children[z]:
             ci = (0 if len(tree.children[z]) == 1
-                  else sigma_tensor[tensorized.node_of[v][z]])
+                  else sigma_tensor[node_index(tensorized, v, z)])
             z = tree.children[z][ci]
         out.append(tree.leaf_value[z])
     return out
@@ -342,8 +349,8 @@ def test_uniform_construction_in_regime():
     # recompute the marked falsifying log-mass independently and check the
     # acceptance window for the single constraint
     vbl, fals = constraint_pairs(csp)[0]
-    var_of = {g: (v, z) for v, local in enumerate(tz.node_of)
-              for z, g in local.items()}
+    var_of = {node_index(tz, v, z): (v, z) for v, tree in enumerate(tz.trees)
+              for z in tree.internal_nodes()}
     marks_by_var = [set() for _ in range(k)]
     for z, flag in enumerate(marking.marked):
         if flag:
@@ -383,7 +390,7 @@ def test_global_marking_roundtrip():
     marking = global_marking(tz, [{0}, {0, 4}])
     assert isinstance(marking, Marking)
     assert sum(marking.marked) == 3
-    assert marking.marked[tz.node_of[1][4]]
+    assert marking.marked[node_index(tz, 1, 4)]
 
 
 def test_dump_golden():
