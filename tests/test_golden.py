@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from lllsampler import VariableSpec, kernels, sample
+from lllsampler import Marking, VariableSpec, kernels, sample
 from lllsampler.cli import PipelineConfig, prepare_pipeline
 from lllsampler.frontends import (HypergraphInstance, parse_dimacs,
                                   parse_hypergraph)
@@ -98,19 +98,35 @@ def draw_digest(prepared) -> str:
     return h.hexdigest()
 
 
+def dense4():
+    """4 weighted binary variables under 6 constraints, variable 1 marked.
+    Every residual step's component holds all 6 constraints, so
+    enumerating its 16 states is cheaper than inclusion-exclusion over its
+    64 constraint subsets."""
+    spec = VariableSpec(2, (0.3, 0.7))
+    cons = [((0, 1, 2, 3), (1, 1, 1, 0)), ((0, 2, 3), (1, 0, 0)),
+            ((0, 3), (0, 0)), ((0, 3), (0, 1)), ((0, 1), (0, 1)),
+            ((1, 2, 3), (1, 1, 0))]
+    return csp_of([spec] * 4, cons), Marking.from_indices(4, [1])
+
+
 # The pipelines' instances are in regime, where the safe mass is 1.0, so
 # their chains never leave the safe layer.  These small instances, run
 # without the condition check, take the residual step (``component`` and
-# the exact component marginal) hundreds of times.
-# name -> (function returning the instance and its marking, sha256 of the
-#          draws)
+# the exact component marginal) hundreds of times; ``dense4``'s marginals
+# take the enumeration branch.
+# name -> (function returning the instance and its marking, the ``kernels``
+#          function whose calls are counted, sha256 of the draws)
 RESIDUAL_CASES = {
     "ternary9": (
-        ternary9,
+        ternary9, "component",
         "b5c797aaa461df53b824eea1921e585919eb3773f8011f61c3836074eec2db59"),
     "weighted8": (
-        weighted8,
+        weighted8, "component",
         "333e87a39fd66d1a04cc8a93021ec15a42b286f20fe44dca002fa7a297c5990c"),
+    "dense4": (
+        dense4, "_enum_marginal",
+        "1aa91bca2522d8bff25b801bbd8bcc27500bfcf3c40661a2ebe116e43ba9667c"),
 }
 RESIDUAL_DRAWS = 300
 
@@ -135,15 +151,15 @@ def test_golden_draw_digest(case):
 
 @pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
 def test_residual_draw_digest(case, monkeypatch):
-    make, expected = RESIDUAL_CASES[case]
+    make, counted, expected = RESIDUAL_CASES[case]
     calls = []
-    component = kernels.component
+    fn = getattr(kernels, counted)
 
-    def counting_component(*args):
+    def counting(*args):
         calls.append(args[3])
-        return component(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(kernels, "component", counting_component)
+    monkeypatch.setattr(kernels, counted, counting)
     assert residual_digest(*make()) == expected
     assert len(calls) >= 40
 
@@ -206,7 +222,7 @@ if __name__ == "__main__":
     # that alters the draw stream on purpose.
     for name, (instance, cfg, _, _) in sorted(CASES.items()):
         print(name, draw_digest(prepare_pipeline(instance, cfg)))
-    for name, (make, _) in sorted(RESIDUAL_CASES.items()):
+    for name, (make, _, _) in sorted(RESIDUAL_CASES.items()):
         print(name, residual_digest(*make()))
     for name, (parse, text, cfg, _) in sorted(TEXT_CASES.items()):
         print(name, text_digest(parse, text, cfg))
