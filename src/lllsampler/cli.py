@@ -421,7 +421,7 @@ def cmd_tensorize(out, **kw):
         marked = prepared.marking.mask[
             t.first_node[v] + t.node_rank[t.var_root[v] + nodes]]
         marks = set(nodes[marked].tolist())
-        lines.append(f"var {v}")
+        lines.append(f"var {prepared.kept_vars[v]}")
         lines.append(tree.dump(marks))
     _emit(lines, out)
 

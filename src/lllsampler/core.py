@@ -13,11 +13,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
 
-from .errors import InvalidInstanceError, UnsatisfiableInstanceError
+from .errors import (BudgetError, InvalidInstanceError,
+                     UnsatisfiableInstanceError)
 
 #: Wildcard value of a state: matches every value.
 STAR = -1
@@ -79,12 +81,8 @@ class AtomicCsp:
                  arity):
         self.vars = tuple(vars)
         self.flat = flatten(self.vars, cons_vars, cons_fals, arity)
-        # Marking -> marking.MarkingConstants, filled by marking.constants
-        self.constants_memo: dict = {}
-        # Marking -> kernels.UpdateContext, filled by kernels.update_context
-        self.context_memo: dict = {}
-        # Marking -> sampler.MarkedEntries, filled by sampler.marked_entries
-        self.entries_memo: dict = {}
+        # (build, Marking) -> build(self, marking), filled by ``memoized``
+        self.memo: dict = {}
 
     @property
     def num_vars(self) -> int:
@@ -117,6 +115,16 @@ class AtomicCsp:
 
     def __hash__(self):
         return hash((self.vars, *(a.tobytes() for a in self._arrays())))
+
+
+def memoized(csp: AtomicCsp, build, m):
+    """``build(csp, m)`` for a ``Marking`` m, built once per (build,
+    marking) and kept on the instance."""
+    key = (build, m)
+    value = csp.memo.get(key)
+    if value is None:
+        value = csp.memo[key] = build(csp, m)
+    return value
 
 
 @dataclass(frozen=True)
@@ -338,6 +346,58 @@ def preprocess(csp: AtomicCsp) -> tuple[AtomicCsp, tuple[int, ...]]:
         flat.cons_fals[live], arity), tuple(keep)
 
 
-def all_assignments(csp: AtomicCsp):
-    """Iterate over every full assignment as a tuple of value indices."""
-    return itertools.product(*(range(s.domain_size) for s in csp.vars))
+def enumerate_solutions(weights, constraints, budget: int):
+    """Every assignment that falsifies none of ``constraints``, in
+    lexicographic order, with its weight.
+
+    ``weights`` holds one pmf per variable, as a tuple over its domain, and
+    each constraint is a sequence of (variable, falsifying value) pairs.  An
+    assignment's weight is its values' weights multiplied left to right
+    from 1.0, the float operations of a product loop over the variables.
+    The walk is depth first, one level per variable without recursion, and
+    checks each constraint once its last variable is set.  Raises
+    ``BudgetError`` before any assignment when the product of the domain
+    sizes exceeds ``budget``.
+    """
+    total = 1
+    for w in weights:
+        total *= len(w)
+        if total > budget:
+            raise BudgetError(f"state space exceeds the budget of {budget}")
+    n = len(weights)
+    if not n:
+        yield (), 1.0
+        return
+    # per variable and value: (getter, values) of the other entries of each
+    # constraint the variable is last in, or None when the value alone
+    # falsifies one
+    checks = [[[] for _ in w] for w in weights]
+    for c in constraints:
+        *rest, (last, q) = sorted(c)
+        row = checks[last]
+        if not rest:
+            row[q] = None
+        elif row[q] is not None:
+            us, fs = zip(*rest)
+            row[q].append((itemgetter(*us), fs if len(fs) > 1 else fs[0]))
+    values = [0] * n
+    prefix = [1.0] * n     # the weight of the values above each level
+    nxt = [0] * n          # the next value to try at each level
+    v = 0
+    while v >= 0:
+        q = nxt[v]
+        if q == len(weights[v]):
+            nxt[v] = 0
+            v -= 1
+            continue
+        nxt[v] = q + 1
+        values[v] = q
+        row = checks[v][q]
+        if row is None or any(get(values) == fs for get, fs in row):
+            continue
+        w = prefix[v] * weights[v][q]
+        if v + 1 == n:
+            yield tuple(values), w
+        else:
+            v += 1
+            prefix[v] = w

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import STAR, AtomicCsp, FlatCsp, left_sum
+from .core import (STAR, AtomicCsp, FlatCsp, enumerate_solutions, left_sum,
+                   memoized)
 from .errors import BudgetError, ConditionsError, InvariantError
 
 # Stream labels.
@@ -286,29 +287,16 @@ def _ie_marginal(csp, cons, focal, budget):
 
 
 def _enum_marginal(csp, comp_vars, entries, focal, budget):
-    nq = csp.vars[focal].domain_size
-    numer = [0.0] * nq
-    domains = [range(csp.vars[v].domain_size) for v in comp_vars]
-    total = 1
-    for d in domains:
-        total *= len(d)
-    if total > budget:
-        raise BudgetError("enumeration budget exceeded")
+    """The marginal's numerators by enumeration of the component's
+    solutions (``core.enumerate_solutions``), added in lexicographic
+    order."""
     index = {v: i for i, v in enumerate(comp_vars)}
-    cons = [tuple((index[v], q) for v, q in e) for e in entries]
     fi = index[focal]
-    for draw in itertools.product(*domains):
-        ok = True
-        for c in cons:
-            if all(draw[i] == q for i, q in c):
-                ok = False
-                break
-        if not ok:
-            continue
-        w = 1.0
-        for v, q in zip(comp_vars, draw):
-            w *= csp.vars[v].weights[q]
-        numer[draw[fi]] += w
+    numer = [0.0] * csp.vars[focal].domain_size
+    for values, w in enumerate_solutions(
+            [csp.vars[v].weights for v in comp_vars],
+            [[(index[v], q) for v, q in e] for e in entries], budget):
+        numer[values[fi]] += w
     return numer
 
 
@@ -398,10 +386,7 @@ class UpdateContext:
 def update_context(csp: AtomicCsp, m) -> UpdateContext:
     """``UpdateContext(csp, m)`` for a ``Marking`` m, built once per marking
     and kept on the instance."""
-    ctx = csp.context_memo.get(m)
-    if ctx is None:
-        ctx = csp.context_memo[m] = UpdateContext(csp, m)
-    return ctx
+    return memoized(csp, UpdateContext, m)
 
 
 def _update_in_place(ctx: UpdateContext, values, t: int, u0: float) -> None:

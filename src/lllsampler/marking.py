@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomicCsp, constraint_sums
+from .core import AtomicCsp, constraint_sums, memoized
 from .errors import (ConditionsError, ConstructionFailedError, RegimeError,
                      SamplerError)
 from .kernels import LABEL_MARKING, RandomnessTape, derive_seed
@@ -125,10 +125,7 @@ def compute_constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
 def constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
     """``compute_constants(csp, m)``, computed once per marking and kept on
     the instance."""
-    consts = csp.constants_memo.get(m)
-    if consts is None:
-        consts = csp.constants_memo[m] = compute_constants(csp, m)
-    return consts
+    return memoized(csp, compute_constants, m)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STAR, AtomicCsp, split_components
+from .core import STAR, AtomicCsp, memoized, split_components
 from .errors import BudgetError, InvariantError
 from .kernels import (LABEL_REJECTION, RandomnessTape, UpdateContext,
                       chain_steps, rejection_sampling, update_context)
@@ -91,18 +91,19 @@ class MarkedEntries:
 def marked_entries(csp: AtomicCsp, m: Marking) -> MarkedEntries:
     """The marked entries of ``csp`` under ``m``, built once per marking and
     kept on the instance."""
-    me = csp.entries_memo.get(m)
-    if me is None:
-        flat = csp.flat
-        idx = np.flatnonzero(m.mask[flat.cons_vars])
-        cons = flat.entry_cons[idx]
-        starts = np.flatnonzero(np.diff(cons, prepend=-1))
-        has = np.zeros(len(flat.arity), dtype=bool)
-        has[cons] = True
-        me = csp.entries_memo[m] = MarkedEntries(
-            flat.cons_vars[idx], flat.cons_fals[idx], starts, cons[starts],
-            np.flatnonzero(~has))
-    return me
+    return memoized(csp, compute_marked_entries, m)
+
+
+def compute_marked_entries(csp: AtomicCsp, m: Marking) -> MarkedEntries:
+    """The marked entries of ``csp`` under ``m``, found afresh."""
+    flat = csp.flat
+    idx = np.flatnonzero(m.mask[flat.cons_vars])
+    cons = flat.entry_cons[idx]
+    starts = np.flatnonzero(np.diff(cons, prepend=-1))
+    has = np.zeros(len(flat.arity), dtype=bool)
+    has[cons] = True
+    return MarkedEntries(flat.cons_vars[idx], flat.cons_fals[idx], starts,
+                         cons[starts], np.flatnonzero(~has))
 
 
 def live_labels(csp: AtomicCsp, m: Marking, values: np.ndarray):

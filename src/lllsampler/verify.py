@@ -9,8 +9,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import STAR, AtomicCsp, all_assignments
-from .errors import BudgetError, UnsatisfiableInstanceError
+from .core import STAR, AtomicCsp, enumerate_solutions
+from .errors import UnsatisfiableInstanceError
 from .kernels import (RandomnessTape, _update_in_place, derive_seed,
                       update_context)
 from .marking import Marking
@@ -41,68 +41,18 @@ class ExactLaw:
 
 
 def enumerate_law(csp: AtomicCsp, budget: int = DEFAULT_ENUM_BUDGET) -> ExactLaw:
-    """Exhaustive product-order enumeration of all satisfying assignments."""
-    total = 1
-    for s in csp.vars:
-        total *= s.domain_size
-        if total > budget:
-            raise BudgetError(f"state space exceeds the budget of {budget}")
-    support = []
-    weights = []
-    for outcome in all_assignments(csp):
-        if not csp.satisfies(list(outcome)):
-            continue
-        w = 1.0
-        for v, q in enumerate(outcome):
-            w *= csp.vars[v].weights[q]
-        support.append(outcome)
-        weights.append(w)
-    if not support:
+    """The exact law: every satisfying assignment in lexicographic order
+    (``core.enumerate_solutions``), with its normalized weight."""
+    f = csp.flat
+    vs, qs = f.cons_vars.tolist(), f.cons_fals.tolist()
+    found = list(enumerate_solutions(
+        [s.weights for s in csp.vars],
+        [zip(vs[a:b], qs[a:b]) for a, b in f.spans()], budget))
+    if not found:
         raise UnsatisfiableInstanceError("instance has no solutions")
+    support, weights = zip(*found)
     z = math.fsum(weights)
-    return ExactLaw(tuple(support), tuple(w / z for w in weights))
-
-
-def enumerate_law_recursive(csp: AtomicCsp,
-                            budget: int = DEFAULT_ENUM_BUDGET) -> ExactLaw:
-    """Independent oracle for enumerate_law: depth-first assignment with
-    constraint checks as soon as a constraint is fully assigned."""
-    n = csp.num_vars
-    # constraints that become checkable once variable v is assigned (v is
-    # their largest index)
-    by_last = [[] for _ in range(n)]
-    vs, qs = csp.flat.cons_vars.tolist(), csp.flat.cons_fals.tolist()
-    for a, b in csp.flat.spans():
-        by_last[max(vs[a:b])].append(list(zip(vs[a:b], qs[a:b])))
-    support = []
-    weights = []
-    values = [0] * n
-    count = 0
-
-    def rec(v, w):
-        nonlocal count
-        if v == n:
-            support.append(tuple(values))
-            weights.append(w)
-            return
-        count += 1
-        if count > budget:
-            raise BudgetError(f"state space exceeds the budget of {budget}")
-        for q in range(csp.vars[v].domain_size):
-            values[v] = q
-            bad = False
-            for entries in by_last[v]:
-                if all(values[u] == fq for u, fq in entries):
-                    bad = True
-                    break
-            if not bad:
-                rec(v + 1, w * csp.vars[v].weights[q])
-
-    rec(0, 1.0)
-    if not support:
-        raise UnsatisfiableInstanceError("instance has no solutions")
-    z = math.fsum(weights)
-    return ExactLaw(tuple(support), tuple(x / z for x in weights))
+    return ExactLaw(support, tuple(w / z for w in weights))
 
 
 def tv_distance(p: dict, q: dict) -> float:

@@ -227,6 +227,21 @@ def test_tensorize_dump(csp_file, capsys):
     capsys.readouterr()
 
 
+def test_tensorize_labels_trees_with_input_variables(tmp_path, capsys):
+    # preprocessing removes the domain-1 variable 1, and the dump names
+    # the input's variables 0 and 2
+    p = tmp_path / "fixed.json"
+    p.write_text(json.dumps({
+        "vars": [{"domain": 3, "weights": [0.5, 0.3, 0.2]}, {"domain": 1},
+                 {"domain": 4}],
+        "constraints": [{"vbl": [0, 2], "false": [0, 0]}]}))
+    assert run(["tensorize", "--input", str(p), "--pipeline",
+                "general"]) == 0
+    out = capsys.readouterr().out
+    assert [x for x in out.splitlines() if x.startswith("var ")] == [
+        "var 0", "var 2"]
+
+
 def test_selftest(capsys):
     assert run(["selftest"]) == 0
     report = json.loads(capsys.readouterr().out)

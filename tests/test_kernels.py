@@ -119,9 +119,11 @@ def test_safe_pmf_shape():
         assert p <= w + 1e-12
 
 
-def brute_component_marginal(csp, comp, focal, state):
-    """Independent oracle: direct enumeration over the component variables,
-    with the component's constraints projected by ``projected_constraints``."""
+def brute_component_numerators(csp, comp, focal, state):
+    """Independent oracle: direct enumeration over the component variables
+    in product order, with the component's constraints projected by
+    ``projected_constraints``; per focal value, its solutions' weights
+    added in that order."""
     numer = [0.0] * csp.vars[focal].domain_size
     doms = [range(csp.vars[v].domain_size) for v in comp.component_vars]
     idx = {v: i for i, v in enumerate(comp.component_vars)}
@@ -134,6 +136,11 @@ def brute_component_marginal(csp, comp, focal, state):
         for v, q in zip(comp.component_vars, draw):
             w *= csp.vars[v].weights[q]
         numer[draw[idx[focal]]] += w
+    return numer
+
+
+def brute_component_marginal(csp, comp, focal, state):
+    numer = brute_component_numerators(csp, comp, focal, state)
     z = sum(numer)
     return [x / z for x in numer]
 
@@ -165,6 +172,8 @@ def test_marginal_paths_agree_with_oracle():
         ie = _ie_marginal(csp, comp.entries, focal, 2 ** 20)
         enum = _enum_marginal(csp, comp.component_vars, comp.entries,
                               focal, 2 ** 20)
+        # the same solutions in the same order: the same float sums
+        assert enum == brute_component_numerators(csp, comp, focal, values)
         z_ie, z_en = sum(ie), sum(enum)
         for q in range(len(expect)):
             assert got[q] == pytest.approx(expect[q], abs=1e-10)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,27 +9,86 @@ from lllsampler import (BudgetError, Marking, UnsatisfiableInstanceError,
                         VariableSpec, certify_sampler,
                         check_bounding_invariant, coalescence_experiment,
                         enumerate_law, tv_distance)
-from lllsampler.verify import enumerate_law_recursive, law_of_projection
+from lllsampler.core import enumerate_solutions
+from lllsampler.verify import ExactLaw, law_of_projection
 
 from test_kernels import random_csp
 from conftest import csp_of, free8, weighted8
 
 
+def product_order_law(csp):
+    """The reference law: every assignment in product order, kept when
+    ``csp.satisfies`` it, its weight multiplied left to right from 1.0;
+    None when no assignment satisfies."""
+    support, weights = [], []
+    for outcome in itertools.product(
+            *(range(s.domain_size) for s in csp.vars)):
+        if csp.satisfies(list(outcome)):
+            w = 1.0
+            for v, q in enumerate(outcome):
+                w *= csp.vars[v].weights[q]
+            support.append(outcome)
+            weights.append(w)
+    if not support:
+        return None
+    z = math.fsum(weights)
+    return ExactLaw(tuple(support), tuple(w / z for w in weights))
+
+
+def law_or_none(csp):
+    try:
+        return enumerate_law(csp)
+    except UnsatisfiableInstanceError:
+        return None
+
+
+def with_fixed_variables(rng, n, m):
+    """Up to n variables of domain 1 to 4, some of domain 1 with a weight
+    that is not exactly 1.0, and m constraints of arity 1 to 4."""
+    vars = []
+    for _ in range(n):
+        d = rng.choice([1, 1, 2, 3, 4])
+        if d == 1:
+            vars.append(VariableSpec(1, (rng.choice([1.0, 1.0 - 3e-13]),)))
+        else:
+            raw = [rng.uniform(0.05, 1.0) for _ in range(d)]
+            vars.append(VariableSpec(d, tuple(w / sum(raw) for w in raw)))
+    cons = []
+    for _ in range(m):
+        vbl = tuple(rng.sample(range(n), rng.randint(1, min(4, n))))
+        cons.append(
+            (vbl, tuple(rng.randrange(vars[v].domain_size) for v in vbl)))
+    return csp_of(vars, cons)
+
+
 def test_enumerators_agree_on_random_instances():
+    # the same support, order and float weights as the product loop, exactly
     rng = random.Random(4)
-    done = 0
-    while done < 50:
-        csp = random_csp(rng, n=4, m=3)
-        try:
-            a = enumerate_law(csp)
-        except UnsatisfiableInstanceError:
-            continue
-        b = enumerate_law_recursive(csp)
-        assert a.support == b.support
-        for pa, pb in zip(a.pmf, b.pmf):
-            assert pa == pytest.approx(pb, abs=1e-12)
-        assert math.fsum(a.pmf) == pytest.approx(1.0, abs=1e-12)
-        done += 1
+    solved = 0
+    for i in range(300):
+        csp = (random_csp(rng, n=4, m=3) if i % 2 else
+               with_fixed_variables(rng, rng.randint(1, 7), rng.randint(0, 9)))
+        law = law_or_none(csp)
+        expect = product_order_law(csp)
+        assert law == expect
+        if law is not None:
+            assert math.fsum(law.pmf) == pytest.approx(1.0, abs=1e-12)
+            solved += 1
+    assert solved > 200
+
+
+def test_enumerate_law_with_thousands_of_fixed_variables():
+    # 2,000 domain-1 variables around 3 binary ones: a walk that recursed
+    # once per variable would exceed Python's recursion limit
+    n = 2003
+    binary = (5, 1000, 2001)
+    vars = [VariableSpec(2, (0.3, 0.7)) if v in binary
+            else VariableSpec.uniform(1) for v in range(n)]
+    csp = csp_of(vars, [((5, 1000), (0, 1)), ((4, 2001, 2002), (0, 1, 0))])
+    law = enumerate_law(csp)
+    assert law == product_order_law(csp)
+    assert [(x[5], x[1000], x[2001]) for x in law.support] == [
+        (0, 0, 0), (1, 0, 0), (1, 1, 0)]
 
 
 def test_certify_one_solution_instance():
@@ -53,6 +113,11 @@ def test_enumerate_budget_and_unsat():
     big = csp_of([VariableSpec.uniform(2) for _ in range(40)], [])
     with pytest.raises(BudgetError):
         enumerate_law(big)
+    # the state count is checked before the first assignment; a space of
+    # exactly the budget is enumerated
+    with pytest.raises(BudgetError):
+        next(enumerate_solutions([(0.5, 0.5)] * 25, [], 2 ** 24))
+    assert len(list(enumerate_solutions([(0.5, 0.5)] * 4, [], 16))) == 16
     unsat = csp_of([VariableSpec.uniform(2)], [((0,), (0,)), ((0,), (1,))])
     with pytest.raises(UnsatisfiableInstanceError):
         enumerate_law(unsat)
