@@ -1,7 +1,8 @@
 """Command-line surface: the four end-to-end pipelines plus reporting,
 verification, benchmarking and self-test subcommands.
 
-Exit codes: 0 success, 1 usage, 2 parse, 3 regime, 4 budget/timeout,
+Exit codes: 0 success, 1 usage, 2 parse, 3 no marking can pass the main
+theorem's conditions, 4 budget/timeout (a construction's attempts included),
 5 internal invariant failure.
 """
 
@@ -11,6 +12,7 @@ import concurrent.futures
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import click
@@ -30,8 +32,7 @@ from .marking import (Marking, binary_gamma, check_theorem_conditions,
 from .sampler import DEFAULT_HORIZON_CAP, sample
 from .tensorization import (check_uniform_domains,
                             complete_binary_tensorize_with_marking,
-                            coloring_regime_ok, global_marking,
-                            huffman_tensorize, tensorize, trans,
+                            global_marking, huffman_tensorize, tensorize, trans,
                             uniform_randomized_tensorization,
                             uniform_tensorize_with_marking,
                             verify_numeric_facts)
@@ -107,8 +108,8 @@ class PreparedPipeline:
 def prepare_pipeline(instance, cfg: PipelineConfig) -> PreparedPipeline:
     """Construct the marking, and the tensorization where the pipeline calls
     for it, of an instance (a hypergraph for the coloring pipeline).  A
-    construction that fails or is out of regime raises, or with ``--force``
-    falls back to the empty marking."""
+    construction that finds no marking passing the theorem's conditions
+    raises, or with ``--force`` falls back to the empty marking."""
     coloring = cfg.pipeline == "coloring"
     if cfg.pipeline not in PIPELINES:
         raise click.UsageError(f"unknown pipeline {cfg.pipeline!r}")
@@ -126,34 +127,19 @@ def prepare_pipeline(instance, cfg: PipelineConfig) -> PreparedPipeline:
         if cfg.pipeline == "binary" or coloring and cfg.colors == 2:
             marking = construct_marking_binary(csp, cfg.zeta, mseed)
         elif coloring:
-            q, k = cfg.colors, instance.k
-            if q < 5:
-                raise RegimeError("coloring pipeline requires Q >= 5")
-            tree, marks, _ = complete_binary_tensorize_with_marking(q, k)
+            tree, marks, _ = complete_binary_tensorize_with_marking(
+                cfg.colors, instance.k)
             tens = tensorize(csp, [tree] * csp.num_vars)
             m = global_marking(tens, [marks] * csp.num_vars)
-            # a constraint (e, i) meets the Q copies of every edge that meets e
-            if (not coloring_regime_ok(q, k, csp.measures.delta // q)
-                    or not check_theorem_conditions(tens.base, m).passed):
-                raise RegimeError("coloring regime Delta <= (Q^(1/3)/4)^k /"
-                                  " (40 k Q log Q) fails")
+            if not check_theorem_conditions(tens.base, m).passed:
+                raise RegimeError("the coloring marking fails the theorem's "
+                                  "conditions")
             marking = m
         elif cfg.pipeline == "general":
-            meas = csp.measures
-            kappa_t = max(meas.kappa, 2.0)
-            gamma, _, _ = binary_gamma(kappa_t, cfg.zeta)
             # one tree per distinct spec, shared by its variables
             trees = [huffman_tensorize(s.weights) for s in csp.flat.specs]
             tens = tensorize(csp, [trees[g] for g in csp.flat.spec_of.tolist()])
-            if (len(csp.flat.arity)
-                    and gamma * meas.log_p + math.log(max(meas.delta, 1))
-                    > math.log(0.01 * cfg.zeta / kappa_t)):
-                raise RegimeError(
-                    f"regime p^gamma*Delta <= 0.01*zeta/kappa~ fails: "
-                    f"gamma={gamma:.4f} ln p={meas.log_p:.4f} "
-                    f"Delta={meas.delta} kappa~={kappa_t:.4f}")
-            marking = construct_marking_binary(tens.base, cfg.zeta, mseed,
-                                               check_regime=False)
+            marking = construct_marking_binary(tens.base, cfg.zeta, mseed)
         elif csp.measures.q <= 2:
             marking = construct_marking_uniform_binary(csp, mseed)
         else:
@@ -239,11 +225,18 @@ def _sample_lines(cfg: PipelineConfig, num: int, jobs: int,
         return [_render(prepared.draw(cfg.seed, i), named)
                 for i in range(num)]
     results = [None] * num
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init,
-            initargs=(cfg,)) as pool:
-        for i, values in pool.map(_worker_draw, range(num)):
-            results[i] = _render(values, named)
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=_worker_init,
+                initargs=(cfg,)) as pool:
+            for i, values in pool.map(_worker_draw, range(num)):
+                results[i] = _render(values, named)
+    except BrokenProcessPool:
+        # a worker's set-up failed: preparing here raises its error, with
+        # its exit code (not done up front, where a second prepared
+        # pipeline would stay alive while the workers draw)
+        prepare_pipeline(_load(cfg), cfg)
+        raise
     return results
 
 
@@ -274,8 +267,8 @@ _OPTIONS = {
     "max_horizon": click.option("--max-horizon", default=DEFAULT_HORIZON_CAP,
                                 type=int, show_default=True),
     "force": click.option("--force", is_flag=True,
-                          help="Bypass regime checks; fall back to the empty "
-                               "marking when construction fails."),
+                          help="Fall back to the empty marking when no "
+                               "passing marking is found."),
     "named": click.option("--named", is_flag=True,
                           help="Render DIMACS samples as signed literal "
                                "lists."),
@@ -309,8 +302,9 @@ def cmd_sample(num, jobs, out, named, **kw):
 @cli.command("check")
 @_options(*_INSTANCE, "out")
 def cmd_check(out, **kw):
-    """Report measures, constants and the chain-condition verdict."""
-    cfg = PipelineConfig(**kw, force=True)
+    """Report measures, constants and the chain-condition verdict, or the
+    construction's error where ``sample`` without ``--force`` would stop."""
+    cfg = PipelineConfig(**kw)
     loaded = _load(cfg)
     try:
         prepared, error = prepare_pipeline(loaded, cfg), None

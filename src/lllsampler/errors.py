@@ -28,7 +28,8 @@ class ParseError(SamplerError):
 
 
 class RegimeError(SamplerError):
-    """A pipeline's precondition on (p, Delta, ...) does not hold."""
+    """The main theorem's conditions cannot hold: for any marking the
+    pipeline can build, or (``ConditionsError``) for the marking given."""
 
 
 class ConditionsError(RegimeError):

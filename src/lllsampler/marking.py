@@ -258,21 +258,35 @@ def _binary_events(csp, eta, tau):
     return violated
 
 
+def check_necessary_bound(meas) -> None:
+    """Raise ``RegimeError`` when no marking can pass the main theorem's
+    conditions.
+
+    For every constraint C and marking, p_C <= alpha*rho since beta >= 1, so
+    e*alpha*Delta <= 1 and e*Delta^2*rho <= 1/32 need
+    p <= 1/(32 e^2 Delta^3).  The 1e-9 slack lets p and Delta be read on the
+    instance before tensorization, where they agree with the tensorized
+    base's only to that tolerance."""
+    if not meas.delta:
+        return
+    log_bound = -(2.0 + math.log(32.0) + 3.0 * math.log(meas.delta))
+    if meas.log_p > log_bound + 1e-9:
+        raise RegimeError(
+            f"no marking can pass the theorem's conditions: ln p="
+            f"{meas.log_p:.4f} > ln(1/(32 e^2 Delta^3))={log_bound:.4f} "
+            f"with Delta={meas.delta}")
+
+
 def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
-                             seed: int = 0,
-                             check_regime: bool = True) -> Marking:
+                             seed: int = 0) -> Marking:
     """Marking for all-binary domains: i.i.d. Bernoulli(eta) marks resampled
     until no constraint's deviation event holds, then the chain conditions are
     re-verified; retries with a fresh sub-seed on failure."""
     meas = csp.measures
     if meas.q > 2:
         raise RegimeError("binary marking construction needs binary domains")
-    gamma, eta, tau = binary_gamma(meas.kappa, zeta)
-    threshold = math.log(0.01 * zeta / meas.kappa)
-    if check_regime and gamma * meas.log_p + math.log(max(meas.delta, 1)) > threshold:
-        raise RegimeError(
-            f"regime p^gamma*Delta <= 0.01*zeta/kappa fails: gamma={gamma:.4f}"
-            f" ln p={meas.log_p:.4f} Delta={meas.delta} kappa={meas.kappa:.4f}")
+    check_necessary_bound(meas)
+    _, eta, tau = binary_gamma(meas.kappa, zeta)
     return _resample_marking(csp, eta, _binary_events(csp, eta, tau), seed,
                              "marking-binary", "binary")
 
@@ -295,15 +309,6 @@ def _uniform_binary_events(csp):
     return violated
 
 
-def check_uniform_regime(meas) -> None:
-    """The regime p^0.175*Delta <= 1e-7 of both uniform constructions."""
-    if (UNIFORM_GAMMA * meas.log_p + math.log(max(meas.delta, 1))
-            > math.log(1e-7)):
-        raise RegimeError(
-            f"regime p^0.175*Delta <= 1e-7 fails: ln p={meas.log_p:.4f} "
-            f"Delta={meas.delta}")
-
-
 def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0) -> Marking:
     """Marking for uniform binary domains with the fixed constants
     eta=0.595, tau1=0.23, tau2=0.245-3e-5."""
@@ -311,6 +316,6 @@ def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0) -> Marking:
     if meas.q > 2 or meas.kappa != 1.0:
         raise RegimeError(
             "uniform binary marking construction needs uniform binary domains")
-    check_uniform_regime(meas)
+    check_necessary_bound(meas)
     return _resample_marking(csp, UNIFORM_ETA, _uniform_binary_events(csp),
                              seed, "marking-uniform", "uniform binary")

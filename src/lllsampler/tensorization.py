@@ -25,7 +25,7 @@ from .errors import (ConstructionFailedError, InvalidInstanceError,
 from .kernels import LABEL_TENSOR, RandomnessTape, TapeStream, derive_seed
 from .marking import (DEFAULT_RETRY_CAP, Marking, UNIFORM_ETA, UNIFORM_GAMMA,
                       UNIFORM_TAU1, UNIFORM_TAU2, UNIFORM_ZETA,
-                      check_theorem_conditions, check_uniform_regime,
+                      check_necessary_bound, check_theorem_conditions,
                       kl_divergence, moser_tardos)
 
 _WEIGHT_TOL = 1e-9
@@ -454,15 +454,6 @@ def complete_binary_tensorize_with_marking(q_colors: int, k: int):
     return tree, marks, bounds
 
 
-def coloring_regime_ok(q_colors: int, k: int, max_edge_degree: int) -> bool:
-    """Q >= 5 and Delta(H) <= (Q^(1/3)/4)^k / (40 k Q log2 Q)."""
-    if q_colors < 5:
-        return False
-    log_bound = (k * (math.log2(q_colors) / 3.0 - 2.0)
-                 - math.log2(40.0 * k * q_colors * math.log2(q_colors)))
-    return math.log2(max(max_edge_degree, 1)) <= log_bound
-
-
 # ---------------------------------------------------------------------------
 # Randomized tensorization for uniform domains.
 #
@@ -619,7 +610,7 @@ def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0):
         raise RegimeError("uniform tensorization needs domains >= 2 "
                           "(preprocess first)")
     check_uniform_domains(csp)
-    check_uniform_regime(csp.measures)
+    check_necessary_bound(csp.measures)
     flat = csp.flat
     vs, qs = flat.cons_vars.tolist(), flat.cons_fals.tolist()
     windows = []  # (entries, lo, hi), the tolerance included

@@ -71,13 +71,13 @@ def ternary9():
     return csp_of([spec] * 9, cons), Marking.from_indices(9, range(6))
 
 
-def random_weighted_csp(rng):
-    """Domains of size 2-7 with random weights, 0-30 constraints of arity
-    1-12."""
+def random_weighted_csp(rng, max_domain=7):
+    """Domains of size 2 to ``max_domain`` with random weights, 0-30
+    constraints of arity 1-12."""
     n = rng.randint(1, 40)
     specs = []
     for _ in range(rng.randint(1, 4)):
-        d = rng.randint(2, 7)
+        d = rng.randint(2, max_domain)
         raw = [rng.random() + 0.05 for _ in range(d)]
         total = sum(raw)
         specs.append(VariableSpec(d, tuple(w / total for w in raw)))

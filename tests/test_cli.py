@@ -10,12 +10,13 @@ import pytest
 
 import lllsampler.marking
 import lllsampler.verify
-from lllsampler import (STAR, HypergraphInstance, VariableSpec, emit_csp,
-                        sample)
+from lllsampler import (STAR, HypergraphInstance, VariableSpec,
+                        check_theorem_conditions, emit_csp, sample)
 from lllsampler.cli import PipelineConfig, cli, prepare_pipeline, run
 from lllsampler.frontends import parse_dimacs, parse_hypergraph
 
 from conftest import csp_of, ternary9, weighted8
+from test_golden import regime_dimacs, uniform_octal, weighted_ternary
 from test_marking import binary_regime_instance
 
 
@@ -136,6 +137,78 @@ def test_exit_codes(cnf_file, tmp_path, capsys):
     assert run(sample_args(str(regime), "--pipeline", "binary",
                            "--max-horizon", "1")) == 4
     assert "no coalescence by horizon 1" in capsys.readouterr().err
+
+
+def test_jobs_keep_the_setup_exit_code(cnf_file, tmp_path, capsys):
+    # a worker's failed set-up breaks the pool; the serial run's code wins
+    bad = tmp_path / "bad.cnf"
+    bad.write_text("p cnf 2 1\n1 5 0\n")
+    for path, code in ((cnf_file, 3), (str(tmp_path / "missing.cnf"), 1),
+                       (str(bad), 2)):
+        assert run(sample_args(path, "--format", "dimacs", "--pipeline",
+                               "binary", "--num", "4", "--jobs", "2")) == code
+    assert "no marking can pass" in capsys.readouterr().err
+
+
+# Instances whose markings pass the theorem's conditions although the
+# constructions' lemma regimes fail on them
+BAND = {
+    "binary": (parse_dimacs(regime_dimacs(3000, 60, seed=1)),
+               PipelineConfig("-", "dimacs", "binary", seed=1)),
+    "coloring": (HypergraphInstance(24, (tuple(range(24)),)),
+                 PipelineConfig("-", "hypergraph", "coloring", colors=256,
+                                seed=1)),
+    "uniform": (uniform_octal(20), PipelineConfig("-", "csp", "uniform",
+                                                  seed=1)),
+    "general": (weighted_ternary(40), PipelineConfig("-", "csp", "general",
+                                                     seed=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND))
+def test_band_samples_without_force(case):
+    instance, cfg = BAND[case]
+    prepared = prepare_pipeline(instance, cfg)
+    assert not prepared.forced_empty
+    assert check_theorem_conditions(prepared.run_csp,
+                                    prepared.marking).passed
+    for i in range(3):
+        values = prepared.draw(cfg.seed, i)
+        assert prepared.original.satisfies(np.array(values))
+        if case == "coloring":
+            assert len(set(values)) > 1
+
+
+def test_band_edge_exhausts_the_attempts(tmp_path, capsys):
+    # at k = 30 no attempt passes the conditions: exit 4 after 64 attempts,
+    # or the empty marking under --force
+    path = tmp_path / "k30.cnf"
+    path.write_text(regime_dimacs(3000, 30, seed=1))
+    args = sample_args(str(path), "--format", "dimacs", "--pipeline", "binary")
+    assert run(args) == 4
+    assert "failed after 64 attempts" in capsys.readouterr().err
+    assert run(["check", *args[1:]]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "failed after 64 attempts" in report["construction_error"]
+    assert not report["regime_ok"]
+    assert run(args + ["--force", "--num", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_check_reports_both_sides_of_the_bound(cnf_file, tmp_path, capsys):
+    path = tmp_path / "k60.cnf"
+    path.write_text(regime_dimacs(3000, 60, seed=1))
+    assert run(["check", "--input", str(path), "--format", "dimacs",
+                "--pipeline", "binary", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["regime_ok"] and not report["forced_empty_marking"]
+    assert report["conditions"]["passed"]
+    assert run(["check", "--input", cnf_file, "--format", "dimacs",
+                "--pipeline", "binary"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not report["regime_ok"]
+    assert report["construction_error"].startswith(
+        "no marking can pass the theorem's conditions")
 
 
 def test_uniform_pipeline_needs_uniform_domains(tmp_path, capsys):

@@ -21,6 +21,7 @@ from lllsampler import Marking, VariableSpec, kernels, sample
 from lllsampler.cli import PipelineConfig, prepare_pipeline
 from lllsampler.frontends import (HypergraphInstance, parse_dimacs,
                                   parse_hypergraph)
+from lllsampler.marking import check_necessary_bound
 
 from conftest import csp_of, ternary9, weighted8
 from test_marking import binary_regime_instance
@@ -30,15 +31,17 @@ NUM_DRAWS = 20
 
 
 def weighted_ternary(k=80):
-    """k weighted ternary variables in one constraint; inside the general
-    pipeline's regime from k = 77 on."""
+    """k weighted ternary variables in one constraint; the general pipeline
+    finds a marking passing the theorem's conditions at k = 40 and 80, and
+    none at k = 6."""
     vars = [VariableSpec(3, (0.5, 0.3, 0.2)) for _ in range(k)]
     return csp_of(vars, [(tuple(range(k)), (2,) * k)])
 
 
 def uniform_octal(k=45):
-    """k uniform size-8 variables in one constraint; inside the uniform
-    construction's regime."""
+    """k uniform size-8 variables in one constraint; the uniform
+    construction finds a passing marking at k = 20 and 45, and none at
+    k = 5."""
     vars = [VariableSpec.uniform(8) for _ in range(k)]
     return csp_of(vars, [(tuple(range(k)), (0,) * k)])
 
@@ -58,6 +61,16 @@ CASES = {
         uniform_octal(),
         PipelineConfig("-", "csp", "uniform", seed=SEED), False,
         "8571ae24da79db17fb812e7694e04436c9a1f953a6da55be708394bc0cb7e6c4"),
+    # Admitted by the theorem's conditions below the lemmas' sufficient
+    # regimes, which started at k = 77 and k = 45 on these shapes
+    "general-k40": (
+        weighted_ternary(40),
+        PipelineConfig("-", "csp", "general", seed=SEED), False,
+        "1610c714f46bb0e881e3e7ed719d2bd6db187407a8e59f25099b149779fe25a7"),
+    "uniform-k20": (
+        uniform_octal(20),
+        PipelineConfig("-", "csp", "uniform", seed=SEED), False,
+        "5357ad55e14f9f1404413486781ccb03129fd72ed0b37af74201a5119bd30c71"),
     # In-regime coloring needs thousands of chain variables; the forced
     # small instance still runs tensorization and the back-map.
     "coloring": (
@@ -146,6 +159,8 @@ def test_golden_draw_digest(case):
     prepared = prepare_pipeline(instance, cfg)
     assert prepared.forced_empty == forced_empty
     assert any(prepared.marking.marked) != forced_empty
+    if not forced_empty:
+        check_necessary_bound(prepared.run_csp.measures)
     assert draw_digest(prepared) == expected
 
 
@@ -199,6 +214,7 @@ FLAT_ARRAYS = ("cons_vars", "cons_fals", "log_w", "starts", "arity",
 def text_digest(parse, text, cfg) -> str:
     prepared = prepare_pipeline(parse(text), cfg)
     assert not prepared.forced_empty
+    check_necessary_bound(prepared.run_csp.measures)
     h = hashlib.sha256()
     for csp in (prepared.original, prepared.run_csp):
         flat = csp.flat

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -10,7 +12,7 @@ from lllsampler import (ConstructionFailedError, Marking, RegimeError,
                         construct_marking_uniform_binary, kl_divergence)
 from lllsampler.marking import (UNIFORM_ETA, UNIFORM_TAU1, UNIFORM_TAU2,
                                 _binary_events, _uniform_binary_events,
-                                moser_tardos)
+                                check_necessary_bound, moser_tardos)
 from lllsampler.kernels import LABEL_MARKING, RandomnessTape
 
 from conftest import (constraint_pairs, csp_of, random_weighted_csp,
@@ -84,6 +86,37 @@ def test_beta_undefined_when_e_alpha_exceeds_one():
 def test_conditions_pass_on_reference_instances():
     for csp, m in (weighted8(), uniform20()):
         assert check_theorem_conditions(csp, m).passed
+        check_necessary_bound(csp.measures)
+
+
+def test_necessary_bound_is_sound():
+    # p_C <= alpha * rho for every constraint and marking, since beta >= 1:
+    # the step from the conditions to p <= 1/(32 e^2 Delta^3).  The
+    # inequality can hold with equality, so the bound keeps its slack.
+    rng = random.Random(13)
+    cases = passing = 0
+    for _ in range(400):
+        csp = random_weighted_csp(rng, max_domain=4)
+        for frac in (0.2, 0.5, rng.random()):
+            m = Marking([rng.random() < frac for _ in range(csp.num_vars)])
+            consts = compute_constants(csp, m)
+            if consts.log_beta is None:
+                continue
+            cases += 1
+            assert (csp.measures.log_p
+                    <= consts.log_alpha + consts.log_rho + 1e-9)
+            if check_theorem_conditions(csp, m).passed:
+                passing += 1
+                check_necessary_bound(csp.measures)
+    assert cases > 300 and passing > 20
+    # the threshold itself: p <= 1/(32 e^2 Delta^3), with 1e-9 of slack
+    for delta in (1, 13, 40):
+        log_bound = -math.log(32.0 * math.e ** 2 * delta ** 3)
+        meas = dataclasses.replace(csp.measures, delta=delta)
+        check_necessary_bound(dataclasses.replace(meas, log_p=log_bound))
+        with pytest.raises(RegimeError, match="no marking can pass"):
+            check_necessary_bound(
+                dataclasses.replace(meas, log_p=log_bound + 1e-8))
 
 
 def test_conditions_constraint_free():
@@ -283,17 +316,21 @@ def test_array_events_match_the_closures(kind):
 
 
 def test_binary_construction_regime_error():
-    # desk-scale 3-CNF is far outside the construction regime
+    # desk-scale 3-CNF: ln p = -2.08 fails the necessary bound
+    # ln(1/(32 e^2)) = -5.47, and indeed none of its markings passes
     csp = csp_of([VariableSpec.uniform(2) for _ in range(3)],
                  [((0, 1, 2), (0, 0, 0))])
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match="no marking can pass"):
         construct_marking_binary(csp, seed=0)
+    for m in map(Marking, itertools.product((0, 1), repeat=3)):
+        assert not check_theorem_conditions(csp, m).passed
 
 
 def test_binary_construction_in_regime():
     csp = binary_regime_instance(kappa=1.0)
     m = construct_marking_binary(csp, seed=3)
     assert check_theorem_conditions(csp, m).passed
+    check_necessary_bound(csp.measures)
     assert 0 < sum(m.marked) < csp.num_vars
 
 
@@ -303,6 +340,7 @@ def test_uniform_binary_construction():
                  [(tuple(range(k)), (0,) * k)])
     m = construct_marking_uniform_binary(csp, seed=4)
     assert check_theorem_conditions(csp, m).passed
+    check_necessary_bound(csp.measures)
     count = sum(m.marked)
     assert (UNIFORM_ETA - UNIFORM_TAU2) * k <= count
     assert count <= (UNIFORM_ETA + UNIFORM_TAU1) * k

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lllsampler import (InvalidInstanceError, Marking, RegimeError,
-                        TensorTree, VariableSpec, compute_measures,
-                        huffman_tensorize, tensorize, trans)
+from lllsampler import (HypergraphInstance, InvalidInstanceError, Marking,
+                        RegimeError, TensorTree, VariableSpec,
+                        build_coloring, compute_measures, huffman_tensorize,
+                        tensorize, trans)
+from lllsampler.cli import PipelineConfig, prepare_pipeline
 from lllsampler.kernels import LABEL_TENSOR, RandomnessTape
 from lllsampler.marking import UNIFORM_ETA, UNIFORM_TAU1, UNIFORM_TAU2
 from lllsampler.tensorization import (
-    complete_binary_tensorize_with_marking, coloring_regime_ok,
-    expected_marked_log2, global_marking, marked_path_log2, subtree_counts,
+    complete_binary_tensorize_with_marking, expected_marked_log2,
+    global_marking, marked_path_log2, subtree_counts,
     uniform_randomized_tensorization, uniform_tensorize_with_marking,
     verify_numeric_facts, _large_candidate)
 from lllsampler.verify import enumerate_law, tv_distance
-from lllsampler.marking import check_theorem_conditions
+from lllsampler.marking import check_necessary_bound, check_theorem_conditions
 
 from conftest import (constraint_pairs, csp_of, mixed_csp,
                       random_weighted_csp)
@@ -286,10 +288,29 @@ def test_complete_binary_q16_bounds():
 
 
 def test_coloring_regime():
-    assert not coloring_regime_ok(4, 10, 1)
-    assert not coloring_regime_ok(32, 20, 1)
-    assert coloring_regime_ok(4096, 13, 1)
-    assert not coloring_regime_ok(4096, 13, 10 ** 6)
+    # the coloring pipeline admits exactly when its one deterministic
+    # marking passes the theorem's conditions; Q < 5 has no such marking
+    admitted = []
+    for q, k in ((256, 10), (256, 12), (256, 24), (8, 22), (8, 24),
+                 (5, 18), (5, 20), (4, 32)):
+        h = HypergraphInstance(k, (tuple(range(k)),))
+        cfg = PipelineConfig("-", "hypergraph", "coloring", colors=q)
+        if q < 5:
+            with pytest.raises(RegimeError, match="Q >= 5"):
+                prepare_pipeline(h, cfg)
+            continue
+        tree, marks, _ = complete_binary_tensorize_with_marking(q, k)
+        csp = build_coloring(h, q)
+        tz = tensorize(csp, [tree] * csp.num_vars)
+        m = global_marking(tz, [marks] * csp.num_vars)
+        if check_theorem_conditions(tz.base, m).passed:
+            assert prepare_pipeline(h, cfg).marking == m
+            check_necessary_bound(csp.measures)
+            admitted.append((q, k))
+        else:
+            with pytest.raises(RegimeError, match="coloring marking fails"):
+                prepare_pipeline(h, cfg)
+    assert admitted == [(256, 12), (256, 24), (8, 24), (5, 20)]
 
 
 def test_subtree_counts():
@@ -346,6 +367,7 @@ def test_uniform_construction_in_regime():
     tz, marking = uniform_tensorize_with_marking(csp, seed=2)
     assert tz.base.num_vars == 7 * k
     assert check_theorem_conditions(tz.base, marking).passed
+    check_necessary_bound(csp.measures)
     # recompute the marked falsifying log-mass independently and check the
     # acceptance window for the single constraint
     vbl, fals = constraint_pairs(csp)[0]
