@@ -12,7 +12,6 @@ import concurrent.futures
 import json
 import math
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import click
@@ -26,8 +25,9 @@ from .frontends import (HypergraphInstance, build_coloring, parse_csp,
                         parse_dimacs, parse_hypergraph)
 from .kernels import (LABEL_TENSOR, RandomnessTape, derive_seed,
                       update_context)
-from .marking import (Marking, binary_gamma, check_theorem_conditions,
-                      constants, construct_marking_binary,
+from .marking import (DEFAULT_ZETA, Marking, binary_gamma,
+                      check_theorem_conditions, constants,
+                      construct_marking_binary,
                       construct_marking_uniform_binary)
 from .sampler import DEFAULT_HORIZON_CAP, sample
 from .tensorization import (check_uniform_domains,
@@ -50,7 +50,6 @@ class PipelineConfig:
     format: str
     pipeline: str
     colors: int = 0
-    zeta: float = 1e-5
     seed: int = 0
     max_horizon: int = DEFAULT_HORIZON_CAP
     force: bool = False
@@ -125,10 +124,9 @@ def prepare_pipeline(instance, cfg: PipelineConfig) -> PreparedPipeline:
     try:
         # Q = 2 colorings have binary domains: the binary construction
         if cfg.pipeline == "binary" or coloring and cfg.colors == 2:
-            marking = construct_marking_binary(csp, cfg.zeta, mseed)
+            marking = construct_marking_binary(csp, mseed)
         elif coloring:
-            tree, marks, _ = complete_binary_tensorize_with_marking(
-                cfg.colors, instance.k)
+            tree, marks = complete_binary_tensorize_with_marking(cfg.colors)
             tens = tensorize(csp, [tree] * csp.num_vars)
             m = global_marking(tens, [marks] * csp.num_vars)
             if not check_theorem_conditions(tens.base, m).passed:
@@ -139,7 +137,7 @@ def prepare_pipeline(instance, cfg: PipelineConfig) -> PreparedPipeline:
             # one tree per distinct spec, shared by its variables
             trees = [huffman_tensorize(s.weights) for s in csp.flat.specs]
             tens = tensorize(csp, [trees[g] for g in csp.flat.spec_of.tolist()])
-            marking = construct_marking_binary(tens.base, cfg.zeta, mseed)
+            marking = construct_marking_binary(tens.base, mseed)
         elif csp.measures.q <= 2:
             marking = construct_marking_uniform_binary(csp, mseed)
         else:
@@ -197,47 +195,35 @@ def _render(values, named: bool) -> str:
 def _emit(lines, out: str | None):
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as f:
-            f.write(text)
+        try:
+            with open(out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise click.UsageError(f"cannot write {out}: {e}") from None
     else:
         sys.stdout.write(text)
 
 
-_WORKER: PreparedPipeline = None
-_WORKER_CFG: PipelineConfig = None
-
-
-def _worker_init(cfg):
-    global _WORKER, _WORKER_CFG
-    _WORKER_CFG = cfg
-    _WORKER = prepare_pipeline(_load(cfg), cfg)
-
-
-def _worker_draw(i):
-    return i, _WORKER.draw(_WORKER_CFG.seed, i)
+def _draw_lines(cfg: PipelineConfig, instance, ids, named: bool) -> list[str]:
+    """Prepare the pipeline once and render the draws ``ids``."""
+    prepared = prepare_pipeline(instance, cfg)
+    return [_render(prepared.draw(cfg.seed, i), named) for i in ids]
 
 
 def _sample_lines(cfg: PipelineConfig, num: int, jobs: int,
                   named: bool) -> list[str]:
     named = named and cfg.format == "dimacs"
-    if jobs <= 1:
-        prepared = prepare_pipeline(_load(cfg), cfg)
-        return [_render(prepared.draw(cfg.seed, i), named)
-                for i in range(num)]
-    results = [None] * num
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_worker_init,
-                initargs=(cfg,)) as pool:
-            for i, values in pool.map(_worker_draw, range(num)):
-                results[i] = _render(values, named)
-    except BrokenProcessPool:
-        # a worker's set-up failed: preparing here raises its error, with
-        # its exit code (not done up front, where a second prepared
-        # pipeline would stay alive while the workers draw)
-        prepare_pipeline(_load(cfg), cfg)
-        raise
-    return results
+    instance = _load(cfg)
+    parts = min(jobs, num)
+    if parts == 1:
+        return _draw_lines(cfg, instance, range(num), named)
+    # draw i reads only its own tape, so each worker sets up once and draws
+    # a contiguous share of the ids; a set-up error is raised here as itself
+    cuts = [num * j // parts for j in range(parts + 1)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=parts) as pool:
+        shares = [pool.submit(_draw_lines, cfg, instance, range(a, b), named)
+                  for a, b in zip(cuts, cuts[1:])]
+        return [line for share in shares for line in share.result()]
 
 
 # --- click wiring -----------------------------------------------------------
@@ -253,8 +239,6 @@ _OPTIONS = {
                              type=click.Choice(PIPELINES), show_default=True),
     "colors": click.option("--colors", default=0, type=int,
                            help="Color count for the coloring pipeline."),
-    "zeta": click.option("--zeta", default=1e-5, type=float,
-                         show_default=True),
     "seed": click.option("--seed", default=0, type=int,
                          envvar="LLL_SAMPLER_SEED",
                          help="Master seed (falls back to $LLL_SAMPLER_SEED, "
@@ -275,7 +259,7 @@ _OPTIONS = {
 }
 
 # the options that pick and build an instance's pipeline
-_INSTANCE = ("input", "format", "pipeline", "colors", "zeta", "seed")
+_INSTANCE = ("input", "format", "pipeline", "colors", "seed")
 
 
 def _options(*names):
@@ -322,11 +306,10 @@ def cmd_check(out, **kw):
             "log_p": meas.log_p, "kappa": meas.kappa,
         },
     }
-    gamma, eta, tau = binary_gamma(max(meas.kappa, 2.0), cfg.zeta)
-    report["general_gamma"] = gamma
+    report["general_gamma"] = binary_gamma(max(meas.kappa, 2.0),
+                                           DEFAULT_ZETA)[0]
     if meas.q <= 2:
-        gb, _, _ = binary_gamma(meas.kappa, cfg.zeta)
-        report["binary_gamma"] = gb
+        report["binary_gamma"] = binary_gamma(meas.kappa, DEFAULT_ZETA)[0]
     if error is not None:
         report["construction_error"] = str(error)
         report["regime_ok"] = False

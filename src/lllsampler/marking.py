@@ -277,8 +277,7 @@ def check_necessary_bound(meas) -> None:
             f"with Delta={meas.delta}")
 
 
-def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
-                             seed: int = 0) -> Marking:
+def construct_marking_binary(csp: AtomicCsp, seed: int = 0) -> Marking:
     """Marking for all-binary domains: i.i.d. Bernoulli(eta) marks resampled
     until no constraint's deviation event holds, then the chain conditions are
     re-verified; retries with a fresh sub-seed on failure."""
@@ -286,7 +285,7 @@ def construct_marking_binary(csp: AtomicCsp, zeta: float = DEFAULT_ZETA,
     if meas.q > 2:
         raise RegimeError("binary marking construction needs binary domains")
     check_necessary_bound(meas)
-    _, eta, tau = binary_gamma(meas.kappa, zeta)
+    _, eta, tau = binary_gamma(meas.kappa, DEFAULT_ZETA)
     return _resample_marking(csp, eta, _binary_events(csp, eta, tau), seed,
                              "marking-binary", "binary")
 

@@ -415,23 +415,21 @@ def marked_path_log2(tree: TensorTree, marks, q: int) -> float:
     return s
 
 
-def complete_binary_tensorize_with_marking(q_colors: int, k: int):
+def complete_binary_tensorize_with_marking(q_colors: int):
     """Balanced binary tree template over a uniform domain of size Q with the
     deep internal levels marked.
 
-    Returns (tree, marked node ids, certified bounds).  With D = ceil(log2 Q)
-    and R = floor((2/3) log2 Q), internal nodes at level >= R are marked; the
+    Returns (tree, marked node ids).  With D = ceil(log2 Q) and
+    R = floor((2/3) log2 Q), internal nodes at level >= R are marked; the
     marked path mass is at most 4/Q^(1/3) and the unmarked path mass at most
-    8/Q^(2/3) for every value, giving closed-form alpha/lambda bounds for
-    k-ary monochromatic constraints.
+    8/Q^(2/3) for every value.
     """
     if q_colors < 5:
         raise RegimeError("complete binary tensorization requires Q >= 5")
     b = _TreeBuilder()
     _balanced(b, 0, q_colors)
     tree = b.build({leaf: i for i, leaf in enumerate(b.leaves())})
-    depth = tree.depth()
-    if depth != math.ceil(math.log2(q_colors)):
+    if tree.depth() != math.ceil(math.log2(q_colors)):
         raise InvariantError("balanced tree has unexpected depth")
     r_level = int(math.floor((2.0 / 3.0) * math.log2(q_colors)))
     lv = tree.levels()
@@ -443,15 +441,7 @@ def complete_binary_tensorize_with_marking(q_colors: int, k: int):
         u = math.log2(tree.leaf_product(q)) - m
         if m > marked_bound + _WEIGHT_TOL or u > unmarked_bound + _WEIGHT_TOL:
             raise InvariantError("certified level-product bound violated")
-    bounds = {
-        "log2_alpha_bound": k * (math.log2(4.0) - math.log2(q_colors) / 3.0),
-        "log2_lambda_bound": (math.log2(4.0 * k * k * depth * depth)
-                              + k * (math.log2(8.0)
-                                     - 2.0 * math.log2(q_colors) / 3.0)),
-        "depth": depth,
-        "marked_level": r_level,
-    }
-    return tree, marks, bounds
+    return tree, marks
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import subprocess
@@ -139,15 +140,46 @@ def test_exit_codes(cnf_file, tmp_path, capsys):
     assert "no coalescence by horizon 1" in capsys.readouterr().err
 
 
-def test_jobs_keep_the_setup_exit_code(cnf_file, tmp_path, capsys):
-    # a worker's failed set-up breaks the pool; the serial run's code wins
+def test_jobs_keep_the_setup_exit_code(cnf_file, tmp_path):
+    # a set-up error reaches the user as itself, on one line, as serially;
+    # run as a program, so that whatever a worker writes shows
+    src = str(Path(lllsampler.__file__).parents[1])
+    main = (f"import sys; sys.path.insert(0, {src!r}); "
+            "from lllsampler.cli import main; main()")
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 2 1\n1 5 0\n")
-    for path, code in ((cnf_file, 3), (str(tmp_path / "missing.cnf"), 1),
-                       (str(bad), 2)):
-        assert run(sample_args(path, "--format", "dimacs", "--pipeline",
-                               "binary", "--num", "4", "--jobs", "2")) == code
-    assert "no marking can pass" in capsys.readouterr().err
+    for path, code, message in (
+            (cnf_file, 3, "regime error: no marking can pass"),
+            (str(tmp_path / "missing.cnf"), 1, "usage error: cannot read"),
+            (str(bad), 2, "input error:")):
+        proc = subprocess.run(
+            [sys.executable, "-c", main, *sample_args(
+                path, "--format", "dimacs", "--pipeline", "binary", "--num",
+                "4", "--jobs", "2")], capture_output=True, text=True)
+        assert proc.returncode == code
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+
+
+def test_jobs_read_the_instance_from_stdin(monkeypatch, capsys):
+    args = ["sample", "--format", "dimacs", "--pipeline", "binary", "--force",
+            "--num", "4", "--seed", "2"]
+    outs = []
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(CNF))
+        assert run(args + ["--jobs", jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(outs[0].splitlines()) == 4 and outs[1] == outs[0]
+
+
+def test_unwritable_out_is_a_usage_error(cnf_file, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "f.txt")
+    assert run(sample_args(cnf_file, "--format", "dimacs", "--pipeline",
+                           "binary", "--force", "--out", out)) == 1
+    assert run(["check", "--input", cnf_file, "--format", "dimacs",
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("usage error: cannot write") == 2
 
 
 # Instances whose markings pass the theorem's conditions although the
@@ -322,13 +354,17 @@ def test_selftest(capsys):
 
 
 def test_jobs_invariant_output(cnf_file, tmp_path):
+    # more workers than draws, and shares of unequal length, too
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"
-    base = sample_args(cnf_file, "--format", "dimacs", "--pipeline", "binary",
-                       "--force", "--num", "8", "--seed", "4")
-    assert run(base + ["--out", str(out1)]) == 0
-    assert run(base + ["--jobs", "3", "--out", str(out2)]) == 0
-    assert out1.read_text() == out2.read_text()
+    for num, jobs in ((8, 3), (3, 5), (7, 2)):
+        base = sample_args(cnf_file, "--format", "dimacs", "--pipeline",
+                           "binary", "--force", "--num", str(num), "--seed",
+                           "4")
+        assert run(base + ["--out", str(out1)]) == 0
+        assert run(base + ["--jobs", str(jobs), "--out", str(out2)]) == 0
+        assert out1.read_text() == out2.read_text()
+        assert len(out1.read_text().splitlines()) == num
 
 
 def test_pipeline_api_binary():
@@ -345,8 +381,8 @@ def test_pipeline_api_binary():
 
 
 def test_each_command_takes_only_the_options_it_reads(cnf_file, capsys):
-    instance = {"--input", "--format", "--pipeline", "--colors", "--zeta",
-                "--seed", "--out"}
+    instance = {"--input", "--format", "--pipeline", "--colors", "--seed",
+                "--out"}
     expected = {
         "sample": instance | {"--num", "--jobs", "--max-horizon", "--force",
                              "--named"},
@@ -360,7 +396,7 @@ def test_each_command_takes_only_the_options_it_reads(cnf_file, capsys):
            for name, command in cli.commands.items()}
     assert got == expected
     assert {name: len(c.params) for name, c in cli.commands.items()} == {
-        "sample": 12, "verify": 10, "bench": 9, "check": 7, "tensorize": 7,
+        "sample": 11, "verify": 9, "bench": 8, "check": 6, "tensorize": 6,
         "selftest": 2}
     assert run(["selftest", "--jobs", "2"]) == 1
     assert run(["check", "--input", cnf_file, "--format", "dimacs",

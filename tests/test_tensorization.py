@@ -163,7 +163,7 @@ def reference_trans(tensorized, sigma_tensor):
 def test_trans_matches_per_variable_descent():
     rng = random.Random(6)
     tape = RandomnessTape(6)
-    coloring = {q: complete_binary_tensorize_with_marking(q, 3)[0]
+    coloring = {q: complete_binary_tensorize_with_marking(q)[0]
                 for q in (5, 12, 256)}
     one = VariableSpec(1, (1.0,))
     single_node = TensorTree(((),), (1.0,), {0: 0})
@@ -262,9 +262,8 @@ def test_path_matches_parent_walk():
 
 
 def test_complete_binary_q8():
-    tree, marks, bounds = complete_binary_tensorize_with_marking(8, 2)
+    tree, marks = complete_binary_tensorize_with_marking(8)
     assert tree.depth() == 3
-    assert bounds["marked_level"] == 2
     lv = tree.levels()
     assert marks == frozenset(z for z in tree.internal_nodes() if lv[z] >= 2)
     assert len(marks) == 4
@@ -272,11 +271,10 @@ def test_complete_binary_q8():
         assert tree.leaf_product(q) == pytest.approx(1 / 8)
         # the marked path mass is exactly one level-2 split: 1/2
         assert marked_path_log2(tree, marks, q) == pytest.approx(-1.0)
-    assert bounds["log2_alpha_bound"] == pytest.approx(2 * (2 - 1))
 
 
 def test_complete_binary_q16_bounds():
-    tree, marks, _ = complete_binary_tensorize_with_marking(16, 15)
+    tree, marks = complete_binary_tensorize_with_marking(16)
     assert tree.depth() == 4
     for q in range(16):
         m = marked_path_log2(tree, marks, q)
@@ -284,7 +282,7 @@ def test_complete_binary_q16_bounds():
         assert m <= math.log2(4.0) - math.log2(16) / 3.0 + 1e-9
         assert u <= math.log2(8.0) - 2 * math.log2(16) / 3.0 + 1e-9
     with pytest.raises(RegimeError):
-        complete_binary_tensorize_with_marking(4, 2)
+        complete_binary_tensorize_with_marking(4)
 
 
 def test_coloring_regime():
@@ -299,7 +297,7 @@ def test_coloring_regime():
             with pytest.raises(RegimeError, match="Q >= 5"):
                 prepare_pipeline(h, cfg)
             continue
-        tree, marks, _ = complete_binary_tensorize_with_marking(q, k)
+        tree, marks = complete_binary_tensorize_with_marking(q)
         csp = build_coloring(h, q)
         tz = tensorize(csp, [tree] * csp.num_vars)
         m = global_marking(tz, [marks] * csp.num_vars)
