@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (BudgetError, InvalidInstanceError,
                      UnsatisfiableInstanceError)
@@ -26,9 +25,10 @@ STAR = -1
 
 WEIGHT_SUM_TOL = 1e-12
 
-#: Constraint rows per block of the constraint-adjacency product in
-#: ``compute_measures``, which bounds its memory by this many rows of Delta.
-_DELTA_BLOCK = 1 << 10
+#: (constraint, neighbouring constraint) pairs per block of
+#: ``constraint_degree``, which bounds its working memory; a constraint whose
+#: pairs alone exceed it makes a block of its own.
+_PAIR_BLOCK = 1 << 18
 
 
 def left_sum(xs) -> float:
@@ -75,7 +75,9 @@ class AtomicCsp:
     ``cons_fals`` (falsifying values).  The instance is its arrays,
     ``flat``, built and checked on construction; the arrays given are kept,
     not copied.  The derived quantities (``measures``, ``free_labels``) are
-    computed once, on first use."""
+    computed once, on first use, unless the code that builds an instance
+    knows its measures from its structure and sets them
+    (``build_coloring``, ``tensorize``)."""
 
     def __init__(self, vars: list[VariableSpec], cons_vars, cons_fals,
                  arity):
@@ -192,8 +194,10 @@ def flatten(vars: tuple[VariableSpec, ...], cons_vars, cons_fals,
     if int(arity.sum()) != total:
         raise InvalidInstanceError("the arities must sum to the entry count")
     n = len(vars)
-    if n and vars.count(vars[0]) == n:
-        # one spec for every variable, as the parsers give
+    if n and vars == (vars[0],) * n:
+        # one spec for every variable, as the parsers give; the comparison
+        # tests each spec's identity before its dataclass ``__eq__``, and
+        # stops at the first other spec
         index = {vars[0]: 0}
         spec_of = np.zeros(n, dtype=np.int64)
     else:
@@ -299,25 +303,61 @@ def compute_measures(csp: AtomicCsp) -> Measures:
     """Maximum arity, variable degree, constraint degree (counting self),
     domain size, log falsifying probability and smoothness."""
     flat = csp.flat
+    d = int(np.diff(flat.var_ptr).max(initial=0))
+    return measures_with(flat, d, constraint_degree(flat))
+
+
+def measures_with(flat: FlatCsp, d: int, delta: int) -> Measures:
+    """The measures of an instance whose d and Delta are known from its
+    structure: k, Q, ln(p) and kappa are read from its arrays."""
     q = max((s.domain_size for s in flat.specs), default=0)
     kappa = max((max(s.weights) / min(s.weights) for s in flat.specs),
                 default=1.0)
-    if not len(flat.arity):
-        return Measures(k=0, d=0, delta=0, q=q, log_p=-math.inf, kappa=kappa)
-    ends = np.append(flat.starts, len(flat.cons_vars))
-    k = int(flat.arity.max())
-    d = int(np.diff(flat.var_ptr).max())
-    # Delta: the row sizes of A @ A.T, A the constraint-variable incidence,
-    # whose transpose is the CSR index
-    ones = np.ones(len(flat.cons_vars), dtype=np.int64)
-    a = sparse.csr_matrix((ones, flat.cons_vars, ends),
-                          shape=(len(flat.starts), csp.num_vars))
-    a_t = sparse.csr_matrix((ones, flat.var_cons, flat.var_ptr))
-    delta = max(int(np.diff((a[i:i + _DELTA_BLOCK] @ a_t).indptr).max())
-                for i in range(0, a.shape[0], _DELTA_BLOCK))
-    log_p = float(constraint_sums(flat, flat.log_w).max())
-    assert d >= 1 and delta >= 1
+    k = int(flat.arity.max(initial=0))
+    log_p = float(constraint_sums(flat, flat.log_w).max(initial=-math.inf))
+    assert (d >= 1 and delta >= 1) == (k >= 1)
     return Measures(k=k, d=d, delta=delta, q=q, log_p=log_p, kappa=kappa)
+
+
+def constraint_degree(flat: FlatCsp) -> int:
+    """Delta: the most constraints that share a variable with one
+    constraint, itself included (0 with no constraint).
+
+    Each entry of a constraint pairs it with every constraint of the
+    entry's variable, read off the CSR index.  A block of constraints at a
+    time, the keys (constraint in the block, neighbour) are sorted, and a
+    constraint's Delta is the count of its distinct keys, which sit where
+    its pairs sat before the sort."""
+    m = len(flat.arity)
+    deg = np.diff(flat.var_ptr)[flat.cons_vars]   # pairs of each entry
+    # pair offset after each entry, and after each constraint
+    entry_end = np.cumsum(deg)
+    cons_end = entry_end[flat.starts + flat.arity - 1]
+    delta, c0 = 0, 0
+    while c0 < m:
+        p0 = int(cons_end[c0 - 1]) if c0 else 0
+        c1 = max(int(np.searchsorted(cons_end, p0 + _PAIR_BLOCK, "right")),
+                 c0 + 1)
+        e0 = int(flat.starts[c0])
+        e1 = int(flat.starts[c1 - 1] + flat.arity[c1 - 1])
+        n_pairs = int(cons_end[c1 - 1]) - p0
+        per_cons = np.diff(cons_end[c0:c1], prepend=p0)
+        # pair j of entry e reads var_cons[var_ptr[v_e] + j]
+        shift = (flat.var_ptr[flat.cons_vars[e0:e1]]
+                 - (entry_end[e0:e1] - p0 - deg[e0:e1]))
+        nb = flat.var_cons[np.arange(n_pairs) + np.repeat(shift, deg[e0:e1])]
+        dtype = np.int32 if (c1 - c0) * m <= 1 << 31 else np.int64
+        key = np.repeat(np.arange(0, (c1 - c0) * m, m, dtype=dtype),
+                        per_cons)
+        key += nb.astype(dtype, copy=False)
+        key.sort()
+        new = np.empty(n_pairs, dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        first = np.cumsum(per_cons) - per_cons
+        delta = max(delta, int(np.add.reduceat(new, first).max()))
+        c0 = c1
+    return delta
 
 
 def preprocess(csp: AtomicCsp) -> tuple[AtomicCsp, tuple[int, ...]]:

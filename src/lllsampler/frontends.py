@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomicCsp, VariableSpec, left_sum
+from .core import (AtomicCsp, VariableSpec, constraint_degree, flatten,
+                   left_sum, measures_with)
 from .errors import InvalidInstanceError, ParseError
 
 _WEIGHT_TOL = 1e-9
@@ -255,15 +256,27 @@ def emit_hypergraph(h: HypergraphInstance) -> str:
 def build_coloring(h: HypergraphInstance, q_colors: int) -> AtomicCsp:
     """Proper-coloring CSP: one constraint per (edge, color) forbidding the
     edge being monochromatic in that color, edge by edge, each edge's
-    vertices ascending."""
+    vertices ascending.
+
+    Its measures are derived from H: (e, c) and (f, c') share a variable
+    exactly when e and f share a vertex, so d and Delta are Q times H's
+    largest vertex degree and edge degree (each edge counted with
+    itself)."""
     if q_colors < 2:
         raise InvalidInstanceError("coloring needs at least 2 colors")
     vars = [VariableSpec.uniform(q_colors)] * h.num_vertices
     edges = np.sort(np.array(h.edges, dtype=np.int64), axis=1)
     colors = np.tile(np.arange(q_colors, dtype=np.int64), len(h.edges))
-    return AtomicCsp(
+    csp = AtomicCsp(
         vars, np.repeat(edges, q_colors, axis=0).ravel(),
         np.repeat(colors, h.k), np.full(len(colors), h.k, dtype=np.int64))
+    # H as an instance with one constraint per edge
+    graph = flatten(csp.vars, edges.ravel(), np.zeros(edges.size, np.int64),
+                    np.full(len(edges), h.k, dtype=np.int64))
+    csp.measures = measures_with(
+        csp.flat, q_colors * int(np.diff(graph.var_ptr).max()),
+        q_colors * constraint_degree(graph))
+    return csp
 
 
 def _is_int(x) -> bool:

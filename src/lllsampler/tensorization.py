@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AtomicCsp, VariableSpec, constraint_sums, left_sum
+from .core import (AtomicCsp, VariableSpec, constraint_sums, left_sum,
+                   measures_with)
 from .errors import (ConstructionFailedError, InvalidInstanceError,
                      InvariantError, RegimeError)
 from .kernels import LABEL_TENSOR, RandomnessTape, TapeStream, derive_seed
@@ -354,6 +355,13 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
         + np.array(path_rank, dtype=np.int64)[src],
         np.array(path_child, dtype=np.int64)[src],
         ends[flat.starts + flat.arity] - ends[flat.starts])
+    if length.all():
+        # every path starts at its variable's root node, which is in all
+        # its variable's constraints, so d and Delta are the original's; a
+        # one-node tree's variable leaves its constraints, and the base's
+        # measures are then counted
+        mo = csp.measures
+        base.measures = measures_with(base.flat, mo.d, mo.delta)
     out = TensorizedCsp(
         base, csp, trees, np.minimum(first_node, max(len(zvars) - 1, 0)),
         node_base[tree_of],
@@ -365,16 +373,12 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
 
 
 def _check_preservation(t: TensorizedCsp) -> None:
-    """Constraint count, Delta, d and per-constraint falsifying probability
-    are invariant under tensorization; node count is at most Q*|V|."""
+    """Constraint count and per-constraint falsifying probability are
+    invariant under tensorization; node count is at most Q*|V|."""
     fo, ft = t.original.flat, t.base.flat
     if len(ft.arity) != len(fo.arity):
         raise InvariantError("tensorization changed the constraint count")
-    mo = t.original.measures
-    mt = t.base.measures
-    if (mt.d, mt.delta) != (mo.d, mo.delta):
-        raise InvariantError("tensorization changed d or Delta")
-    if t.base.num_vars > mo.q * t.original.num_vars:
+    if t.base.num_vars > t.original.measures.q * t.original.num_vars:
         raise InvariantError("tensorization exceeded the Q|V| node bound")
     po = constraint_sums(fo, fo.log_w)
     pt = constraint_sums(ft, ft.log_w)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from lllsampler import AtomicCsp, Marking, STAR, VariableSpec
+from lllsampler import (AtomicCsp, Marking, STAR, VariableSpec,
+                        compute_measures)
 
 
 def csp_of(vars, pairs):
@@ -20,6 +21,14 @@ def constraint_pairs(csp):
     f = csp.flat
     vs, qs = f.cons_vars.tolist(), f.cons_fals.tolist()
     return [(tuple(vs[a:b]), tuple(qs[a:b])) for a, b in f.spans()]
+
+
+def counted_measures(csp):
+    """The measures of a fresh copy of ``csp``, counted by
+    ``compute_measures`` whatever ``csp`` holds."""
+    f = csp.flat
+    return compute_measures(
+        AtomicCsp(csp.vars, f.cons_vars, f.cons_fals, f.arity))
 
 
 def projected_constraints(csp, comp, state):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from lllsampler import core
 from lllsampler import (AtomicCsp, InvalidInstanceError, STAR,
@@ -165,16 +165,23 @@ def test_measures_constraint_free():
     assert m.log_p == -math.inf
 
 
+def constraints_of_variables(csp):
+    """Per variable, its constraints ascending, by a scan of the
+    constraints."""
+    occ = [[] for _ in csp.vars]
+    for ci, (vbl, _) in enumerate(constraint_pairs(csp)):
+        for v in vbl:
+            occ[v].append(ci)
+    return occ
+
+
 def reference_measures(csp):
     """(k, d, delta) by a scan of the constraints: delta is the largest
     number of constraints sharing a variable with one, itself included."""
     scopes = [vbl for vbl, _ in constraint_pairs(csp)]
     if not scopes:
         return 0, 0, 0
-    occ = [[] for _ in csp.vars]
-    for ci, vbl in enumerate(scopes):
-        for v in vbl:
-            occ[v].append(ci)
+    occ = constraints_of_variables(csp)
     delta = 0
     for vbl in scopes:
         neigh = set()
@@ -197,26 +204,68 @@ def random_instances(draw):
     return csp_of([VariableSpec.uniform(2)] * n, cons)
 
 
-def more_constraints_than_a_block():
+def more_pairs_than_a_block():
     rng = random.Random(0)
-    n = 300
+    n = 100
     cons = []
-    for _ in range(core._DELTA_BLOCK + 500):
-        vbl = tuple(rng.sample(range(n), rng.randint(1, 4)))
+    for _ in range(600):
+        vbl = tuple(rng.sample(range(n), rng.randint(10, 30)))
         cons.append((vbl, (0,) * len(vbl)))
-    return csp_of([VariableSpec.uniform(2)] * (n + 5), cons)
+    csp = csp_of([VariableSpec.uniform(2)] * (n + 5), cons)
+    # its (constraint, neighbouring constraint) pairs fill over three blocks
+    f = csp.flat
+    assert np.diff(f.var_ptr)[f.cons_vars].sum() > 3 * core._PAIR_BLOCK
+    return csp
+
+
+def one_constraint_over_a_block():
+    # each of the long constraint's n variables is in one unary constraint
+    # too, so it has 2n pairs
+    n = core._PAIR_BLOCK // 2 + 1
+    assert 2 * n > core._PAIR_BLOCK
+    return csp_of([VariableSpec.uniform(2)] * n,
+                  [(tuple(range(n)), (0,) * n)]
+                  + [((v,), (0,)) for v in range(n)])
+
+
+def keys_beyond_int32():
+    # so many short constraints that one block's keys (constraint in the
+    # block, neighbour) pass 2^31; among them, twin constraints whose pairs
+    # are all repeats, so a key that wraps around misplaces their counts
+    rng = random.Random(1)
+    n, m, twins = 100_000, 70_000, 500
+    cons = [tuple(rng.sample(range(n), rng.randint(1, 2))) for _ in range(m)]
+    for t in range(twins):
+        scope = tuple(range(n + 10 * t, n + 10 * t + 10))
+        at = rng.randrange(len(cons))
+        cons[at:at] = [scope, scope]
+    csp = csp_of([VariableSpec.uniform(2)] * (n + 10 * twins),
+                 [(vbl, (0,) * len(vbl)) for vbl in cons])
+    f = csp.flat
+    assert np.diff(f.var_ptr)[f.cons_vars].sum() <= core._PAIR_BLOCK
+    assert m * m > 1 << 31
+    return csp
+
+
+def check_index_and_measures(csp):
+    f = csp.flat
+    assert [f.var_cons[f.var_ptr[v]:f.var_ptr[v + 1]].tolist()
+            for v in range(csp.num_vars)] == constraints_of_variables(csp)
+    m = compute_measures(csp)
+    assert (m.k, m.d, m.delta) == reference_measures(csp)
 
 
 @given(random_instances())
-@example(more_constraints_than_a_block())
 def test_csr_index_and_measures_match_a_constraint_scan(csp):
-    f = csp.flat
-    pairs = constraint_pairs(csp)
-    for v in range(csp.num_vars):
-        row = f.var_cons[f.var_ptr[v]:f.var_ptr[v + 1]].tolist()
-        assert row == [ci for ci, (vbl, _) in enumerate(pairs) if v in vbl]
-    m = compute_measures(csp)
-    assert (m.k, m.d, m.delta) == reference_measures(csp)
+    check_index_and_measures(csp)
+
+
+@pytest.mark.parametrize("build", [more_pairs_than_a_block,
+                                   one_constraint_over_a_block,
+                                   keys_beyond_int32])
+def test_measures_match_a_constraint_scan_across_blocks(build):
+    # too slow for a hypothesis example's deadline
+    check_index_and_measures(build())
 
 
 def test_falsifiable_and_projection():
@@ -398,3 +447,20 @@ def test_flatten_hashes_each_spec_object_once(monkeypatch):
     f = csp_of([a, c, b, a, c], []).flat
     assert f.spec_of.tolist() == [0, 1, 0, 0, 1]
     assert f.specs[0] is a and f.specs[1] is c
+
+
+def test_flatten_tests_one_spec_by_identity(monkeypatch):
+    # specs that alternate, as a tensorized instance's node variables do,
+    # are told apart without the dataclass ``__eq__`` of each variable
+    calls = []
+    spec_eq = VariableSpec.__eq__
+
+    def counting_eq(self, other):
+        calls.append(self)
+        return spec_eq(self, other)
+
+    monkeypatch.setattr(VariableSpec, "__eq__", counting_eq)
+    a, c = VariableSpec(2, (0.3, 0.7)), VariableSpec.uniform(3)
+    f = csp_of([a, c] * 500, []).flat
+    assert f.specs == (a, c) and f.spec_of.tolist() == [0, 1] * 500
+    assert len(calls) <= 2

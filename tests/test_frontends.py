@@ -5,14 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from lllsampler import (HypergraphInstance, VariableSpec, frontends, ParseError, build_coloring,
+from lllsampler import (HypergraphInstance, InvalidInstanceError,
+                        VariableSpec, frontends, ParseError, build_coloring,
                         compute_measures, emit_csp, emit_dimacs,
                         emit_hypergraph, parse_csp, parse_dimacs,
                         parse_hypergraph)
 from lllsampler.verify import enumerate_law
 
-from conftest import (constraint_pairs, csp_of, free8, mixed_csp,
-                      random_weighted_csp)
+from conftest import (constraint_pairs, counted_measures, csp_of, free8,
+                      mixed_csp, random_weighted_csp)
 
 
 DIMACS = """c tiny example
@@ -253,6 +254,25 @@ def test_build_coloring_counts_and_measures():
     assert m.log_p == pytest.approx(2 * math.log(0.5))
     # Delta counts color-copies: both edges meet, so Q * Delta(H) = 2 * 2
     assert m.delta == 2 * 2
+
+
+def test_build_coloring_derives_counted_measures():
+    # random hypergraphs with overlapping and repeated edges and isolated
+    # vertices; Q = 256 copies each edge 256 times, so its graphs are small
+    rng = random.Random(12)
+    for q, count, size in ((2, 60, 10), (3, 60, 10), (256, 8, 4)):
+        for _ in range(count):
+            n = rng.randint(1, size)
+            k = rng.randint(1, n)
+            edges = [tuple(rng.sample(range(n), k))
+                     for _ in range(rng.randint(1, size // 2))]
+            edges += rng.sample(edges, rng.randint(0, len(edges)))
+            h = HypergraphInstance(n + rng.randint(0, 2), tuple(edges))
+            csp = build_coloring(h, q)
+            assert csp.measures == counted_measures(csp)
+    # a hypergraph without edges is refused before any coloring
+    with pytest.raises(InvalidInstanceError):
+        HypergraphInstance(3, ())
 
 
 def test_build_coloring_three_colors():

@@ -20,8 +20,21 @@ from lllsampler.tensorization import (
 from lllsampler.verify import enumerate_law, tv_distance
 from lllsampler.marking import check_necessary_bound, check_theorem_conditions
 
-from conftest import (constraint_pairs, csp_of, mixed_csp,
+from conftest import (constraint_pairs, counted_measures, csp_of, mixed_csp,
                       random_weighted_csp)
+
+
+def checked_tensorize(csp, trees):
+    """``tensorize``, with the base's measures checked against counted ones.
+    When every constrained variable's root is an internal node, the base's
+    d and Delta are the original's: every path starts at its root."""
+    t = tensorize(csp, trees)
+    counted = counted_measures(t.base)
+    assert t.base.measures == counted
+    if all(trees[v].children[0] for v in csp.flat.cons_vars.tolist()):
+        original = counted_measures(csp)
+        assert (counted.d, counted.delta) == (original.d, original.delta)
+    return t
 
 
 def test_huffman_reproduces_pmf():
@@ -60,7 +73,7 @@ def test_tree_validation():
 def test_tensorize_preserves_law():
     csp = mixed_csp()
     trees = [huffman_tensorize(s.weights) for s in csp.vars]
-    tz = tensorize(csp, trees)
+    tz = checked_tensorize(csp, trees)
     # identical measures where promised
     mo, mt = compute_measures(csp), compute_measures(tz.base)
     assert (mt.d, mt.delta) == (mo.d, mo.delta)
@@ -79,7 +92,7 @@ def test_tensorize_shares_equal_node_specs():
     csp = csp_of([VariableSpec.uniform(4), VariableSpec(2, (0.3, 0.7)),
                   VariableSpec(3, (0.5, 0.25, 0.25))],
                  [((0, 1, 2), (0, 0, 0))])
-    tz = tensorize(csp, [huffman_tensorize(s.weights) for s in csp.vars])
+    tz = checked_tensorize(csp, [huffman_tensorize(s.weights) for s in csp.vars])
     specs = tz.base.vars
     assert len(specs) == 6
     # every node splits evenly except the (0.3, 0.7) one
@@ -130,7 +143,7 @@ def test_tensorize_matches_reference():
                      for t, s in zip(trees, vars)]
         else:
             trees = [huffman_tensorize(s.weights) for s in csp.vars]
-        t = tensorize(csp, trees)
+        t = checked_tensorize(csp, trees)
         node_of, cons = reference_tensorize(csp, trees)
         assert [{z: node_index(t, v, z) for z in local}
                 for v, local in enumerate(node_of)] == node_of
@@ -140,7 +153,7 @@ def test_tensorize_matches_reference():
 def test_trans_on_trivial_binary_trees():
     csp = csp_of([VariableSpec(2, (0.3, 0.7)) for _ in range(3)],
                  [((0, 1, 2), (0, 0, 0))])
-    tz = tensorize(csp, [huffman_tensorize(s.weights) for s in csp.vars])
+    tz = checked_tensorize(csp, [huffman_tensorize(s.weights) for s in csp.vars])
     assert tz.base.num_vars == 3
     for bits in ((0, 0, 1), (1, 1, 0)):
         assert trans(tz, list(bits)).tolist() == list(bits)
@@ -201,7 +214,7 @@ def test_trans_matches_per_variable_descent():
         instances.append(mix + [(one, single_node)])
     for pairs in instances:
         specs = [s for s, _ in pairs]
-        tz = tensorize(csp_of(specs, []), [t for _, t in pairs])
+        tz = checked_tensorize(csp_of(specs, []), [t for _, t in pairs])
         for _ in range(20):
             sigma = [rng.randrange(s.domain_size) for s in tz.base.vars]
             got = trans(tz, sigma)
@@ -209,12 +222,29 @@ def test_trans_matches_per_variable_descent():
             assert got.tolist() == reference_trans(tz, sigma)
 
 
+def test_tensorize_derives_measures_with_domain1_trees():
+    one = VariableSpec(1, (1.0,))
+    csp = csp_of([VariableSpec.uniform(3), one, VariableSpec(2, (0.3, 0.7)),
+                  one],
+                 [((0, 1), (2, 0)), ((1, 2, 3), (0, 1, 0)), ((2,), (0,))])
+    trees = [huffman_tensorize(s.weights) for s in csp.vars]
+    # a domain-1 Huffman tree is a root over one leaf: a node variable
+    # with one value
+    tz = checked_tensorize(csp, trees)
+    assert tz.base.measures.delta == csp.measures.delta == 3
+    # a one-node tree's variable has no node variable and leaves its
+    # constraints, which meet less often: the base's Delta is counted
+    single = TensorTree(((),), (1.0,), {0: 0})
+    tz = checked_tensorize(csp, [trees[0], single, trees[2], single])
+    assert tz.base.measures.delta == 2
+
+
 def test_tensorize_rejects_wrong_tree():
     csp = mixed_csp()
     trees = [huffman_tensorize((0.5, 0.25, 0.25)),
              huffman_tensorize(csp.vars[1].weights)]
     with pytest.raises(InvalidInstanceError):
-        tensorize(csp, trees)
+        checked_tensorize(csp, trees)
 
 
 def test_tensorize_checks_each_tree_and_spec_once(monkeypatch):
@@ -229,12 +259,12 @@ def test_tensorize_checks_each_tree_and_spec_once(monkeypatch):
     q5 = VariableSpec.uniform(5)
     csp = csp_of([q5] * 6, [((0, 3), (1, 1))])
     tree = huffman_tensorize(q5.weights)
-    tensorize(csp, [tree] * 6)
+    checked_tensorize(csp, [tree] * 6)
     assert sorted(calls) == list(range(5))
     # the same tree under a different spec is checked again, and rejected
     skewed = csp_of([q5, VariableSpec(5, (0.2, 0.2, 0.2, 0.3, 0.1))], [])
     with pytest.raises(InvalidInstanceError):
-        tensorize(skewed, [tree, tree])
+        checked_tensorize(skewed, [tree, tree])
 
 
 def parent_walk_path(tree, q):
@@ -299,10 +329,13 @@ def test_coloring_regime():
             continue
         tree, marks = complete_binary_tensorize_with_marking(q)
         csp = build_coloring(h, q)
-        tz = tensorize(csp, [tree] * csp.num_vars)
+        tz = checked_tensorize(csp, [tree] * csp.num_vars)
         m = global_marking(tz, [marks] * csp.num_vars)
         if check_theorem_conditions(tz.base, m).passed:
-            assert prepare_pipeline(h, cfg).marking == m
+            prepared = prepare_pipeline(h, cfg)
+            assert prepared.marking == m
+            for csp in (prepared.original, prepared.run_csp):
+                assert csp.measures == counted_measures(csp)
             check_necessary_bound(csp.measures)
             admitted.append((q, k))
         else:
@@ -364,6 +397,7 @@ def test_uniform_construction_in_regime():
                  [(tuple(range(k)), (0,) * k)])
     tz, marking = uniform_tensorize_with_marking(csp, seed=2)
     assert tz.base.num_vars == 7 * k
+    assert tz.base.measures == counted_measures(tz.base)
     assert check_theorem_conditions(tz.base, marking).passed
     check_necessary_bound(csp.measures)
     # recompute the marked falsifying log-mass independently and check the
@@ -406,7 +440,7 @@ def test_verify_numeric_facts():
 def test_global_marking_roundtrip():
     csp = csp_of([VariableSpec.uniform(4) for _ in range(2)], [])
     trees = [huffman_tensorize(s.weights) for s in csp.vars]
-    tz = tensorize(csp, trees)
+    tz = checked_tensorize(csp, trees)
     marking = global_marking(tz, [{0}, {0, 4}])
     assert isinstance(marking, Marking)
     assert sum(marking.marked) == 3
