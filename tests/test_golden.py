@@ -1,9 +1,11 @@
 """Golden draw digests: one sha256 per pipeline case over its marking and
 its first 20 draws on a small fixed instance (each pipeline in regime, and
 each forced fallback), one per residual case over
-300 ``sample`` draws whose chain enters the residual layer, and one per
-input text over the ``flat`` arrays of the parsed and the chain instance,
-the marking and the first 20 draws of text -> parse -> ``prepare_pipeline``.
+300 ``sample`` draws whose chain enters the residual layer, one per
+rejection case over 30 ``final_sampling`` draws and their attempt totals
+under the empty marking, and one per input text over the ``flat`` arrays of
+the parsed and the chain instance, the marking and the first 20 draws of
+text -> parse -> ``prepare_pipeline``.
 
 A change that keeps the draw stream keeps these digests.  A change that alters
 the stream on purpose updates them, names the change, and re-certifies the law
@@ -17,7 +19,10 @@ import random
 
 import pytest
 
-from lllsampler import Marking, VariableSpec, kernels, sample
+import numpy as np
+
+from lllsampler import (STAR, Marking, VariableSpec, final_sampling, kernels,
+                        sample)
 from lllsampler.cli import PipelineConfig, prepare_pipeline
 from lllsampler.frontends import (HypergraphInstance, parse_dimacs,
                                   parse_hypergraph)
@@ -179,6 +184,68 @@ def test_residual_draw_digest(case, monkeypatch):
     assert len(calls) >= 40
 
 
+def planted_blocks(seed, blocks, specs, clauses, arities):
+    """Disjoint blocks over ``len(specs)`` variables each, block b's
+    variables b * len(specs) + i taking ``specs[i]``; each block has
+    ``clauses`` constraints of an arity drawn from ``arities`` over
+    distinct variables of the block, each forbidding a tuple other than a
+    hidden assignment's, so the instance is satisfiable."""
+    rng = random.Random(seed)
+    size = len(specs)
+    hidden = [rng.randrange(s.domain_size) for _ in range(blocks)
+              for s in specs]
+    cons = []
+    for b in range(blocks):
+        for _ in range(clauses):
+            vs = tuple(b * size + i
+                       for i in rng.sample(range(size), rng.choice(arities)))
+            while True:
+                fals = tuple(rng.randrange(specs[v % size].domain_size)
+                             for v in vs)
+                if any(f != hidden[v] for v, f in zip(vs, fals)):
+                    break
+            cons.append((vs, fals))
+    return csp_of([specs[i] for _ in range(blocks) for i in range(size)],
+                  cons)
+
+
+# The empty marking leaves the whole draw to lockstep rejection, as
+# ``--force`` does out of regime.  ``cnf-forced`` is the benchmark's shape:
+# 100 blocks of 20 uniform binary variables and 16 three-variable clauses;
+# ``mixed-ternary`` puts domain-3 variables in the constraints, so the draw
+# compares each deviate with two running sums.
+# name -> (function returning the instance, sha256 of the draws and their
+#          attempt totals)
+REJECTION_CASES = {
+    "cnf-forced": (
+        lambda: planted_blocks(11, 100, [VariableSpec.uniform(2)] * 20, 16,
+                               (3,)),
+        "19f5bc505d015466173394141dc8a4c701a6c04690c00e59432bbdea1056a0eb"),
+    "mixed-ternary": (
+        lambda: planted_blocks(
+            12, 40, [VariableSpec(2, (0.3, 0.7)),
+                     VariableSpec(3, (0.2, 0.3, 0.5))] * 3, 8, (2, 3)),
+        "f4db6232e74c27487c5cdf9294a150d4a0d89060ed8440349ee092af46936b2b"),
+}
+REJECTION_DRAWS = 30
+
+
+def rejection_digest(csp) -> str:
+    m = Marking.empty(csp.num_vars)
+    state = np.full(csp.num_vars, STAR, dtype=np.int64)
+    h = hashlib.sha256()
+    for seed in range(REJECTION_DRAWS):
+        values, attempts = final_sampling(csp, m, state, seed)
+        h.update(json.dumps([values.tolist(), attempts]).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(REJECTION_CASES))
+def test_rejection_draw_digest(case):
+    make, expected = REJECTION_CASES[case]
+    assert rejection_digest(make()) == expected
+
+
 def regime_dimacs(n=600, k=200, seed=7) -> str:
     """A ``cnf-regime``-shaped DIMACS text: every variable in exactly two
     k-clauses, the clause sets two random partitions into blocks of k."""
@@ -240,5 +307,7 @@ if __name__ == "__main__":
         print(name, draw_digest(prepare_pipeline(instance, cfg)))
     for name, (make, _, _) in sorted(RESIDUAL_CASES.items()):
         print(name, residual_digest(*make()))
+    for name, (make, _) in sorted(REJECTION_CASES.items()):
+        print(name, rejection_digest(make()))
     for name, (parse, text, cfg, _) in sorted(TEXT_CASES.items()):
         print(name, text_digest(parse, text, cfg))
