@@ -83,7 +83,8 @@ class AtomicCsp:
                  arity):
         self.vars = tuple(vars)
         self.flat = flatten(self.vars, cons_vars, cons_fals, arity)
-        # (build, Marking) -> build(self, marking), filled by ``memoized``
+        # (build, Marking or None) -> build(self, marking), filled by
+        # ``memoized``
         self.memo: dict = {}
 
     @property
@@ -120,8 +121,9 @@ class AtomicCsp:
 
 
 def memoized(csp: AtomicCsp, build, m):
-    """``build(csp, m)`` for a ``Marking`` m, built once per (build,
-    marking) and kept on the instance."""
+    """``build(csp, m)`` for a ``Marking`` m (or None, for what depends on
+    the instance alone), built once per (build, m) and kept on the
+    instance."""
     key = (build, m)
     value = csp.memo.get(key)
     if value is None:

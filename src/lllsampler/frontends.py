@@ -296,6 +296,9 @@ def parse_csp(text: str) -> AtomicCsp:
         raise ParseError("document must be an object with a 'vars' list and"
                          " an optional 'constraints' list")
     vars = []
+    # one spec object per distinct (domain, weights), as ``flatten`` finds
+    # its distinct specs by identity first
+    shared: dict = {}
     for i, spec in enumerate(doc["vars"]):
         if not isinstance(spec, dict) or "domain" not in spec:
             raise ParseError(f"vars[{i}] must be an object with 'domain'")
@@ -317,7 +320,10 @@ def parse_csp(text: str) -> AtomicCsp:
             raise ParseError(f"vars[{i}] needs finite weights") from None
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ParseError(f"vars[{i}] weights sum to {total}, not 1")
-        vars.append(VariableSpec(n, tuple(w / total for w in weights)))
+        key = n, tuple(w / total for w in weights)
+        if key not in shared:
+            shared[key] = VariableSpec(*key)
+        vars.append(shared[key])
     cons_vars, cons_fals, arity = [], [], []
     for i, c in enumerate(doc.get("constraints", [])):
         if not isinstance(c, dict) or "vbl" not in c or "false" not in c:

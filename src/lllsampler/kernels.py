@@ -187,6 +187,73 @@ def product_draw(flat: FlatCsp, free: np.ndarray,
     return out
 
 
+@dataclass(frozen=True)
+class RejectionTables:
+    """What lockstep rejection reads after its first attempt, for one pair
+    of labels and one state.  The ``components`` components with a
+    constraint are numbered 0..P-1 and their checked constraints 0..C-1;
+    a constraint with a fixed entry off its falsifying value can never be
+    violated, so it is not checked, but its component still counts.
+
+    - ``entries``: four arrays over the entries of the checked constraints
+      on STAR variables: variable, falsifying value, constraint and
+      component.
+    - ``cons_comp``: the component of each checked constraint.
+    - ``draw`` and ``draw_comp``: the STAR variables of the numbered
+      components, ascending, and their components.
+    - ``draw_cum``: their ``flat.cum_table`` rows; one column (binary
+      domains) is kept as a vector.
+    """
+
+    components: int
+    entries: tuple[np.ndarray, ...]
+    cons_comp: np.ndarray
+    draw: np.ndarray
+    draw_comp: np.ndarray
+    draw_cum: np.ndarray
+
+
+def rejection_tables(csp: AtomicCsp, values: np.ndarray,
+                     labels) -> RejectionTables:
+    """The tables of ``labels`` (``split_components``'s pair) on a state
+    (-1 = STAR), built afresh."""
+    flat = csp.flat
+    var_label, cons_label = labels
+    labelled = np.flatnonzero(cons_label >= 0)
+    # the labels with a constraint, numbered in label order
+    has = np.zeros(len(var_label), dtype=bool)
+    has[cons_label[labelled]] = True
+    number = np.cumsum(has) - 1
+    entry = np.flatnonzero(cons_label[flat.entry_cons] >= 0)
+    ev, ef = flat.cons_vars[entry], flat.cons_fals[entry]
+    ec = flat.entry_cons[entry]
+    star = values[ev] == STAR
+    # a fixed entry off its falsifying value satisfies its constraint
+    dead = np.zeros(len(cons_label), dtype=bool)
+    dead[ec[~star & (values[ev] != ef)]] = True
+    checked = labelled[~dead[labelled]]
+    local = np.zeros(len(cons_label), dtype=np.int64)
+    local[checked] = np.arange(len(checked))
+    keep = star & ~dead[ec]
+    ec = ec[keep]
+    entries = ev[keep], ef[keep], local[ec], number[cons_label[ec]]
+    draw = np.flatnonzero(values == STAR)
+    draw = draw[has[var_label[draw]]]
+    cum = flat.cum_table[flat.spec_of[draw]]
+    return RejectionTables(
+        int(np.count_nonzero(has)), entries, number[cons_label[checked]],
+        draw, number[var_label[draw]],
+        cum[:, 0] if cum.shape[1] == 1 else cum)
+
+
+def free_rejection_tables(csp: AtomicCsp, _) -> RejectionTables:
+    """The tables of ``csp.free_labels`` on the all-STAR state, the same
+    on every draw under the empty marking; ``rejection_sampling`` builds
+    them on first use and keeps them in ``csp.memo``, under no marking."""
+    return rejection_tables(csp, np.full(csp.num_vars, STAR, dtype=np.int64),
+                            csp.free_labels)
+
+
 def rejection_sampling(csp: AtomicCsp, values: np.ndarray, labels,
                        stream: TapeStream, cap: int = DEFAULT_REJECTION_CAP):
     """Fill the STAR entries of ``values`` (-1 = STAR) in place from their
@@ -202,38 +269,59 @@ def rejection_sampling(csp: AtomicCsp, values: np.ndarray, labels,
     draws that stop at its first success, independently of the other
     components.
 
+    A round after the first is a few flat passes over ``RejectionTables``:
+    one scatter marks the constraints with an entry off its falsifying
+    value, one marks the components of the rest, and one mask per table
+    keeps the pending components' entries, constraints and variables.  The
+    tables of ``csp.free_labels`` on an all-STAR state are built once per
+    instance (``free_rejection_tables``); any others once per call.
+
     Returns (values, attempts summed over the components with a
     constraint); a variable in no constraint is drawn once and counts no
     attempt.  A component that needs more than ``cap`` attempts raises
     ``BudgetError``.
     """
     flat = csp.flat
-    var_label, cons_label = labels
     draw = np.flatnonzero(values == STAR)
-    # the components with a constraint to satisfy, and their entries
-    pending = len(np.unique(cons_label[cons_label >= 0]))
-    if pending:
-        entries = np.flatnonzero(cons_label[flat.entry_cons] >= 0)
-    attempts = rounds = 0
+    if len(draw) == len(values) and labels is csp.free_labels:
+        tables = memoized(csp, free_rejection_tables, None)
+    elif (labels[1] >= 0).any():
+        tables = rejection_tables(csp, values, labels)
+    else:
+        tables = None
+    values[draw] = product_draw(flat, draw, stream.uniforms(len(draw)))
+    if tables is None:
+        return values, 0
+    components = attempts = tables.components
+    ev, ef, ec, entry_comp = tables.entries
+    cons_comp = tables.cons_comp
+    cons = np.arange(len(cons_comp))
+    draw, draw_comp, cum = tables.draw, tables.draw_comp, tables.draw_cum
+    rounds = 1
     while True:
-        values[draw] = product_draw(flat, draw, stream.uniforms(len(draw)))
-        attempts += pending
-        rounds += 1
+        # a constraint with an entry off its falsifying value is satisfied
+        sat = np.zeros(len(tables.cons_comp), dtype=bool)
+        sat[ec[values[ev] != ef]] = True
+        bad = np.zeros(components, dtype=bool)
+        bad[cons_comp[~sat[cons]]] = True
+        pending = int(np.count_nonzero(bad))
         if not pending:
             return values, attempts
-        cons = flat.entry_cons[entries]
-        first = np.flatnonzero(np.diff(cons, prepend=-1))
-        hit = values[flat.cons_vars[entries]] == flat.cons_fals[entries]
-        violated = cons[first][np.logical_and.reduceat(hit, first)]
-        bad = np.zeros(len(var_label), dtype=bool)
-        bad[cons_label[violated]] = True
-        pending = int(bad.sum())
-        if pending and rounds == cap:
+        if rounds == cap:
             raise BudgetError(
                 f"rejection sampling exceeded {cap} attempts; instance is "
                 "likely outside the sampler's regime")
-        draw = draw[bad[var_label[draw]]]
-        entries = entries[bad[cons_label[cons]]]
+        keep = bad[entry_comp]
+        ev, ef, ec, entry_comp = ev[keep], ef[keep], ec[keep], entry_comp[keep]
+        keep = bad[cons_comp]
+        cons, cons_comp = cons[keep], cons_comp[keep]
+        keep = bad[draw_comp]
+        draw, draw_comp, cum = draw[keep], draw_comp[keep], cum[keep]
+        u = stream.uniforms(len(draw))
+        values[draw] = (cum <= u if cum.ndim == 1
+                        else (cum <= u[:, None]).sum(axis=1))
+        attempts += pending
+        rounds += 1
 
 
 def safe_pmf(csp: AtomicCsp, u: int, log_beta: float) -> tuple[float, ...]:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from lllsampler import sampler
 from lllsampler.cli import PipelineConfig, prepare_pipeline
 from lllsampler.frontends import parse_dimacs, parse_hypergraph
 
@@ -49,3 +50,24 @@ def test_benchmark_setup_path(name, tmp_path):
     assert len(prepared.marking.marked) == prepared.run_csp.num_vars
     for i in range(5):
         assert instance.check_line(json.dumps(prepared.draw(1, i)))
+
+
+def test_cnf_forced_rejection_attempts(monkeypatch):
+    # the benchmark's out-of-regime draws are all lockstep rejection; their
+    # attempt count is fixed by the seed
+    w = WORKLOAD["cnf-forced"]
+    cfg = PipelineConfig("-", w.format, w.pipeline, seed=1, force=w.force)
+    prepared = prepare_pipeline(parse_dimacs(w.generate(1).text), cfg)
+    attempts = []
+    rejection = sampler.rejection_sampling
+
+    def counting(*args, **kwargs):
+        values, n = rejection(*args, **kwargs)
+        attempts.append(n)
+        return values, n
+
+    monkeypatch.setattr(sampler, "rejection_sampling", counting)
+    for i in range(20):
+        prepared.draw(1, i)
+    assert len(attempts) == 20
+    assert sum(attempts) == 16503

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -291,6 +292,23 @@ def test_csp_json_roundtrip():
         assert a.domain_size == b.domain_size
         # renormalization may perturb the last bit
         assert a.weights == pytest.approx(b.weights, abs=1e-15)
+
+
+def test_parse_csp_shares_equal_specs():
+    # equal (domain, weights) pairs share one spec object, written either
+    # way; others keep their own, in first-use order
+    doc = {"vars": [{"domain": 2}] * 999
+           + [{"domain": 2, "weights": [0.5, 0.5]}],
+           "constraints": [{"vbl": [0, 999], "false": [0, 1]}]}
+    csp = parse_csp(json.dumps(doc))
+    assert len({id(s) for s in csp.vars}) == 1
+    assert csp.flat.specs == (VariableSpec.uniform(2),)
+    doc["vars"] = [{"domain": 3}, {"domain": 2}, {"domain": 3},
+                   {"domain": 2, "weights": [0.3, 0.7]}, {"domain": 2}]
+    csp = parse_csp(json.dumps(doc | {"constraints": []}))
+    assert [id(s) for s in csp.vars].count(id(csp.vars[0])) == 2
+    assert csp.vars[1] is csp.vars[4] and csp.vars[1] is not csp.vars[3]
+    assert csp.flat.spec_of.tolist() == [0, 1, 0, 2, 1]
 
 
 def test_parse_csp_defaults_and_errors():

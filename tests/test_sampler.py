@@ -7,8 +7,8 @@ import pytest
 
 from lllsampler import (BudgetError, InvariantError, Marking, RandomnessTape,
                         STAR, VariableSpec, bounding_chain, component,
-                        derive_seed, final_sampling, rejection_sampling,
-                        sample, systematic_scan)
+                        derive_seed, final_sampling, kernels,
+                        rejection_sampling, sample, systematic_scan)
 from lllsampler.core import split_components
 from lllsampler.cli import PreparedPipeline
 from lllsampler.kernels import (LABEL_REJECTION, TapeStream, UpdateContext,
@@ -18,8 +18,8 @@ from lllsampler.verify import (check_bounding_invariant,
                                coalescence_experiment, enumerate_law,
                                law_of_projection, tv_distance)
 
-from conftest import (csp_of, free8, overlap18, projected_constraints,
-                      ternary9, uniform20, weighted8)
+from conftest import (constraint_pairs, csp_of, free8, overlap18,
+                      projected_constraints, ternary9, uniform20, weighted8)
 
 
 def test_sample_deterministic_in_seed():
@@ -375,6 +375,167 @@ def test_rejection_cap_is_exact():
             with pytest.raises(BudgetError):
                 draw(t, cap=need - 1)
     assert len(seen) >= 5
+
+
+def counting_tables(monkeypatch):
+    """Count the ``kernels.rejection_tables`` builds from here on."""
+    built = []
+    build = kernels.rejection_tables
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(kernels, "rejection_tables", counting)
+    return built
+
+
+def test_free_tables_need_the_all_star_state(monkeypatch):
+    # the instance's own labels on a state with fixed variables take the
+    # tables built for that state.  The fixed variables keep the STAR
+    # variables' components those of the instance: in interleaved_3cnf
+    # they are the clause-free ones; in the 6-variable block, variable 0
+    # holds the falsifying value of both its clauses and the rest stay
+    # joined without it
+    built = counting_tables(monkeypatch)
+    rng = random.Random(4)
+    cases = []
+    for s in range(6):
+        csp, _ = interleaved_3cnf(s)
+        fixed = [v for v in range(csp.num_vars) if v % 5 == 4]
+        cases.append((csp, {v: rng.randrange(3) for v in fixed}))
+    block = csp_of([VariableSpec(2, (0.4, 0.6))] * 6,
+                   [((0, 1, 2), (0, 0, 0)), ((1, 2, 3), (1, 0, 1)),
+                    ((0, 3, 4), (0, 1, 1)), ((1, 4, 5), (0, 0, 0))])
+    cases.append((block, {0: 0}))
+    for csp, fixed in cases:
+        n = csp.num_vars
+        state = np.full(n, STAR, dtype=np.int64)
+        state[list(fixed)] = list(fixed.values())
+        m = Marking.from_indices(n, fixed)
+        built.clear()
+        for seed in range(20):
+            tape = RandomnessTape(seed)
+            values, attempts = rejection_sampling(
+                csp, state.copy(), csp.free_labels,
+                tape.stream(0, LABEL_REJECTION))
+            assert (values.tolist(), attempts) == reference_final_sampling(
+                csp, m, state.tolist(), tape.stream(0, LABEL_REJECTION))
+        assert len(built) == 20
+        assert (kernels.free_rejection_tables, None) not in csp.memo
+        # the all-STAR state builds the instance's tables once
+        for seed in range(3):
+            rejection_sampling(csp, np.full(n, STAR), csp.free_labels,
+                               RandomnessTape(seed).stream(0, LABEL_REJECTION))
+        assert len(built) == 21
+        assert (kernels.free_rejection_tables, None) in csp.memo
+
+
+def labelled_reference(csp, values, labels, stream):
+    """Lockstep rejection read off the labels alone: a component per
+    distinct constraint label, violated when every entry of one of its
+    constraints holds its falsifying value, whether drawn or fixed."""
+    var_label, cons_label = (a.tolist() for a in labels)
+    values = values.tolist()
+    pairs = constraint_pairs(csp)
+    comps = {}
+    for c, label in enumerate(cons_label):
+        if label >= 0:
+            comps.setdefault(label, []).append(pairs[c])
+    cums = [list(itertools.accumulate(s.weights)) for s in csp.vars]
+    draw = [v for v in range(csp.num_vars) if values[v] == STAR]
+    pending, attempts = set(comps), 0
+    while True:
+        for v in draw:
+            cw = cums[v]
+            values[v] = min(bisect_right(cw, stream.next_uniform()),
+                            len(cw) - 1)
+        attempts += len(pending)
+        pending = {label for label in pending
+                   if any(all(values[w] == q for w, q in zip(*pair))
+                          for pair in comps[label])}
+        if not pending:
+            return values, attempts
+        draw = [v for v in draw if var_label[v] in pending]
+
+
+def test_rejection_reads_the_labels_as_given():
+    # the instance's own labels on states that fix random variables to a
+    # solution's values, some off their falsifying values: such a
+    # constraint is never violated, and a component with no STAR variable
+    # still counts one attempt
+    rng = random.Random(6)
+    fixed_off = whole = 0
+    for s in range(8):
+        csp, empty = interleaved_3cnf(s)
+        flat = csp.flat
+        n = csp.num_vars
+        for seed in range(15):
+            solution = final_sampling(csp, empty, np.full(n, STAR),
+                                      seed + 100)[0]
+            state = np.full(n, STAR, dtype=np.int64)
+            fixed = rng.sample(range(n), rng.randrange(n))
+            state[fixed] = solution[fixed]
+            tape = RandomnessTape(seed)
+            got = rejection_sampling(csp, state.copy(), csp.free_labels,
+                                     tape.stream(0, LABEL_REJECTION))
+            assert (got[0].tolist(), got[1]) == labelled_reference(
+                csp, state, csp.free_labels, tape.stream(0, LABEL_REJECTION))
+            entry = state[flat.cons_vars]
+            fixed_off += ((entry != STAR) & (entry != flat.cons_fals)).any()
+            var_label = csp.free_labels[0]
+            whole += any((state[var_label == c] != STAR).all()
+                         for c in set(csp.free_labels[1].tolist()))
+    assert fixed_off > 50 and whole > 5
+
+
+class ReadSizes:
+    """A stream that records the size of each read."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.sizes = []
+
+    def uniforms(self, k):
+        self.sizes.append(k)
+        return self.stream.uniforms(k)
+
+
+def test_rejection_cap_counts_rounds_across_components(monkeypatch):
+    # two components, of 2 and 3 variables, each accepting 1/4 of its
+    # attempts: a round reads 5 deviates while both are pending, 2 or 3
+    # once one has finished
+    csp = csp_of([VariableSpec.uniform(2)] * 5,
+                 [((0, 1), (0, 0)), ((0, 1), (0, 1)), ((0, 1), (1, 0)),
+                  ((2, 3, 4), (0, 0, 0)), ((2, 3), (1, 1)), ((3, 4), (0, 1)),
+                  ((2, 4), (1, 0)), ((2, 3, 4), (1, 0, 1))])
+    built = counting_tables(monkeypatch)
+    tape = RandomnessTape(2)
+    copied = tuple(a.copy() for a in csp.free_labels)
+    staggered = 0
+    for t in range(60):
+        expect = reference_final_sampling(
+            csp, Marking.empty(5), [STAR] * 5,
+            tape.stream(t, LABEL_REJECTION))
+        reads = ReadSizes(tape.stream(t, LABEL_REJECTION))
+        rejection_sampling(csp, np.full(5, STAR), csp.free_labels, reads)
+        rounds = len(reads.sizes)
+        if rounds < 3 or reads.sizes[-1] == 5:
+            continue
+        staggered += 1
+        for labels in (csp.free_labels, copied):
+            def draw(cap):
+                return rejection_sampling(
+                    csp, np.full(5, STAR), labels,
+                    tape.stream(t, LABEL_REJECTION), cap=cap)
+
+            values, attempts = draw(rounds)
+            assert (values.tolist(), attempts) == expect
+            with pytest.raises(BudgetError):
+                draw(rounds - 1)
+    assert staggered >= 10
+    # one build for the instance's own labels, two per case for the copies
+    assert len(built) == 1 + 2 * staggered
 
 
 # --- reference chain: one _update_in_place call per time slot, unmarked
