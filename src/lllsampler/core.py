@@ -74,17 +74,15 @@ class AtomicCsp:
     entries that follow constraint i - 1's in ``cons_vars`` (variables) and
     ``cons_fals`` (falsifying values).  The instance is its arrays,
     ``flat``, built and checked on construction; the arrays given are kept,
-    not copied.  The derived quantities (``measures``, ``free_labels``) are
-    computed once, on first use, unless the code that builds an instance
-    knows its measures from its structure and sets them
-    (``build_coloring``, ``tensorize``)."""
+    not copied.  The measures are computed once, on first use, unless the
+    code that builds an instance knows them from its structure and sets
+    them (``build_coloring``, ``tensorize``)."""
 
     def __init__(self, vars: list[VariableSpec], cons_vars, cons_fals,
                  arity):
         self.vars = tuple(vars)
         self.flat = flatten(self.vars, cons_vars, cons_fals, arity)
-        # (build, Marking or None) -> build(self, marking), filled by
-        # ``memoized``
+        # (build, Marking) -> build(self, marking), filled by ``memoized``
         self.memo: dict = {}
 
     @property
@@ -94,12 +92,6 @@ class AtomicCsp:
     @functools.cached_property
     def measures(self) -> Measures:
         return compute_measures(self)
-
-    @functools.cached_property
-    def free_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """``split_components`` with no variable fixed."""
-        return split_components(
-            self, np.ones(len(self.flat.cons_vars), dtype=bool))
 
     def satisfies(self, values: list[int]) -> bool:
         """True iff the full assignment violates no constraint."""
@@ -121,14 +113,12 @@ class AtomicCsp:
 
 
 def memoized(csp: AtomicCsp, build, m):
-    """``build(csp, m)`` for a ``Marking`` m (or None, for what depends on
-    the instance alone), built once per (build, m) and kept on the
-    instance."""
+    """``build(csp, m)`` for a ``Marking`` m, built once per (build, m) and
+    kept on the instance."""
     key = (build, m)
-    value = csp.memo.get(key)
-    if value is None:
-        value = csp.memo[key] = build(csp, m)
-    return value
+    if key not in csp.memo:
+        csp.memo[key] = build(csp, m)
+    return csp.memo[key]
 
 
 @dataclass(frozen=True)
@@ -273,13 +263,12 @@ def constraint_sums(flat: FlatCsp, x: np.ndarray, first=0.0) -> np.ndarray:
     return out
 
 
-def split_components(csp: AtomicCsp,
-                     live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def split_components(csp: AtomicCsp, live: np.ndarray) -> np.ndarray:
     """The components of the falsifiable constraints' STAR entries
-    (``live``, a mask over ``csp.flat``), as labels: a component id per
-    variable, and per constraint, -1 for a constraint with no live entry.
-    A variable in no live entry is a component on its own.  An id is the
-    root of a union-find over the live constraints, a variable index."""
+    (``live``, their indices in ``csp.flat``, each constraint's together),
+    as a component id per variable.  A variable in no live entry is a
+    component on its own.  An id is the root of a union-find over the live
+    constraints, a variable index."""
     flat = csp.flat
     ent_vars = flat.cons_vars[live]
     ent_cons = flat.entry_cons[live]
@@ -296,9 +285,7 @@ def split_components(csp: AtomicCsp,
         root[find(b)] = find(a)
     var_label = np.arange(csp.num_vars)
     var_label[list(root)] = [find(v) for v in root]
-    cons_label = np.full(len(flat.starts), -1)
-    cons_label[ent_cons] = var_label[ent_vars]
-    return var_label, cons_label
+    return var_label
 
 
 def compute_measures(csp: AtomicCsp) -> Measures:

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .core import (STAR, AtomicCsp, FlatCsp, enumerate_solutions, left_sum,
-                   memoized)
+                   memoized, split_components)
 from .errors import BudgetError, ConditionsError, InvariantError
 
 # Stream labels.
@@ -189,18 +189,17 @@ def product_draw(flat: FlatCsp, free: np.ndarray,
 
 @dataclass(frozen=True)
 class RejectionTables:
-    """What lockstep rejection reads after its first attempt, for one pair
-    of labels and one state.  The ``components`` components with a
-    constraint are numbered 0..P-1 and their checked constraints 0..C-1;
-    a constraint with a fixed entry off its falsifying value can never be
-    violated, so it is not checked, but its component still counts.
+    """What lockstep rejection reads after its first attempt: the
+    ``components`` components with a constraint, numbered 0..P-1 in the
+    order of their ``split_components`` labels, and their constraints,
+    numbered 0..C-1 in id order.
 
-    - ``entries``: four arrays over the entries of the checked constraints
-      on STAR variables: variable, falsifying value, constraint and
+    - ``entries``: four arrays over the constraints' entries on STAR
+      variables, in entry order: variable, falsifying value, constraint and
       component.
-    - ``cons_comp``: the component of each checked constraint.
-    - ``draw`` and ``draw_comp``: the STAR variables of the numbered
-      components, ascending, and their components.
+    - ``cons_comp``: the component of each constraint.
+    - ``draw`` and ``draw_comp``: the STAR variables of the components,
+      ascending, and their components.
     - ``draw_cum``: their ``flat.cum_table`` rows; one column (binary
       domains) is kept as a vector.
     """
@@ -213,83 +212,62 @@ class RejectionTables:
     draw_cum: np.ndarray
 
 
-def rejection_tables(csp: AtomicCsp, values: np.ndarray,
-                     labels) -> RejectionTables:
-    """The tables of ``labels`` (``split_components``'s pair) on a state
-    (-1 = STAR), built afresh."""
+def rejection_tables(csp: AtomicCsp, live: np.ndarray,
+                     fixed: np.ndarray) -> RejectionTables | None:
+    """The tables of the constraints ``live`` (ids, ascending) on their
+    entries off ``fixed`` (a mask over the variables), split into
+    components by ``split_components``; None when they have no such
+    entry."""
     flat = csp.flat
-    var_label, cons_label = labels
-    labelled = np.flatnonzero(cons_label >= 0)
-    # the labels with a constraint, numbered in label order
-    has = np.zeros(len(var_label), dtype=bool)
-    has[cons_label[labelled]] = True
-    number = np.cumsum(has) - 1
-    entry = np.flatnonzero(cons_label[flat.entry_cons] >= 0)
-    ev, ef = flat.cons_vars[entry], flat.cons_fals[entry]
-    ec = flat.entry_cons[entry]
-    star = values[ev] == STAR
-    # a fixed entry off its falsifying value satisfies its constraint
-    dead = np.zeros(len(cons_label), dtype=bool)
-    dead[ec[~star & (values[ev] != ef)]] = True
-    checked = labelled[~dead[labelled]]
-    local = np.zeros(len(cons_label), dtype=np.int64)
-    local[checked] = np.arange(len(checked))
-    keep = star & ~dead[ec]
-    ec = ec[keep]
-    entries = ev[keep], ef[keep], local[ec], number[cons_label[ec]]
-    draw = np.flatnonzero(values == STAR)
-    draw = draw[has[var_label[draw]]]
+    start, length = flat.starts[live], flat.arity[live]
+    ends = np.cumsum(length)
+    entry = (np.arange(length.sum())
+             + np.repeat(start - ends + length, length))
+    entry = entry[~fixed[flat.cons_vars[entry]]]
+    if not len(entry):
+        return None
+    ev = flat.cons_vars[entry]
+    label = split_components(csp, entry)
+    _, ec = np.unique(flat.entry_cons[entry], return_inverse=True)
+    roots, comp = np.unique(label[ev], return_inverse=True)
+    cons_comp = np.empty(ec[-1] + 1, dtype=np.int64)
+    cons_comp[ec] = comp
+    draw = np.unique(ev)
     cum = flat.cum_table[flat.spec_of[draw]]
     return RejectionTables(
-        int(np.count_nonzero(has)), entries, number[cons_label[checked]],
-        draw, number[var_label[draw]],
+        len(roots), (ev, flat.cons_fals[entry], ec, comp), cons_comp,
+        draw, np.searchsorted(roots, label[draw]),
         cum[:, 0] if cum.shape[1] == 1 else cum)
 
 
-def free_rejection_tables(csp: AtomicCsp, _) -> RejectionTables:
-    """The tables of ``csp.free_labels`` on the all-STAR state, the same
-    on every draw under the empty marking; ``rejection_sampling`` builds
-    them on first use and keeps them in ``csp.memo``, under no marking."""
-    return rejection_tables(csp, np.full(csp.num_vars, STAR, dtype=np.int64),
-                            csp.free_labels)
-
-
-def rejection_sampling(csp: AtomicCsp, values: np.ndarray, labels,
-                       stream: TapeStream, cap: int = DEFAULT_REJECTION_CAP):
+def rejection_sampling(csp: AtomicCsp, values: np.ndarray,
+                       tables: RejectionTables | None, stream: TapeStream,
+                       cap: int = DEFAULT_REJECTION_CAP):
     """Fill the STAR entries of ``values`` (-1 = STAR) in place from their
-    product law until no constraint of their components is violated, every
+    product law until no constraint of ``tables`` is violated, every
     component rejection-sampled at once, in lockstep.
 
-    ``labels`` is ``split_components``'s pair: a component per variable and
-    per constraint.  The first attempt draws every STAR variable, ascending,
-    in one read of the stream; each later one redraws, in one ascending
-    read, every variable of the components with a violated constraint, and
-    checks only their constraints.  Which deviates a component reads depends
-    only on outcomes already revealed, so its attempts are i.i.d. product
-    draws that stop at its first success, independently of the other
-    components.
+    ``tables`` holds the components with a constraint on this state's STAR
+    variables (``rejection_tables``); None when there is none.  The first
+    attempt draws every STAR variable, ascending, in one read of the
+    stream; each later one redraws, in one ascending read, every variable
+    of the components with a violated constraint, and checks only their
+    constraints.  Which deviates a component reads depends only on outcomes
+    already revealed, so its attempts are i.i.d. product draws that stop at
+    its first success, independently of the other components.
 
-    A round after the first is a few flat passes over ``RejectionTables``:
-    one scatter marks the constraints with an entry off its falsifying
-    value, one marks the components of the rest, and one mask per table
-    keeps the pending components' entries, constraints and variables.  The
-    tables of ``csp.free_labels`` on an all-STAR state are built once per
-    instance (``free_rejection_tables``); any others once per call.
+    A round after the first is a few flat passes over the tables: one
+    scatter marks the constraints with an entry off its falsifying value,
+    one marks the components of the rest, and one mask per table keeps the
+    pending components' entries, constraints and variables.
 
     Returns (values, attempts summed over the components with a
     constraint); a variable in no constraint is drawn once and counts no
     attempt.  A component that needs more than ``cap`` attempts raises
     ``BudgetError``.
     """
-    flat = csp.flat
     draw = np.flatnonzero(values == STAR)
-    if len(draw) == len(values) and labels is csp.free_labels:
-        tables = memoized(csp, free_rejection_tables, None)
-    elif (labels[1] >= 0).any():
-        tables = rejection_tables(csp, values, labels)
-    else:
-        tables = None
-    values[draw] = product_draw(flat, draw, stream.uniforms(len(draw)))
+    values[draw] = product_draw(csp.flat, draw, stream.uniforms(len(draw)))
     if tables is None:
         return values, 0
     components = attempts = tables.components

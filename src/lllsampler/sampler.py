@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STAR, AtomicCsp, memoized, split_components
+from .core import STAR, AtomicCsp, memoized
 from .errors import BudgetError, InvariantError
-from .kernels import (LABEL_REJECTION, RandomnessTape, UpdateContext,
-                      chain_steps, rejection_sampling, update_context)
+from .kernels import (LABEL_REJECTION, RandomnessTape, RejectionTables,
+                      UpdateContext, chain_steps, rejection_sampling,
+                      rejection_tables, update_context)
 from .marking import Marking, check_theorem_conditions
 
 DEFAULT_HORIZON_CAP = 2**30
@@ -106,33 +107,31 @@ def compute_marked_entries(csp: AtomicCsp, m: Marking) -> MarkedEntries:
                          cons[starts], np.flatnonzero(~has))
 
 
-def live_labels(csp: AtomicCsp, m: Marking, values: np.ndarray):
-    """``split_components``'s labels of the constraints still falsifiable
-    under a state that is STAR exactly off the marking.
+def free_tables(csp: AtomicCsp, m: Marking) -> RejectionTables | None:
+    """The rejection tables of the constraints with no marked entry, on
+    their unmarked entries.  Under the empty marking these are every
+    draw's, so ``live_tables`` keeps them in ``csp.memo``."""
+    return rejection_tables(csp, marked_entries(csp, m).free, m.mask)
+
+
+def live_tables(csp: AtomicCsp, m: Marking,
+                values: np.ndarray) -> RejectionTables | None:
+    """The rejection tables of the constraints still falsifiable under a
+    state that is STAR exactly off the marking; None when none of them has
+    an unmarked entry.
 
     Unmarked entries are STAR, so a constraint is live when it has no
     marked entry or all of its marked entries hold their falsifying values;
-    only the marked entries are read.  The live entries are the unmarked
-    entries of the live constraints.
+    only the marked entries are read.  The tables hold the unmarked entries
+    of the live constraints.
     """
-    flat = csp.flat
     if not m.mask.any():
-        # with nothing fixed, the components are the instance's own
-        return csp.free_labels
+        return memoized(csp, free_tables, m)
     me = marked_entries(csp, m)
     hit = values[me.vars] == me.fals
-    live = np.concatenate(
-        [me.free, me.cons[np.logical_and.reduceat(hit, me.starts)]])
-    if not len(live):
-        # every variable is a component on its own
-        return (np.arange(csp.num_vars),
-                np.full(len(flat.arity), -1, dtype=np.int64))
-    start, length = flat.starts[live], flat.arity[live]
-    ends = np.cumsum(length)
-    entries = np.arange(ends[-1]) + np.repeat(start - ends + length, length)
-    mask = np.zeros(len(flat.cons_vars), dtype=bool)
-    mask[entries] = ~m.mask[flat.cons_vars[entries]]
-    return split_components(csp, mask)
+    live = np.union1d(me.free,
+                      me.cons[np.logical_and.reduceat(hit, me.starts)])
+    return rejection_tables(csp, live, m.mask)
 
 
 def final_sampling(csp: AtomicCsp, m: Marking, state: np.ndarray,
@@ -141,7 +140,7 @@ def final_sampling(csp: AtomicCsp, m: Marking, state: np.ndarray,
     as a coalesced chain leaves it, to a full solution.
 
     The constraints that are still falsifiable tie unmarked STAR variables
-    only.  Their components (``live_labels``; a variable in no such
+    only.  Their components (``live_tables``; a variable in no such
     constraint is one on its own) are rejection-sampled all at once, in
     lockstep, from one rejection stream of the seed's tape
     (``rejection_sampling``).  Returns (assignment array, rejection attempts
@@ -154,7 +153,7 @@ def final_sampling(csp: AtomicCsp, m: Marking, state: np.ndarray,
             "final sampling requires a coalesced state"
             if (star & m.mask).any()
             else "final sampling requires STAR off the marking")
-    return rejection_sampling(csp, values, live_labels(csp, m, values),
+    return rejection_sampling(csp, values, live_tables(csp, m, values),
                               RandomnessTape(seed).stream(0, LABEL_REJECTION))
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lllsampler import sampler
+from lllsampler import kernels, sampler
 from lllsampler.cli import PipelineConfig, prepare_pipeline
 from lllsampler.frontends import parse_dimacs, parse_hypergraph
 
@@ -71,3 +71,32 @@ def test_cnf_forced_rejection_attempts(monkeypatch):
         prepared.draw(1, i)
     assert len(attempts) == 20
     assert sum(attempts) == 16503
+
+
+#: ``core.split_components`` calls in draws 0-19 of each seed-1 instance: in
+#: regime no constraint is live after coalescence, and the empty marking's
+#: tables are built on the first draw and kept
+SPLITS = {"cnf-regime": 0, "coloring-q256": 0, "cnf-forced": 1}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD))
+def test_benchmark_component_splits(name, monkeypatch):
+    w = WORKLOAD[name]
+    cfg = PipelineConfig("-", w.format, w.pipeline, colors=w.colors, seed=1,
+                         force=w.force)
+    parse = parse_dimacs if w.format == "dimacs" else parse_hypergraph
+    prepared = prepare_pipeline(parse(w.generate(1).text), cfg)
+    calls = []
+    split = kernels.split_components
+
+    def counting(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(kernels, "split_components", counting)
+    for i in range(20):
+        prepared.draw(1, i)
+    assert len(calls) == SPLITS[name]
+    kept = [m for build, m in prepared.run_csp.memo
+            if build is sampler.free_tables]
+    assert kept == ([prepared.marking] if w.forced_empty else [])

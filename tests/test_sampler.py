@@ -7,13 +7,12 @@ import pytest
 
 from lllsampler import (BudgetError, InvariantError, Marking, RandomnessTape,
                         STAR, VariableSpec, bounding_chain, component,
-                        derive_seed, final_sampling, kernels,
-                        rejection_sampling, sample, systematic_scan)
-from lllsampler.core import split_components
+                        derive_seed, final_sampling, rejection_sampling,
+                        sample, sampler, systematic_scan)
 from lllsampler.cli import PreparedPipeline
 from lllsampler.kernels import (LABEL_REJECTION, TapeStream, UpdateContext,
                                 _update_in_place, coupled_update)
-from lllsampler.sampler import live_labels, marked_entries
+from lllsampler.sampler import free_tables, live_tables, marked_entries
 from lllsampler.verify import (check_bounding_invariant,
                                coalescence_experiment, enumerate_law,
                                law_of_projection, tv_distance)
@@ -242,16 +241,20 @@ def test_final_sampling_matches_per_variable_reference():
     assert rejected > 50  # many draws rejected some attempt
 
 
-def full_mask_labels(csp, values):
-    """The components of the falsifiable constraints' STAR entries, from
-    one falsifiability test of every entry."""
+def full_mask_tables(csp, values):
+    """The falsifiable constraints' STAR entries (indices into
+    ``csp.flat``), from one falsifiability test of every entry, and their
+    components as ``component`` grows them."""
     flat = csp.flat
     star = values == STAR
     on_star = star[flat.cons_vars]
     falsifiable = np.logical_and.reduceat(
         on_star | (values[flat.cons_vars] == flat.cons_fals), flat.starts)
-    live = on_star & falsifiable[flat.entry_cons]
-    return csp.free_labels if star.all() else split_components(csp, live)
+    live = np.flatnonzero(on_star & falsifiable[flat.entry_cons])
+    unmarked = np.zeros(csp.num_vars, dtype=bool)
+    comps = {component(csp, unmarked, values, v).component_vars
+             for v in flat.cons_vars[live].tolist()}
+    return live, comps
 
 
 def canonical_state(csp, m, rng, solution=None):
@@ -272,7 +275,7 @@ def canonical_state(csp, m, rng, solution=None):
     return state
 
 
-def test_live_labels_match_full_mask_oracle():
+def test_live_tables_match_full_mask_oracle():
     rng = random.Random(14)
     cases = [(c, m, False) for c, m in (weighted8(), overlap18(), uniform20(),
                                         ternary9(), free8())]
@@ -285,6 +288,7 @@ def test_live_labels_match_full_mask_oracle():
             n, [v for v in range(n) if rng.random() < 0.5]), True)]
     seen = {"live": 0, "no_marked_entry": 0, "none_live": 0}
     for csp, m, from_solution in cases:
+        flat = csp.flat
         me = marked_entries(csp, m)
         everything = np.full(csp.num_vars, STAR, dtype=np.int64)
         for seed in range(40):
@@ -292,20 +296,37 @@ def test_live_labels_match_full_mask_oracle():
                                        everything, seed + 100)[0]
                         if from_solution else None)
             state = canonical_state(csp, m, rng, solution)
-            want = full_mask_labels(csp, state)
-            got = live_labels(csp, m, state)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+            live, comps = full_mask_tables(csp, state)
+            got = live_tables(csp, m, state)
+            cons, local = np.unique(flat.entry_cons[live],
+                                    return_inverse=True)
+            if not len(live):
+                assert got is None
+            else:
+                ev, ef, ec, entry_comp = got.entries
+                assert np.array_equal(ev, flat.cons_vars[live])
+                assert np.array_equal(ef, flat.cons_fals[live])
+                # constraints numbered in id order
+                assert np.array_equal(ec, local)
+                assert len(got.cons_comp) == len(cons)
+                assert np.array_equal(got.draw, np.unique(ev))
+                cum = flat.cum_table[flat.spec_of[got.draw]]
+                assert np.array_equal(got.draw_cum, cum.squeeze(axis=1)
+                                      if cum.shape[1] == 1 else cum)
+                # the same components, up to numbering
+                assert got.components == len(comps)
+                assert {tuple(got.draw[got.draw_comp == c].tolist())
+                        for c in range(got.components)} == comps
+                at = np.searchsorted(got.draw, ev)
+                assert np.array_equal(entry_comp, got.draw_comp[at])
+                assert np.array_equal(got.cons_comp[ec], entry_comp)
             values, attempts = final_sampling(csp, m, state, seed)
-            expect = rejection_sampling(
-                csp, state.copy(), want,
+            assert (values.tolist(), attempts) == reference_final_sampling(
+                csp, m, state.tolist(),
                 RandomnessTape(seed).stream(0, LABEL_REJECTION))
-            assert values.tolist() == expect[0].tolist()
-            assert attempts == expect[1]
-            live = set(want[1][want[1] >= 0].tolist())
-            seen["live"] += bool(live - set(me.free.tolist()))
+            seen["live"] += bool(set(cons.tolist()) - set(me.free.tolist()))
             seen["no_marked_entry"] += bool(len(me.free) and m.mask.any())
-            seen["none_live"] += not live
+            seen["none_live"] += not len(cons)
     assert min(seen.values()) > 20, seen
 
 
@@ -349,6 +370,30 @@ def test_stream_batched_read():
     assert got == contiguous
 
 
+def two_ways(csp):
+    """``csp``'s all-STAR state two ways, as (instance, marking, state):
+    under the empty marking, whose rejection tables are kept on the
+    instance, and with one constraint-free variable appended and marked,
+    whose tables are built on every draw.  Both draw the same variables
+    from the same reads."""
+    n = csp.num_vars
+    extra = csp_of(list(csp.vars) + [VariableSpec.uniform(2)],
+                   constraint_pairs(csp))
+    fixed = np.full(n + 1, STAR, dtype=np.int64)
+    fixed[n] = 0
+    return [(csp, Marking.empty(n), np.full(n, STAR, dtype=np.int64)),
+            (extra, Marking.from_indices(n + 1, [n]), fixed)]
+
+
+def rejection_draw(way, stream, **cap):
+    """Rejection sampling on the tables of ``way``'s state: the unmarked
+    values and the attempts."""
+    csp, m, state = way
+    values, attempts = rejection_sampling(
+        csp, state.copy(), live_tables(csp, m, state), stream, **cap)
+    return values[~m.mask].tolist(), attempts
+
+
 def test_rejection_cap_is_exact():
     # three variables, of which only 1 1 _ is allowed: 1/4 of the attempts
     # succeed
@@ -356,47 +401,43 @@ def test_rejection_cap_is_exact():
                  [((0, 1), (0, 0)),
                   ((0, 1), (0, 1)),
                   ((1, 0), (0, 1))])
-    empty = Marking.empty(3)
+    ways = two_ways(csp)
     tape = RandomnessTape(5)
-
-    def draw(t, **cap):
-        return rejection_sampling(csp, np.full(3, STAR), csp.free_labels,
-                                  tape.stream(t, LABEL_REJECTION), **cap)
-
     seen = set()
     for t in range(100):
-        values, need = draw(t)
-        assert (values.tolist(), need) == reference_final_sampling(
-            csp, empty, [STAR] * 3, tape.stream(t, LABEL_REJECTION))
+        values, need = rejection_draw(ways[0], tape.stream(t, LABEL_REJECTION))
+        assert (values, need) == reference_final_sampling(
+            csp, ways[0][1], [STAR] * 3, tape.stream(t, LABEL_REJECTION))
         if need > 1 and need not in seen:
             seen.add(need)
-            got, k = draw(t, cap=need)
-            assert (got.tolist(), k) == (values.tolist(), need)
-            with pytest.raises(BudgetError):
-                draw(t, cap=need - 1)
+            for way in ways:
+                assert rejection_draw(way, tape.stream(t, LABEL_REJECTION),
+                                      cap=need) == (values, need)
+                with pytest.raises(BudgetError):
+                    rejection_draw(way, tape.stream(t, LABEL_REJECTION),
+                                   cap=need - 1)
     assert len(seen) >= 5
 
 
 def counting_tables(monkeypatch):
-    """Count the ``kernels.rejection_tables`` builds from here on."""
+    """Count the rejection table builds of final sampling from here on."""
     built = []
-    build = kernels.rejection_tables
+    build = sampler.rejection_tables
 
     def counting(*args):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(kernels, "rejection_tables", counting)
+    monkeypatch.setattr(sampler, "rejection_tables", counting)
     return built
 
 
 def test_free_tables_need_the_all_star_state(monkeypatch):
-    # the instance's own labels on a state with fixed variables take the
-    # tables built for that state.  The fixed variables keep the STAR
-    # variables' components those of the instance: in interleaved_3cnf
-    # they are the clause-free ones; in the 6-variable block, variable 0
-    # holds the falsifying value of both its clauses and the rest stay
-    # joined without it
+    # a marking that fixes variables takes tables built for each draw,
+    # even where the components are the instance's own: in
+    # interleaved_3cnf the fixed variables are the clause-free ones; in
+    # the 6-variable block, variable 0 holds the falsifying value of both
+    # its clauses and the rest stay joined without it
     built = counting_tables(monkeypatch)
     rng = random.Random(4)
     cases = []
@@ -413,80 +454,20 @@ def test_free_tables_need_the_all_star_state(monkeypatch):
         state = np.full(n, STAR, dtype=np.int64)
         state[list(fixed)] = list(fixed.values())
         m = Marking.from_indices(n, fixed)
+        empty = Marking.empty(n)
         built.clear()
         for seed in range(20):
-            tape = RandomnessTape(seed)
-            values, attempts = rejection_sampling(
-                csp, state.copy(), csp.free_labels,
-                tape.stream(0, LABEL_REJECTION))
+            values, attempts = final_sampling(csp, m, state, seed)
             assert (values.tolist(), attempts) == reference_final_sampling(
-                csp, m, state.tolist(), tape.stream(0, LABEL_REJECTION))
+                csp, m, state.tolist(),
+                RandomnessTape(seed).stream(0, LABEL_REJECTION))
         assert len(built) == 20
-        assert (kernels.free_rejection_tables, None) not in csp.memo
-        # the all-STAR state builds the instance's tables once
+        assert (free_tables, empty) not in csp.memo
+        # the empty marking builds the instance's tables once
         for seed in range(3):
-            rejection_sampling(csp, np.full(n, STAR), csp.free_labels,
-                               RandomnessTape(seed).stream(0, LABEL_REJECTION))
+            final_sampling(csp, empty, np.full(n, STAR), seed)
         assert len(built) == 21
-        assert (kernels.free_rejection_tables, None) in csp.memo
-
-
-def labelled_reference(csp, values, labels, stream):
-    """Lockstep rejection read off the labels alone: a component per
-    distinct constraint label, violated when every entry of one of its
-    constraints holds its falsifying value, whether drawn or fixed."""
-    var_label, cons_label = (a.tolist() for a in labels)
-    values = values.tolist()
-    pairs = constraint_pairs(csp)
-    comps = {}
-    for c, label in enumerate(cons_label):
-        if label >= 0:
-            comps.setdefault(label, []).append(pairs[c])
-    cums = [list(itertools.accumulate(s.weights)) for s in csp.vars]
-    draw = [v for v in range(csp.num_vars) if values[v] == STAR]
-    pending, attempts = set(comps), 0
-    while True:
-        for v in draw:
-            cw = cums[v]
-            values[v] = min(bisect_right(cw, stream.next_uniform()),
-                            len(cw) - 1)
-        attempts += len(pending)
-        pending = {label for label in pending
-                   if any(all(values[w] == q for w, q in zip(*pair))
-                          for pair in comps[label])}
-        if not pending:
-            return values, attempts
-        draw = [v for v in draw if var_label[v] in pending]
-
-
-def test_rejection_reads_the_labels_as_given():
-    # the instance's own labels on states that fix random variables to a
-    # solution's values, some off their falsifying values: such a
-    # constraint is never violated, and a component with no STAR variable
-    # still counts one attempt
-    rng = random.Random(6)
-    fixed_off = whole = 0
-    for s in range(8):
-        csp, empty = interleaved_3cnf(s)
-        flat = csp.flat
-        n = csp.num_vars
-        for seed in range(15):
-            solution = final_sampling(csp, empty, np.full(n, STAR),
-                                      seed + 100)[0]
-            state = np.full(n, STAR, dtype=np.int64)
-            fixed = rng.sample(range(n), rng.randrange(n))
-            state[fixed] = solution[fixed]
-            tape = RandomnessTape(seed)
-            got = rejection_sampling(csp, state.copy(), csp.free_labels,
-                                     tape.stream(0, LABEL_REJECTION))
-            assert (got[0].tolist(), got[1]) == labelled_reference(
-                csp, state, csp.free_labels, tape.stream(0, LABEL_REJECTION))
-            entry = state[flat.cons_vars]
-            fixed_off += ((entry != STAR) & (entry != flat.cons_fals)).any()
-            var_label = csp.free_labels[0]
-            whole += any((state[var_label == c] != STAR).all()
-                         for c in set(csp.free_labels[1].tolist()))
-    assert fixed_off > 50 and whole > 5
+        assert (free_tables, empty) in csp.memo
 
 
 class ReadSizes:
@@ -510,31 +491,27 @@ def test_rejection_cap_counts_rounds_across_components(monkeypatch):
                   ((2, 3, 4), (0, 0, 0)), ((2, 3), (1, 1)), ((3, 4), (0, 1)),
                   ((2, 4), (1, 0)), ((2, 3, 4), (1, 0, 1))])
     built = counting_tables(monkeypatch)
+    ways = two_ways(csp)
     tape = RandomnessTape(2)
-    copied = tuple(a.copy() for a in csp.free_labels)
     staggered = 0
     for t in range(60):
         expect = reference_final_sampling(
-            csp, Marking.empty(5), [STAR] * 5,
-            tape.stream(t, LABEL_REJECTION))
+            csp, ways[0][1], [STAR] * 5, tape.stream(t, LABEL_REJECTION))
         reads = ReadSizes(tape.stream(t, LABEL_REJECTION))
-        rejection_sampling(csp, np.full(5, STAR), csp.free_labels, reads)
+        assert rejection_draw(ways[0], reads) == expect
         rounds = len(reads.sizes)
         if rounds < 3 or reads.sizes[-1] == 5:
             continue
         staggered += 1
-        for labels in (csp.free_labels, copied):
-            def draw(cap):
-                return rejection_sampling(
-                    csp, np.full(5, STAR), labels,
-                    tape.stream(t, LABEL_REJECTION), cap=cap)
-
-            values, attempts = draw(rounds)
-            assert (values.tolist(), attempts) == expect
+        for way in ways:
+            capped = ReadSizes(tape.stream(t, LABEL_REJECTION))
+            assert rejection_draw(way, capped, cap=rounds) == expect
+            assert capped.sizes == reads.sizes
             with pytest.raises(BudgetError):
-                draw(rounds - 1)
+                rejection_draw(way, tape.stream(t, LABEL_REJECTION),
+                               cap=rounds - 1)
     assert staggered >= 10
-    # one build for the instance's own labels, two per case for the copies
+    # one build for the empty marking, two per case for the other
     assert len(built) == 1 + 2 * staggered
 
 

@@ -222,6 +222,60 @@ def test_trans_matches_per_variable_descent():
             assert got.tolist() == reference_trans(tz, sigma)
 
 
+def test_base_and_original_agree_on_satisfaction():
+    # a tensor assignment violates a base constraint exactly when its
+    # reading back violates the original one, so either instance's check
+    # decides a draw.  Half the assignments read back as an original
+    # assignment that takes one constraint's falsifying values
+    rng = random.Random(12)
+    tape = RandomnessTape(12)
+    tree8 = complete_binary_tensorize_with_marking(8)[0]
+
+    def coloring():
+        edges = tuple(tuple(sorted(rng.sample(range(7), 3)))
+                      for _ in range(rng.randint(1, 4)))
+        csp = build_coloring(HypergraphInstance(7, edges), 8)
+        return tensorize(csp, [tree8] * csp.num_vars)
+
+    def general():
+        csp = random_weighted_csp(rng, max_domain=5)
+        trees = {s: huffman_tensorize(s.weights) for s in csp.flat.specs}
+        return tensorize(csp, [trees[s] for s in csp.vars])
+
+    def uniform():
+        sizes = [rng.randint(2, 9) for _ in range(rng.randint(3, 12))]
+        cons = []
+        for _ in range(rng.randint(1, 8)):
+            vbl = rng.sample(range(len(sizes)), rng.randint(1, 3))
+            cons.append((vbl, [rng.randrange(sizes[v]) for v in vbl]))
+        trees = [uniform_randomized_tensorization(
+            d, tape.stream(rng.randrange(1 << 30), LABEL_TENSOR))[0]
+            for d in sizes]
+        return tensorize(csp_of([VariableSpec.uniform(d) for d in sizes],
+                                cons), trees)
+
+    for kind in (coloring, general, uniform):
+        seen = {True: 0, False: 0}
+        for _ in range(30):
+            tz = kind()
+            pairs = constraint_pairs(tz.original)
+            for _ in range(20):
+                sigma = [rng.randrange(s.domain_size) for s in tz.base.vars]
+                if pairs and rng.random() < 0.5:
+                    x = [rng.randrange(s.domain_size)
+                         for s in tz.original.vars]
+                    vbl, fals = rng.choice(pairs)
+                    for v, q in zip(vbl, fals):
+                        x[v] = q
+                    for v, q in enumerate(x):
+                        for z, ci in tz.trees[v].path(q):
+                            sigma[node_index(tz, v, z)] = ci
+                ok = tz.base.satisfies(sigma)
+                assert ok == tz.original.satisfies(trans(tz, sigma))
+                seen[ok] += 1
+        assert min(seen.values()) > 50, (kind.__name__, seen)
+
+
 def test_tensorize_derives_measures_with_domain1_trees():
     one = VariableSpec(1, (1.0,))
     csp = csp_of([VariableSpec.uniform(3), one, VariableSpec(2, (0.3, 0.7)),
