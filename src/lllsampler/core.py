@@ -251,14 +251,21 @@ def constraint_sums(flat: FlatCsp, x: np.ndarray, first=0.0) -> np.ndarray:
     """Per constraint, ``first`` (a scalar or one value per constraint) plus
     its entries' values ``x``, added left to right one entry at a time: a
     row-wise cumsum per distinct arity.  ``np.add.reduceat`` sums in
-    unrolled blocks, and Python's float ``sum`` is compensated from 3.12."""
+    unrolled blocks, and Python's float ``sum`` is compensated from 3.12.
+    With one arity the entries are ``x``'s rows, one per constraint, and no
+    index is gathered."""
     out = np.empty(len(flat.arity))
     first = np.broadcast_to(np.asarray(first, dtype=np.float64), out.shape)
-    for a in np.unique(flat.arity).tolist():
-        rows = np.flatnonzero(flat.arity == a)
-        block = np.empty((len(rows), a + 1))
+    arities = np.unique(flat.arity).tolist()
+    for a in arities:
+        if len(arities) == 1:
+            rows, entries = slice(None), x.reshape(len(out), a)
+        else:
+            rows = np.flatnonzero(flat.arity == a)
+            entries = x[flat.starts[rows, None] + np.arange(a)]
+        block = np.empty((len(entries), a + 1))
         block[:, 0] = first[rows]
-        block[:, 1:] = x[flat.starts[rows, None] + np.arange(a)]
+        block[:, 1:] = entries
         out[rows] = np.cumsum(block, axis=1)[:, -1]
     return out
 

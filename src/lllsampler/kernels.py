@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (STAR, AtomicCsp, FlatCsp, enumerate_solutions, left_sum,
                    memoized, split_components)
@@ -52,6 +53,20 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+class _Key(ISeedSequence):
+    """A Philox key handed over as a seed sequence: ``Philox(_Key(k))``
+    equals ``Philox(key=k)`` without the ``SeedSequence`` that ``key=``
+    first builds from OS entropy and then overrides."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 class RandomnessTape:
     """Deterministic, replayable uniform deviates of one master seed.
 
@@ -72,7 +87,7 @@ class RandomnessTape:
 
     def _generator(self, label: int, position: int) -> Generator:
         return Generator(Philox(
-            key=np.array([self.master_seed, label], dtype=np.uint64),
+            _Key(np.array([self.master_seed, label], dtype=np.uint64)),
             counter=position))
 
     def uniform(self, t: int) -> float:

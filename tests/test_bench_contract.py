@@ -100,3 +100,43 @@ def test_benchmark_component_splits(name, monkeypatch):
     kept = [m for build, m in prepared.run_csp.memo
             if build is sampler.free_tables]
     assert kept == ([prepared.marking] if w.forced_empty else [])
+
+
+#: Chain deviates handed out by ``RandomnessTape.layered_block`` and
+#: ``kernels.rejection_tables`` calls in draws 0-19 of each seed-1 instance.
+#: In regime every draw coalesces at its first horizon (4,096 > n = 3,000 on
+#: cnf-regime, 8,192 > n = 8,160 on coloring-q256) with every marked slot
+#: of the last sweep safe, so only that sweep's n deviates are read; and no
+#: constraint is live after coalescence, so no table is built.  The empty
+#: marking reads no chain deviate, and its tables are built once.
+DEVIATES = {"cnf-regime": 60_000, "coloring-q256": 163_200, "cnf-forced": 0}
+TABLES = {"cnf-regime": 0, "coloring-q256": 0, "cnf-forced": 1}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD))
+def test_benchmark_chain_deviates_and_tables(name, monkeypatch):
+    w = WORKLOAD[name]
+    cfg = PipelineConfig("-", w.format, w.pipeline, colors=w.colors, seed=1,
+                         force=w.force)
+    parse = parse_dimacs if w.format == "dimacs" else parse_hypergraph
+    prepared = prepare_pipeline(parse(w.generate(1).text), cfg)
+    deviates = []
+    tables = []
+    block = kernels.RandomnessTape.layered_block
+    build = sampler.rejection_tables
+
+    def counting_block(self, t_start, t_stop):
+        deviates.append(t_stop - t_start)
+        return block(self, t_start, t_stop)
+
+    def counting_tables(*args):
+        tables.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(kernels.RandomnessTape, "layered_block",
+                        counting_block)
+    monkeypatch.setattr(sampler, "rejection_tables", counting_tables)
+    for i in range(20):
+        prepared.draw(1, i)
+    assert sum(deviates) == DEVIATES[name]
+    assert len(tables) == TABLES[name]

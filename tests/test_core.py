@@ -147,6 +147,43 @@ def test_constraint_sums_add_left_to_right():
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
+def gathered_sums(f, x, first):
+    """Per constraint, ``first`` plus its entries gathered by index into
+    one row per constraint, summed by a row-wise cumsum."""
+    out = np.empty(len(f.arity))
+    for a in np.unique(f.arity).tolist():
+        rows = np.flatnonzero(f.arity == a)
+        block = np.column_stack(
+            [first[rows], x[f.starts[rows, None] + np.arange(a)]])
+        out[rows] = np.cumsum(block, axis=1)[:, -1]
+    return out
+
+
+@pytest.mark.parametrize("arities", [(7,), (1,), (3, 5, 12)])
+def test_constraint_sums_match_the_gather_path(arities):
+    # one arity reads the entries as rows of x; both layouts must add in
+    # the gather path's order, bit for bit
+    rng = random.Random(len(arities) * 100 + arities[0])
+    n = 30
+    for _ in range(20):
+        cons = []
+        for _ in range(rng.randint(1, 60)):
+            vbl = tuple(rng.sample(range(n), rng.choice(arities)))
+            cons.append((vbl, (0,) * len(vbl)))
+        f = csp_of([VariableSpec.uniform(2)] * n, cons).flat
+        x = np.array([rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
+                      for _ in range(len(f.cons_vars))])
+        first = np.array([rng.uniform(-1e3, 1e3) for _ in cons])
+        ends = (f.starts + f.arity).tolist()
+        want = [acc_sum(a, x[s:e].tolist())
+                for a, s, e in zip(first.tolist(), f.starts.tolist(), ends)]
+        for got in (core.constraint_sums(f, x, first),
+                    gathered_sums(f, x, first)):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        assert (core.constraint_sums(f, x).tobytes()
+                == gathered_sums(f, x, np.zeros(len(cons))).tobytes())
+
+
 def test_log_p_matches_the_entry_loop_bitwise():
     rng = random.Random(11)
     for _ in range(100):

@@ -56,6 +56,24 @@ def test_layered_block_is_window_stable():
             assert np.array_equal(blocks[a2][a - a2:], block), (a2, a)
 
 
+def test_generator_is_keyed_philox_without_entropy():
+    # the tape's generators equal Philox(key=...) at the same counter, for
+    # layered-block positions near 2^60 and stream addresses past 2^128
+    positions = [0, 5, (1 << 60) - 3, 1 << 60, (1 << 60) + 12345]
+    positions += [(t + (1 << 62)) << 80 for t in (-7, 0, 3, 1 << 40)]
+    for seed in (0, 9, 2**64 - 1):
+        tape = RandomnessTape(seed)
+        for label in range(4):
+            key = np.array([seed, label], dtype=np.uint64)
+            for pos in positions:
+                g = tape._generator(label, pos)
+                want = Generator(Philox(key=key, counter=pos)).random(64)
+                assert np.array_equal(g.random(64), want), (seed, label, pos)
+                # no SeedSequence, so no OS entropy is read
+                assert not isinstance(g.bit_generator.seed_seq,
+                                      np.random.SeedSequence)
+
+
 def test_stream_is_prefix_stable():
     tape = RandomnessTape(9)
     s1 = tape.stream(3, LABEL_REJECTION)

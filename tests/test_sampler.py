@@ -565,6 +565,66 @@ def test_sweep_chain_matches_per_slot_reference():
                for s in range(40)) >= 4
 
 
+def first_residual_slot(csp, m, seed):
+    """The earliest time of [-n, 0) whose marked slot's deviate lands in the
+    residual layer; None when every marked slot there is safe."""
+    ctx = UpdateContext(csp, m)
+    n = csp.num_vars
+    u0s = RandomnessTape(seed).layered_block(-n, 0)
+    for v in m.indices():
+        if u0s[v] >= ctx.safe_total[csp.flat.spec_of[v]]:
+            return v - n
+    return None
+
+
+def windows_taken(monkeypatch):
+    """Record, per ``_last_window`` call, whether the window gave the
+    state (True) or the chain fell back to the whole horizon (False)."""
+    taken = []
+    window = sampler._last_window
+
+    def recording(*args):
+        state = window(*args)
+        taken.append(state is not None)
+        return state
+
+    monkeypatch.setattr(sampler, "_last_window", recording)
+    return taken
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_last_window_and_fallback_match_per_slot_reference(monkeypatch,
+                                                           chunk):
+    # T > n: the last sweep alone when its marked slots are all safe, the
+    # whole horizon from all-STAR otherwise; both as the per-slot chain
+    if chunk is not None:
+        # the window spans several blocks, and a residual slot in a later
+        # block restarts from a fresh state
+        monkeypatch.setattr(sampler, "_CHUNK", chunk)
+    taken = windows_taken(monkeypatch)
+    later_block = 0
+    cases = [weighted8(), overlap18(), uniform20(), free8(), ternary9()]
+    for csp, m in cases:
+        n = csp.num_vars
+        for T in (n + 1, 2 * n + 3, 4 * n, 5 * n + 2):
+            for seed in range(40):
+                run = bounding_chain(csp, m, T, seed)
+                assert (run.state.tolist(), run.coalesced) == (
+                    reference_bounding_chain(csp, m, T, seed)), (n, T, seed)
+                t = first_residual_slot(csp, m, seed)
+                assert taken[-1] == (t is None), (n, T, seed)
+                if chunk is not None and t is not None and t >= -n + chunk:
+                    later_block += 1
+    assert taken.count(True) >= 20 and taken.count(False) >= 20
+    if chunk is not None:
+        assert later_block >= 20
+    # T <= n never reads the window
+    csp, m = ternary9()
+    for T in (1, 8, 9):
+        bounding_chain(csp, m, T, 0)
+    assert len(taken) == 4 * 40 * len(cases)
+
+
 def test_sweep_chain_crosses_a_deviate_block():
     # 2^16 + 5 steps: the deviates come in two blocks, cut inside a sweep
     T = (1 << 16) + 5
