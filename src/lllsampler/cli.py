@@ -249,7 +249,8 @@ _OPTIONS = {
                          show_default=True),
     "out": click.option("--out", default=None, help="Output file."),
     "max_horizon": click.option("--max-horizon", default=DEFAULT_HORIZON_CAP,
-                                type=int, show_default=True),
+                                type=click.IntRange(min=1),
+                                show_default=True),
     "force": click.option("--force", is_flag=True,
                           help="Fall back to the empty marking when no "
                                "passing marking is found."),

@@ -8,9 +8,10 @@ int64 array, -1 for STAR, from the chain to the emitted draw.  The chain
 runs one sweep (n consecutive times, cut at multiples of n) at a time: the
 safe-layer values of a sweep's marked slots are one numpy pass, and only the
 slots whose deviate lands in the residual layer are stepped one by one
-(``kernels.chain_steps``).  When the horizon exceeds n and every marked
-slot of the last sweep [-n, 0) is safe, that sweep alone sets the state at
-time 0, and the steps before it are skipped.  Randomness is keyed by
+(``kernels.chain_steps``).  The last sweep [max(-T, -n), 0) is read
+first, in one block; when the horizon exceeds n and every marked slot
+there is safe, that sweep run from all-STAR sets the state at time 0, and
+the steps before it are skipped.  Randomness is keyed by
 absolute time, so doubling the horizon replays the shared suffix exactly;
 once no marked variable holds STAR at time 0, the marked state is an exact
 draw from the projected stationary law and rejection sampling extends it
@@ -31,7 +32,8 @@ from .kernels import (LABEL_REJECTION, RandomnessTape, RejectionTables,
 from .marking import Marking, check_theorem_conditions
 
 DEFAULT_HORIZON_CAP = 2**30
-#: Chain deviates drawn per ``layered_block`` call.
+#: Chain deviates drawn per ``layered_block`` call by ``_run_chain``; the
+#: last sweep of ``bounding_chain`` is one call of at most n.
 _CHUNK = 1 << 16
 
 
@@ -64,49 +66,29 @@ def _run_chain(ctx: UpdateContext, state: np.ndarray, tape: RandomnessTape,
         chain_steps(ctx, state, a, tape.layered_block(a, b))
 
 
-def _last_window(ctx: UpdateContext,
-                 tape: RandomnessTape) -> np.ndarray | None:
-    """The state at time 0 set by the steps of [-n, 0) alone, or None when
-    one of their marked slots' deviates lands in the residual layer.
-
-    That window updates each marked variable exactly once, for the last
-    time, and a safe-layer update depends on its deviate alone: when every
-    marked slot is safe, their safe values, written into an all-STAR
-    state, are the state at time 0 whatever the chain held before the
-    window.  The deviates are read in ``_CHUNK`` blocks, and a block's safe
-    values are one comparison with ``ctx.marked_cum``, as in
-    ``chain_steps``.
-    """
-    n, idx = ctx.n, ctx.marked_idx
-    state = np.full(n, STAR, dtype=np.int64)
-    for a in range(-n, 0, _CHUNK):
-        b = min(a + _CHUNK, 0)
-        i0, i1 = np.searchsorted(idx, (a + n, b + n)).tolist()
-        vs = idx[i0:i1]
-        u = tape.layered_block(a, b)[vs - (a + n)]
-        if (u >= ctx.marked_total[i0:i1]).any():
-            return None
-        state[vs] = (ctx.marked_cum[i0:i1] <= u[:, None]).sum(axis=1)
-    return state
-
-
 def bounding_chain(csp: AtomicCsp, m: Marking, T: int,
                    master_seed: int) -> ChainRun:
     """Run the bounding chain from all-STAR at time -T to time 0.
 
     Deterministic given (csp, m, T, seed); a run at horizon 2T replays the
-    same per-time randomness on the shared suffix.  When T > n and the
-    last sweep's marked slots are all safe, only that sweep is run
-    (``_last_window``); the state is the same.
+    same per-time randomness on the shared suffix.  The last sweep
+    [max(-T, -n), 0) is read first, in one block, and applied last.  When
+    T > n that sweep updates each marked variable once, for the last time,
+    and a safe update depends on its deviate alone (u[v] is variable v's
+    deviate): so the steps of [-T, -n) run first only when one of its
+    marked slots lands in the residual layer, and otherwise the sweep
+    starts from all-STAR with the same result.  Nothing is read when
+    nothing is marked.
     """
     ctx = update_context(csp, m)
-    tape = RandomnessTape(master_seed)
-    state = None
-    if T > ctx.n and len(ctx.marked_idx):
-        state = _last_window(ctx, tape)
-    if state is None:
-        state = np.full(csp.num_vars, STAR, dtype=np.int64)
-        _run_chain(ctx, state, tape, -T, 0)
+    state = np.full(csp.num_vars, STAR, dtype=np.int64)
+    if len(ctx.marked_idx):
+        tape = RandomnessTape(master_seed)
+        last = max(-T, -ctx.n)
+        u = tape.layered_block(last, 0)
+        if T > ctx.n and (u[ctx.marked_idx] >= ctx.marked_total).any():
+            _run_chain(ctx, state, tape, -T, last)
+        chain_steps(ctx, state, last, u)
     return ChainRun(T, state, bool((state[ctx.marked_idx] != STAR).all()))
 
 

@@ -108,7 +108,9 @@ def test_benchmark_component_splits(name, monkeypatch):
 #: cnf-regime, 8,192 > n = 8,160 on coloring-q256) with every marked slot
 #: of the last sweep safe, so only that sweep's n deviates are read; and no
 #: constraint is live after coalescence, so no table is built.  The empty
-#: marking reads no chain deviate, and its tables are built once.
+#: marking reads no chain deviate, and its tables are built once.  A draw
+#: whose last sweep held a residual slot would read T deviates, not T + n:
+#: the steps before that sweep, then the sweep's own block, once.
 DEVIATES = {"cnf-regime": 60_000, "coloring-q256": 163_200, "cnf-forced": 0}
 TABLES = {"cnf-regime": 0, "coloring-q256": 0, "cnf-forced": 1}
 

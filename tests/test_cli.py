@@ -140,6 +140,18 @@ def test_exit_codes(cnf_file, tmp_path, capsys):
     assert "no coalescence by horizon 1" in capsys.readouterr().err
 
 
+def test_max_horizon_must_be_positive(cnf_file, capsys):
+    # a horizon cap below 1 is a usage error, before any set-up or draw
+    for command in ("sample", "verify"):
+        for cap in ("0", "-5"):
+            assert run([command, "--input", cnf_file, "--format", "dimacs",
+                        "--pipeline", "binary", "--force",
+                        "--max-horizon", cap]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: Invalid value for "
+                                  "'--max-horizon'"), err
+
+
 def test_jobs_keep_the_setup_exit_code(cnf_file, tmp_path):
     # a set-up error reaches the user as itself, on one line, as serially;
     # run as a program, so that whatever a worker writes shows

@@ -577,52 +577,71 @@ def first_residual_slot(csp, m, seed):
     return None
 
 
-def windows_taken(monkeypatch):
-    """Record, per ``_last_window`` call, whether the window gave the
-    state (True) or the chain fell back to the whole horizon (False)."""
-    taken = []
-    window = sampler._last_window
+def chain_reads(monkeypatch):
+    """Record the (t_start, t_stop) of every ``layered_block`` call."""
+    reads = []
+    block = RandomnessTape.layered_block
 
-    def recording(*args):
-        state = window(*args)
-        taken.append(state is not None)
-        return state
+    def recording(self, t_start, t_stop):
+        reads.append((t_start, t_stop))
+        return block(self, t_start, t_stop)
 
-    monkeypatch.setattr(sampler, "_last_window", recording)
-    return taken
+    monkeypatch.setattr(RandomnessTape, "layered_block", recording)
+    return reads
+
+
+#: Chain deviates and ``layered_block`` calls of ``bounding_chain`` at
+#: T = 4n over seeds 0-39: each fallback reads T deviates, each run whose
+#: last sweep is all safe reads n.
+READS_AT_4N = {"ternary9": (1_413, 79), "weighted8": (392, 43)}
 
 
 @pytest.mark.parametrize("chunk", [None, 4])
 def test_last_window_and_fallback_match_per_slot_reference(monkeypatch,
                                                            chunk):
-    # T > n: the last sweep alone when its marked slots are all safe, the
-    # whole horizon from all-STAR otherwise; both as the per-slot chain
+    # T > n: the last sweep [-n, 0) is read first; the steps before it run
+    # only when one of its marked slots is residual; both as the per-slot
+    # chain, and no chain time is read twice
     if chunk is not None:
-        # the window spans several blocks, and a residual slot in a later
-        # block restarts from a fresh state
+        # the earlier steps of a fallback span several blocks
         monkeypatch.setattr(sampler, "_CHUNK", chunk)
-    taken = windows_taken(monkeypatch)
-    later_block = 0
-    cases = [weighted8(), overlap18(), uniform20(), free8(), ternary9()]
-    for csp, m in cases:
+    reads = chain_reads(monkeypatch)
+    branches = {True: 0, False: 0}
+    several_blocks = 0
+    at_4n = {}
+    cases = {"weighted8": weighted8(), "overlap18": overlap18(),
+             "uniform20": uniform20(), "free8": free8(),
+             "ternary9": ternary9()}
+    for name, (csp, m) in cases.items():
         n = csp.num_vars
         for T in (n + 1, 2 * n + 3, 4 * n, 5 * n + 2):
             for seed in range(40):
+                reads.clear()
                 run = bounding_chain(csp, m, T, seed)
+                got = list(reads)
                 assert (run.state.tolist(), run.coalesced) == (
                     reference_bounding_chain(csp, m, T, seed)), (n, T, seed)
-                t = first_residual_slot(csp, m, seed)
-                assert taken[-1] == (t is None), (n, T, seed)
-                if chunk is not None and t is not None and t >= -n + chunk:
-                    later_block += 1
-    assert taken.count(True) >= 20 and taken.count(False) >= 20
-    if chunk is not None:
-        assert later_block >= 20
-    # T <= n never reads the window
+                fallback = first_residual_slot(csp, m, seed) is not None
+                branches[fallback] += 1
+                assert got[0] == (-n, 0), (n, T, seed)
+                times = [t for a, b in got for t in range(a, b)]
+                assert sorted(times) == list(
+                    range(-T if fallback else -n, 0)), (n, T, seed)
+                several_blocks += fallback and len(got) > 2
+                if T == 4 * n and name in READS_AT_4N:
+                    deviates, calls = at_4n.get(name, (0, 0))
+                    at_4n[name] = (deviates + len(times), calls + len(got))
+    assert branches[False] >= 20 and branches[True] >= 20
+    if chunk is None:
+        assert at_4n == READS_AT_4N
+    else:
+        assert several_blocks >= 20
+    # T <= n: the whole horizon is the last sweep, read once
     csp, m = ternary9()
     for T in (1, 8, 9):
+        reads.clear()
         bounding_chain(csp, m, T, 0)
-    assert len(taken) == 4 * 40 * len(cases)
+        assert reads == [(-T, 0)]
 
 
 def test_sweep_chain_crosses_a_deviate_block():
