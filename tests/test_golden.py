@@ -5,7 +5,8 @@ each forced fallback), one per residual case over
 rejection case over 30 ``final_sampling`` draws and their attempt totals
 under the empty marking, and one per input text over the ``flat`` arrays of
 the parsed and the chain instance, the marking and the first 20 draws of
-text -> parse -> ``prepare_pipeline``.
+text -> parse -> ``prepare_pipeline``, and one over the structure and marks
+of the uniform, the coloring and the Huffman trees.
 
 A change that keeps the draw stream keeps these digests.  A change that alters
 the stream on purpose updates them, names the change, and re-certifies the law
@@ -15,6 +16,7 @@ case's current digest.
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -26,7 +28,11 @@ from lllsampler import (STAR, Marking, VariableSpec, final_sampling, kernels,
 from lllsampler.cli import PipelineConfig, prepare_pipeline
 from lllsampler.frontends import (HypergraphInstance, parse_dimacs,
                                   parse_hypergraph)
+from lllsampler.kernels import LABEL_TENSOR, RandomnessTape
 from lllsampler.marking import check_necessary_bound
+from lllsampler.tensorization import (complete_binary_tensorize_with_marking,
+                                      huffman_tensorize,
+                                      uniform_randomized_tensorization)
 
 from conftest import csp_of, ternary9, weighted8
 from test_marking import binary_regime_instance
@@ -48,6 +54,17 @@ def uniform_octal(k=45):
     construction finds a passing marking at k = 20 and 45, and none at
     k = 5."""
     vars = [VariableSpec.uniform(8) for _ in range(k)]
+    return csp_of(vars, [(tuple(range(k)), (0,) * k)])
+
+
+def uniform_mixed(k=16):
+    """k uniform variables in one constraint forbidding all-0, their
+    domains cycling through 2, 3, 5, 6, 7, 8, 11 and 16: every fixed
+    candidate, N = 6's two-subtree one included, and two large sizes.  The
+    uniform construction finds a passing marking at k = 16 and none at
+    k = 6."""
+    sizes = (2, 3, 5, 6, 7, 8, 11, 16)
+    vars = [VariableSpec.uniform(sizes[i % len(sizes)]) for i in range(k)]
     return csp_of(vars, [(tuple(range(k)), (0,) * k)])
 
 
@@ -94,6 +111,14 @@ CASES = {
         uniform_octal(5),
         PipelineConfig("-", "csp", "uniform", seed=SEED, force=True), True,
         "0c30b24657a449a3c7c7172b1f1abdb407d142fa213e7fad086af1374db94cb4"),
+    "uniform-mixed": (
+        uniform_mixed(),
+        PipelineConfig("-", "csp", "uniform", seed=SEED), False,
+        "daae5fcaa41b90d729e5c92c0f764a59b7ff1268d4aed4ecfcde2ea7db32335f"),
+    "uniform-mixed-forced": (
+        uniform_mixed(6),
+        PipelineConfig("-", "csp", "uniform", seed=SEED, force=True), True,
+        "13e304956cfbf7c15f7fe05d9ac12b0e3d7fbe7fa46aa2cec37eea978fafc2f9"),
     "coloring-q3-forced": (
         HypergraphInstance(4, ((0, 1, 2), (1, 2, 3))),
         PipelineConfig("-", "hypergraph", "coloring", colors=3, seed=SEED,
@@ -300,6 +325,45 @@ def test_text_pipeline_digest(case):
     assert text_digest(parse, text, cfg) == expected
 
 
+def tree_digest() -> str:
+    """sha256 over the children, weights, leaf values and marks of 60
+    uniform draws for each N = 2..39 (one tape), the coloring templates of
+    a few Q, and 200 seeded Huffman pmfs, skewed or with tied masses."""
+    h = hashlib.sha256()
+
+    def add(tree, marks=()):
+        h.update(json.dumps([tree.children, tree.weight,
+                             sorted(tree.leaf_value.items()),
+                             sorted(marks)]).encode() + b"\n")
+
+    tape = RandomnessTape(SEED)
+    for n in range(2, 40):
+        stream = tape.stream(n, LABEL_TENSOR)
+        for _ in range(60):
+            draw = uniform_randomized_tensorization(n, stream)
+            add(draw[0], draw[1])
+    for q in (5, 6, 7, 8, 13, 256):
+        add(*complete_binary_tensorize_with_marking(q))
+    rng = random.Random(SEED)
+    for i in range(200):
+        size = rng.randint(1, 40)
+        if i % 3:
+            raw = [rng.random() ** 4 + 1e-3 for _ in range(size)]
+        else:
+            raw = [rng.choice((1.0, 2.0, 3.0)) for _ in range(size)]
+        total = math.fsum(raw)
+        add(huffman_tensorize([w / total for w in raw]))
+    return h.hexdigest()
+
+
+TREE_DIGEST = (
+    "9d7abf929b1f0f9d487093576c6415637dd48ac50cc3532ca83d5c47f2c09210")
+
+
+def test_tree_digest():
+    assert tree_digest() == TREE_DIGEST
+
+
 if __name__ == "__main__":
     # Print each case's current digest, to paste into CASES after a change
     # that alters the draw stream on purpose.
@@ -311,3 +375,4 @@ if __name__ == "__main__":
         print(name, rejection_digest(make()))
     for name, (parse, text, cfg, _) in sorted(TEXT_CASES.items()):
         print(name, text_digest(parse, text, cfg))
+    print("trees", tree_digest())
