@@ -396,8 +396,7 @@ def cmd_tensorize(out, **kw):
     lines = []
     for v, tree in enumerate(t.trees):
         nodes = np.array(tree.internal_nodes(), dtype=np.int64)
-        marked = prepared.marking.mask[
-            t.first_node[v] + t.node_rank[t.var_root[v] + nodes]]
+        marked = prepared.marking.mask[t.node_vars(v, nodes)]
         marks = set(nodes[marked].tolist())
         lines.append(f"var {prepared.kept_vars[v]}")
         lines.append(tree.dump(marks))
@@ -413,7 +412,7 @@ def cmd_selftest(seed, out):
     # quick structural probes
     rng = RandomnessTape(derive_seed(seed, "selftest"))
     for n in range(2, 18):
-        tree, _ = uniform_randomized_tensorization(
+        tree, _, _ = uniform_randomized_tensorization(
             n, rng.stream(n, LABEL_TENSOR))
         for q in range(n):
             if abs(tree.leaf_product(q) - 1.0 / n) > 1e-12:

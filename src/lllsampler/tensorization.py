@@ -103,10 +103,7 @@ class TensorTree:
         return prod
 
     def depth(self) -> int:
-        def rec(z):
-            ch = self.children[z]
-            return 0 if not ch else 1 + max(rec(c) for c in ch)
-        return rec(0)
+        return max(self.levels())
 
     def levels(self) -> tuple[int, ...]:
         """Per-node distance from the root."""
@@ -122,18 +119,16 @@ class TensorTree:
         """Indented text form for golden-file comparison."""
         marks = set(marks)
         lines = []
-
-        def rec(z, depth):
+        stack = [(0, 0)]
+        while stack:
+            z, depth = stack.pop()
             kind = "leaf" if not self.children[z] else "node"
             tag = " *" if z in marks else ""
             val = (f" value={self.leaf_value[z]}"
                    if z in self.leaf_value else "")
             lines.append(f"{'  ' * depth}{kind} {z} w={self.weight[z]:.12g}"
                          f"{val}{tag}")
-            for c in self.children[z]:
-                rec(c, depth + 1)
-
-        rec(0, 0)
+            stack += [(c, depth + 1) for c in reversed(self.children[z])]
         return "\n".join(lines)
 
 
@@ -154,17 +149,19 @@ class _TreeBuilder:
     def leaves(self) -> list[int]:
         """Leaf ids in depth-first (left to right) order."""
         out = []
-
-        def rec(z):
+        stack = [0]
+        while stack:
+            z = stack.pop()
             if not self.children[z]:
                 out.append(z)
-            for c in self.children[z]:
-                rec(c)
-
-        rec(0)
+            stack += reversed(self.children[z])
         return out
 
-    def build(self, leaf_values: dict[int, int]) -> TensorTree:
+    def build(self, leaf_values: dict[int, int] | None = None) -> TensorTree:
+        """The tree, its leaves valued left to right unless ``leaf_values``
+        maps them."""
+        if leaf_values is None:
+            leaf_values = {leaf: i for i, leaf in enumerate(self.leaves())}
         return TensorTree(tuple(tuple(c) for c in self.children),
                           tuple(self.weight), dict(leaf_values))
 
@@ -184,40 +181,38 @@ def _balanced(b: _TreeBuilder, node: int, n: int) -> None:
 
 def _huffman_structure(masses):
     """Huffman merge order: returns a nested structure where an int is an
-    input item index and a pair is a merge; ties break on lowest creation
-    index, so the result is deterministic."""
+    input item index and a merge is a pair of (mass, side) pairs; ties break
+    on lowest creation index, so the result is deterministic."""
     heap = [(m, i, i) for i, m in enumerate(masses)]
     heapq.heapify(heap)
     next_id = len(masses)
     while len(heap) > 1:
         m1, _, s1 = heapq.heappop(heap)
         m2, _, s2 = heapq.heappop(heap)
-        heapq.heappush(heap, (m1 + m2, next_id, (s1, s2)))
+        heapq.heappush(heap, (m1 + m2, next_id, ((m1, s1), (m2, s2))))
         next_id += 1
     return heap[0][2]
 
 
-def _struct_mass(struct, masses):
-    if isinstance(struct, int):
-        return masses[struct]
-    return _struct_mass(struct[0], masses) + _struct_mass(struct[1], masses)
-
-
-def _attach(b: _TreeBuilder, node: int, struct, masses, marks,
-            leaf) -> None:
-    """Grow a ``_huffman_structure`` under ``node``, depth first: each merge
-    node goes into ``marks`` and gets one child per side, weighted by the
-    sides' masses; each input index i at a node goes to ``leaf(node, i)``."""
-    if isinstance(struct, int):
-        leaf(node, struct)
-        return
-    marks.add(node)
-    l, r = struct
-    ml = _struct_mass(l, masses)
-    mr = _struct_mass(r, masses)
-    tot = ml + mr
-    _attach(b, b.add(node, ml / tot), l, masses, marks, leaf)
-    _attach(b, b.add(node, mr / tot), r, masses, marks, leaf)
+def _attach(b: _TreeBuilder, struct, leaf) -> list[int]:
+    """Grow a ``_huffman_structure`` from the root, depth first, and return
+    its merge nodes: each merge gets one child per side, weighted by the
+    sides' masses, and each input index i at a node goes to
+    ``leaf(node, i)``.  A child is added when the walk reaches it, so node
+    ids follow depth-first creation order."""
+    merges = []
+    stack = [(None, 1.0, struct)]
+    while stack:
+        parent, w, s = stack.pop()
+        node = 0 if parent is None else b.add(parent, w)
+        if isinstance(s, int):
+            leaf(node, s)
+            continue
+        merges.append(node)
+        (ml, l), (mr, r) = s
+        tot = ml + mr
+        stack += [(node, mr / tot, r), (node, ml / tot, l)]
+    return merges
 
 
 def huffman_tensorize(pmf) -> TensorTree:
@@ -230,11 +225,10 @@ def huffman_tensorize(pmf) -> TensorTree:
         raise InvalidInstanceError("pmf must be positive and sum to 1")
     b = _TreeBuilder()
     if len(pmf) == 1:
-        leaf = b.add(0, 1.0)
-        return b.build({leaf: 0})
+        b.add(0, 1.0)
+        return b.build()
     leaf_values = {}
-    _attach(b, 0, _huffman_structure(pmf), pmf, set(),
-            leaf_values.__setitem__)
+    _attach(b, _huffman_structure(pmf), leaf_values.__setitem__)
     tree = b.build(leaf_values)
     bound = max(max(pmf) / min(pmf), 2.0)
     for z in tree.internal_nodes():
@@ -250,8 +244,7 @@ class TensorizedCsp:
 
     ``base`` has one variable per internal tree node (domain = its children,
     pmf = edge weights), each variable's internal nodes in turn from
-    ``first_node[v]`` on: variable v's local internal node z is node
-    variable ``first_node[v] + node_rank[var_root[v] + z]``.
+    ``first_node[v]`` on (``node_vars``).
 
     The back-map tables (``trans``) number the nodes of the distinct trees
     one tree after another.  ``node_child[z]`` lists node z's children,
@@ -272,6 +265,10 @@ class TensorizedCsp:
     node_value: np.ndarray = field(compare=False, repr=False)
     node_rank: np.ndarray = field(compare=False, repr=False)
     depth: int = field(compare=False)
+
+    def node_vars(self, v: int, nodes) -> np.ndarray:
+        """The node variables of variable v's local internal nodes."""
+        return self.first_node[v] + self.node_rank[self.var_root[v] + nodes]
 
 
 def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
@@ -401,11 +398,10 @@ def trans(tensorized: TensorizedCsp, sigma_tensor) -> np.ndarray:
 def global_marking(tensorized: TensorizedCsp, per_var_marks) -> Marking:
     """Lift per-variable local node mark sets to a marking over the
     tensorized variable set."""
-    t = tensorized
-    mask = np.zeros(t.base.num_vars, dtype=bool)
+    mask = np.zeros(tensorized.base.num_vars, dtype=bool)
     for v, local in enumerate(per_var_marks):
-        z = np.fromiter(local, np.int64, len(local))
-        mask[t.first_node[v] + t.node_rank[t.var_root[v] + z]] = True
+        mask[tensorized.node_vars(
+            v, np.fromiter(local, np.int64, len(local)))] = True
     return Marking(mask)
 
 
@@ -432,7 +428,7 @@ def complete_binary_tensorize_with_marking(q_colors: int):
         raise RegimeError("complete binary tensorization requires Q >= 5")
     b = _TreeBuilder()
     _balanced(b, 0, q_colors)
-    tree = b.build({leaf: i for i, leaf in enumerate(b.leaves())})
+    tree = b.build()
     if tree.depth() != math.ceil(math.log2(q_colors)):
         raise InvariantError("balanced tree has unexpected depth")
     r_level = int(math.floor((2.0 / 3.0) * math.log2(q_colors)))
@@ -456,40 +452,28 @@ def complete_binary_tensorize_with_marking(q_colors: int):
 # making the per-constraint deviation bounds of the binary case carry over.
 
 
-def _candidate(shape, marks):
-    """shape: int n for a balanced n-leaf tree, or a pair of (size, shape)
-    children of the root.  marks: node ids under the builder's creation
-    order."""
+def _candidate(struct, sizes, marks=None):
+    """Balanced ``sizes[i]``-leaf subtrees grown at the leaves of a
+    ``_huffman_structure``, as (tree, marks, xs) with xs[q] value q's marked
+    log2-mass.  ``marks`` are node ids under the builder's creation order
+    (root 0, then depth first), by default the structure's merge nodes."""
     b = _TreeBuilder()
-    if isinstance(shape, int):
-        _balanced(b, 0, shape)
-    else:
-        total = left_sum(s for s, _ in shape)
-        for size, sub in shape:
-            node = b.add(0, size / total)
-            if isinstance(sub, int):
-                _balanced(b, node, sub)
-    leaves = b.leaves()
-    tree = b.build({leaf: i for i, leaf in enumerate(leaves)})
-    xs = [marked_path_log2(tree, marks, q) for q in range(len(leaves))]
-    return tree, frozenset(marks), xs
+    merges = _attach(b, struct, lambda node, i: _balanced(b, node, sizes[i]))
+    tree = b.build()
+    marks = frozenset(merges if marks is None else marks)
+    xs = [marked_path_log2(tree, marks, q) for q in range(tree.num_values)]
+    return tree, marks, xs
 
 
-@functools.lru_cache(maxsize=None)
 def _fixed_candidates(n: int):
-    """The two fixed (tree, marks) pairs for 3 <= N <= 7.  Node ids follow
-    the builder's creation order (root 0, then depth-first)."""
-    if n == 3:
-        return [_candidate(3, {0, 1}), _candidate(3, {0})]
-    if n == 4:
-        return [_candidate(4, {0}), _candidate(4, {0, 1, 2})]
-    if n == 5:
-        return [_candidate(5, {0, 1}), _candidate(5, {1, 2, 3})]
+    """The two fixed candidates for 2 <= N <= 7: balanced trees, except
+    N = 6's first, a 4-leaf and a 2-leaf balanced subtree under the root."""
     if n == 6:
-        return [_candidate(((4, 4), (2, 2)), {0, 1}), _candidate(6, {0})]
-    if n == 7:
-        return [_candidate(7, {0, 1}), _candidate(7, {1, 2, 3, 4, 9})]
-    raise InvariantError("no fixed candidates for this size")
+        return [_candidate(((4, 0), (2, 1)), (4, 2), {0, 1}),
+                _candidate(0, (6,), {0})]
+    first, second = {2: ({0}, ()), 3: ({0, 1}, {0}), 4: ({0}, {0, 1, 2}),
+                     5: ({0, 1}, {1, 2, 3}), 7: ({0, 1}, {1, 2, 3, 4, 9})}[n]
+    return [_candidate(0, (n,), first), _candidate(0, (n,), second)]
 
 
 def subtree_counts(n: int, x: int) -> tuple[int, int]:
@@ -499,7 +483,6 @@ def subtree_counts(n: int, x: int) -> tuple[int, int]:
     return nsub * (x + 1) - n, n - nsub * x
 
 
-@functools.lru_cache(maxsize=None)
 def _large_candidate(n: int, x: int):
     """A Huffman top tree (all its merge nodes marked) over A balanced x-leaf
     and B balanced (x+1)-leaf subtrees."""
@@ -508,16 +491,7 @@ def _large_candidate(n: int, x: int):
         raise InvariantError(
             f"subtree counts out of range for N={n}, x={x}")
     sizes = [x] * a + [x + 1] * bb
-    masses = [s / n for s in sizes]
-    b = _TreeBuilder()
-    marks = set()
-    _attach(b, 0, _huffman_structure(masses), masses, marks,
-            lambda node, i: _balanced(b, node, sizes[i]))
-    # number leaves left to right; the caller permutes values anyway
-    leaf_values = {leaf: i for i, leaf in enumerate(b.leaves())}
-    tree = b.build(leaf_values)
-    xs = [marked_path_log2(tree, marks, q) for q in range(n)]
-    return tree, frozenset(marks), xs
+    return _candidate(_huffman_structure([s / n for s in sizes]), sizes)
 
 
 def expected_marked_log2(n: int, x: int) -> float:
@@ -532,22 +506,14 @@ def expected_marked_log2(n: int, x: int) -> float:
     return e
 
 
-def uniform_randomized_tensorization(n: int, stream: TapeStream):
-    """One random (tree, marked nodes) draw for a uniform domain of size N.
-
-    The construction mixes two deterministic candidates (one coin from the
-    stream) and then assigns values to leaves by a uniform permutation, so
-    that E[X(v,q)] = eta*log2(1/N) exactly for every value q.
-    """
+@functools.lru_cache(maxsize=None)
+def _uniform_candidates(n: int):
+    """(p_first, first, second) for a uniform domain of size N: the two
+    candidates, each (tree, marks, xs), and the probability of the first
+    that gives E[X] = eta*log2(1/N).  The width and mixture checks run once
+    per N."""
     if n < 2:
         raise InvalidInstanceError("uniform tensorization needs N >= 2")
-    if n == 2:
-        b = _TreeBuilder()
-        _balanced(b, 0, 2)
-        tree = b.build({leaf: i for i, leaf in enumerate(b.leaves())})
-        marks = frozenset({0}) if stream.next_uniform() < UNIFORM_ETA \
-            else frozenset()
-        return tree, marks
     target = UNIFORM_ETA * math.log2(1.0 / n)
     if n <= 7:
         first, second = _fixed_candidates(n)
@@ -573,14 +539,30 @@ def uniform_randomized_tensorization(n: int, stream: TapeStream):
     if not -_WEIGHT_TOL <= p_first <= 1.0 + _WEIGHT_TOL:
         raise InvariantError(
             f"mixture probability {p_first} outside [0,1] for N={n}")
-    tree, marks, _ = first if stream.next_uniform() < p_first else second
+    return p_first, first, second
+
+
+def uniform_randomized_tensorization(n: int, stream: TapeStream):
+    """One random (tree, marked nodes, x) draw for a uniform domain of size
+    N, with x[q] the marked log2-mass of value q's path.
+
+    The construction mixes two deterministic candidates (one coin from the
+    stream) and then assigns values to leaves by a uniform permutation, so
+    that E[X(v,q)] = eta*log2(1/N) exactly for every value q.
+    """
+    p_first, first, second = _uniform_candidates(n)
+    tree, marks, xs = first if stream.next_uniform() < p_first else second
     # Uniform leaf assignment: permute values over leaves (Fisher-Yates).
+    # Both two-leaf candidates give their leaves equal masses, so N = 2
+    # keeps its leaves' values and reads no deviate.
     perm = list(range(n))
-    for i in range(n - 1, 0, -1):
+    for i in range(n - 1 if n > 2 else 0, 0, -1):
         j = min(int(stream.next_uniform() * (i + 1)), i)
         perm[i], perm[j] = perm[j], perm[i]
+    x = np.empty(n)
+    x[perm] = xs
     leaf_value = {leaf: perm[old] for leaf, old in tree.leaf_value.items()}
-    return TensorTree(tree.children, tree.weight, leaf_value), marks
+    return TensorTree(tree.children, tree.weight, leaf_value), marks, x
 
 
 def check_uniform_domains(csp: AtomicCsp) -> None:
@@ -590,6 +572,23 @@ def check_uniform_domains(csp: AtomicCsp) -> None:
         if any(abs(w - 1.0 / spec.domain_size) > _WEIGHT_TOL
                for w in spec.weights):
             raise RegimeError("uniform tensorization needs uniform domains")
+
+
+def _uniform_events(csp: AtomicCsp):
+    """Deviation events of the uniform construction, as a ``violated`` over
+    x, the marked log2-mass of each (variable, value): C's event holds when
+    its entries' sum leaves [-(eta+tau1), -(eta-tau2)]*log2(1/p_C)."""
+    flat = csp.flat
+    log2_size = np.array([math.log2(s.domain_size) for s in flat.specs])
+    l_c = constraint_sums(flat, log2_size[flat.spec_of[flat.cons_vars]])
+    lo = -(UNIFORM_ETA + UNIFORM_TAU1) * l_c - _WEIGHT_TOL
+    hi = -(UNIFORM_ETA - UNIFORM_TAU2) * l_c + _WEIGHT_TOL
+
+    def violated(x):
+        s = constraint_sums(flat, x[flat.cons_vars, flat.cons_fals])
+        return (s < lo) | (s > hi)
+
+    return violated
 
 
 def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0):
@@ -605,37 +604,26 @@ def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0):
                           "(preprocess first)")
     check_uniform_domains(csp)
     check_necessary_bound(csp.measures)
-    flat = csp.flat
-    vs, qs = flat.cons_vars.tolist(), flat.cons_fals.tolist()
-    windows = []  # (entries, lo, hi), the tolerance included
-    for a, b in flat.spans():
-        l_c = math.fsum(math.log2(csp.vars[v].domain_size) for v in vs[a:b])
-        windows.append((list(zip(vs[a:b], qs[a:b])),
-                        -(UNIFORM_ETA + UNIFORM_TAU1) * l_c - _WEIGHT_TOL,
-                        -(UNIFORM_ETA - UNIFORM_TAU2) * l_c + _WEIGHT_TOL))
-
-    def violated(cons):
-        return np.array([not lo <= math.fsum(
-            marked_path_log2(*cons[v], q) for v, q in entries) <= hi
-            for entries, lo, hi in windows])
-
+    violated = _uniform_events(csp)
     for attempt in range(DEFAULT_RETRY_CAP):
         tape = RandomnessTape(derive_seed(seed, "tensor-uniform", attempt))
         streams = [tape.stream(v, LABEL_TENSOR) for v in range(csp.num_vars)]
+        draws = [None] * csp.num_vars
 
         def sample(vs):
-            out = np.empty(len(vs), dtype=object)
+            x = np.zeros((len(vs), csp.measures.q))
             for i, v in enumerate(vs.tolist()):
-                out[i] = uniform_randomized_tensorization(
+                draws[v] = uniform_randomized_tensorization(
                     csp.vars[v].domain_size, streams[v])
-            return out
+                x[i, :len(draws[v][2])] = draws[v][2]
+            return x
 
         try:
-            cons = moser_tardos(csp, sample, violated)
+            moser_tardos(csp, sample, violated)
         except ConstructionFailedError:
             continue
-        tensorized = tensorize(csp, [t for t, _ in cons])
-        marking = global_marking(tensorized, [m for _, m in cons])
+        tensorized = tensorize(csp, [t for t, _, _ in draws])
+        marking = global_marking(tensorized, [m for _, m, _ in draws])
         if check_theorem_conditions(tensorized.base, marking).passed:
             return tensorized, marking
     raise ConstructionFailedError(

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -357,6 +358,25 @@ def test_tensorize_labels_trees_with_input_variables(tmp_path, capsys):
     out = capsys.readouterr().out
     assert [x for x in out.splitlines() if x.startswith("var ")] == [
         "var 0", "var 2"]
+
+
+def test_deep_trees_need_no_recursion(tmp_path, capsys):
+    # weights 0.6^i over 1,000 values make a 999-level Huffman chain
+    weights = [0.6 ** i for i in range(1000)]
+    total = math.fsum(weights)
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps({
+        "vars": [{"domain": 1000, "weights": [w / total for w in weights]}]
+        * 3, "constraints": [{"vbl": [0, 1, 2], "false": [0, 0, 0]}]}))
+    args = ["--input", str(p), "--pipeline", "general"]
+    assert run(["check", *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["construction_error"].startswith(
+        "no marking can pass the theorem's conditions")
+    assert run(["sample", *args, "--force", "--num", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert run(["tensorize", *args]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3 * 2000
 
 
 def test_selftest(capsys):

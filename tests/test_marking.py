@@ -13,7 +13,9 @@ from lllsampler import (ConstructionFailedError, Marking, RegimeError,
 from lllsampler.marking import (UNIFORM_ETA, UNIFORM_TAU1, UNIFORM_TAU2,
                                 _binary_events, _uniform_binary_events,
                                 check_necessary_bound, moser_tardos)
-from lllsampler.kernels import LABEL_MARKING, RandomnessTape
+from lllsampler.kernels import LABEL_MARKING, LABEL_TENSOR, RandomnessTape
+from lllsampler.tensorization import (_uniform_events, marked_path_log2,
+                                      uniform_randomized_tensorization)
 
 from conftest import (constraint_pairs, csp_of, random_weighted_csp,
                       uniform20, weighted8)
@@ -275,6 +277,42 @@ def loop_uniform_binary_events(csp):
     return events
 
 
+def loop_uniform_tensor_events(csp):
+    """Reference: the uniform construction's windows as closures over the
+    (tree, marks) draws, each constraint's marked path masses added with
+    ``math.fsum``."""
+    events = []
+    for vbl, fals in constraint_pairs(csp):
+        l_c = math.fsum(math.log2(csp.vars[v].domain_size) for v in vbl)
+        lo = -(UNIFORM_ETA + UNIFORM_TAU1) * l_c - 1e-9
+        hi = -(UNIFORM_ETA - UNIFORM_TAU2) * l_c + 1e-9
+
+        def pred(draws, entries=tuple(zip(vbl, fals)), lo=lo, hi=hi):
+            s = math.fsum(marked_path_log2(draws[v][0], draws[v][1], q)
+                          for v, q in entries)
+            return not lo <= s <= hi
+
+        events.append((vbl, pred))
+    return events
+
+
+def mixed_uniform_csp(seed, k=3, n=36, m=12):
+    """m random arity-k constraints over n uniform variables of mixed
+    domain sizes, random falsifying values.  A two-value variable's marked
+    mass is 0 or -1, outside its own window, so domain 2 is drawn most
+    often to make the events fire."""
+    rng = random.Random(seed)
+    vars = [VariableSpec.uniform(rng.choice((2, 2, 2, 2, 3, 5, 6, 7, 8, 11,
+                                             16)))
+            for _ in range(n)]
+    cons = []
+    for _ in range(m):
+        vbl = tuple(sorted(rng.sample(range(n), k)))
+        cons.append((vbl, tuple(rng.randrange(vars[v].domain_size)
+                                for v in vbl)))
+    return csp_of(vars, cons)
+
+
 def blocks_csp(seed, k, blocks, extra, spec):
     """Disjoint blocks of k variables, one constraint each, plus ``extra``
     random arity-k constraints across them."""
@@ -289,30 +327,71 @@ def blocks_csp(seed, k, blocks, extra, spec):
         for vbl in vbls])
 
 
-@pytest.mark.parametrize("kind", ["binary", "uniform"])
+@pytest.mark.parametrize("kind", ["binary", "uniform", "uniform-tensor"])
 def test_array_events_match_the_closures(kind):
+    # the array engine's verdicts equal the closures' at every resampling
+    # step, and both engines end on the same values
     fired = 0
+    verdicts = {True: 0, False: 0}
     for seed in range(12):
-        if kind == "binary":
-            csp = blocks_csp(seed, 12, 12, 3, VariableSpec(2, (0.4, 0.6)))
-            _, eta, tau = binary_gamma(csp.measures.kappa, 1e-5)
-            violated = _binary_events(csp, eta, tau)
-            events = loop_binary_events(csp, eta, tau)
-        else:
-            csp = blocks_csp(seed, 12, 12, 3, VariableSpec.uniform(2))
-            eta = UNIFORM_ETA
-            violated = _uniform_binary_events(csp)
-            events = loop_uniform_binary_events(csp)
         tape = RandomnessTape(seed)
-        want, iterations = loop_moser_tardos(
-            csp.num_vars, lambda i, s: s.next_uniform() < eta, events,
-            tape.stream(0, LABEL_MARKING))
-        stream = tape.stream(0, LABEL_MARKING)
-        got = moser_tardos(csp, lambda vs: stream.uniforms(len(vs)) < eta,
-                           violated)
-        assert got.tolist() == want
+        if kind == "uniform-tensor":
+            csp = mixed_uniform_csp(seed)
+            violated = _uniform_events(csp)
+            events = loop_uniform_tensor_events(csp)
+            draws = [None] * csp.num_vars
+            streams = [[tape.stream(v, LABEL_TENSOR)
+                        for v in range(csp.num_vars)] for _ in range(2)]
+
+            def draw(v, side):
+                return uniform_randomized_tensorization(
+                    csp.vars[v].domain_size, streams[side][v])
+
+            def sample(vs):
+                x = np.zeros((len(vs), 16))
+                for i, v in enumerate(vs.tolist()):
+                    draws[v] = draw(v, 1)
+                    x[i, :len(draws[v][2])] = draws[v][2]
+                return x
+
+            def key(draws):
+                return [(t.children, t.leaf_value, m) for t, m, _ in draws]
+
+            want, iterations = loop_moser_tardos(
+                csp.num_vars, lambda v, _: draw(v, 0), events, None)
+            want = key(want)
+            state = lambda values: draws
+            ended = lambda values: key(draws)
+        else:
+            if kind == "binary":
+                csp = blocks_csp(seed, 12, 12, 3, VariableSpec(2, (0.4, 0.6)))
+                _, eta, tau = binary_gamma(csp.measures.kappa, 1e-5)
+                violated = _binary_events(csp, eta, tau)
+                events = loop_binary_events(csp, eta, tau)
+            else:
+                csp = blocks_csp(seed, 12, 12, 3, VariableSpec.uniform(2))
+                eta = UNIFORM_ETA
+                violated = _uniform_binary_events(csp)
+                events = loop_uniform_binary_events(csp)
+            want, iterations = loop_moser_tardos(
+                csp.num_vars, lambda i, s: s.next_uniform() < eta, events,
+                tape.stream(0, LABEL_MARKING))
+            stream = tape.stream(0, LABEL_MARKING)
+            sample = lambda vs: stream.uniforms(len(vs)) < eta
+            state = lambda values: values
+            ended = lambda values: values.tolist()
+
+        def checked(values):
+            flags = violated(values).tolist()
+            assert flags == [pred(state(values)) for _, pred in events]
+            for f in flags:
+                verdicts[f] += 1
+            return np.array(flags)
+
+        assert ended(moser_tardos(csp, sample, checked)) == want
         fired += iterations > 0
     assert fired >= 6
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 def test_binary_construction_regime_error():

@@ -54,6 +54,20 @@ def test_huffman_trivial_and_invalid():
         huffman_tensorize((0.5, 0.6))
 
 
+def test_huffman_depth_999():
+    # halving masses give a chain with one leaf per level, far deeper than
+    # the interpreter's recursion limit allows a recursive walk
+    pmf = [2.0 ** -(i + 1) for i in range(999)] + [2.0 ** -999]
+    tree = huffman_tensorize(pmf)
+    assert tree.depth() == 999
+    for q in (0, 500, 999):
+        assert tree.leaf_product(q) == pmf[q]
+        assert len(tree.path(q)) == min(q + 1, 999)
+    lines = tree.dump().splitlines()
+    assert len(lines) == 1999
+    assert lines[-1].startswith(" " * 2 * 999 + "leaf")
+
+
 @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8))
 def test_huffman_random_pmfs(raw):
     total = sum(raw)
@@ -194,7 +208,7 @@ def test_trans_matches_per_variable_descent():
 
     def uniform():
         n = rng.randint(2, 17)
-        tree, _ = uniform_randomized_tensorization(
+        tree, _, _ = uniform_randomized_tensorization(
             n, tape.stream(rng.randrange(1 << 30), LABEL_TENSOR))
         return VariableSpec.uniform(n), tree
 
@@ -419,7 +433,8 @@ def test_expected_marked_log2_matches_candidate():
 
 def test_randomized_tensorization_mean_and_width():
     # Monte-Carlo estimate of E[X(v, q)] per value; the mixture plus the
-    # uniform leaf permutation must give exactly eta*log2(1/N)
+    # uniform leaf permutation must give exactly eta*log2(1/N).  Each draw's
+    # x is its tree's marked path masses, bit for bit
     tape = RandomnessTape(8)
     for n in (2, 5, 8, 11):
         stream = tape.stream(n, LABEL_TENSOR)
@@ -427,9 +442,10 @@ def test_randomized_tensorization_mean_and_width():
         draws = 30000
         acc = [0.0] * n
         for _ in range(draws):
-            tree, marks = uniform_randomized_tensorization(n, stream)
+            tree, marks, xq = uniform_randomized_tensorization(n, stream)
             for q in range(n):
                 x = marked_path_log2(tree, marks, q)
+                assert xq[q] == x
                 acc[q] += x
                 assert x <= 0.0
         for q in range(n):
