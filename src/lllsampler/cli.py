@@ -8,10 +8,15 @@ theorem's conditions, 4 budget/timeout (a construction's attempts included),
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import contextlib
 import json
 import math
+import os
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import click
@@ -192,38 +197,144 @@ def _render(values, named: bool) -> str:
     return json.dumps(values)
 
 
-def _emit(lines, out: str | None):
-    text = "\n".join(lines) + "\n"
-    if out:
+def _cannot_write(out: str, e: OSError) -> click.UsageError:
+    return click.UsageError(f"cannot write {out}: {e}")
+
+
+def _open_out(out: str):
+    """Open ``out`` for writing: a regular file, or a new one, through a new
+    temporary file in its directory, returned with the temporary's path;
+    anything else (a symlink, a FIFO, ``/dev/stdout``) directly, with None.
+    An existing ``out`` must be writable itself, since a rename would
+    replace a read-only file, and the temporary takes the mode that writing
+    ``out`` in place would leave."""
+    try:
         try:
-            with open(out, "w") as f:
-                f.write(text)
-        except OSError as e:
-            raise click.UsageError(f"cannot write {out}: {e}") from None
-    else:
-        sys.stdout.write(text)
+            mode = os.lstat(out).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            return open(out, "w"), None
+        if mode is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            os.close(os.open(out, os.O_WRONLY))
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".",
+                                   prefix=f".{os.path.basename(out)}.",
+                                   suffix=".tmp")
+    except OSError as e:
+        raise _cannot_write(out, e) from None
+    os.fchmod(fd, stat.S_IMODE(mode))
+    return os.fdopen(fd, "w"), tmp
 
 
-def _draw_lines(cfg: PipelineConfig, instance, ids, named: bool) -> list[str]:
-    """Prepare the pipeline once and render the draws ``ids``."""
-    prepared = prepare_pipeline(instance, cfg)
-    return [_render(prepared.draw(cfg.seed, i), named) for i in ids]
+def _emit(lines, out: str | None):
+    """Write each line as it arrives, to stdout or to ``out``.
+
+    ``out`` is opened before the first line is asked for, so a lazy
+    ``lines`` does no work for an unwritable path.  A regular file is
+    written through a temporary file, renamed over it once the last line is
+    written and removed if anything fails first.
+    """
+    if not out:
+        for line in lines:
+            sys.stdout.write(line + "\n")
+        return
+    f, tmp = _open_out(out)
+    try:
+        with f:
+            for line in lines:
+                try:
+                    f.write(line + "\n")
+                except OSError as e:
+                    raise _cannot_write(out, e) from None
+            try:
+                f.flush()
+            except OSError as e:
+                raise _cannot_write(out, e) from None
+        if tmp is not None:
+            os.replace(tmp, out)
+    except BaseException:
+        if tmp is not None:
+            os.unlink(tmp)
+        raise
 
 
-def _sample_lines(cfg: PipelineConfig, num: int, jobs: int,
-                  named: bool) -> list[str]:
+def _draw_lines(prepared: PreparedPipeline, seed: int, ids, named: bool):
+    """Yield the rendered draws ``ids`` of a prepared pipeline."""
+    for i in ids:
+        yield _render(prepared.draw(seed, i), named)
+
+
+#: Draw ids per ``--jobs`` task, at most; a worker hands back one chunk of
+#: rendered lines at a time.
+_CHUNK_IDS = 16
+#: Chunks pending per worker: one drawn while the next waits in the queue.
+_WINDOW_PER_JOB = 2
+
+# a pool worker's (cfg, instance, named), kept by ``_start_worker``, and
+# what its first chunk's set-up gave: the prepared pipeline or the error
+_worker: dict = {}
+
+
+def _start_worker(cfg: PipelineConfig, instance, named: bool):
+    # only stores: an error raised here would break the pool and lose its
+    # type, so the set-up runs in the first chunk and is raised as itself
+    _worker["args"] = cfg, instance, named
+
+
+def _draw_chunk(a: int, b: int) -> list[str]:
+    """The rendered draws a..b-1, drawn in a pool worker."""
+    cfg, instance, named = _worker["args"]
+    if "prepared" not in _worker:
+        try:
+            _worker["prepared"] = prepare_pipeline(instance, cfg)
+        except Exception as e:
+            # a queued chunk raises it again instead of setting up again
+            _worker["prepared"] = e
+    prepared = _worker["prepared"]
+    if isinstance(prepared, Exception):
+        raise prepared
+    return list(_draw_lines(prepared, cfg.seed, range(a, b), named))
+
+
+def _sample_lines(cfg: PipelineConfig, num: int, jobs: int, named: bool):
+    """Yield the rendered draws 0..num-1, in id order; nothing is read or
+    prepared before the first line is asked for."""
     named = named and cfg.format == "dimacs"
     instance = _load(cfg)
     parts = min(jobs, num)
     if parts == 1:
-        return _draw_lines(cfg, instance, range(num), named)
-    # draw i reads only its own tape, so each worker sets up once and draws
-    # a contiguous share of the ids; a set-up error is raised here as itself
-    cuts = [num * j // parts for j in range(parts + 1)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=parts) as pool:
-        shares = [pool.submit(_draw_lines, cfg, instance, range(a, b), named)
-                  for a, b in zip(cuts, cuts[1:])]
-        return [line for share in shares for line in share.result()]
+        yield from _draw_lines(prepare_pipeline(instance, cfg), cfg.seed,
+                               range(num), named)
+        return
+    # draw i reads only its own tape, so workers draw contiguous chunks of
+    # ids in any order; a bounded window of pending chunks, taken in id
+    # order, keeps every worker busy and holds O(jobs x chunk) lines
+    size = max(1, min(_CHUNK_IDS, num // (_WINDOW_PER_JOB * parts)))
+    starts = iter(range(0, num, size))
+    pool = concurrent.futures.ProcessPoolExecutor(
+        parts, initializer=_start_worker, initargs=(cfg, instance, named))
+    pending = collections.deque()
+
+    def submit():
+        a = next(starts, None)
+        if a is not None:
+            pending.append(pool.submit(_draw_chunk, a, min(a + size, num)))
+
+    try:
+        for _ in range(_WINDOW_PER_JOB * parts):
+            submit()
+        while pending:
+            lines = pending.popleft().result()
+            submit()
+            yield from lines
+    finally:
+        # on every exit, a closed reader's included: no worker outlives the
+        # run
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # --- click wiring -----------------------------------------------------------
@@ -280,8 +391,11 @@ def cli():
 @_options(*_INSTANCE, "num", "jobs", "out", "max_horizon", "force",
           "named")
 def cmd_sample(num, jobs, out, named, **kw):
-    """Draw solutions; one JSON array of value indices per line."""
-    _emit(_sample_lines(PipelineConfig(**kw), num, jobs, named), out)
+    """Draw solutions; one JSON array of value indices per line, written as
+    it is drawn."""
+    with contextlib.closing(_sample_lines(PipelineConfig(**kw), num, jobs,
+                                          named)) as lines:
+        _emit(lines, out)
 
 
 @cli.command("check")

@@ -76,19 +76,28 @@ def bounding_chain(csp: AtomicCsp, m: Marking, T: int,
     T > n that sweep updates each marked variable once, for the last time,
     and a safe update depends on its deviate alone (u[v] is variable v's
     deviate): so the steps of [-T, -n) run first only when one of its
-    marked slots lands in the residual layer, and otherwise the sweep
-    starts from all-STAR with the same result.  Nothing is read when
-    nothing is marked.
+    marked slots lands in the residual layer.  Otherwise (and when T = n)
+    the sweep's safe values, from one gather of its marked deviates, are
+    the state at time 0, which has coalesced.  Nothing is read when nothing
+    is marked.
     """
     ctx = update_context(csp, m)
     state = np.full(csp.num_vars, STAR, dtype=np.int64)
-    if len(ctx.marked_idx):
-        tape = RandomnessTape(master_seed)
-        last = max(-T, -ctx.n)
-        u = tape.layered_block(last, 0)
-        if T > ctx.n and (u[ctx.marked_idx] >= ctx.marked_total).any():
+    if not len(ctx.marked_idx):
+        return ChainRun(T, state, True)
+    tape = RandomnessTape(master_seed)
+    last = max(-T, -ctx.n)
+    u = tape.layered_block(last, 0)
+    if T >= ctx.n:
+        # a whole sweep: its marked deviates, gathered once, are either all
+        # safe and set every marked variable, or the chain runs stepwise
+        um = u[ctx.marked_idx]
+        if not (um >= ctx.marked_total).any():
+            state[ctx.marked_idx] = (ctx.marked_cum <= um[:, None]).sum(axis=1)
+            return ChainRun(T, state, True)
+        if T > ctx.n:
             _run_chain(ctx, state, tape, -T, last)
-        chain_steps(ctx, state, last, u)
+    chain_steps(ctx, state, last, u)
     return ChainRun(T, state, bool((state[ctx.marked_idx] != STAR).all()))
 
 

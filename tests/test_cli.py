@@ -1,9 +1,14 @@
 import io
 import json
 import math
+import multiprocessing
+import os
 import random
+import select
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import click
@@ -185,14 +190,173 @@ def test_jobs_read_the_instance_from_stdin(monkeypatch, capsys):
     assert len(outs[0].splitlines()) == 4 and outs[1] == outs[0]
 
 
-def test_unwritable_out_is_a_usage_error(cnf_file, tmp_path, capsys):
+def test_unwritable_out_is_a_usage_error(cnf_file, tmp_path, monkeypatch,
+                                        capsys):
+    # raised before the instance is set up
+    calls = []
+    prepare = lllsampler.cli.prepare_pipeline
+
+    def counting(*args):
+        calls.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(lllsampler.cli, "prepare_pipeline", counting)
     out = str(tmp_path / "missing" / "f.txt")
-    assert run(sample_args(cnf_file, "--format", "dimacs", "--pipeline",
-                           "binary", "--force", "--out", out)) == 1
+    sample = sample_args(cnf_file, "--format", "dimacs", "--pipeline",
+                         "binary", "--force", "--out", out)
+    assert run(sample) == 1
+    assert run(sample + ["--jobs", "2"]) == 1
     assert run(["check", "--input", cnf_file, "--format", "dimacs",
                 "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.count("usage error: cannot write") == 2
+    assert err.count("usage error: cannot write") == 3
+    assert len(calls) == 1   # check's, which writes after its report
+    # an existing file that may not be written stays so: a rename would
+    # replace it (patched, since the superuser may write any file)
+    locked = tmp_path / "locked.txt"
+    locked.write_text("kept\n")
+    os_open = os.open
+
+    def refuse(path, flags, *args, **kwargs):
+        if path == str(locked):
+            raise PermissionError(13, "Permission denied", path)
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse)
+    assert run(sample_args(cnf_file, "--format", "dimacs", "--pipeline",
+                           "binary", "--force", "--out", str(locked))) == 1
+    assert "usage error: cannot write" in capsys.readouterr().err
+    assert len(calls) == 1 and locked.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["locked.txt", "tiny.cnf"]
+
+
+def test_out_is_replaced_only_by_a_whole_run(tmp_path, capsys):
+    # the draws need a horizon above 1: the run fails after its set-up, and
+    # leaves neither a partial --out nor a temporary file, under --jobs too
+    regime = tmp_path / "regime.json"
+    regime.write_text(emit_csp(binary_regime_instance(1.0)))
+    out = tmp_path / "out.txt"
+    base = sample_args(str(regime), "--pipeline", "binary", "--num", "40",
+                       "--out", str(out))
+    for jobs in ("1", "2"):
+        assert run(base + ["--jobs", jobs, "--max-horizon", "1"]) == 4
+        assert "no coalescence by horizon 1" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["regime.json"]
+    # an existing --out keeps its text and mode until a run succeeds
+    out.write_text("old\n")
+    out.chmod(0o640)
+    assert run(base + ["--max-horizon", "1"]) == 4
+    assert out.read_text() == "old\n"
+    assert run(base) == 0
+    assert len(out.read_text().splitlines()) == 40
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["out.txt", "regime.json"]
+    # a new --out gets the mode that the umask leaves
+    umask = os.umask(0o022)
+    try:
+        fresh = tmp_path / "fresh.txt"
+        assert run(sample_args(str(regime), "--pipeline", "binary", "--out",
+                               str(fresh))) == 0
+        assert fresh.stat().st_mode & 0o777 == 0o644
+    finally:
+        os.umask(umask)
+
+
+def test_non_regular_out_is_written_directly(cnf_file, tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    args = sample_args(cnf_file, "--format", "dimacs", "--pipeline", "binary",
+                       "--force", "--num", "5", "--seed", "3")
+    assert run(args + ["--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert run(args) == 0
+    assert got == [capsys.readouterr().out]
+    assert len(got[0].splitlines()) == 5
+    # a symlink is written through, and stays a symlink
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert run(args + ["--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_text() == got[0]
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "link.txt", "target.txt",
+                                            "tiny.cnf"]
+
+
+def test_jobs_leave_no_worker_running(cnf_file, tmp_path, capsys):
+    regime = tmp_path / "regime.json"
+    regime.write_text(emit_csp(binary_regime_instance(1.0)))
+    for args, code in (
+            # a set-up error: out of regime without --force
+            (sample_args(cnf_file, "--format", "dimacs", "--pipeline",
+                         "binary", "--num", "40"), 3),
+            # a draw error: every draw needs a horizon above 1
+            (sample_args(str(regime), "--pipeline", "binary", "--num", "40",
+                         "--max-horizon", "1"), 4),
+            (sample_args(str(regime), "--pipeline", "binary", "--num", "40"),
+             0)):
+        assert run(args + ["--jobs", "2"]) == code
+        assert multiprocessing.active_children() == []
+    capsys.readouterr()
+
+
+def program(*args):
+    """The CLI run as a program, on this checkout's package."""
+    src = str(Path(lllsampler.__file__).parents[1])
+    main = (f"import sys; sys.path.insert(0, {src!r}); "
+            "from lllsampler.cli import main; main()")
+    return [sys.executable, "-c", main, *args]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_reader_stops_the_draws(cnf_file, jobs):
+    # 10^7 draws take minutes; a reader that closes after one line stops
+    # the run at once, with exit 1 (EPIPE) and nothing on stderr
+    proc = subprocess.Popen(program(*sample_args(
+        cnf_file, "--format", "dimacs", "--pipeline", "binary", "--force",
+        "--num", str(10**7), "--jobs", jobs)), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    try:
+        assert select.select([proc.stdout], [], [], 30)[0], "no line in 30 s"
+        assert len(json.loads(proc.stdout.readline())) == 3
+        proc.stdout.close()
+        t0 = time.perf_counter()
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+        proc.wait()
+    assert time.perf_counter() - t0 < 20
+    assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.slow
+def test_sample_memory_is_flat_in_num(tmp_path):
+    # the largest process of a sample run, workers included, peaks at the
+    # same RSS for 2,000 and 8,000 draws of 9 KB lines: nothing holds the
+    # whole output
+    path = tmp_path / "regime.cnf"
+    path.write_text(regime_dimacs(3000, 200, seed=1))
+    measure = ("import resource, subprocess, sys; "
+               "code = subprocess.run(sys.argv[1:], "
+               "stdout=subprocess.DEVNULL).returncode; "
+               "print(code, resource.getrusage("
+               "resource.RUSAGE_CHILDREN).ru_maxrss)")
+    for jobs in ("1", "2"):
+        peaks = []
+        for num in ("2000", "8000"):
+            out = subprocess.run([sys.executable, "-c", measure, *program(
+                *sample_args(str(path), "--format", "dimacs", "--pipeline",
+                             "binary", "--seed", "1", "--num", num, "--jobs",
+                             jobs))], capture_output=True, text=True,
+                check=True).stdout.split()
+            assert out[0] == "0"
+            peaks.append(int(out[1]) / 1024)   # KB on Linux
+        assert abs(peaks[1] - peaks[0]) < 10, (jobs, peaks)
 
 
 # Instances whose markings pass the theorem's conditions although the
@@ -389,7 +553,8 @@ def test_jobs_invariant_output(cnf_file, tmp_path):
     # more workers than draws, and shares of unequal length, too
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"
-    for num, jobs in ((8, 3), (3, 5), (7, 2)):
+    # and several chunks of draws with a shorter last one
+    for num, jobs in ((8, 3), (3, 5), (7, 2), (100, 2), (100, 3)):
         base = sample_args(cnf_file, "--format", "dimacs", "--pipeline",
                            "binary", "--force", "--num", str(num), "--seed",
                            "4")
