@@ -168,6 +168,11 @@ class FlatCsp:
         """The (start, end) of each constraint's entries, as ints."""
         return zip(self.starts.tolist(), (self.starts + self.arity).tolist())
 
+    @functools.cached_property
+    def log_pc(self) -> np.ndarray:
+        """ln p_C of each constraint: its entries' ln weights summed."""
+        return constraint_sums(self, self.log_w)
+
 
 def flatten(vars: tuple[VariableSpec, ...], cons_vars, cons_fals,
             arity) -> FlatCsp:
@@ -310,7 +315,7 @@ def measures_with(flat: FlatCsp, d: int, delta: int) -> Measures:
     kappa = max((max(s.weights) / min(s.weights) for s in flat.specs),
                 default=1.0)
     k = int(flat.arity.max(initial=0))
-    log_p = float(constraint_sums(flat, flat.log_w).max(initial=-math.inf))
+    log_p = float(flat.log_pc.max(initial=-math.inf))
     assert (d >= 1 and delta >= 1) == (k >= 1)
     return Measures(k=k, d=d, delta=delta, q=q, log_p=log_p, kappa=kappa)
 

@@ -273,8 +273,10 @@ def rejection_sampling(csp: AtomicCsp, values: np.ndarray,
 
     A round after the first is a few flat passes over the tables: one
     scatter marks the constraints with an entry off its falsifying value,
-    one marks the components of the rest, and one mask per table keeps the
-    pending components' entries, constraints and variables.
+    and one marks the components of the rest.  A satisfied component stays
+    satisfied, so the tables keep only the pending components' entries,
+    constraints and variables, masked again only in a round where a
+    component succeeded.
 
     Returns (values, attempts summed over the components with a
     constraint); a variable in no constraint is drawn once and counts no
@@ -290,7 +292,7 @@ def rejection_sampling(csp: AtomicCsp, values: np.ndarray,
     cons_comp = tables.cons_comp
     cons = np.arange(len(cons_comp))
     draw, draw_comp, cum = tables.draw, tables.draw_comp, tables.draw_cum
-    rounds = 1
+    rounds, live = 1, components
     while True:
         # a constraint with an entry off its falsifying value is satisfied
         sat = np.zeros(len(tables.cons_comp), dtype=bool)
@@ -304,12 +306,15 @@ def rejection_sampling(csp: AtomicCsp, values: np.ndarray,
             raise BudgetError(
                 f"rejection sampling exceeded {cap} attempts; instance is "
                 "likely outside the sampler's regime")
-        keep = bad[entry_comp]
-        ev, ef, ec, entry_comp = ev[keep], ef[keep], ec[keep], entry_comp[keep]
-        keep = bad[cons_comp]
-        cons, cons_comp = cons[keep], cons_comp[keep]
-        keep = bad[draw_comp]
-        draw, draw_comp, cum = draw[keep], draw_comp[keep], cum[keep]
+        if pending < live:
+            keep = bad[entry_comp]
+            ev, ef, ec = ev[keep], ef[keep], ec[keep]
+            entry_comp = entry_comp[keep]
+            keep = bad[cons_comp]
+            cons, cons_comp = cons[keep], cons_comp[keep]
+            keep = bad[draw_comp]
+            draw, draw_comp, cum = draw[keep], draw_comp[keep], cum[keep]
+            live = pending
         u = stream.uniforms(len(draw))
         values[draw] = (cum <= u if cum.ndim == 1
                         else (cum <= u[:, None]).sum(axis=1))

@@ -112,10 +112,10 @@ def compute_constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
         term[g, :s.domain_size] = [
             math.log(beta * w + (beta - 1.0) * (s.domain_size - 2))
             for w in s.weights]
+    entry_term = term.ravel()[flat.spec_of[flat.cons_vars] * term.shape[1]
+                              + flat.cons_fals]
     ll = constraint_sums(
-        flat,
-        np.where(marked, term[flat.spec_of[flat.cons_vars], flat.cons_fals],
-                 0.0),
+        flat, np.where(marked, entry_term, 0.0),
         first=[2.0 * math.log(k) for k in flat.arity.tolist()])
     return MarkingConstants(log_alpha, log_beta,
                             float(lr.max(initial=-math.inf)),
@@ -248,7 +248,7 @@ def _binary_events(csp, eta, tau):
     - eta ln p_C| > tau ln(1/p_C).
     """
     flat = csp.flat
-    log_pc = constraint_sums(flat, flat.log_w)
+    log_pc = flat.log_pc
 
     def violated(marks):
         s = constraint_sums(flat, np.where(marks[flat.cons_vars], flat.log_w,

@@ -15,7 +15,9 @@ import functools
 import heapq
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,12 +40,13 @@ class TensorTree:
 
     ``children[z]`` lists z's children in order; leaves have none.
     ``weight[z]`` is the weight of the edge from z's parent (1.0 at the root).
-    ``leaf_value`` maps leaf ids to domain values, bijectively.
+    ``leaf_value`` maps leaf ids to domain values, bijectively; it is kept as
+    a read-only copy, so a tree shared by many instances cannot change.
     """
 
     children: tuple[tuple[int, ...], ...]
     weight: tuple[float, ...]
-    leaf_value: dict[int, int] = field(hash=False)
+    leaf_value: Mapping[int, int] = field(hash=False)
 
     def __post_init__(self):
         n = len(self.children)
@@ -71,6 +74,11 @@ class TensorTree:
         vals = sorted(self.leaf_value.values())
         if vals != list(range(len(leaves))):
             raise InvalidInstanceError("leaf values must be 0..N-1, each once")
+        object.__setattr__(self, "leaf_value",
+                           MappingProxyType(dict(self.leaf_value)))
+
+    def __reduce__(self):
+        return TensorTree, (self.children, self.weight, dict(self.leaf_value))
 
     @property
     def num_values(self) -> int:
@@ -95,6 +103,34 @@ class TensorTree:
     def path(self, q: int) -> tuple[tuple[int, int], ...]:
         """(internal node, chosen child index) pairs from root to value q."""
         return self._paths[q]
+
+    @functools.cached_property
+    def tables(self) -> TreeTables:
+        """The tree's rows of the tensorized instance's tables, built once
+        per tree."""
+        paths = self._paths
+        steps = list(itertools.chain.from_iterable(paths))
+        width = max(1, *map(len, self.children))
+        rank = [0] * len(self.children)
+        pmfs, node_child = [], []
+        for z, ch in enumerate(self.children):
+            row = list(ch) or [z]
+            node_child.append(row + row[-1:] * (width - len(row)))
+            if ch:
+                rank[z] = len(pmfs)
+                ws = [self.weight[c] for c in ch]
+                s = left_sum(ws)
+                pmfs.append(tuple(w / s for w in ws))
+        node_value = [-1] * len(self.children)
+        for z, q in self.leaf_value.items():
+            node_value[z] = q
+        return TreeTables(
+            tuple(pmfs), np.array([len(path) for path in paths], np.int64),
+            np.array([rank[z] for z, _ in steps], np.int64),
+            np.array([ci for _, ci in steps], np.int64),
+            np.array(node_child, np.int64), np.array(node_value, np.int64),
+            np.array(rank, np.int64),
+            np.array([self.leaf_product(q) for q in range(self.num_values)]))
 
     def leaf_product(self, q: int) -> float:
         prod = 1.0
@@ -130,6 +166,29 @@ class TensorTree:
                          f"{val}{tag}")
             stack += [(c, depth + 1) for c in reversed(self.children[z])]
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class TreeTables:
+    """One tree's rows of ``tensorize``'s tables, in its own node ids.
+
+    ``pmfs[r]`` is the normalised child weights of the tree's r-th internal
+    node.  Value q's root-to-leaf path has ``path_len[q]`` steps, whose
+    (node rank, child index) pairs follow value q - 1's in ``path_rank`` and
+    ``path_child``.  ``node_child``, ``node_value`` and ``node_rank`` are
+    the tree's rows of ``TensorizedCsp``'s back-map tables, ``node_child``
+    padded to the tree's widest node.  ``leaf_product[q]`` is
+    ``TensorTree.leaf_product(q)``.
+    """
+
+    pmfs: tuple[tuple[float, ...], ...]
+    path_len: np.ndarray
+    path_rank: np.ndarray
+    path_child: np.ndarray
+    node_child: np.ndarray
+    node_value: np.ndarray
+    node_rank: np.ndarray
+    leaf_product: np.ndarray
 
 
 class _TreeBuilder:
@@ -285,61 +344,36 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
     index: dict[int, int] = {}
     tree_of = np.fromiter((index.setdefault(id(t), len(index))
                            for t in trees), np.int64, len(trees))
-    distinct = list({id(t): t for t in trees}.values())
+    tables = [t.tables for t in {id(t): t for t in trees}.values()]
     # each (tree, spec) pair checked once, at its first variable
     _, first = np.unique(tree_of * len(flat.specs) + flat.spec_of,
                          return_index=True)
     for v in np.sort(first).tolist():
-        tree, spec = trees[v], csp.vars[v]
-        if tree.num_values != spec.domain_size:
+        products, spec = tables[tree_of[v]].leaf_product, csp.vars[v]
+        if len(products) != spec.domain_size:
             raise InvalidInstanceError(f"tree {v} has the wrong leaf count")
-        for q in range(spec.domain_size):
-            if abs(tree.leaf_product(q) - spec.weights[q]) > _WEIGHT_TOL:
-                raise InvalidInstanceError(
-                    f"tree {v} does not reproduce the weight of value {q}")
-    # per distinct tree: its internal nodes, their specs (one shared spec
-    # per distinct node pmf), its rows of the path table (per value q, the
-    # length of q's root-to-leaf path and its (node rank, child index)
-    # pairs), and its rows of the back-map tables
-    sizes = np.array([len(t.children) for t in distinct], dtype=np.int64)
-    node_base = np.cumsum(sizes) - sizes
-    width = max((len(ch) for t in distinct for ch in t.children), default=1)
-    node_child, node_value, node_rank = [], [], []
+        off = np.flatnonzero(np.abs(products - spec.weights) > _WEIGHT_TOL)
+        if len(off):
+            raise InvalidInstanceError(
+                f"tree {v} does not reproduce the weight of value {off[0]}")
+    # node variables: each variable's internal nodes in turn, one shared
+    # spec per distinct node pmf
     spec_of = {}
-    internal, node_specs, path_len, path_rank, path_child = [], [], [], [], []
-    for tree, b in zip(distinct, node_base.tolist()):
-        nodes = tree.internal_nodes()
-        specs = []
-        for z in nodes:
-            ws = [tree.weight[c] for c in tree.children[z]]
-            s = left_sum(ws)
-            pmf = tuple(w / s for w in ws)
+    for tab in tables:
+        for pmf in tab.pmfs:
             if pmf not in spec_of:
                 spec_of[pmf] = VariableSpec(len(pmf), pmf)
-            specs.append(spec_of[pmf])
-        rank = {z: r for r, z in enumerate(nodes)}
-        for q in range(tree.num_values):
-            path = tree.path(q)
-            path_len.append(len(path))
-            path_rank += [rank[z] for z, _ in path]
-            path_child += [ci for _, ci in path]
-        internal.append(nodes)
-        node_specs.append(specs)
-        for z, ch in enumerate(tree.children):
-            row = [b + c for c in ch] or [b + z]
-            node_child.append(row + row[-1:] * (width - len(row)))
-            node_value.append(tree.leaf_value.get(z, -1))
-            node_rank.append(rank.get(z, 0))
-    # node variables: each variable's internal nodes in turn
-    counts = np.array([len(nodes) for nodes in internal], dtype=np.int64)
+    node_specs = [[spec_of[pmf] for pmf in tab.pmfs] for tab in tables]
+    counts = np.array([len(tab.pmfs) for tab in tables], dtype=np.int64)
     first_node = np.cumsum(counts[tree_of]) - counts[tree_of]
     zvars = list(itertools.chain.from_iterable(
         node_specs[g] for g in tree_of.tolist()))
-    # each entry (v, q) becomes, in place, the run of table rows of q's
-    # path in v's tree
-    path_len = np.array(path_len, dtype=np.int64)
+    # each entry (v, q) becomes, in place, the run of path-table rows of q's
+    # path in v's tree; the distinct trees' rows follow one another
+    path_len = _concat([tab.path_len for tab in tables])
     path_start = np.cumsum(path_len) - path_len
-    num_values = np.array([t.num_values for t in distinct], dtype=np.int64)
+    num_values = np.array([len(tab.leaf_product) for tab in tables],
+                          dtype=np.int64)
     row = ((np.cumsum(num_values) - num_values)[tree_of[flat.cons_vars]]
            + flat.cons_fals)
     length = path_len[row]
@@ -349,8 +383,8 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
     base = AtomicCsp(
         zvars,
         first_node[flat.cons_vars[entry]]
-        + np.array(path_rank, dtype=np.int64)[src],
-        np.array(path_child, dtype=np.int64)[src],
+        + _concat([tab.path_rank for tab in tables])[src],
+        _concat([tab.path_child for tab in tables])[src],
         ends[flat.starts + flat.arity] - ends[flat.starts])
     if length.all():
         # every path starts at its variable's root node, which is in all
@@ -359,14 +393,30 @@ def tensorize(csp: AtomicCsp, trees) -> TensorizedCsp:
         # measures are then counted
         mo = csp.measures
         base.measures = measures_with(base.flat, mo.d, mo.delta)
+    # the back-map tables number the distinct trees' nodes one tree after
+    # another, every node_child row padded to the widest node
+    sizes = np.array([len(tab.node_rank) for tab in tables], dtype=np.int64)
+    node_base = np.cumsum(sizes) - sizes
+    width = max((tab.node_child.shape[1] for tab in tables), default=1)
+    node_child = _concat([
+        tab.node_child if tab.node_child.shape[1] == width
+        else tab.node_child[:, np.minimum(np.arange(width),
+                                          tab.node_child.shape[1] - 1)]
+        for tab in tables], (0, width))
     out = TensorizedCsp(
         base, csp, trees, np.minimum(first_node, max(len(zvars) - 1, 0)),
-        node_base[tree_of],
-        np.array(node_child, dtype=np.int64).reshape(-1, max(width, 1)),
-        np.array(node_value, dtype=np.int64),
-        np.array(node_rank, dtype=np.int64), int(path_len.max(initial=0)))
+        node_base[tree_of], node_child + np.repeat(node_base, sizes)[:, None],
+        _concat([tab.node_value for tab in tables]),
+        _concat([tab.node_rank for tab in tables]),
+        int(path_len.max(initial=0)))
     _check_preservation(out)
     return out
+
+
+def _concat(parts, empty=(0,)) -> np.ndarray:
+    """The int64 arrays ``parts`` end to end, or an empty array of shape
+    ``empty`` when there is none."""
+    return np.concatenate(parts) if parts else np.empty(empty, np.int64)
 
 
 def _check_preservation(t: TensorizedCsp) -> None:
@@ -377,9 +427,7 @@ def _check_preservation(t: TensorizedCsp) -> None:
         raise InvariantError("tensorization changed the constraint count")
     if t.base.num_vars > t.original.measures.q * t.original.num_vars:
         raise InvariantError("tensorization exceeded the Q|V| node bound")
-    po = constraint_sums(fo, fo.log_w)
-    pt = constraint_sums(ft, ft.log_w)
-    if (np.abs(po - pt) > 1e-9).any():
+    if (np.abs(fo.log_pc - ft.log_pc) > 1e-9).any():
         raise InvariantError("tensorization changed a falsifying probability")
 
 
@@ -398,10 +446,13 @@ def trans(tensorized: TensorizedCsp, sigma_tensor) -> np.ndarray:
 def global_marking(tensorized: TensorizedCsp, per_var_marks) -> Marking:
     """Lift per-variable local node mark sets to a marking over the
     tensorized variable set."""
+    counts = np.fromiter(map(len, per_var_marks), np.int64,
+                         len(per_var_marks))
+    local = np.fromiter(itertools.chain.from_iterable(per_var_marks),
+                        np.int64, int(counts.sum()))
     mask = np.zeros(tensorized.base.num_vars, dtype=bool)
-    for v, local in enumerate(per_var_marks):
-        mask[tensorized.node_vars(
-            v, np.fromiter(local, np.int64, len(local)))] = True
+    mask[tensorized.node_vars(np.repeat(np.arange(len(counts)), counts),
+                              local)] = True
     return Marking(mask)
 
 
@@ -415,9 +466,10 @@ def marked_path_log2(tree: TensorTree, marks, q: int) -> float:
     return s
 
 
+@functools.lru_cache(maxsize=None)
 def complete_binary_tensorize_with_marking(q_colors: int):
     """Balanced binary tree template over a uniform domain of size Q with the
-    deep internal levels marked.
+    deep internal levels marked, built and certified once per Q.
 
     Returns (tree, marked node ids).  With D = ceil(log2 Q) and
     R = floor((2/3) log2 Q), internal nodes at level >= R are marked; the

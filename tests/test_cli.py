@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import math
@@ -15,7 +16,9 @@ import click
 import numpy as np
 import pytest
 
+import lllsampler.core
 import lllsampler.marking
+import lllsampler.tensorization
 import lllsampler.verify
 from lllsampler import (STAR, HypergraphInstance, VariableSpec,
                         check_theorem_conditions, emit_csp, sample)
@@ -638,6 +641,43 @@ def test_prepare_computes_marking_constants_once(pipeline, monkeypatch):
     prepared = prepare_pipeline(instance, cfg)
     assert not prepared.forced_empty
     assert calls == [prepared.marking]
+
+
+def test_coloring_setup_builds_the_template_once(monkeypatch):
+    # the Q-leaf template and its tables are built once per process, and
+    # each instance's ln p_C once: a second set-up rebuilds no part of the
+    # template and reads the same marking and draws
+    counts = collections.Counter()
+
+    def count(owner, name):
+        f = getattr(owner, name)
+
+        def counting(*args, **kw):
+            counts[name] += 1
+            return f(*args, **kw)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    for owner, name in ((lllsampler.tensorization, "_balanced"),
+                        (lllsampler.tensorization.TensorTree, "leaf_product"),
+                        (lllsampler.tensorization, "marked_path_log2"),
+                        (lllsampler.core, "constraint_sums"),
+                        (lllsampler.marking, "constraint_sums"),
+                        (lllsampler.tensorization, "constraint_sums")):
+        count(owner, name)
+    lllsampler.tensorization.complete_binary_tensorize_with_marking \
+        .cache_clear()
+    instance = HypergraphInstance(32, (tuple(range(32)),))
+    cfg = PipelineConfig("-", "hypergraph", "coloring", colors=256, seed=3)
+    draws = []
+    for expected in ({"_balanced": 511, "leaf_product": 512,
+                      "marked_path_log2": 256, "constraint_sums": 5},
+                     {"constraint_sums": 5}):
+        counts.clear()
+        prepared = prepare_pipeline(instance, cfg)
+        assert counts == expected
+        draws.append([prepared.draw(3, i) for i in range(3)])
+    assert draws[0] == draws[1]
 
 
 def test_binary_pipeline_reads_only_the_arrays():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -515,6 +516,59 @@ def test_global_marking_roundtrip():
     assert isinstance(marking, Marking)
     assert sum(marking.marked) == 3
     assert marking.marked[node_index(tz, 1, 4)]
+
+
+def test_tensorize_mixes_widths_and_one_node_trees():
+    # a ternary, a binary, a four-leaf tree with a ternary node and a
+    # one-node tree in one call: node_child rows are padded to the widest
+    # node, and the one-node tree's variable has no node variable
+    t3 = TensorTree(((1, 2, 3), (), (), ()), (1.0, 0.2, 0.3, 0.5),
+                    {1: 0, 2: 1, 3: 2})
+    t4 = TensorTree(((1, 5), (2, 3, 4), (), (), (), ()),
+                    (1.0, 0.6, 0.5, 0.25, 0.25, 0.4),
+                    {2: 0, 3: 1, 4: 2, 5: 3})
+    single = TensorTree(((),), (1.0,), {0: 0})
+    s3 = VariableSpec(3, (0.2, 0.3, 0.5))
+    s4 = VariableSpec(4, (0.3, 0.15, 0.15, 0.4))
+    s2 = VariableSpec(2, (0.3, 0.7))
+    one = VariableSpec(1, (1.0,))
+    csp = csp_of([s3, s4, s2, one, s3],
+                 [((0, 1, 2), (2, 1, 0)), ((1, 3, 4), (3, 0, 1)),
+                  ((2, 4), (1, 0)), ((0, 1), (0, 2))])
+    trees = [t3, t4, huffman_tensorize(s2.weights), single, t3]
+    tz = checked_tensorize(csp, trees)
+    assert tz.node_child.shape == (4 + 6 + 3 + 1, 3)
+    node_of, cons = reference_tensorize(csp, trees)
+    assert [{z: node_index(tz, v, z) for z in local}
+            for v, local in enumerate(node_of)] == node_of
+    assert constraint_pairs(tz.base) == cons
+    rng = random.Random(9)
+    for _ in range(50):
+        sigma = [rng.randrange(s.domain_size) for s in tz.base.vars]
+        assert trans(tz, sigma).tolist() == reference_trans(tz, sigma)
+    marks = [{0}, {0, 1}, {0}, set(), set()]
+    assert global_marking(tz, marks).indices() == tuple(sorted(
+        node_of[v][z] for v, local in enumerate(marks) for z in local))
+
+
+def test_tensorize_without_variables():
+    # preprocessing can remove every variable: no tree is left
+    tz = checked_tensorize(csp_of([], []), [])
+    assert tz.base.num_vars == 0 and tz.node_child.shape == (0, 1)
+    assert trans(tz, []).tolist() == []
+    assert global_marking(tz, []).indices() == ()
+
+
+def test_complete_binary_template_is_built_once_per_q():
+    tree, marks = complete_binary_tensorize_with_marking(256)
+    assert complete_binary_tensorize_with_marking(256) == (tree, marks)
+    assert complete_binary_tensorize_with_marking(256)[0] is tree
+    other = complete_binary_tensorize_with_marking(255)[0]
+    assert other != tree and other.num_values == 255
+    # the shared template cannot be changed through one of its users
+    with pytest.raises(TypeError):
+        tree.leaf_value[tree.num_values] = 0
+    assert pickle.loads(pickle.dumps(tree)) == tree
 
 
 def test_dump_golden():
