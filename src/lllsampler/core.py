@@ -159,9 +159,9 @@ class FlatCsp:
     arity: np.ndarray        # entries of each constraint
     entry_cons: np.ndarray   # constraint of each entry
     var_ptr: np.ndarray      # offset of each variable's first constraint
-    var_cons: np.ndarray     # constraints of each variable, concatenated
     specs: tuple[VariableSpec, ...]  # the distinct specs, first use first
     spec_of: np.ndarray      # per variable, its index in ``specs``
+    entry_spec: np.ndarray   # per entry, ``spec_of`` of its variable
     cum_table: np.ndarray
 
     def spans(self):
@@ -172,6 +172,28 @@ class FlatCsp:
     def log_pc(self) -> np.ndarray:
         """ln p_C of each constraint: its entries' ln weights summed."""
         return constraint_sums(self, self.log_w)
+
+    @functools.cached_property
+    def var_cons(self) -> np.ndarray:
+        """The constraints of each variable, concatenated, each variable's
+        ascending: built on first read, which ``constraint_degree`` and
+        ``component`` make, by one sort of the distinct keys (variable,
+        entry), much faster than a stable argsort of the variables; n *
+        total stays far below 2^63 for any instance that fits in memory."""
+        total = len(self.cons_vars)
+        key = self.cons_vars * total
+        key += np.arange(total)
+        key.sort()
+        return self.entry_cons[np.remainder(key, max(total, 1), out=key)]
+
+
+def per_entry(table: np.ndarray, entry_spec: np.ndarray,
+              cons_fals: np.ndarray) -> np.ndarray:
+    """``table[g, q]`` of each entry, for its spec g (``entry_spec``) and
+    falsifying value q: with one spec, one take from its row."""
+    if len(table) == 1:
+        return table[0].take(cons_fals)
+    return table.ravel()[entry_spec * table.shape[1] + cons_fals]
 
 
 def flatten(vars: tuple[VariableSpec, ...], cons_vars, cons_fals,
@@ -211,8 +233,14 @@ def flatten(vars: tuple[VariableSpec, ...], cons_vars, cons_fals,
     bad = (cons_vars < 0) | (cons_vars >= n)
     stop = int(bad.argmax()) if bad.any() else total
     q, v = cons_fals[:stop], cons_vars[:stop]
-    entry_spec = spec_of[v]
-    bad_q = np.flatnonzero((q < 0) | (q >= domain[entry_spec]))
+    if len(specs) == 1:
+        # every entry has spec 0: a zero broadcast, not a gather
+        entry_spec = np.broadcast_to(np.int64(0), (total,))
+        limit = domain[0]
+    else:
+        entry_spec = spec_of[v]
+        limit = domain[entry_spec]
+    bad_q = np.flatnonzero((q < 0) | (q >= limit))
     if len(bad_q):
         e = bad_q[0]
         raise InvalidInstanceError(
@@ -224,21 +252,6 @@ def flatten(vars: tuple[VariableSpec, ...], cons_vars, cons_fals,
     entry_cons = np.repeat(np.arange(len(arity)), arity)
     var_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(cons_vars, minlength=n), out=var_ptr[1:])
-    # the entries by variable, each variable's in constraint order: a sort
-    # of the distinct keys (variable, entry), much faster than a stable
-    # argsort of the variables; n * total stays far below 2^63 for any
-    # instance that fits in memory
-    key = cons_vars * total
-    key += np.arange(total)
-    key.sort()
-    var_cons = entry_cons[np.remainder(key, max(total, 1), out=key)]
-    # a variable twice in one constraint gives two neighbours, within one
-    # variable's run, with one constraint
-    same = var_cons[1:] == var_cons[:-1]
-    run = var_ptr[1:-1]
-    same[run[(run > 0) & (run < total)] - 1] = False
-    if same.any():
-        raise InvalidInstanceError("constraint variables must be distinct")
     width = int(domain.max(initial=1))
     cum_table = np.full((len(specs), width - 1), np.inf)
     log_table = np.zeros((len(specs), width))
@@ -247,31 +260,55 @@ def flatten(vars: tuple[VariableSpec, ...], cons_vars, cons_fals,
         cum_table[g, :s.domain_size - 1] = list(
             itertools.accumulate(s.weights))[:-1]
         log_table[g, :s.domain_size] = s.log_weights
-    log_w = log_table[entry_spec, cons_fals]
-    return FlatCsp(cons_vars, cons_fals, log_w, starts, arity, entry_cons,
-                   var_ptr, var_cons, specs, spec_of, cum_table)
+    flat = FlatCsp(cons_vars, cons_fals,
+                   per_entry(log_table, entry_spec, cons_fals), starts,
+                   arity, entry_cons, var_ptr, specs, spec_of, entry_spec,
+                   cum_table)
+    # variables that strictly ascend within each constraint are distinct;
+    # otherwise a variable twice in one constraint gives two neighbours,
+    # within one variable's run of the index, with one constraint
+    up = cons_vars[1:] > cons_vars[:-1]
+    up[starts[1:] - 1] = True
+    if not up.all():
+        var_cons = flat.var_cons
+        same = var_cons[1:] == var_cons[:-1]
+        run = var_ptr[1:-1]
+        same[run[(run > 0) & (run < total)] - 1] = False
+        if same.any():
+            raise InvalidInstanceError(
+                "constraint variables must be distinct")
+    return flat
 
 
 def constraint_sums(flat: FlatCsp, x: np.ndarray, first=0.0) -> np.ndarray:
     """Per constraint, ``first`` (a scalar or one value per constraint) plus
-    its entries' values ``x``, added left to right one entry at a time: a
-    row-wise cumsum per distinct arity.  ``np.add.reduceat`` sums in
-    unrolled blocks, and Python's float ``sum`` is compensated from 3.12.
-    With one arity the entries are ``x``'s rows, one per constraint, and no
-    index is gathered."""
+    its entries' values ``x``, added left to right one entry at a time.
+
+    Per distinct arity a, the block of its constraints is (a + 1, m), one
+    column per constraint with ``first`` on top, and ``np.add.reduce`` over
+    axis 0 adds its rows one after another, vectorised across the columns.
+    -0.0 starts the reduce, since it is the one float that adds exactly;
+    numpy's default start, +0.0, would turn a sum of -0.0s into +0.0.
+    numpy sums a contiguous axis pairwise instead, which a block of one
+    column would be, so such a block gets a second, zero column.
+    ``np.add.reduceat`` sums in unrolled blocks, and Python's float ``sum``
+    is compensated from 3.12.  With one arity the entries are ``x``'s rows,
+    one per constraint, and no index is gathered."""
     out = np.empty(len(flat.arity))
     first = np.broadcast_to(np.asarray(first, dtype=np.float64), out.shape)
     arities = np.unique(flat.arity).tolist()
     for a in arities:
         if len(arities) == 1:
-            rows, entries = slice(None), x.reshape(len(out), a)
+            rows, entries = slice(None), x.reshape(len(out), a).T
         else:
             rows = np.flatnonzero(flat.arity == a)
-            entries = x[flat.starts[rows, None] + np.arange(a)]
-        block = np.empty((len(entries), a + 1))
-        block[:, 0] = first[rows]
-        block[:, 1:] = entries
-        out[rows] = np.cumsum(block, axis=1)[:, -1]
+            entries = x[flat.starts[rows] + np.arange(a)[:, None]]
+        m = entries.shape[1]
+        block = np.empty((a + 1, max(m, 2)))
+        block[0, :m] = first[rows]
+        block[1:, :m] = entries
+        block[:, m:] = 0.0
+        out[rows] = np.add.reduce(block, axis=0, initial=-0.0)[:m]
     return out
 
 

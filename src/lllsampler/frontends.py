@@ -7,6 +7,7 @@ Each parser has a matching emitter so canonicalized instances round-trip.
 from __future__ import annotations
 
 import json
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -57,8 +58,14 @@ def parse_dimacs(text: str) -> AtomicCsp:
     they hold more than integers, the blank and comment lines are dropped
     first.  The first error in file order is raised: a clause's own errors
     at the line of its terminating 0, and a line with a non-integer token
-    before any clause that it ends.
+    before any clause that it ends.  Reading stops at the first line whose
+    first non-blank character is "%": SATLIB's files end in such a line
+    and a line "0".
     """
+    # ``in`` is one C scan, so a text without "%" costs no regex search
+    trailer = "%" in text and _TRAILER.search(text)
+    if trailer:
+        text = text[:trailer.start()]
     lines = text.splitlines()
     header = None
     for i, raw in enumerate(lines):
@@ -144,6 +151,11 @@ def _problem_line(line: str, lineno: int) -> tuple[int, int]:
         raise ParseError("malformed problem line", lineno)
     return num_vars, num_clauses
 
+
+#: The start of the first line whose first non-blank character is "%": a
+#: line boundary of ``str.splitlines``, or the text's start, then blanks.
+_TRAILER = re.compile(
+    r"(?:\A|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])\s*%")
 
 _INT64 = np.iinfo(np.int64)
 

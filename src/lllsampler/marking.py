@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomicCsp, constraint_sums, memoized
+from .core import AtomicCsp, constraint_sums, memoized, per_entry
 from .errors import (ConditionsError, ConstructionFailedError, RegimeError,
                      SamplerError)
 from .kernels import LABEL_MARKING, RandomnessTape, derive_seed
@@ -112,8 +112,7 @@ def compute_constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
         term[g, :s.domain_size] = [
             math.log(beta * w + (beta - 1.0) * (s.domain_size - 2))
             for w in s.weights]
-    entry_term = term.ravel()[flat.spec_of[flat.cons_vars] * term.shape[1]
-                              + flat.cons_fals]
+    entry_term = per_entry(term, flat.entry_spec, flat.cons_fals)
     ll = constraint_sums(
         flat, np.where(marked, entry_term, 0.0),
         first=[2.0 * math.log(k) for k in flat.arity.tolist()])

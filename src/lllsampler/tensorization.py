@@ -632,7 +632,7 @@ def _uniform_events(csp: AtomicCsp):
     its entries' sum leaves [-(eta+tau1), -(eta-tau2)]*log2(1/p_C)."""
     flat = csp.flat
     log2_size = np.array([math.log2(s.domain_size) for s in flat.specs])
-    l_c = constraint_sums(flat, log2_size[flat.spec_of[flat.cons_vars]])
+    l_c = constraint_sums(flat, log2_size[flat.entry_spec])
     lo = -(UNIFORM_ETA + UNIFORM_TAU1) * l_c - _WEIGHT_TOL
     hi = -(UNIFORM_ETA - UNIFORM_TAU2) * l_c + _WEIGHT_TOL
 

@@ -646,7 +646,9 @@ def test_prepare_computes_marking_constants_once(pipeline, monkeypatch):
 def test_coloring_setup_builds_the_template_once(monkeypatch):
     # the Q-leaf template and its tables are built once per process, and
     # each instance's ln p_C once: a second set-up rebuilds no part of the
-    # template and reads the same marking and draws
+    # template and reads the same marking and draws.  Nothing lists a
+    # variable's constraints: the measures are derived, each constraint's
+    # variables ascend, and the draws grow no component
     counts = collections.Counter()
 
     def count(owner, name):
@@ -676,7 +678,9 @@ def test_coloring_setup_builds_the_template_once(monkeypatch):
         counts.clear()
         prepared = prepare_pipeline(instance, cfg)
         assert counts == expected
-        draws.append([prepared.draw(3, i) for i in range(3)])
+        draws.append([prepared.draw(3, i) for i in range(50)])
+        for csp in (prepared.original, prepared.run_csp):
+            assert "var_cons" not in csp.flat.__dict__
     assert draws[0] == draws[1]
 
 

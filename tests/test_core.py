@@ -67,6 +67,8 @@ def test_constructor_checks_the_entry_arrays():
             (([0, 1, 0], [0, 0, 1], [3]), "variables must be distinct"),
             (([0, 1, 2, 1], [0, 0, 1, 1], [3, 1]), None),
             (([2, 0, 2], [0, 0, 1], [1, 2]), None),
+            # distinct but descending: checked on the variable index
+            (([2, 1, 0, 1], [0, 0, 1, 1], [3, 1]), None),
             (([1, 2, 0, 2], [0, 0, 0, 1], [1, 3]),
              "variables must be distinct"),
             (([0, 1], [0], [2]), "falsifying must match vbl"),
@@ -75,7 +77,14 @@ def test_constructor_checks_the_entry_arrays():
             (([0, 1], [0, 2], [2]), "falsifying value 2 outside domain")):
         if message is None:
             csp = AtomicCsp(two, *map(np.array, arrays))
-            assert len(csp.flat.arity) == len(arrays[2])
+            f = csp.flat
+            assert len(f.arity) == len(arrays[2])
+            # variables that ascend in each constraint need no index
+            ascending = all(list(vbl) == sorted(vbl)
+                            for vbl, _ in constraint_pairs(csp))
+            assert ("var_cons" in f.__dict__) != ascending
+            assert [f.var_cons[f.var_ptr[v]:f.var_ptr[v + 1]].tolist()
+                    for v in range(3)] == constraints_of_variables(csp)
         else:
             with pytest.raises(InvalidInstanceError, match=message):
                 AtomicCsp(two, *map(np.array, arrays))
@@ -159,17 +168,23 @@ def gathered_sums(f, x, first):
     return out
 
 
-@pytest.mark.parametrize("arities", [(7,), (1,), (3, 5, 12)])
+@pytest.mark.parametrize("arities", [(7,), (1,), (3, 5, 12), (9,),
+                                     (2, 8, 30)])
 def test_constraint_sums_match_the_gather_path(arities):
     # one arity reads the entries as rows of x; both layouts must add in
     # the gather path's order, bit for bit
     rng = random.Random(len(arities) * 100 + arities[0])
     n = 30
-    for _ in range(20):
-        cons = []
-        for _ in range(rng.randint(1, 60)):
-            vbl = tuple(rng.sample(range(n), rng.choice(arities)))
-            cons.append((vbl, (0,) * len(vbl)))
+    for trial in range(40):
+        if trial % 2:
+            # one or two constraints of each arity: numpy sums a one-column
+            # block pairwise, which differs from a left-to-right sum from
+            # 8 terms on
+            sizes = [a for a in arities for _ in range(rng.randint(1, 2))]
+            rng.shuffle(sizes)
+        else:
+            sizes = [rng.choice(arities) for _ in range(rng.randint(1, 60))]
+        cons = [(tuple(rng.sample(range(n), a)), (0,) * a) for a in sizes]
         f = csp_of([VariableSpec.uniform(2)] * n, cons).flat
         x = np.array([rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
                       for _ in range(len(f.cons_vars))])
@@ -182,6 +197,9 @@ def test_constraint_sums_match_the_gather_path(arities):
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
         assert (core.constraint_sums(f, x).tobytes()
                 == gathered_sums(f, x, np.zeros(len(cons))).tobytes())
+        # -0.0 plus -0.0 is -0.0: the sum starts from no +0.0
+        zeros = np.full(len(x), -0.0)
+        assert np.signbit(core.constraint_sums(f, zeros, -0.0)).all()
 
 
 def test_log_p_matches_the_entry_loop_bitwise():

@@ -89,6 +89,8 @@ DIMACS_ERRORS = [
     ("p cnf 3 2\n3\np cnf 3 2\n", "duplicate problem line", 3),
     ("p cnf 3 2\n5 0\np cnf 3 2\n", "literal 5 out of range", 2),
     ("p cnf 3 -1\n", "malformed problem line", 1),
+    # the "0" after a "%" line ends no clause
+    ("p cnf 3 2\n1 2\n%\n0\n", "last clause is not 0-terminated", None),
 ]
 
 
@@ -193,6 +195,18 @@ def test_comment_lines_keep_the_array_path(monkeypatch):
     assert constraint_pairs(csp) == reference_dimacs(text)[0]
     with pytest.raises(ParseError, match="line 5: literal 5 out of range"):
         parse_dimacs("p cnf 3 1\nc x\n1 5\nc y\n2 0\n")
+
+
+def test_parse_dimacs_stops_at_a_percent_line():
+    # SATLIB's uf* files end in a line "%" and a line "0"
+    csp = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n")
+    assert constraint_pairs(csp) == [((0, 1), (0, 1)), ((1, 2), (0, 0))]
+    # "%" inside a comment line is still a comment
+    assert parse_dimacs("c 50% of\np cnf 3 2\n1 -2 0\nc x %\n2 3 0\n") == csp
+    # the clause before the "%" line is kept, and nothing after it is read
+    csp = parse_dimacs("p cnf 3 2\n1 -2 0\n  % end\n2 x 0\np cnf 1 1\n")
+    assert constraint_pairs(csp) == [((0, 1), (0, 1))]
+    assert parse_dimacs("p cnf 3 2\r1 -2 0\r%\r0\r") == csp
 
 
 def test_dimacs_roundtrip():
