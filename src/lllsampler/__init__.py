@@ -10,14 +10,13 @@ from .errors import (BudgetError, ConditionsError, ConstructionFailedError,
 from .frontends import (HypergraphInstance, build_coloring, emit_csp,
                         emit_dimacs, emit_hypergraph, parse_csp,
                         parse_dimacs, parse_hypergraph)
-from .kernels import (ComponentResult, RandomnessTape, component, coupled_update,
-                      derive_seed, exact_component_marginal, rejection_sampling,
-                      safe_pmf)
+from .kernels import (ComponentResult, RandomnessTape, component, derive_seed,
+                      exact_component_marginal, rejection_sampling, safe_pmf)
 from .marking import (Marking, binary_gamma, check_theorem_conditions,
                       compute_constants, construct_marking_binary,
                       construct_marking_uniform_binary, kl_divergence)
 from .sampler import (ChainRun, SampleRecord, bounding_chain, final_sampling,
-                      sample, systematic_scan)
+                      sample)
 from .tensorization import (TensorTree, TensorizedCsp,
                             complete_binary_tensorize_with_marking,
                             huffman_tensorize, tensorize, trans,

@@ -90,10 +90,6 @@ class RandomnessTape:
             _Key(np.array([self.master_seed, label], dtype=np.uint64)),
             counter=position))
 
-    def uniform(self, t: int) -> float:
-        """The chain deviate of time t."""
-        return float(self.layered_block(t, t + 1)[0])
-
     def layered_block(self, t_start: int, t_stop: int) -> np.ndarray:
         """The chain deviates for t in [t_start, t_stop), batched: one
         output each, read in order.
@@ -206,13 +202,22 @@ def product_draw(flat: FlatCsp, free: np.ndarray,
 class RejectionTables:
     """What lockstep rejection reads after its first attempt: the
     ``components`` components with a constraint, numbered 0..P-1 in the
-    order of their ``split_components`` labels, and their constraints,
-    numbered 0..C-1 in id order.
+    order of their ``split_components`` labels, and their constraints'
+    entries on STAR variables, laid out as rows.
 
-    - ``entries``: four arrays over the constraints' entries on STAR
-      variables, in entry order: variable, falsifying value, constraint and
-      component.
-    - ``cons_comp``: the component of each constraint.
+    - ``rows``: an int64 (R, k) table of variables.  Each constraint's
+      entries fill consecutive rows, k to a row, in entry order; the last
+      row is padded with copies of its first entry.
+    - ``codes``: the falsifying values of the cells of ``rows``, in the
+      narrowest unsigned dtype that holds every value of the instance.  k
+      is the fewest codes that fill a word of 1, 2, 4 or 8 bytes and hold
+      the longest constraint, or 8 bytes' worth.  A row matches when its
+      values, read as one word, equal its codes'; a pad matches exactly
+      when its row's first entry does.  A constraint is violated when all
+      its rows match.
+    - ``row_comp``: the component of each row; ``row_cons``: its
+      constraint, numbered 0..C-1 in id order, or None when no constraint
+      spans several rows.
     - ``draw`` and ``draw_comp``: the STAR variables of the components,
       ascending, and their components.
     - ``draw_cum``: their ``flat.cum_table`` rows; one column (binary
@@ -220,8 +225,10 @@ class RejectionTables:
     """
 
     components: int
-    entries: tuple[np.ndarray, ...]
-    cons_comp: np.ndarray
+    rows: np.ndarray
+    codes: np.ndarray
+    row_comp: np.ndarray
+    row_cons: np.ndarray | None
     draw: np.ndarray
     draw_comp: np.ndarray
     draw_cum: np.ndarray
@@ -243,14 +250,29 @@ def rejection_tables(csp: AtomicCsp, live: np.ndarray,
         return None
     ev = flat.cons_vars[entry]
     label = split_components(csp, entry)
-    _, ec = np.unique(flat.entry_cons[entry], return_inverse=True)
-    roots, comp = np.unique(label[ev], return_inverse=True)
-    cons_comp = np.empty(ec[-1] + 1, dtype=np.int64)
-    cons_comp[ec] = comp
+    # each constraint's first entry and size, and each entry's place in it
+    first = np.flatnonzero(np.diff(flat.entry_cons[entry], prepend=-1))
+    size = np.diff(first, append=len(entry))
+    pos = np.arange(len(entry)) - np.repeat(first, size)
+    # no value exceeds the column count of ``cum_table``
+    dtype = np.min_scalar_type(flat.cum_table.shape[1])
+    word = min(8, 1 << (int(size.max()) * dtype.itemsize - 1).bit_length())
+    k = word // dtype.itemsize
+    nrows = -(-size // k)
+    lead = np.flatnonzero(pos % k == 0)
+    # the entry in each cell: the one placed there, else its row's first;
+    # a constraint's entries fill the cells from its first row's on
+    cell = np.repeat(lead, k)
+    cell[np.repeat((np.cumsum(nrows) - nrows) * k, size) + pos] = np.arange(
+        len(entry))
+    cell = cell.reshape(-1, k)
+    roots, row_comp = np.unique(label[ev[lead]], return_inverse=True)
     draw = np.unique(ev)
     cum = flat.cum_table[flat.spec_of[draw]]
     return RejectionTables(
-        len(roots), (ev, flat.cons_fals[entry], ec, comp), cons_comp,
+        len(roots), ev[cell], flat.cons_fals[entry[cell]].astype(dtype),
+        row_comp,
+        np.repeat(np.arange(len(size)), nrows) if (nrows > 1).any() else None,
         draw, np.searchsorted(roots, label[draw]),
         cum[:, 0] if cum.shape[1] == 1 else cum)
 
@@ -271,12 +293,16 @@ def rejection_sampling(csp: AtomicCsp, values: np.ndarray,
     already revealed, so its attempts are i.i.d. product draws that stop at
     its first success, independently of the other components.
 
-    A round after the first is a few flat passes over the tables: one
-    scatter marks the constraints with an entry off its falsifying value,
-    and one marks the components of the rest.  A satisfied component stays
-    satisfied, so the tables keep only the pending components' entries,
-    constraints and variables, masked again only in a round where a
-    component succeeded.
+    After the first attempt the values live in a copy in the dtype of
+    ``tables.codes``, and are written back at the end.  A round's check is
+    one gather of that copy through ``tables.rows``, read as one word per
+    row, and one comparison with the codes' words; one scatter marks the
+    components of the matching rows (of the constraints all of whose rows
+    match, when one spans several).  A satisfied component stays
+    satisfied.  So the variables to redraw are masked down to the pending
+    components' whenever one succeeds, which keeps the reads in the same
+    order, and the rows only when the pending components are at most half
+    of those the rows still hold.
 
     Returns (values, attempts summed over the components with a
     constraint); a variable in no constraint is drawn once and counts no
@@ -288,36 +314,42 @@ def rejection_sampling(csp: AtomicCsp, values: np.ndarray,
     if tables is None:
         return values, 0
     components = attempts = tables.components
-    ev, ef, ec, entry_comp = tables.entries
-    cons_comp = tables.cons_comp
-    cons = np.arange(len(cons_comp))
+    rows, row_comp, row_cons = tables.rows, tables.row_comp, tables.row_cons
+    word = np.dtype(f"u{tables.codes.itemsize * rows.shape[1]}")
+    code = tables.codes.view(word)[:, 0]
+    work = values.astype(tables.codes.dtype)
     draw, draw_comp, cum = tables.draw, tables.draw_comp, tables.draw_cum
-    rounds, live = 1, components
+    rounds, live, held = 1, components, components
     while True:
-        # a constraint with an entry off its falsifying value is satisfied
-        sat = np.zeros(len(tables.cons_comp), dtype=bool)
-        sat[ec[values[ev] != ef]] = True
+        hit = work[rows].view(word)[:, 0] == code
+        if row_cons is not None:
+            # a constraint on several rows is violated when all of them match
+            miss = np.zeros(row_cons[-1] + 1, dtype=bool)
+            miss[row_cons[~hit]] = True
+            hit = ~miss[row_cons]
         bad = np.zeros(components, dtype=bool)
-        bad[cons_comp[~sat[cons]]] = True
+        bad[row_comp[hit]] = True
         pending = int(np.count_nonzero(bad))
         if not pending:
+            values[tables.draw] = work[tables.draw]
             return values, attempts
         if rounds == cap:
             raise BudgetError(
                 f"rejection sampling exceeded {cap} attempts; instance is "
                 "likely outside the sampler's regime")
         if pending < live:
-            keep = bad[entry_comp]
-            ev, ef, ec = ev[keep], ef[keep], ec[keep]
-            entry_comp = entry_comp[keep]
-            keep = bad[cons_comp]
-            cons, cons_comp = cons[keep], cons_comp[keep]
             keep = bad[draw_comp]
             draw, draw_comp, cum = draw[keep], draw_comp[keep], cum[keep]
             live = pending
+        if 2 * pending <= held:
+            keep = bad[row_comp]
+            rows, code, row_comp = rows[keep], code[keep], row_comp[keep]
+            if row_cons is not None:
+                row_cons = row_cons[keep]
+            held = pending
         u = stream.uniforms(len(draw))
-        values[draw] = (cum <= u if cum.ndim == 1
-                        else (cum <= u[:, None]).sum(axis=1))
+        work[draw] = (cum <= u if cum.ndim == 1
+                      else (cum <= u[:, None]).sum(axis=1))
         attempts += pending
         rounds += 1
 
@@ -547,15 +579,3 @@ def chain_steps(ctx: UpdateContext, state: np.ndarray, t0: int,
         state[vs[done:]] = safe[done:]
         a = b
 
-
-def coupled_update(csp: AtomicCsp, m, state, t: int,
-                   tape: RandomnessTape) -> np.ndarray:
-    """One monotone coupled step on a state (STAR = -1): returns the updated
-    state as a new int64 array and leaves ``state`` as it was.
-
-    Unmarked time slots are no-ops.  The randomness consumed is exactly the
-    chain deviate of time t, so runs over the same tape couple pointwise.
-    """
-    out = np.array(state, dtype=np.int64)
-    _update_in_place(update_context(csp, m), out, t, tape.uniform(t))
-    return out

@@ -97,15 +97,18 @@ def compute_constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
     if len(m.mask) != csp.num_vars:
         raise SamplerError("marking length does not match variable count")
     flat = csp.flat
-    marked = m.mask[flat.cons_vars]
-    la = constraint_sums(flat, np.where(marked, 0.0, flat.log_w))
+    # an entry's term is selected by a 0/1 mask as x * mask, which is -0.0
+    # for a negative x masked out; each sum starts from a +0.0 or nonzero
+    # ``first``, so it is that of np.where's +0.0, bit for bit
+    marked = m.mask[flat.cons_vars].astype(np.float64)
+    la = constraint_sums(flat, flat.log_w * (1.0 - marked))
     log_alpha = float(la.max(initial=-math.inf))
     # beta is defined only when e*alpha < 1, i.e. 1 + ln(alpha) < 0
     if 1.0 + log_alpha >= 0.0:
         return MarkingConstants(log_alpha, None, None, None)
     log_beta = -csp.measures.d * math.log1p(-math.exp(1.0 + log_alpha))
     beta = math.exp(log_beta)
-    lr = constraint_sums(flat, np.where(marked, log_beta + flat.log_w, 0.0))
+    lr = constraint_sums(flat, (log_beta + flat.log_w) * marked)
     # lambda's term per (spec, value)
     term = np.zeros((len(flat.specs), flat.cum_table.shape[1] + 1))
     for g, s in enumerate(flat.specs):
@@ -114,7 +117,7 @@ def compute_constants(csp: AtomicCsp, m: Marking) -> MarkingConstants:
             for w in s.weights]
     entry_term = per_entry(term, flat.entry_spec, flat.cons_fals)
     ll = constraint_sums(
-        flat, np.where(marked, entry_term, 0.0),
+        flat, entry_term * marked,
         first=[2.0 * math.log(k) for k in flat.arity.tolist()])
     return MarkingConstants(log_alpha, log_beta,
                             float(lr.max(initial=-math.inf)),

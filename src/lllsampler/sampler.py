@@ -230,18 +230,3 @@ def sample(csp: AtomicCsp, m: Marking, master_seed: int,
         raise InvariantError("emitted assignment violates a constraint")
     return SampleRecord(values, T, wall)
 
-
-def systematic_scan(csp: AtomicCsp, m: Marking, state, steps: int,
-                    seed: int) -> np.ndarray:
-    """Forward chain on a state (STAR = -1) that is STAR-free on the marking
-    and STAR off it: ``steps`` coupled updates at times 0..steps-1, on an
-    int64 copy of ``state``, which is returned.  Used as the convergence
-    oracle."""
-    state = np.array(state, dtype=np.int64)
-    star = state == STAR
-    if (star & m.mask).any():
-        raise InvariantError("scan input must be STAR-free on the marking")
-    if (~star & ~m.mask).any():
-        raise InvariantError("scan input must be STAR off the marking")
-    _run_chain(update_context(csp, m), state, RandomnessTape(seed), 0, steps)
-    return state

@@ -188,11 +188,3 @@ def check_bounding_invariant(csp: AtomicCsp, m: Marking, T: int, trials: int,
         "sweep_mismatches": sweep_mismatches,
     }
 
-
-def law_of_projection(csp: AtomicCsp, m: Marking,
-                      law: ExactLaw = None) -> ExactLaw:
-    """The exact law of the marked coordinates (the bounding chain's target)."""
-    if law is None:
-        law = enumerate_law(csp)
-    return law.restricted(m.indices())
-

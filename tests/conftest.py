@@ -1,9 +1,50 @@
-"""Shared instances used across the test modules."""
+"""Shared instances and oracles used across the test modules."""
 
+import numpy as np
 import pytest
 
-from lllsampler import (AtomicCsp, Marking, STAR, VariableSpec,
-                        compute_measures)
+from lllsampler import (AtomicCsp, InvariantError, Marking, RandomnessTape,
+                        STAR, VariableSpec, compute_measures, enumerate_law)
+from lllsampler.kernels import _update_in_place, update_context
+from lllsampler.sampler import _run_chain
+
+
+def chain_uniform(tape, t):
+    """The chain deviate of time t on ``tape``."""
+    return float(tape.layered_block(t, t + 1)[0])
+
+
+def coupled_update(csp, m, state, t, tape):
+    """One monotone coupled step on a state (STAR = -1): returns the updated
+    state as a new int64 array and leaves ``state`` as it was.  Unmarked
+    time slots are no-ops.  The randomness consumed is exactly the chain
+    deviate of time t, so runs over the same tape couple pointwise."""
+    out = np.array(state, dtype=np.int64)
+    _update_in_place(update_context(csp, m), out, t, chain_uniform(tape, t))
+    return out
+
+
+def systematic_scan(csp, m, state, steps, seed):
+    """The forward chain on a state (STAR = -1) that is STAR-free on the
+    marking and STAR off it: ``steps`` coupled updates at times
+    0..steps-1, on an int64 copy of ``state``, which is returned.  The
+    convergence oracle."""
+    state = np.array(state, dtype=np.int64)
+    star = state == STAR
+    if (star & m.mask).any():
+        raise InvariantError("scan input must be STAR-free on the marking")
+    if (~star & ~m.mask).any():
+        raise InvariantError("scan input must be STAR off the marking")
+    _run_chain(update_context(csp, m), state, RandomnessTape(seed), 0, steps)
+    return state
+
+
+def law_of_projection(csp, m, law=None):
+    """The exact law of the marked coordinates (the bounding chain's
+    target)."""
+    if law is None:
+        law = enumerate_law(csp)
+    return law.restricted(m.indices())
 
 
 def csp_of(vars, pairs):

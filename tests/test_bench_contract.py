@@ -54,7 +54,8 @@ def test_benchmark_setup_path(name, tmp_path):
 
 def test_cnf_forced_rejection_attempts(monkeypatch):
     # the benchmark's out-of-regime draws are all lockstep rejection; their
-    # attempt count is fixed by the seed
+    # attempt count and the rejection deviates they read are fixed by the
+    # seed
     w = WORKLOAD["cnf-forced"]
     cfg = PipelineConfig("-", w.format, w.pipeline, seed=1, force=w.force)
     prepared = prepare_pipeline(parse_dimacs(w.generate(1).text), cfg)
@@ -66,11 +67,20 @@ def test_cnf_forced_rejection_attempts(monkeypatch):
         attempts.append(n)
         return values, n
 
+    deviates = []
+    uniforms = kernels.TapeStream.uniforms
+
+    def counting_uniforms(self, k):
+        deviates.append(k)
+        return uniforms(self, k)
+
     monkeypatch.setattr(sampler, "rejection_sampling", counting)
+    monkeypatch.setattr(kernels.TapeStream, "uniforms", counting_uniforms)
     for i in range(20):
         prepared.draw(1, i)
     assert len(attempts) == 20
     assert sum(attempts) == 16503
+    assert sum(deviates) == 307_213
 
 
 #: ``core.split_components`` calls in draws 0-19 of each seed-1 instance: in

@@ -9,13 +9,14 @@ from numpy.random import Generator, Philox
 
 from lllsampler import (BudgetError, ConditionsError, InvariantError, Marking,
                         RandomnessTape, STAR, VariableSpec, component,
-                        compute_constants, coupled_update, derive_seed,
+                        compute_constants, derive_seed,
                         exact_component_marginal, final_sampling, safe_pmf)
 from lllsampler import kernels
 from lllsampler.kernels import (LABEL_REJECTION, UpdateContext, _enum_marginal,
                                 _ie_marginal, _update_in_place)
 
-from conftest import csp_of, projected_constraints, ternary9, weighted8
+from conftest import (chain_uniform, coupled_update, csp_of,
+                      projected_constraints, ternary9, weighted8)
 
 
 def test_derive_seed_stable_and_distinct():
@@ -28,18 +29,18 @@ def test_derive_seed_stable_and_distinct():
 
 def test_tape_addressing():
     tape = RandomnessTape(123)
-    u = tape.uniform(-5)
-    assert u == tape.uniform(-5)
-    assert u != tape.uniform(-4)
+    u = chain_uniform(tape, -5)
+    assert u == chain_uniform(tape, -5)
+    assert u != chain_uniform(tape, -4)
     assert u != tape.stream(-5, LABEL_REJECTION).next_uniform()
-    assert u != RandomnessTape(124).uniform(-5)
+    assert u != chain_uniform(RandomnessTape(124), -5)
 
 
 def test_layered_block_matches_pointwise():
     tape = RandomnessTape(5)
     block = tape.layered_block(-10, 0)
     for i, t in enumerate(range(-10, 0)):
-        assert float(block[i]) == tape.uniform(t)
+        assert float(block[i]) == chain_uniform(tape, t)
     # doubled horizon shares the suffix exactly
     block2 = tape.layered_block(-20, 0)
     assert np.array_equal(block2[10:], block)

@@ -13,6 +13,7 @@ from lllsampler import (ConstructionFailedError, Marking, RegimeError,
 from lllsampler.marking import (UNIFORM_ETA, UNIFORM_TAU1, UNIFORM_TAU2,
                                 _binary_events, _uniform_binary_events,
                                 check_necessary_bound, moser_tardos)
+from lllsampler.core import constraint_sums, per_entry
 from lllsampler.kernels import LABEL_MARKING, LABEL_TENSOR, RandomnessTape
 from lllsampler.tensorization import (_uniform_events, marked_path_log2,
                                       uniform_randomized_tensorization)
@@ -219,6 +220,55 @@ def test_constants_match_the_entry_loops_bitwise():
             assert list(map(hex_or_none, got)) == list(map(hex_or_none, want))
             with_beta += want[1] is not None
     assert with_beta > 50
+
+
+def where_constants(csp, m):
+    """Reference: ``compute_constants`` with each entry's term selected by
+    ``np.where``."""
+    flat = csp.flat
+    marked = m.mask[flat.cons_vars]
+    la = constraint_sums(flat, np.where(marked, 0.0, flat.log_w))
+    log_alpha = float(la.max(initial=-math.inf))
+    if 1.0 + log_alpha >= 0.0:
+        return log_alpha, None, None, None
+    log_beta = -csp.measures.d * math.log1p(-math.exp(1.0 + log_alpha))
+    beta = math.exp(log_beta)
+    lr = constraint_sums(flat, np.where(marked, log_beta + flat.log_w, 0.0))
+    term = np.zeros((len(flat.specs), flat.cum_table.shape[1] + 1))
+    for g, s in enumerate(flat.specs):
+        term[g, :s.domain_size] = [
+            math.log(beta * w + (beta - 1.0) * (s.domain_size - 2))
+            for w in s.weights]
+    ll = constraint_sums(
+        flat, np.where(marked, per_entry(term, flat.entry_spec,
+                                         flat.cons_fals), 0.0),
+        first=[2.0 * math.log(k) for k in flat.arity.tolist()])
+    return (log_alpha, log_beta, float(lr.max(initial=-math.inf)),
+            float(ll.max(initial=-math.inf)))
+
+
+def test_constants_match_the_where_selects_bitwise():
+    # a masked-out negative term is -0.0 under the masks and +0.0 under
+    # np.where; a fully marked constraint's alpha sum, and the beta and
+    # lambda sums of a constraint with no marked entry, must still agree
+    # bit for bit
+    rng = random.Random(31)
+    cases = [(csp_of([VariableSpec(2, (0.3, 0.7))] * 3,
+                     [((0, 1), (0, 1)), ((1, 2), (1, 1))]), mask)
+             for mask in ([True, True, False], [False, False, True])]
+    for _ in range(150):
+        csp = random_weighted_csp(rng)
+        for frac in (0.0, 0.3 * rng.random(), rng.random(), 1.0):
+            cases.append((csp, [rng.random() < frac
+                                for _ in range(csp.num_vars)]))
+    zeros = 0
+    for csp, mask in cases:
+        got = compute_constants(csp, Marking(mask))
+        got = (got.log_alpha, got.log_beta, got.log_rho, got.log_lambda)
+        want = where_constants(csp, Marking(mask))
+        assert list(map(hex_or_none, got)) == list(map(hex_or_none, want))
+        zeros += 0.0 in want
+    assert zeros > 20
 
 
 def loop_moser_tardos(num_vars, sample_var, bad_events, stream):

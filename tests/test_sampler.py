@@ -8,17 +8,18 @@ import pytest
 from lllsampler import (BudgetError, InvariantError, Marking, RandomnessTape,
                         STAR, VariableSpec, bounding_chain, component,
                         derive_seed, final_sampling, rejection_sampling,
-                        sample, sampler, systematic_scan)
+                        sample, sampler)
 from lllsampler.cli import PreparedPipeline
 from lllsampler.kernels import (LABEL_REJECTION, TapeStream, UpdateContext,
-                                _update_in_place, coupled_update)
+                                _update_in_place, rejection_tables)
 from lllsampler.sampler import free_tables, live_tables, marked_entries
 from lllsampler.verify import (check_bounding_invariant,
                                coalescence_experiment, enumerate_law,
-                               law_of_projection, tv_distance)
+                               tv_distance)
 
-from conftest import (constraint_pairs, csp_of, free8, overlap18,
-                      projected_constraints, ternary9, uniform20, weighted8)
+from conftest import (constraint_pairs, coupled_update, csp_of, free8,
+                      law_of_projection, overlap18, projected_constraints,
+                      systematic_scan, ternary9, uniform20, weighted8)
 
 
 def test_sample_deterministic_in_seed():
@@ -275,6 +276,43 @@ def canonical_state(csp, m, rng, solution=None):
     return state
 
 
+def assert_rows_hold(tables, csp, live):
+    """Check that ``tables``' rows hold the entries ``live`` (indices into
+    ``csp.flat``, ascending): each constraint's in entry order, k to a row,
+    the pads equal to their row's first entry, and the codes their
+    falsifying values, in the narrowest dtype for the instance's values.
+    Returns the constraint of each row."""
+    flat = csp.flat
+    rows, codes = tables.rows, tables.codes
+    k = rows.shape[1]
+    assert rows.dtype == np.int64 and codes.shape == rows.shape
+    assert codes.dtype == np.min_scalar_type(flat.cum_table.shape[1])
+    expect_rows, expect_codes, row_cons = [], [], []
+    cons = flat.entry_cons[live]
+    for c, ci in enumerate(np.unique(cons).tolist()):
+        mine = live[cons == ci]
+        for a in range(0, len(mine), k):
+            part = list(mine[a:a + k]) + [mine[a]] * (k - len(mine[a:a + k]))
+            expect_rows.append(flat.cons_vars[part])
+            expect_codes.append(flat.cons_fals[part])
+            row_cons.append(c)
+    assert np.array_equal(rows, expect_rows)
+    assert np.array_equal(codes, expect_codes)
+    # the shortest word of 1, 2, 4 or 8 bytes that holds every constraint,
+    # or 8 bytes
+    word = 1
+    while word < min(8, np.unique(cons, return_counts=True)[1].max()
+                     * codes.itemsize):
+        word *= 2
+    assert codes.itemsize * k == word
+    if max(np.bincount(row_cons)) == 1:
+        assert tables.row_cons is None
+    else:
+        assert np.array_equal(tables.row_cons, row_cons)
+    assert len(tables.row_comp) == len(rows)
+    return np.array(row_cons)
+
+
 def test_live_tables_match_full_mask_oracle():
     rng = random.Random(14)
     cases = [(c, m, False) for c, m in (weighted8(), overlap18(), uniform20(),
@@ -303,12 +341,10 @@ def test_live_tables_match_full_mask_oracle():
             if not len(live):
                 assert got is None
             else:
-                ev, ef, ec, entry_comp = got.entries
-                assert np.array_equal(ev, flat.cons_vars[live])
-                assert np.array_equal(ef, flat.cons_fals[live])
+                ev = flat.cons_vars[live]
+                row_cons = assert_rows_hold(got, csp, live)
                 # constraints numbered in id order
-                assert np.array_equal(ec, local)
-                assert len(got.cons_comp) == len(cons)
+                assert row_cons[-1] + 1 == len(cons)
                 assert np.array_equal(got.draw, np.unique(ev))
                 cum = flat.cum_table[flat.spec_of[got.draw]]
                 assert np.array_equal(got.draw_cum, cum.squeeze(axis=1)
@@ -317,9 +353,8 @@ def test_live_tables_match_full_mask_oracle():
                 assert got.components == len(comps)
                 assert {tuple(got.draw[got.draw_comp == c].tolist())
                         for c in range(got.components)} == comps
-                at = np.searchsorted(got.draw, ev)
-                assert np.array_equal(entry_comp, got.draw_comp[at])
-                assert np.array_equal(got.cons_comp[ec], entry_comp)
+                at = np.searchsorted(got.draw, got.rows)
+                assert (got.draw_comp[at] == got.row_comp[:, None]).all()
             values, attempts = final_sampling(csp, m, state, seed)
             assert (values.tolist(), attempts) == reference_final_sampling(
                 csp, m, state.tolist(),
@@ -513,6 +548,81 @@ def test_rejection_cap_counts_rounds_across_components(monkeypatch):
     assert staggered >= 10
     # one build for the empty marking, two per case for the other
     assert len(built) == 1 + 2 * staggered
+
+
+def planted_rows_case(rng):
+    """A random instance, marking and state that reach each branch of the
+    rejection rows: arities 1-20, so that long constraints span several
+    rows; domains 2-300, so that some instances need 16-bit codes; and
+    marked variables, fixed at a planted solution that keeps the instance
+    satisfiable.  Weights lean to value 0, which most falsifying values
+    take, so long constraints are violated often."""
+    n = rng.randint(12, 40)
+    specs = []
+    for d in rng.sample([2, 2, 3, 5, 40, 257, 300], rng.randint(1, 3)):
+        lean = rng.uniform(0.6, 0.9)
+        specs.append(VariableSpec(d, (lean,) + ((1 - lean) / (d - 1),)
+                                  * (d - 1)))
+    vars = [rng.choice(specs) for _ in range(n)]
+    hidden = [rng.randrange(s.domain_size) for s in vars]
+    cons = []
+    for _ in range(rng.randint(1, 12)):
+        vbl = rng.sample(range(n), min(n, rng.choice(
+            [1, 2, 3, rng.randint(4, 8), rng.randint(9, 20)])))
+        fals = [0] * len(vbl)
+        if all(hidden[v] == 0 for v in vbl):
+            i = rng.randrange(len(vbl))
+            fals[i] = rng.randrange(1, vars[vbl[i]].domain_size)
+        cons.append((tuple(vbl), tuple(fals)))
+    csp = csp_of(vars, cons)
+    m = Marking.from_indices(n, [v for v in range(n) if rng.random() < 0.2])
+    state = np.array([hidden[v] if m.marked[v] else STAR for v in range(n)])
+    return csp, m, state
+
+
+def test_rejection_rows_match_reference():
+    # value for value and attempt for attempt as the per-variable
+    # reference, and a budget error at the same cap
+    rng = random.Random(29)
+    seen = {"several_rows": 0, "16_bit": 0, "fixed": 0, "rejected": 0}
+    for case in range(300):
+        csp, m, state = planted_rows_case(rng)
+        tables = live_tables(csp, m, state)
+        if tables is None:
+            continue
+        stream = RandomnessTape(case).stream(0, LABEL_REJECTION)
+        reads = ReadSizes(stream)
+        values, attempts = rejection_sampling(csp, state.copy(), tables,
+                                              reads)
+        assert (values.tolist(), attempts) == reference_final_sampling(
+            csp, m, state.tolist(),
+            RandomnessTape(case).stream(0, LABEL_REJECTION))
+        rounds = len(reads.sizes)
+        if rounds > 1:
+            with pytest.raises(BudgetError):
+                rejection_sampling(
+                    csp, state.copy(), tables,
+                    RandomnessTape(case).stream(0, LABEL_REJECTION),
+                    cap=rounds - 1)
+        seen["several_rows"] += tables.row_cons is not None and rounds > 1
+        seen["16_bit"] += tables.codes.itemsize == 2 and rounds > 1
+        seen["fixed"] += bool(m.mask.any())
+        seen["rejected"] += attempts > tables.components
+    assert min(seen.values()) >= 20, seen
+
+
+def test_rejection_rows_bound_their_cells():
+    # a constraint spans as few rows as hold it, so a long constraint
+    # among short ones adds at most 7 cells per constraint
+    n = 10_500
+    pairs = [((v,), (0,)) for v in range(10_000)]
+    pairs.append((tuple(range(10_000, n)), (1,) * 500))
+    csp = csp_of([VariableSpec.uniform(2)] * n, pairs)
+    tables = rejection_tables(csp, np.arange(len(pairs)),
+                              np.zeros(n, dtype=bool))
+    assert tables.rows.size <= n + 7 * len(pairs)
+    assert tables.row_cons is not None
+    assert_rows_hold(tables, csp, np.arange(n))
 
 
 # --- reference chain: one _update_in_place call per time slot, unmarked

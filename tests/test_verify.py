@@ -10,10 +10,10 @@ from lllsampler import (BudgetError, Marking, UnsatisfiableInstanceError,
                         check_bounding_invariant, coalescence_experiment,
                         enumerate_law, tv_distance)
 from lllsampler.core import enumerate_solutions
-from lllsampler.verify import ExactLaw, law_of_projection
+from lllsampler.verify import ExactLaw
 
 from test_kernels import random_csp
-from conftest import csp_of, free8, weighted8
+from conftest import csp_of, free8, law_of_projection, weighted8
 
 
 def product_order_law(csp):
