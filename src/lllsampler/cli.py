@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from .core import AtomicCsp, preprocess
+from .core import AtomicCsp, max_domain, preprocess
 from .errors import (BudgetError, ConstructionFailedError,
                      InvalidInstanceError, InvariantError, ParseError,
                      RegimeError, SamplerError, UnsatisfiableInstanceError)
@@ -143,14 +143,14 @@ def prepare_pipeline(instance, cfg: PipelineConfig) -> PreparedPipeline:
             trees = [huffman_tensorize(s.weights) for s in csp.flat.specs]
             tens = tensorize(csp, [trees[g] for g in csp.flat.spec_of.tolist()])
             marking = construct_marking_binary(tens.base, mseed)
-        elif csp.measures.q <= 2:
+        elif max_domain(csp.flat) <= 2:
             marking = construct_marking_uniform_binary(csp, mseed)
         else:
             tens, marking = uniform_tensorize_with_marking(csp, mseed)
     except (RegimeError, ConstructionFailedError):
         if not cfg.force:
             raise
-        if cfg.pipeline == "uniform" and csp.measures.q > 2:
+        if cfg.pipeline == "uniform" and max_domain(csp.flat) > 2:
             # the fallback still needs trees for the large domains, and
             # uniform trees reproduce uniform domains only
             check_uniform_domains(csp)

@@ -341,20 +341,33 @@ def compute_measures(csp: AtomicCsp) -> Measures:
     """Maximum arity, variable degree, constraint degree (counting self),
     domain size, log falsifying probability and smoothness."""
     flat = csp.flat
-    d = int(np.diff(flat.var_ptr).max(initial=0))
-    return measures_with(flat, d, constraint_degree(flat))
+    return measures_with(flat, var_degree(flat), constraint_degree(flat))
 
 
 def measures_with(flat: FlatCsp, d: int, delta: int) -> Measures:
     """The measures of an instance whose d and Delta are known from its
     structure: k, Q, ln(p) and kappa are read from its arrays."""
-    q = max((s.domain_size for s in flat.specs), default=0)
-    kappa = max((max(s.weights) / min(s.weights) for s in flat.specs),
-                default=1.0)
+    q, kappa = max_domain(flat), smoothness(flat)
     k = int(flat.arity.max(initial=0))
     log_p = float(flat.log_pc.max(initial=-math.inf))
     assert (d >= 1 and delta >= 1) == (k >= 1)
     return Measures(k=k, d=d, delta=delta, q=q, log_p=log_p, kappa=kappa)
+
+
+def var_degree(flat: FlatCsp) -> int:
+    """d: the most constraints of one variable, off the CSR offsets."""
+    return int(np.diff(flat.var_ptr).max(initial=0))
+
+
+def max_domain(flat: FlatCsp) -> int:
+    """Q: the largest domain of the distinct specs (0 with no variable)."""
+    return max((s.domain_size for s in flat.specs), default=0)
+
+
+def smoothness(flat: FlatCsp) -> float:
+    """kappa: the largest ratio of a spec's heaviest to lightest weight."""
+    return max((max(s.weights) / min(s.weights) for s in flat.specs),
+               default=1.0)
 
 
 def constraint_degree(flat: FlatCsp) -> int:

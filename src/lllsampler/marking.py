@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomicCsp, constraint_sums, memoized, per_entry
+from .core import (AtomicCsp, Measures, constraint_sums, max_domain,
+                   memoized, per_entry, smoothness, var_degree)
 from .errors import (ConditionsError, ConstructionFailedError, RegimeError,
                      SamplerError)
 from .kernels import LABEL_MARKING, RandomnessTape, derive_seed
@@ -144,6 +145,11 @@ class ConditionReport:
     passed: bool
 
     def as_dict(self):
+        """The verdicts and slacks, and ``tightest``: the name of the
+        condition with the largest slack, the first of any tie."""
+        slacks = {"e_alpha_delta_le_1": self.alpha_slack,
+                  "e_delta2_rho_le_1_32": self.rho_slack,
+                  "delta2_lambda_le_1_16": self.lambda_slack}
         return {
             "e_alpha_delta_le_1": self.alpha_ok,
             "e_alpha_delta_log_slack": self.alpha_slack,
@@ -152,6 +158,7 @@ class ConditionReport:
             "delta2_lambda_le_1_16": self.lambda_ok,
             "delta2_lambda_log_slack": self.lambda_slack,
             "passed": self.passed,
+            "tightest": max(slacks, key=slacks.get),
         }
 
 
@@ -260,34 +267,54 @@ def _binary_events(csp, eta, tau):
     return violated
 
 
-def check_necessary_bound(meas) -> None:
+def check_necessary_bound(csp: AtomicCsp | Measures) -> None:
     """Raise ``RegimeError`` when no marking can pass the main theorem's
     conditions.
 
     For every constraint C and marking, p_C <= alpha*rho since beta >= 1, so
     e*alpha*Delta <= 1 and e*Delta^2*rho <= 1/32 need
-    p <= 1/(32 e^2 Delta^3).  The 1e-9 slack lets p and Delta be read on the
-    instance before tensorization, where they agree with the tensorized
-    base's only to that tolerance."""
-    if not meas.delta:
-        return
-    log_bound = -(2.0 + math.log(32.0) + 3.0 * math.log(meas.delta))
-    if meas.log_p > log_bound + 1e-9:
+    p <= 1/(32 e^2 Delta^3).  That bound falls as Delta grows, and
+    Delta >= d, since the d constraints of a most-constrained variable all
+    share it: so an instance's p is compared at d first, and its Delta is
+    counted (read off ``csp.measures``) only when d cannot refuse.  Given
+    an instance's ``Measures``, whose Delta is known, p is compared at
+    Delta alone.  The 1e-9 slack lets p and Delta be read on the instance
+    before tensorization, where they agree with the tensorized base's only
+    to that tolerance."""
+    if isinstance(csp, Measures):
+        log_p, delta = csp.log_p, csp.delta
+    else:
+        flat = csp.flat
+        d = var_degree(flat)
+        if not d:
+            return
+        log_p = float(flat.log_pc.max())
+        _refuse_above(log_p, d, "d", f"Delta >= {d}")
+        delta = csp.measures.delta
+    if delta:
+        _refuse_above(log_p, delta, "Delta", f"Delta={delta}")
+
+
+def _refuse_above(log_p: float, x: int, name: str, shown: str) -> None:
+    """Raise ``RegimeError`` when ln p exceeds ln(1/(32 e^2 x^3)) by more
+    than 1e-9; the message calls x ``name`` and ends with ``shown``, what is
+    known of Delta."""
+    log_bound = -(2.0 + math.log(32.0) + 3.0 * math.log(x))
+    if log_p > log_bound + 1e-9:
         raise RegimeError(
             f"no marking can pass the theorem's conditions: ln p="
-            f"{meas.log_p:.4f} > ln(1/(32 e^2 Delta^3))={log_bound:.4f} "
-            f"with Delta={meas.delta}")
+            f"{log_p:.4f} > ln(1/(32 e^2 {name}^3))={log_bound:.4f} "
+            f"with {shown}")
 
 
 def construct_marking_binary(csp: AtomicCsp, seed: int = 0) -> Marking:
     """Marking for all-binary domains: i.i.d. Bernoulli(eta) marks resampled
     until no constraint's deviation event holds, then the chain conditions are
     re-verified; retries with a fresh sub-seed on failure."""
-    meas = csp.measures
-    if meas.q > 2:
+    if max_domain(csp.flat) > 2:
         raise RegimeError("binary marking construction needs binary domains")
-    check_necessary_bound(meas)
-    _, eta, tau = binary_gamma(meas.kappa, DEFAULT_ZETA)
+    check_necessary_bound(csp)
+    _, eta, tau = binary_gamma(smoothness(csp.flat), DEFAULT_ZETA)
     return _resample_marking(csp, eta, _binary_events(csp, eta, tau), seed,
                              "marking-binary", "binary")
 
@@ -313,10 +340,9 @@ def _uniform_binary_events(csp):
 def construct_marking_uniform_binary(csp: AtomicCsp, seed: int = 0) -> Marking:
     """Marking for uniform binary domains with the fixed constants
     eta=0.595, tau1=0.23, tau2=0.245-3e-5."""
-    meas = csp.measures
-    if meas.q > 2 or meas.kappa != 1.0:
+    if max_domain(csp.flat) > 2 or smoothness(csp.flat) != 1.0:
         raise RegimeError(
             "uniform binary marking construction needs uniform binary domains")
-    check_necessary_bound(meas)
+    check_necessary_bound(csp)
     return _resample_marking(csp, UNIFORM_ETA, _uniform_binary_events(csp),
                              seed, "marking-uniform", "uniform binary")

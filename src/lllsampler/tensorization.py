@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import (AtomicCsp, VariableSpec, constraint_sums, left_sum,
-                   measures_with)
+                   max_domain, measures_with)
 from .errors import (ConstructionFailedError, InvalidInstanceError,
                      InvariantError, RegimeError)
 from .kernels import LABEL_TENSOR, RandomnessTape, TapeStream, derive_seed
@@ -425,7 +425,7 @@ def _check_preservation(t: TensorizedCsp) -> None:
     fo, ft = t.original.flat, t.base.flat
     if len(ft.arity) != len(fo.arity):
         raise InvariantError("tensorization changed the constraint count")
-    if t.base.num_vars > t.original.measures.q * t.original.num_vars:
+    if t.base.num_vars > max_domain(t.original.flat) * t.original.num_vars:
         raise InvariantError("tensorization exceeded the Q|V| node bound")
     if (np.abs(fo.log_pc - ft.log_pc) > 1e-9).any():
         raise InvariantError("tensorization changed a falsifying probability")
@@ -655,15 +655,16 @@ def uniform_tensorize_with_marking(csp: AtomicCsp, seed: int = 0):
         raise RegimeError("uniform tensorization needs domains >= 2 "
                           "(preprocess first)")
     check_uniform_domains(csp)
-    check_necessary_bound(csp.measures)
+    check_necessary_bound(csp)
     violated = _uniform_events(csp)
+    q = max_domain(csp.flat)
     for attempt in range(DEFAULT_RETRY_CAP):
         tape = RandomnessTape(derive_seed(seed, "tensor-uniform", attempt))
         streams = [tape.stream(v, LABEL_TENSOR) for v in range(csp.num_vars)]
         draws = [None] * csp.num_vars
 
         def sample(vs):
-            x = np.zeros((len(vs), csp.measures.q))
+            x = np.zeros((len(vs), q))
             for i, v in enumerate(vs.tolist()):
                 draws[v] = uniform_randomized_tensorization(
                     csp.vars[v].domain_size, streams[v])

@@ -8,12 +8,13 @@ instance, loading ``perfbench/workloads.py`` read-only."""
 import json
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from lllsampler import kernels, sampler
-from lllsampler.cli import PipelineConfig, prepare_pipeline
+from lllsampler import core, frontends, kernels, sampler
+from lllsampler.cli import PipelineConfig, prepare_pipeline, run
 from lllsampler.frontends import parse_dimacs, parse_hypergraph
 
 WORKLOADS = (Path(__file__).resolve().parent.parent / "perfbench"
@@ -152,3 +153,55 @@ def test_benchmark_chain_deviates_and_tables(name, monkeypatch):
         prepared.draw(1, i)
     assert sum(deviates) == DEVIATES[name]
     assert len(tables) == TABLES[name]
+
+
+#: (``core.compute_measures``, ``core.constraint_degree``) calls in one
+#: seed-1 set-up and its first five draws.  The out-of-regime CNF is refused
+#: at its largest variable degree d (ln p = -2.08 > -11.70 at d = 8), so its
+#: Delta is never counted; the in-regime CNF's d = 2 cannot refuse, so its
+#: Delta is counted once; the coloring's measures are derived from its
+#: hypergraph, whose own Delta is counted once.
+MEASURE_COUNTS = {"cnf-forced": (0, 0), "cnf-regime": (1, 1),
+                  "coloring-q256": (0, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD))
+def test_benchmark_setup_counts_measures(name, monkeypatch):
+    w = WORKLOAD[name]
+    cfg = PipelineConfig("-", w.format, w.pipeline, colors=w.colors, seed=1,
+                         force=w.force)
+    parse = parse_dimacs if w.format == "dimacs" else parse_hypergraph
+    instance = parse(w.generate(1).text)
+    counts = Counter()
+
+    def count(owner, attr):
+        f = getattr(owner, attr)
+
+        def counting(*args):
+            counts[attr] += 1
+            return f(*args)
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    count(core, "compute_measures")
+    count(core, "constraint_degree")
+    # ``build_coloring`` calls its own import
+    monkeypatch.setattr(frontends, "constraint_degree",
+                        core.constraint_degree)
+    prepared = prepare_pipeline(instance, cfg)
+    for i in range(5):
+        prepared.draw(1, i)
+    assert (counts["compute_measures"],
+            counts["constraint_degree"]) == MEASURE_COUNTS[name]
+
+
+def test_check_counts_the_refused_instance_delta(tmp_path, capsys):
+    # ``check`` still reports the exact Delta of an instance refused at d
+    path = tmp_path / "forced.cnf"
+    path.write_text(WORKLOAD["cnf-forced"].generate(1).text)
+    assert run(["check", "--input", str(path), "--format", "dimacs",
+                "--pipeline", "binary", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["measures"]["d"], report["measures"]["delta"]) == (8, 13)
+    assert report["construction_error"].endswith("with Delta >= 8")
+    assert not report["regime_ok"]

@@ -423,6 +423,43 @@ def test_check_reports_both_sides_of_the_bound(cnf_file, tmp_path, capsys):
         "no marking can pass the theorem's conditions")
 
 
+CONDITIONS = ("e_alpha_delta_le_1", "e_delta2_rho_le_1_32",
+              "delta2_lambda_le_1_16")
+
+
+def tightest_of(conditions):
+    """The condition with the largest ln-slack, read off the report."""
+    slack = {name: conditions[name.rsplit("_le_", 1)[0] + "_log_slack"]
+             for name in CONDITIONS}
+    return max(CONDITIONS, key=slack.get)
+
+
+def test_check_names_the_tightest_condition(tmp_path, capsys):
+    # an admitted instance: the Q=256 one-edge coloring
+    path = tmp_path / "h.hg"
+    path.write_text("h 32 1 32\n" + " ".join(map(str, range(1, 33))) + "\n")
+    assert run(["check", "--input", str(path), "--format", "hypergraph",
+                "--pipeline", "coloring", "--colors", "256"]) == 0
+    conditions = json.loads(capsys.readouterr().out)["conditions"]
+    assert conditions["passed"]
+    assert set(conditions) == {*CONDITIONS, "e_alpha_delta_log_slack",
+                               "e_delta2_rho_log_slack",
+                               "delta2_lambda_log_slack", "passed",
+                               "tightest"}
+    assert conditions["tightest"] == tightest_of(conditions)
+    # a forced fallback: the empty marking of a refused 3-CNF, whose
+    # lambda = k^2 = 9 is the furthest from holding
+    csp = parse_dimacs(regime_dimacs(300, 3, seed=1))
+    prepared = prepare_pipeline(
+        csp, PipelineConfig("-", "dimacs", "binary", seed=1, force=True))
+    assert prepared.forced_empty
+    conditions = check_theorem_conditions(prepared.run_csp,
+                                          prepared.marking).as_dict()
+    assert not conditions["passed"]
+    assert conditions["tightest"] == tightest_of(conditions) == (
+        "delta2_lambda_le_1_16")
+
+
 def test_uniform_pipeline_needs_uniform_domains(tmp_path, capsys):
     # the uniform trees, the fallback's included, reproduce only uniform
     # weights: out of regime with and without --force

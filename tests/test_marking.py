@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -6,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import lllsampler.core
 from lllsampler import (ConstructionFailedError, Marking, RegimeError,
                         VariableSpec, binary_gamma, check_theorem_conditions,
                         compute_constants, construct_marking_binary,
@@ -18,8 +20,8 @@ from lllsampler.kernels import LABEL_MARKING, LABEL_TENSOR, RandomnessTape
 from lllsampler.tensorization import (_uniform_events, marked_path_log2,
                                       uniform_randomized_tensorization)
 
-from conftest import (constraint_pairs, csp_of, random_weighted_csp,
-                      uniform20, weighted8)
+from conftest import (constraint_pairs, counted_measures, csp_of,
+                      random_weighted_csp, uniform20, weighted8)
 
 
 def constants_entries(csp):
@@ -120,6 +122,85 @@ def test_necessary_bound_is_sound():
         with pytest.raises(RegimeError, match="no marking can pass"):
             check_necessary_bound(
                 dataclasses.replace(meas, log_p=log_bound + 1e-8))
+
+
+def log_bound(delta):
+    """ln(1/(32 e^2 delta^3)), as the necessary bound writes it."""
+    return -(2.0 + math.log(32.0) + 3.0 * math.log(delta))
+
+
+def bound_edge_csp(rng, mixed, anchor):
+    """An instance whose ln p sits within 1e-6 of the necessary bound at
+    d or at Delta (``anchor``, "d" or "delta").
+
+    Long constraints (arity 24-30, each entry on its variable's lightest
+    value, so ln p_C <= 24 ln(1/2)) over shared variables, and one short
+    constraint C*: one or two shared variables on their heaviest values
+    and a variable of its own, whose weight puts ln p_C* where wanted.
+    The private variable leaves d and Delta as the rest make them."""
+    n = rng.randint(30, 250)
+    specs = []
+    for _ in range(n):
+        q = rng.randint(2, 5) if mixed else 2
+        raw = [rng.uniform(0.2, 1.0) for _ in range(q)]
+        specs.append(VariableSpec(q, tuple(w / sum(raw) for w in raw)))
+    cons = []
+    for _ in range(rng.randint(1, 14)):
+        vbl = tuple(rng.sample(range(n), rng.randint(24, 30)))
+        cons.append((vbl, tuple(int(np.argmin(specs[v].weights))
+                                for v in vbl)))
+    shared = rng.sample(range(n), rng.randint(1, 2))
+    fals = [int(np.argmax(specs[v].weights)) for v in shared]
+    cons.insert(rng.randint(0, len(cons)),
+                ((*shared, n), (*fals, 0)))
+    structure = csp_of(specs + [VariableSpec(2, (0.5, 0.5))], cons)
+    meas = structure.measures
+    offset = rng.choice((-1e-6, -1e-8, -2e-9, 0.0, 5e-10, 2e-9, 1e-8, 1e-6,
+                         rng.uniform(-1e-6, 1e-6)))
+    target = log_bound(getattr(meas, anchor)) + offset
+    w = math.exp(target - sum(math.log(specs[v].weights[q])
+                              for v, q in zip(shared, fals)))
+    return csp_of(specs + [VariableSpec(2, (w, 1.0 - w))], cons)
+
+
+def test_necessary_bound_reads_d_first(monkeypatch):
+    # the check raises exactly when ln p > ln(1/(32 e^2 Delta^3)) + 1e-9;
+    # a refusal at d counts no Delta.  Every instance's largest arity
+    # exceeds its Delta, so comparing at k in place of d refuses the cases
+    # admitted at Delta
+    rng = random.Random(30)
+    calls = []
+    counted = lllsampler.core.compute_measures
+
+    def counting(csp):
+        calls.append(csp)
+        return counted(csp)
+
+    monkeypatch.setattr(lllsampler.core, "compute_measures", counting)
+    seen = collections.Counter()
+    for trial in range(400):
+        anchor = "d" if trial % 4 < 2 else "delta"
+        csp = bound_edge_csp(rng, mixed=trial % 2 == 1, anchor=anchor)
+        meas = counted_measures(csp)
+        assert meas.k > meas.delta >= meas.d
+        assert abs(meas.log_p - log_bound(getattr(meas, anchor))) <= 1.01e-6
+        calls.clear()
+        if meas.log_p <= log_bound(meas.delta) + 1e-9:
+            check_necessary_bound(csp)
+            assert calls == [csp]
+            seen["admitted"] += 1
+            continue
+        with pytest.raises(RegimeError) as refused:
+            check_necessary_bound(csp)
+        if meas.log_p > log_bound(meas.d) + 1e-9:
+            assert str(refused.value).endswith(f"with Delta >= {meas.d}")
+            assert calls == []
+            seen["at d"] += 1
+        else:
+            assert str(refused.value).endswith(f"with Delta={meas.delta}")
+            assert calls == [csp]
+            seen["at Delta"] += 1
+    assert min(seen.values()) >= 60, seen
 
 
 def test_conditions_constraint_free():
