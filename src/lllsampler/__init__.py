@@ -23,7 +23,7 @@ from .tensorization import (TensorTree, TensorizedCsp,
                             uniform_randomized_tensorization,
                             uniform_tensorize_with_marking,
                             verify_numeric_facts)
-from .verify import (ExactLaw, certify_sampler, check_bounding_invariant,
+from .verify import (ExactLaw, certify, check_bounding_invariant,
                      coalescence_experiment, enumerate_law, tv_distance)
 
 __version__ = "1.0.0"

@@ -296,7 +296,11 @@ def constraint_sums(flat: FlatCsp, x: np.ndarray, first=0.0) -> np.ndarray:
     one per constraint, and no index is gathered."""
     out = np.empty(len(flat.arity))
     first = np.broadcast_to(np.asarray(first, dtype=np.float64), out.shape)
-    arities = np.unique(flat.arity).tolist()
+    arity = flat.arity
+    if len(arity) and arity.min() == arity.max():
+        arities = [int(arity[0])]  # np.unique would sort the whole column
+    else:
+        arities = np.unique(arity).tolist()
     for a in arities:
         if len(arities) == 1:
             rows, entries = slice(None), x.reshape(len(out), a).T

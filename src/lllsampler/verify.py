@@ -1,10 +1,12 @@
 """Ground-truth oracles and statistical certification: exhaustive enumeration
-of the solution law, TV distance, end-to-end sampler certification, the
-coalescence-tail experiment, and the bounded-by invariant checker.
+of the solution law, TV distance, the one certifier of a sampler's draws
+against that law, the coalescence-tail experiment, and the bounded-by
+invariant checker.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from .errors import UnsatisfiableInstanceError
 from .kernels import (RandomnessTape, _update_in_place, derive_seed,
                       update_context)
 from .marking import Marking
-from .sampler import bounding_chain, sample
+from .sampler import bounding_chain
 
 DEFAULT_ENUM_BUDGET = 2**24
 
@@ -61,51 +63,90 @@ def tv_distance(p: dict, q: dict) -> float:
     return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-def certify_sampler(csp: AtomicCsp, m: Marking, num_samples: int, seed: int,
-                    check_conditions: bool = True,
-                    law: ExactLaw = None) -> dict:
-    """Draw num_samples end-to-end samples and compare against the enumerated
-    law: TV distance, chi-square p-value, max per-outcome z-score and max
-    marginal gap.  An outcome of probability 1 has z-score 0."""
-    from scipy import stats  # slow to import; only this check needs it
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with ``df`` degrees of freedom: the
+    regularized upper incomplete gamma Q(df/2, x/2), as 1 minus its series
+    below x/2 = df/2 + 1 and by Lentz's continued fraction above, where Q is
+    small and 1 - P would lose it."""
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    a, z = 0.5 * df, 0.5 * x
+    front = math.exp(a * math.log(z) - z - math.lgamma(a))
+    if z < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * 1e-17:
+            n += 1.0
+            term *= z / n
+            total += term
+        return 1.0 - front * total
+    tiny = 1e-300
+    b = z + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h, step, i = d, 0.0, 0
+    while abs(step - 1.0) >= 1e-16:
+        i += 1
+        an = i * (a - i)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        step = d * c
+        h *= step
+    return front * h
 
-    if law is None:
-        law = enumerate_law(csp)
-    counts: dict = {}
-    for i in range(num_samples):
-        rec = sample(csp, m, derive_seed(seed, "certify", i),
-                     check_conditions=check_conditions)
-        key = tuple(rec.assignment.tolist())
-        counts[key] = counts.get(key, 0) + 1
+
+def certify(draw, law: ExactLaw, num: int) -> dict:
+    """Count draws ``draw(0)`` to ``draw(num - 1)`` once and compare them
+    with the exact law.
+
+    The chi-square pools the outcomes expected fewer than 5 times into one
+    bin; fewer than two bins give p = 1, and any draw outside the support
+    p = 0.  The worst z-score is per outcome (0 for an outcome of
+    probability 1), the worst marginal gap per position of the law's keys
+    and value.  The draws pass when the TV distance is at most
+    max(sqrt(|support| / num), 0.03), p >= 1e-3 and none is outside the
+    support."""
+    counts = collections.Counter(tuple(draw(i)) for i in range(num))
     exact = law.as_dict()
-    empirical = {k: c / num_samples for k, c in counts.items()}
+    empirical = {k: c / num for k, c in counts.items()}
     tv = tv_distance(empirical, exact)
-    observed = [counts.get(k, 0) for k in law.support]
-    expected = [p * num_samples for p in law.pmf]
+    threshold = max(math.sqrt(len(law.support) / num), 0.03)
     stray = sum(c for k, c in counts.items() if k not in exact)
-    if stray:
-        chi_p = 0.0
-    elif len(observed) == 1:
-        chi_p = 1.0  # one outcome, and every draw is it
-    else:
-        chi_p = float(stats.chisquare(observed, expected).pvalue)
-    max_z = max(
-        (abs(o - e) / math.sqrt(e * (1.0 - e / num_samples))
-         if e < num_samples else 0.0)
-        for o, e in zip(observed, expected))
-    max_marginal_gap = 0.0
-    for v, spec in enumerate(csp.vars):
-        for q in range(spec.domain_size):
-            emp = sum(p for k, p in empirical.items() if k[v] == q)
-            exa = sum(p for k, p in exact.items() if k[v] == q)
-            max_marginal_gap = max(max_marginal_gap, abs(emp - exa))
+    stat = pool_o = pool_e = 0.0
+    bins = 0
+    max_z = 0.0
+    for key, p in exact.items():
+        o, e = counts[key], p * num
+        if e < num:
+            max_z = max(max_z, abs(o - e) / math.sqrt(e * (1.0 - e / num)))
+        if e < 5.0:
+            pool_o += o
+            pool_e += e
+        else:
+            stat += (o - e) ** 2 / e
+            bins += 1
+    if pool_e > 0.0:
+        stat += (pool_o - pool_e) ** 2 / pool_e
+        bins += 1
+    chi_p = 0.0 if stray else chi2_sf(stat, bins - 1) if bins > 1 else 1.0
+    gaps: dict = collections.defaultdict(float)
+    for dist, sign in ((empirical, 1.0), (exact, -1.0)):
+        for key, p in dist.items():
+            for pos_val in enumerate(key):
+                gaps[pos_val] += sign * p
     return {
-        "num_samples": num_samples,
+        "num_samples": num,
         "tv_distance": tv,
+        "tv_threshold": threshold,
         "chi_square_p": chi_p,
         "max_z_score": max_z,
-        "max_marginal_gap": max_marginal_gap,
+        "max_marginal_gap": max(map(abs, gaps.values()), default=0.0),
         "samples_outside_support": stray,
+        "passed": tv <= threshold and chi_p >= 1e-3 and stray == 0,
     }
 
 

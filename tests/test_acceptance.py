@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from lllsampler import (HypergraphInstance, Marking, STAR, VariableSpec,
                         bounding_chain, check_bounding_invariant,
@@ -25,7 +24,7 @@ from lllsampler.cli import PipelineConfig, prepare_pipeline, run
 from lllsampler.kernels import component
 from lllsampler.marking import (DEFAULT_ZETA, UNIFORM_ETA, UNIFORM_TAU1,
                                 UNIFORM_TAU2, binary_gamma)
-from lllsampler.verify import enumerate_law
+from lllsampler.verify import certify, enumerate_law
 
 from conftest import (constraint_pairs, csp_of, free8, mixed_csp, overlap18,
                       projected_constraints, uniform20, weighted8)
@@ -36,26 +35,6 @@ from test_marking import binary_regime_instance
 def report(n, desc, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {desc}")
     assert ok
-
-
-def binned_chi_square_p(counts, law, num):
-    """Chi-square with small-expectation outcomes pooled into one bin
-    (expected >= 5 per cell)."""
-    observed, expected = [], []
-    pool_o = pool_e = 0.0
-    for key, p in zip(law.support, law.pmf):
-        e = p * num
-        o = counts.get(key, 0)
-        if e < 5.0:
-            pool_o += o
-            pool_e += e
-        else:
-            observed.append(o)
-            expected.append(e)
-    if pool_e > 0.0:
-        observed.append(pool_o)
-        expected.append(pool_e)
-    return float(stats.chisquare(observed, expected).pvalue)
 
 
 def cnf6():
@@ -78,8 +57,10 @@ def _cfg(pipeline, colors=0):
 
 @pytest.mark.slow
 def test_criterion_1_perfect_distribution():
-    # >= 5 fixed instances; 2e5 samples each; TV <= 0.03; binned chi-square
-    # p >= 1e-3; no samples outside the enumerated support; <= 10 min total
+    # >= 5 fixed instances; 2e5 samples each; TV <= 0.03; chi-square p >=
+    # 1e-3, outcomes expected < 5 times pooled into one bin; no samples
+    # outside the enumerated support; <= 10 min total.  Its own TV bound:
+    # certify's verdict allows sqrt(255 / 2e5) = 0.036 on weighted8
     num = 200_000
     t0 = time.time()
     cases = []
@@ -98,24 +79,18 @@ def test_criterion_1_perfect_distribution():
                 h, PipelineConfig("-", "hypergraph", "coloring", colors=5,
                                   seed=0, force=True))
             csp = prepared.original
-        counts = {}
         if name == "weighted8-marked":
             csp, m = weighted8()
-            for i in range(num):
-                rec = sample(csp, m, derive_seed(0, "accept1", i),
-                             check_conditions=False)
-                key = tuple(rec.assignment.tolist())
-                counts[key] = counts.get(key, 0) + 1
+
+            def draw(i):
+                return sample(csp, m, derive_seed(0, "accept1", i),
+                              check_conditions=False).assignment.tolist()
         else:
-            for i in range(num):
-                key = tuple(prepared.draw(0, i))
-                counts[key] = counts.get(key, 0) + 1
-        law = enumerate_law(csp)
-        exact = law.as_dict()
-        stray = sum(c for k, c in counts.items() if k not in exact)
-        tv = tv_distance({k: c / num for k, c in counts.items()}, exact)
-        chi_p = 0.0 if stray else binned_chi_square_p(counts, law, num)
-        cases.append((name, tv, chi_p, stray))
+            def draw(i):
+                return prepared.draw(0, i)
+        out = certify(draw, enumerate_law(csp), num)
+        cases.append((name, out["tv_distance"], out["chi_square_p"],
+                      out["samples_outside_support"]))
     elapsed = time.time() - t0
     ok = (elapsed <= 600.0
           and all(tv <= 0.03 and p >= 1e-3 and s == 0

@@ -643,17 +643,28 @@ def test_each_command_takes_only_the_options_it_reads(cnf_file, capsys):
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy costs a process about 20 MB and 0.3 s; only ``certify_sampler``
-    # needs it (``scipy.stats``), and imports it itself
+    # scipy costs a process about 20 MB and 0.3 s, and only the tests need
+    # it: ``verify.certify`` computes its chi-square tail itself
     src = str(Path(lllsampler.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r})\n"
-            "for name in ('lllsampler', 'lllsampler.cli'):\n"
-            "    __import__(name)\n"
+            "def loaded():\n"
             "    print(*sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy'))\n")
+            " if m.split('.')[0] == 'scipy'))\n"
+            "for name in ('lllsampler', 'lllsampler.cli',"
+            " 'lllsampler.verify'):\n"
+            "    __import__(name)\n"
+            "    loaded()\n"
+            "from lllsampler import (AtomicCsp, Marking, VariableSpec,"
+            " certify, enumerate_law, sample)\n"
+            "spec = VariableSpec.uniform(2)\n"
+            "csp = AtomicCsp((spec, spec), [0, 1], [0, 0], [2])\n"
+            "report = certify(lambda i: sample(csp, Marking.empty(2), i)"
+            ".assignment.tolist(), enumerate_law(csp), 200)\n"
+            "assert report['passed'], report\n"
+            "loaded()\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out == "\n\n"
+    assert out == "\n\n\n\n"
 
 
 @pytest.mark.parametrize("pipeline", ["binary", "coloring"])

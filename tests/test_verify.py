@@ -6,14 +6,23 @@ import numpy as np
 import pytest
 
 from lllsampler import (BudgetError, Marking, UnsatisfiableInstanceError,
-                        VariableSpec, certify_sampler,
-                        check_bounding_invariant, coalescence_experiment,
-                        enumerate_law, tv_distance)
+                        VariableSpec, certify, check_bounding_invariant,
+                        coalescence_experiment, derive_seed, enumerate_law,
+                        sample, tv_distance)
 from lllsampler.core import enumerate_solutions
-from lllsampler.verify import ExactLaw
+from lllsampler.verify import ExactLaw, chi2_sf
 
 from test_kernels import random_csp
 from conftest import csp_of, free8, law_of_projection, weighted8
+
+
+def certify_sample(csp, m, num, seed):
+    """``certify`` over ``sample``'s draws, draw i at seed
+    ``derive_seed(seed, "certify", i)``."""
+    return certify(
+        lambda i: sample(csp, m, derive_seed(seed, "certify", i)
+                         ).assignment.tolist(),
+        enumerate_law(csp), num)
 
 
 def product_order_law(csp):
@@ -95,11 +104,38 @@ def test_certify_one_solution_instance():
     # the only outcome has probability 1: z-score 0, chi-square p 1
     spec = VariableSpec.uniform(2)
     csp = csp_of([spec, spec], [((0,), (0,)), ((1,), (1,))])
-    report = certify_sampler(csp, Marking.empty(2), 50, 1)
+    report = certify_sample(csp, Marking.empty(2), 50, 1)
     assert report["tv_distance"] == 0.0
     assert report["max_z_score"] == 0.0
     assert report["chi_square_p"] == 1.0
     assert report["samples_outside_support"] == 0
+    assert report["passed"]
+
+
+def test_certify_pools_every_cell_into_one_bin():
+    # four outcomes expected twice each: one pooled bin, so p = 1, though
+    # half the outcomes are never drawn; 8 draws are too few for TV to tell
+    law = ExactLaw(((0, 0), (0, 1), (1, 0), (1, 1)), (0.25,) * 4)
+    report = certify(lambda i: law.support[i % 2], law, 8)
+    assert report["chi_square_p"] == 1.0
+    assert report["tv_distance"] == 0.5
+    assert report["tv_threshold"] == math.sqrt(0.5)
+    assert report["max_marginal_gap"] == 0.5
+    assert report["passed"]
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy import stats
+
+    assert chi2_sf(0.0, 1) == 1.0
+    assert chi2_sf(0.0, 255) == 1.0
+    qs = np.concatenate([np.logspace(-12, -1, 23), np.linspace(0.1, 0.9, 9),
+                         1.0 - np.logspace(-1, -12, 23)])
+    for df in (1, 2, 3, 5, 10, 37, 100, 255, 1000, 4096, 10000):
+        for q in qs:
+            x = float(stats.chi2.isf(q, df))
+            assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df),
+                                                   rel=1e-10, abs=0.0)
 
 
 def test_enumerate_law_free_instance():
@@ -143,7 +179,7 @@ def test_restricted_law():
 
 def test_certify_accepts_the_real_sampler():
     csp, m = weighted8()
-    out = certify_sampler(csp, m, 3000, seed=12)
+    out = certify_sample(csp, m, 3000, seed=12)
     assert out["samples_outside_support"] == 0
     assert out["tv_distance"] < 0.12
     assert out["chi_square_p"] > 1e-4
@@ -153,14 +189,12 @@ def test_certify_accepts_the_real_sampler():
 def test_certify_detects_a_broken_sampler(monkeypatch):
     # falsification probe: skip the unmarked extension and pad with zeros;
     # certification must flag the wrong law
-    import lllsampler.verify as verify_mod
-
     def broken(csp, m, state, seed):
         return np.maximum(state, 0), 0
 
     monkeypatch.setattr("lllsampler.sampler.final_sampling", broken)
     csp, m = weighted8()
-    out = verify_mod.certify_sampler(csp, m, 1500, seed=12)
+    out = certify_sample(csp, m, 1500, seed=12)
     assert (out["samples_outside_support"] > 0
             or out["chi_square_p"] < 1e-6 or out["tv_distance"] > 0.2)
 
