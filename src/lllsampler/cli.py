@@ -1,9 +1,10 @@
-"""Command-line surface: the four end-to-end pipelines plus reporting,
-verification, benchmarking and self-test subcommands.
+"""Command-line surface of the ``pipeline`` module, plus verification,
+benchmarking and self-test subcommands.  It reads the options and the input,
+writes the output, runs the ``--jobs`` workers and maps errors to exit codes.
 
-Exit codes: 0 success, 1 usage, 2 parse, 3 no marking can pass the main
-theorem's conditions, 4 budget/timeout (a construction's attempts included),
-5 internal invariant failure.
+Exit codes: 0 success, 1 usage (a ``ConfigError`` included), 2 parse, 3 no
+marking can pass the main theorem's conditions, 4 budget/timeout (a
+construction's attempts included), 5 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -16,153 +17,26 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import click
 import numpy as np
 
-from .core import AtomicCsp, max_domain, preprocess
-from .errors import (BudgetError, ConstructionFailedError,
+from .errors import (BudgetError, ConfigError, ConstructionFailedError,
                      InvalidInstanceError, InvariantError, ParseError,
                      RegimeError, SamplerError, UnsatisfiableInstanceError)
-from .frontends import (HypergraphInstance, build_coloring, parse_csp,
-                        parse_dimacs, parse_hypergraph)
-from .kernels import (LABEL_TENSOR, RandomnessTape, derive_seed,
-                      update_context)
-from .marking import (DEFAULT_ZETA, Marking, binary_gamma,
-                      check_theorem_conditions, constants,
-                      construct_marking_binary,
-                      construct_marking_uniform_binary)
-from .sampler import DEFAULT_HORIZON_CAP, sample
-from .tensorization import (check_uniform_domains,
-                            complete_binary_tensorize_with_marking,
-                            global_marking, huffman_tensorize, tensorize, trans,
-                            uniform_randomized_tensorization,
-                            uniform_tensorize_with_marking,
+from .frontends import (build_coloring, parse_csp, parse_dimacs,
+                        parse_hypergraph)
+from .kernels import LABEL_TENSOR, RandomnessTape, derive_seed
+# PipelineConfig, prepare_pipeline and PreparedPipeline.draw are also read
+# here by name, as cli.*, by the benchmark and its span tracer
+from .pipeline import (PIPELINES, PipelineConfig, PreparedPipeline,
+                       check_report, prepare_pipeline)
+from .sampler import DEFAULT_HORIZON_CAP
+from .tensorization import (uniform_randomized_tensorization,
                             verify_numeric_facts)
 from . import verify as verify_mod
 
-PIPELINES = ("binary", "general", "uniform", "coloring")
 FORMATS = ("dimacs", "hypergraph", "csp")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything needed to rebuild a pipeline deterministically."""
-
-    input: str
-    format: str
-    pipeline: str
-    colors: int = 0
-    seed: int = 0
-    max_horizon: int = DEFAULT_HORIZON_CAP
-    force: bool = False
-
-
-class PreparedPipeline:
-    """A fully constructed pipeline: the chain instance, its marking, and the
-    mapping back to original-domain assignments."""
-
-    def __init__(self, original: AtomicCsp, run_csp: AtomicCsp,
-                 marking: Marking, kept_vars, tensorized=None,
-                 max_horizon: int = DEFAULT_HORIZON_CAP,
-                 forced_empty: bool = False):
-        self.original = original
-        self.run_csp = run_csp
-        self.marking = marking
-        # the original indices of the chain instance's variables, ascending:
-        # all of them unless preprocessing removed some (converting a long
-        # tuple of ints costs more than the range)
-        self.kept_vars = (np.arange(original.num_vars)
-                          if len(kept_vars) == original.num_vars
-                          else np.asarray(kept_vars, dtype=np.int64))
-        self.tensorized = tensorized
-        self.max_horizon = max_horizon
-        self.forced_empty = forced_empty
-        if run_csp.num_vars:
-            # built here, at set-up, and found again by each draw
-            update_context(run_csp, marking)
-
-    def draw(self, master_seed: int, i: int) -> list[int]:
-        """The i-th sample as an original-domain assignment."""
-        seed_i = derive_seed(master_seed, "sample", i)
-        if self.run_csp.num_vars == 0:
-            values = np.zeros(0, dtype=np.int64)
-        else:
-            values = sample(self.run_csp, self.marking, seed_i,
-                            check_conditions=False,
-                            horizon_cap=self.max_horizon).assignment
-        if self.original is self.run_csp:
-            # nothing was removed or tensorized, and ``sample`` has checked
-            # this assignment against this instance
-            return values.tolist()
-        if self.tensorized is not None:
-            values = trans(self.tensorized, values)
-        if len(self.kept_vars) < self.original.num_vars:
-            # re-insert variables removed by preprocessing (all had domain 1)
-            reduced = values
-            values = np.zeros(self.original.num_vars, dtype=np.int64)
-            values[self.kept_vars] = reduced
-        if not self.original.satisfies(values):
-            raise InvariantError("emitted assignment violates a constraint")
-        return values.tolist()
-
-
-def prepare_pipeline(instance, cfg: PipelineConfig) -> PreparedPipeline:
-    """Construct the marking, and the tensorization where the pipeline calls
-    for it, of an instance (a hypergraph for the coloring pipeline).  A
-    construction that finds no marking passing the theorem's conditions
-    raises, or with ``--force`` falls back to the empty marking."""
-    coloring = cfg.pipeline == "coloring"
-    if cfg.pipeline not in PIPELINES:
-        raise click.UsageError(f"unknown pipeline {cfg.pipeline!r}")
-    if coloring != isinstance(instance, HypergraphInstance):
-        raise click.UsageError("the coloring pipeline takes a hypergraph "
-                               "(--format hypergraph), and no other does")
-    if coloring and cfg.colors < 2:
-        raise click.UsageError("--colors is required for the coloring pipeline")
-    original = build_coloring(instance, cfg.colors) if coloring else instance
-    csp, kept = preprocess(original)
-    mseed = derive_seed(cfg.seed, "construction")
-    tens = marking = None
-    try:
-        # Q = 2 colorings have binary domains: the binary construction
-        if cfg.pipeline == "binary" or coloring and cfg.colors == 2:
-            marking = construct_marking_binary(csp, mseed)
-        elif coloring:
-            tree, marks = complete_binary_tensorize_with_marking(cfg.colors)
-            tens = tensorize(csp, [tree] * csp.num_vars)
-            m = global_marking(tens, [marks] * csp.num_vars)
-            if not check_theorem_conditions(tens.base, m).passed:
-                raise RegimeError("the coloring marking fails the theorem's "
-                                  "conditions")
-            marking = m
-        elif cfg.pipeline == "general":
-            # one tree per distinct spec, shared by its variables
-            trees = [huffman_tensorize(s.weights) for s in csp.flat.specs]
-            tens = tensorize(csp, [trees[g] for g in csp.flat.spec_of.tolist()])
-            marking = construct_marking_binary(tens.base, mseed)
-        elif max_domain(csp.flat) <= 2:
-            marking = construct_marking_uniform_binary(csp, mseed)
-        else:
-            tens, marking = uniform_tensorize_with_marking(csp, mseed)
-    except (RegimeError, ConstructionFailedError):
-        if not cfg.force:
-            raise
-        if cfg.pipeline == "uniform" and max_domain(csp.flat) > 2:
-            # the fallback still needs trees for the large domains, and
-            # uniform trees reproduce uniform domains only
-            check_uniform_domains(csp)
-            rtape = RandomnessTape(derive_seed(mseed, "fallback-trees"))
-            tens = tensorize(csp, [uniform_randomized_tensorization(
-                s.domain_size, rtape.stream(v, LABEL_TENSOR))[0]
-                for v, s in enumerate(csp.vars)])
-    run_csp = csp if tens is None else tens.base
-    forced_empty = marking is None
-    if forced_empty:
-        marking = Marking.empty(run_csp.num_vars)
-    return PreparedPipeline(original, run_csp, marking, kept, tens,
-                            cfg.max_horizon, forced_empty)
 
 
 # --- input/output plumbing --------------------------------------------------
@@ -403,45 +277,7 @@ def cmd_check(out, **kw):
     """Report measures, constants and the chain-condition verdict, or the
     construction's error where ``sample`` without ``--force`` would stop."""
     cfg = PipelineConfig(**kw)
-    loaded = _load(cfg)
-    try:
-        prepared, error = prepare_pipeline(loaded, cfg), None
-        csp = prepared.original
-    except SamplerError as e:
-        prepared, error = None, e
-        csp = (build_coloring(loaded, cfg.colors)
-               if cfg.pipeline == "coloring" else loaded)
-    meas = csp.measures
-    report = {
-        "num_vars": csp.num_vars,
-        "num_constraints": len(csp.flat.arity),
-        "measures": {
-            "k": meas.k, "d": meas.d, "delta": meas.delta, "q": meas.q,
-            "log_p": meas.log_p, "kappa": meas.kappa,
-        },
-    }
-    report["general_gamma"] = binary_gamma(max(meas.kappa, 2.0),
-                                           DEFAULT_ZETA)[0]
-    if meas.q <= 2:
-        report["binary_gamma"] = binary_gamma(meas.kappa, DEFAULT_ZETA)[0]
-    if error is not None:
-        report["construction_error"] = str(error)
-        report["regime_ok"] = False
-    else:
-        run_csp = prepared.run_csp
-        report["marked_count"] = int(prepared.marking.mask.sum())
-        report["forced_empty_marking"] = prepared.forced_empty
-        consts = constants(run_csp, prepared.marking)
-        report["constants"] = {
-            "log_alpha": consts.log_alpha,
-            "log_beta": consts.log_beta,
-            "log_rho": consts.log_rho,
-            "log_lambda": consts.log_lambda,
-        }
-        report["conditions"] = check_theorem_conditions(
-            run_csp, prepared.marking).as_dict()
-        report["regime_ok"] = not prepared.forced_empty
-    _emit([json.dumps(report, indent=1)], out)
+    _emit([json.dumps(check_report(_load(cfg), cfg), indent=1)], out)
 
 
 @cli.command("verify")
@@ -534,6 +370,9 @@ def run(argv=None) -> int:
         return int(e.exit_code)
     except click.UsageError as e:
         click.echo(f"usage error: {e.format_message()}", err=True)
+        return 1
+    except ConfigError as e:
+        click.echo(f"usage error: {e}", err=True)
         return 1
     except click.ClickException as e:
         e.show()

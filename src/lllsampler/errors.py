@@ -1,12 +1,16 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: parse errors -> 2, regime errors -> 3,
-budget/timeout errors -> 4, invariant failures -> 5.
+The CLI maps these onto exit codes: config errors -> 1, parse errors -> 2,
+regime errors -> 3, budget/timeout errors -> 4, invariant failures -> 5.
 """
 
 
 class SamplerError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class ConfigError(SamplerError):
+    """Pipeline settings that do not fit together or the instance."""
 
 
 class InvalidInstanceError(SamplerError):

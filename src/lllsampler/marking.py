@@ -260,8 +260,7 @@ def _binary_events(csp, eta, tau):
     log_pc = flat.log_pc
 
     def violated(marks):
-        s = constraint_sums(flat, np.where(marks[flat.cons_vars], flat.log_w,
-                                           0.0))
+        s = constraint_sums(flat, flat.log_w * marks[flat.cons_vars])
         return np.abs(s - eta * log_pc) > tau * -log_pc
 
     return violated

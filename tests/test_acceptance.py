@@ -13,18 +13,20 @@ import numpy as np
 import pytest
 
 from lllsampler import (HypergraphInstance, Marking, STAR, VariableSpec,
-                        bounding_chain, check_bounding_invariant,
-                        check_theorem_conditions, coalescence_experiment,
-                        compute_measures, construct_marking_binary,
+                        check_theorem_conditions, compute_measures,
+                        construct_marking_binary,
                         construct_marking_uniform_binary, derive_seed,
-                        exact_component_marginal, final_sampling,
                         huffman_tensorize, sample, tensorize, trans,
-                        tv_distance, verify_numeric_facts)
-from lllsampler.cli import PipelineConfig, prepare_pipeline, run
-from lllsampler.kernels import component
+                        tv_distance)
+from lllsampler.cli import run
+from lllsampler.kernels import component, exact_component_marginal
 from lllsampler.marking import (DEFAULT_ZETA, UNIFORM_ETA, UNIFORM_TAU1,
                                 UNIFORM_TAU2, binary_gamma)
-from lllsampler.verify import certify, enumerate_law
+from lllsampler.pipeline import PipelineConfig, prepare_pipeline
+from lllsampler.sampler import bounding_chain, final_sampling
+from lllsampler.tensorization import verify_numeric_facts
+from lllsampler.verify import (certify, check_bounding_invariant,
+                               coalescence_experiment, enumerate_law)
 
 from conftest import (constraint_pairs, csp_of, free8, mixed_csp, overlap18,
                       projected_constraints, uniform20, weighted8)

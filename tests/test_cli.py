@@ -12,15 +12,15 @@ import threading
 import time
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
 
 import lllsampler.core
 import lllsampler.marking
+import lllsampler.pipeline
 import lllsampler.tensorization
 import lllsampler.verify
-from lllsampler import (STAR, HypergraphInstance, VariableSpec,
+from lllsampler import (STAR, ConfigError, HypergraphInstance, VariableSpec,
                         check_theorem_conditions, emit_csp, sample)
 from lllsampler.cli import PipelineConfig, cli, prepare_pipeline, run
 from lllsampler.frontends import parse_dimacs, parse_hypergraph
@@ -204,6 +204,8 @@ def test_unwritable_out_is_a_usage_error(cnf_file, tmp_path, monkeypatch,
         return prepare(*args)
 
     monkeypatch.setattr(lllsampler.cli, "prepare_pipeline", counting)
+    # check's report sets up through the library module's own binding
+    monkeypatch.setattr(lllsampler.pipeline, "prepare_pipeline", counting)
     out = str(tmp_path / "missing" / "f.txt")
     sample = sample_args(cnf_file, "--format", "dimacs", "--pipeline",
                          "binary", "--force", "--out", out)
@@ -612,7 +614,7 @@ def test_pipeline_api_binary():
     for i in range(3):
         assert csp.satisfies(prepared.draw(6, i))
     # a hypergraph is the coloring pipeline's input only
-    with pytest.raises(click.UsageError, match="no other does"):
+    with pytest.raises(ConfigError, match="no other does"):
         prepare_pipeline(HypergraphInstance(3, ((0, 1, 2),)), PipelineConfig(
             "-", "hypergraph", "binary", colors=3, force=True))
 
@@ -766,13 +768,13 @@ def test_coloring_pipeline_reads_only_the_arrays():
 
 def test_check_builds_the_coloring_once(tmp_path, monkeypatch, capsys):
     calls = []
-    build = lllsampler.cli.build_coloring
+    build = lllsampler.pipeline.build_coloring
 
     def counting_build(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(lllsampler.cli, "build_coloring", counting_build)
+    monkeypatch.setattr(lllsampler.pipeline, "build_coloring", counting_build)
     path = tmp_path / "h.hg"
     path.write_text("h 32 1 32\n" + " ".join(map(str, range(1, 33))) + "\n")
     assert run(["check", "--input", str(path), "--format", "hypergraph",

@@ -9,8 +9,10 @@ from hypothesis import given, strategies as st
 
 from lllsampler import core
 from lllsampler import (AtomicCsp, InvalidInstanceError, STAR,
-                        UnsatisfiableInstanceError, VariableSpec, component,
-                        compute_measures, parse_dimacs, preprocess)
+                        UnsatisfiableInstanceError, VariableSpec,
+                        compute_measures, parse_dimacs)
+from lllsampler.core import preprocess
+from lllsampler.kernels import component
 
 from conftest import (constraint_pairs, csp_of, mixed_csp, overlap18,
                       projected_constraints, random_weighted_csp)

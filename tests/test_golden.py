@@ -23,9 +23,9 @@ import pytest
 
 import numpy as np
 
-from lllsampler import (STAR, Marking, VariableSpec, final_sampling, kernels,
-                        sample)
-from lllsampler.cli import PipelineConfig, prepare_pipeline
+from lllsampler import STAR, Marking, VariableSpec, kernels, sample
+from lllsampler.pipeline import PipelineConfig, prepare_pipeline
+from lllsampler.sampler import final_sampling
 from lllsampler.frontends import (HypergraphInstance, parse_dimacs,
                                   parse_hypergraph)
 from lllsampler.kernels import LABEL_TENSOR, RandomnessTape

@@ -8,12 +8,13 @@ import pytest
 from numpy.random import Generator, Philox
 
 from lllsampler import (BudgetError, ConditionsError, InvariantError, Marking,
-                        RandomnessTape, STAR, VariableSpec, component,
-                        compute_constants, derive_seed,
-                        exact_component_marginal, final_sampling, safe_pmf)
+                        RandomnessTape, STAR, VariableSpec, derive_seed)
 from lllsampler import kernels
 from lllsampler.kernels import (LABEL_REJECTION, UpdateContext, _enum_marginal,
-                                _ie_marginal, _update_in_place)
+                                _ie_marginal, _update_in_place, component,
+                                exact_component_marginal, safe_pmf)
+from lllsampler.marking import compute_constants
+from lllsampler.sampler import final_sampling
 
 from conftest import (chain_uniform, coupled_update, csp_of,
                       projected_constraints, ternary9, weighted8)

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 import lllsampler.core
+import lllsampler.marking
 from lllsampler import (ConstructionFailedError, Marking, RegimeError,
-                        VariableSpec, binary_gamma, check_theorem_conditions,
-                        compute_constants, construct_marking_binary,
-                        construct_marking_uniform_binary, kl_divergence)
+                        VariableSpec, check_theorem_conditions,
+                        construct_marking_binary,
+                        construct_marking_uniform_binary)
 from lllsampler.marking import (UNIFORM_ETA, UNIFORM_TAU1, UNIFORM_TAU2,
                                 _binary_events, _uniform_binary_events,
-                                check_necessary_bound, moser_tardos)
+                                binary_gamma, check_necessary_bound,
+                                compute_constants, kl_divergence,
+                                moser_tardos)
 from lllsampler.core import constraint_sums, per_entry
 from lllsampler.kernels import LABEL_MARKING, LABEL_TENSOR, RandomnessTape
 from lllsampler.tensorization import (_uniform_events, marked_path_log2,
@@ -523,6 +526,32 @@ def test_array_events_match_the_closures(kind):
         fired += iterations > 0
     assert fired >= 6
     assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_binary_event_sums_match_the_where_form_bitwise(monkeypatch):
+    # the binary events select each entry's term as log_w * mark, which is
+    # -0.0 where the mark is 0; every sum starts from +0.0, so the sums are
+    # np.where's (+0.0 where unmarked) bit for bit, all-unmarked included
+    seen = []
+
+    def recording(flat, x, first=0.0):
+        seen.append(constraint_sums(flat, x, first))
+        return seen[-1]
+
+    monkeypatch.setattr(lllsampler.marking, "constraint_sums", recording)
+    rng = random.Random(32)
+    for _ in range(200):
+        csp = random_weighted_csp(rng)
+        flat = csp.flat
+        violated = _binary_events(csp, 0.5, 0.1)
+        for p in (0.0, 0.5, 1.0):
+            marks = np.array([rng.random() < p
+                              for _ in range(csp.num_vars)])
+            seen.clear()
+            violated(marks)
+            want = constraint_sums(flat, np.where(marks[flat.cons_vars],
+                                                  flat.log_w, 0.0))
+            assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
 
 
 def test_binary_construction_regime_error():

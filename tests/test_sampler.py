@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from lllsampler import (BudgetError, InvariantError, Marking, RandomnessTape,
-                        STAR, VariableSpec, bounding_chain, component,
-                        derive_seed, final_sampling, rejection_sampling,
-                        sample, sampler)
-from lllsampler.cli import PreparedPipeline
+                        STAR, VariableSpec, derive_seed, sample, sampler)
 from lllsampler.kernels import (LABEL_REJECTION, TapeStream, UpdateContext,
-                                _update_in_place, rejection_tables)
-from lllsampler.sampler import free_tables, live_tables, marked_entries
+                                _update_in_place, component,
+                                rejection_sampling, rejection_tables)
+from lllsampler.pipeline import PreparedPipeline
+from lllsampler.sampler import (bounding_chain, final_sampling, free_tables,
+                                live_tables, marked_entries)
 from lllsampler.verify import (check_bounding_invariant,
                                coalescence_experiment, enumerate_law,
                                tv_distance)

@@ -10,7 +10,7 @@ from lllsampler import (HypergraphInstance, InvalidInstanceError, Marking,
                         RegimeError, TensorTree, VariableSpec,
                         build_coloring, compute_measures, huffman_tensorize,
                         tensorize, trans)
-from lllsampler.cli import PipelineConfig, prepare_pipeline
+from lllsampler.pipeline import PipelineConfig, prepare_pipeline
 from lllsampler.kernels import LABEL_TENSOR, RandomnessTape
 from lllsampler.marking import UNIFORM_ETA, UNIFORM_TAU1, UNIFORM_TAU2
 from lllsampler.tensorization import (

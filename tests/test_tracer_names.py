@@ -11,6 +11,7 @@ from pathlib import Path
 
 import lllsampler
 import lllsampler.cli  # noqa: F401  (the tracer wraps names in every module)
+import lllsampler.pipeline
 
 from conftest import ternary9
 
@@ -97,3 +98,25 @@ def test_tracer_counts_a_traced_run():
             "sampler.coalesced_runs"} <= {k for k, v in tracer.counts.items()
                                           if v > 0}
     assert summary[("kernels.update_ctx", "setup")][0] >= 2
+
+
+def test_tracer_spans_the_library_pipeline():
+    # the tracer finds ``cli.prepare_pipeline`` and ``cli.PreparedPipeline``
+    # by name and wraps those objects wherever they are bound, so a set-up
+    # and a draw called through ``lllsampler.pipeline`` record one
+    # ``cli.prepare`` and one ``cli.draw`` span
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cfg = lllsampler.pipeline.PipelineConfig("-", "dimacs", "binary",
+                                                 seed=1, force=True)
+        prepared = lllsampler.pipeline.prepare_pipeline(
+            lllsampler.frontends.parse_dimacs("p cnf 3 1\n1 2 3 0\n"), cfg)
+        prepared.draw(1, 0)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for span_name in ("cli.prepare", "cli.draw"):
+        assert summary[(span_name, "setup")][0] == 1, span_name
+        assert summary[(span_name, "draw")][0] == 0, span_name

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from lllsampler import (BudgetError, Marking, UnsatisfiableInstanceError,
-                        VariableSpec, certify, check_bounding_invariant,
-                        coalescence_experiment, derive_seed, enumerate_law,
+                        VariableSpec, certify, derive_seed, enumerate_law,
                         sample, tv_distance)
 from lllsampler.core import enumerate_solutions
-from lllsampler.verify import ExactLaw, chi2_sf
+from lllsampler.verify import (ExactLaw, check_bounding_invariant, chi2_sf,
+                               coalescence_experiment)
 
 from test_kernels import random_csp
 from conftest import csp_of, free8, law_of_projection, weighted8
